@@ -39,6 +39,7 @@ from .errors import (
     NotJordanForm,
     RelationInvalid,
     SingularMatrix,
+    UnknownCluster,
     ZeroEigenvalue,
 )
 from .flow import (

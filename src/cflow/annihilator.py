@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AmbiguousRank, NonConvergence, ZeroEigenvalue
+from .errors import AmbiguousRank, NonConvergence, UnknownCluster, ZeroEigenvalue
 from .numeric import DEFAULT_TOL, ToleranceConfig, as_matrix, max_norm
 
 __all__ = [
@@ -163,7 +163,9 @@ class Spectrum:
         new = list(self.clusters)
         for idx, k in offsets.items():
             if not 0 <= idx < len(new):
-                raise IndexError(f"no cluster with index {idx}")
+                raise UnknownCluster(
+                    f"no cluster with index {idx}; the spectrum has {len(new)}"
+                )
             c = new[idx]
             new[idx] = replace(c, log=c.log + 2j * math.pi * int(k))
         return Spectrum(tuple(new))

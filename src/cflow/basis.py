@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annihilator import Spectrum
-from .errors import ConditioningWarning, SingularMatrix, ZeroEigenvalue
+from .errors import ConditioningWarning, NonFiniteEntry, SingularMatrix, ZeroEigenvalue
 from .numeric import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -112,14 +112,36 @@ def build_basis(spectrum: Spectrum) -> BasisDescriptor:
     return BasisDescriptor(terms=tuple(terms), spectrum=spectrum)
 
 
+def _finite_exponent(z: complex) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise NonFiniteEntry(f"exponent {z} is not finite")
+    return z
+
+
 def eval_basis(basis: BasisDescriptor, z: complex) -> np.ndarray:
-    """Values of every basis function at ``z``."""
-    return eval_basis_extended(basis, z).astype(np.complex128)
+    """Values of every basis function at ``z``, in double precision.
+
+    Raises :class:`NonFiniteEntry` when ``z`` is not finite or a value
+    overflows.
+    """
+    z = _finite_exponent(z)
+    clusters = basis.spectrum.clusters
+    out = np.empty(basis.size, dtype=np.complex128)
+    try:
+        for k, (ci, j) in enumerate(basis.terms):
+            power = cmath.exp((z - j) * clusters[ci].log)
+            out[k] = power if j == 0 else generalized_binomial(j, z) * power
+    except OverflowError as exc:
+        raise NonFiniteEntry(
+            f"A^z overflows: a basis value exceeds double precision at z={z}"
+        ) from exc
+    return out
 
 
 def eval_basis_extended(basis: BasisDescriptor, z: complex) -> np.ndarray:
     """Extended-precision values of every basis function at ``z``."""
-    z = np.clongdouble(complex(z))
+    z = np.clongdouble(_finite_exponent(z))
     out = np.empty(basis.size, dtype=np.clongdouble)
     for k, (ci, j) in enumerate(basis.terms):
         log = np.clongdouble(basis.spectrum.clusters[ci].log)
@@ -136,7 +158,7 @@ def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
     p = basis.size
     b = np.empty((p, p), dtype=np.complex128)
     for i in range(p):
-        b[i, :] = eval_basis(basis, -(i + 1))
+        b[i, :] = eval_basis_extended(basis, -(i + 1))
     return b
 
 

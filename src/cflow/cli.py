@@ -1,7 +1,9 @@
 """Command-line front end: ``pow``, ``analyze``, ``verify`` and ``formula``.
 
-Exit codes: 0 ok, 1 verification failed, 2 parse error, 3 singular matrix or
-zero eigenvalue, 4 root-finder non-convergence, 5 relation invalid.
+Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
+branch offset for a cluster that does not exist), 3 singular matrix or zero
+eigenvalue, 4 root-finder non-convergence, 5 relation invalid, 6 result not
+finite (``A^z`` overflows at the requested exponent).
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .errors import (
     CFlowError,
     MatrixParseError,
     NonConvergence,
+    NonFiniteEntry,
     RelationInvalid,
     SingularMatrix,
+    UnknownCluster,
     ZeroEigenvalue,
 )
 from .flow import (
@@ -62,6 +66,13 @@ def _add_common(sub):
         help="add 2*pi*i*K to the branch log of cluster IDX (repeatable)",
     )
     sub.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -361,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--method", choices=["vandermonde", "companion", "both"], default="both"
     )
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_count, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--z-radius", type=float, default=3.0)
     _add_common(sp)
@@ -386,7 +397,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
+    except (MatrixParseError, UnknownCluster) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SingularMatrix, ZeroEigenvalue, AmbiguousRank) as exc:
@@ -398,6 +409,9 @@ def main(argv=None) -> int:
     except RelationInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except NonFiniteEntry as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     except CFlowError as exc:  # anything else operational
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -33,6 +33,10 @@ class AmbiguousRank(CFlowError):
     """A linear-dependence decision fell too close to the rank tolerance."""
 
 
+class UnknownCluster(CFlowError, IndexError):
+    """A branch offset names a cluster index the spectrum does not have."""
+
+
 class NotJordanForm(CFlowError):
     """A block-diagonal Jordan-form input was required but not supplied."""
 

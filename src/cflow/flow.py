@@ -8,6 +8,13 @@ direct method obtains the coefficient functions by inverting a generalized
 Vandermonde system; the companion method evaluates ``C^z c`` for the
 companion matrix ``C`` of the relation.  They share only the scalar basis
 primitives, so their agreement is a genuine cross-check.
+
+With ``mu(z) = E f(z)`` over the basis functions ``f_k``, the same sum is
+``A^z = sum_k f_k(z) M_k`` with ``M_k = sum_i e_ik A^{-i}``: the Frobenius
+covariants of the confluent Sylvester formula.  The cancellation of the
+negative-power sum is confined to ``M``, which is built once per
+representation in extended (or arbitrary) precision; evaluation is then a
+double-precision sum of ``p`` matrices.
 """
 
 from __future__ import annotations
@@ -35,7 +42,13 @@ from .basis import (
     scalar_flow,
     vandermonde_matrix,
 )
-from .errors import DimensionMismatch, NotJordanForm, RelationInvalid, ZeroEigenvalue
+from .errors import (
+    DimensionMismatch,
+    NonFiniteEntry,
+    NotJordanForm,
+    RelationInvalid,
+    ZeroEigenvalue,
+)
 from .numeric import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -54,6 +67,7 @@ __all__ = [
     "evaluate_flow",
     "mu_functions",
     "companion_matrix",
+    "companion_columns",
     "CompanionFlow",
     "companion_flow_mu",
     "evaluate_companion_flow",
@@ -71,7 +85,10 @@ class FlowRepresentation:
 
     ``neg_powers`` holds ``[A^{-1}, ..., A^{-p}]``; ``coeffs.e`` is the
     ``p x p`` table with ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis
-    functions ``f_j`` of ``basis``.
+    functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
+    stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
+    In the mpmath tier (``high_precision`` set), ``basis`` carries that
+    tier's polished eigenvalues and branch logs, which ``M`` was built with.
     """
 
     relation: AnnihilatorPolynomial
@@ -79,7 +96,7 @@ class FlowRepresentation:
     coeffs: CoefficientTable
     neg_powers: tuple
     source_dim: int
-    neg_powers_extended: tuple | None = None
+    covariants: np.ndarray = field(compare=False, repr=False)
     high_precision: object | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -129,7 +146,8 @@ def build_flow(
     branch log (each choice yields a different, equally valid flow).
     """
     a = as_matrix(a)
-    if q is None:
+    discovered = q is None
+    if discovered:
         q = minimal_polynomial(a, tol)
     else:
         residual = validate_relation(a, q, tol)
@@ -145,11 +163,13 @@ def build_flow(
     # mu_i = sum_j e_ij f_j requires the inverse of (f_i(-j)), the transpose
     # of the row-per-evaluation-point layout returned by vandermonde_matrix.
     coeffs = invert_vandermonde(vandermonde_matrix(basis).T, tol)
+    n = a.shape[0]
     negs_ext = _negative_powers_extended(a, q.degree, tol)
-    # Estimated cancellation of the contraction over a working range of z;
-    # when extended precision cannot absorb it, attach an arbitrary-precision
-    # evaluator.  (At z = k the result |A^k| can be dwarfed by the terms
-    # |mu_i(k)| |A^{-i}|, and every rounding error scales with the terms.)
+    # Estimated cancellation of the sum over the negative powers for a
+    # working range of z; when extended precision cannot absorb it, the
+    # covariants are built at arbitrary precision.  (At z = k the result
+    # |A^k| can be dwarfed by the terms |mu_i(k)| |A^{-i}|, and every
+    # rounding error scales with the terms.)
     e_ext = coeffs.e_extended
     neg_scales = np.array([np.max(np.abs(p)) for p in negs_ext], dtype=np.float64)
     amp = 0.0
@@ -161,50 +181,58 @@ def build_flow(
         from .highprec import HighPrecisionFlow
 
         dps = min(60, 35 + int(np.log10(amp)))
-        high_precision = HighPrecisionFlow(a, q, basis, dps=dps)
+        high_precision = HighPrecisionFlow(a, q, basis, dps, tol, discovered)
+        basis = high_precision.basis
+        covariants = high_precision.covariants
+    else:
+        stacked = np.stack(negs_ext).reshape(q.degree, n * n)
+        covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)
     return FlowRepresentation(
         relation=q,
         basis=basis,
         coeffs=coeffs,
         neg_powers=tuple(m.astype(np.complex128) for m in negs_ext),
-        source_dim=a.shape[0],
-        neg_powers_extended=tuple(negs_ext),
+        source_dim=n,
+        covariants=covariants,
         high_precision=high_precision,
     )
 
 
-def _mu_extended(rep: FlowRepresentation, z: complex) -> np.ndarray:
-    e = rep.coeffs.e_extended
-    if e is None:
-        e = rep.coeffs.e.astype(np.clongdouble)
-    return e @ eval_basis_extended(rep.basis, z)
+def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NonFiniteEntry(f"{what} is not finite at z={complex(z)}")
+    return x
+
+
+def _rounded(x: np.ndarray, what: str, z: complex) -> np.ndarray:
+    """An extended-precision result rounded to complex128, which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x.astype(np.complex128)
+    return _finite(x, what, z)
 
 
 def mu_functions(rep: FlowRepresentation, z: complex) -> np.ndarray:
     """The coefficient vector ``mu(z)`` with ``A^z = sum mu_i(z) A^{-i}``."""
     if rep.high_precision is not None:
-        return rep.high_precision.mu(z)
-    return _mu_extended(rep, z).astype(np.complex128)
+        return _finite(rep.high_precision.mu(z), "mu", z)
+    e = rep.coeffs.e_extended
+    if e is None:
+        e = rep.coeffs.e.astype(np.clongdouble)
+    return _rounded(e @ eval_basis_extended(rep.basis, z), "mu", z)
+
+
+def _sum_covariants(basis: BasisDescriptor, covariants: np.ndarray, z: complex) -> np.ndarray:
+    p, n, _ = covariants.shape
+    out = (eval_basis(basis, z) @ covariants.reshape(p, n * n)).reshape(n, n)
+    return _finite(out, "A^z", z)
 
 
 def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
-    """Evaluate ``A^z`` from a representation.
+    """Evaluate ``A^z = sum_k f_k(z) M_k`` from a representation.
 
-    The contraction over the negative powers cancels heavily for defective
-    spectra, so it is accumulated in extended precision before rounding --
-    or at arbitrary precision when the representation carries a
-    high-precision evaluator.
+    Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite.
     """
-    if rep.high_precision is not None:
-        return rep.high_precision.evaluate(z)
-    mu = _mu_extended(rep, z)
-    powers = rep.neg_powers_extended
-    if powers is None:
-        powers = tuple(p.astype(np.clongdouble) for p in rep.neg_powers)
-    out = np.zeros((rep.source_dim, rep.source_dim), dtype=np.clongdouble)
-    for m, power in zip(mu, powers):
-        out += m * power
-    return out.astype(np.complex128)
+    return _sum_covariants(rep.basis, rep.covariants, z)
 
 
 def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
@@ -219,6 +247,24 @@ def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
     return c
 
 
+def companion_columns(c: np.ndarray) -> np.ndarray:
+    """The ``p x p`` matrix with columns ``C^{-1} c, ..., C^{-p} c`` for the
+    companion matrix ``C`` whose first column is ``c = (c_{p-1}, ..., c_0)``.
+
+    Each column is one solve against the companion structure (the last row
+    gives the first entry, the others the rest), in the precision of ``c``:
+    extended, or mpmath numbers in an object array.
+    """
+    p = len(c)
+    w = np.empty((p, p), dtype=c.dtype)
+    prev = c
+    for col in range(p):
+        x0 = prev[p - 1] / c[p - 1]
+        prev = np.concatenate([[x0], prev[:-1] - c[:-1] * x0])
+        w[:, col] = prev
+    return w
+
+
 class CompanionFlow:
     """The coefficient functions ``mu(z) = C^z c`` of a relation.
 
@@ -228,7 +274,13 @@ class CompanionFlow:
     The construction actually runs on a diagonal similarity ``D^{-1} C D``
     with ``D`` powers of the geometric-mean root magnitude: companion
     matrices of high-degree relations are badly scaled, and balancing keeps
-    the negative-power solves accurate.
+    the precision probe of that construction meaningful.
+
+    Since ``C^z = sum_i nu_i(z) C^{-i}`` with ``nu = E f``, the coefficients
+    are ``mu(z) = V f(z)`` with the ``p x p`` table ``V = W E`` and
+    ``W = companion_columns(c)``.  ``V`` is built once, from the relation's
+    extended coefficients (those its roots were refined from), or in the
+    mpmath tier when the balanced companion matrix enters it.
     """
 
     def __init__(
@@ -242,30 +294,20 @@ class CompanionFlow:
                 "constant coefficient is zero; zero is a root of the relation"
             )
         p = q.degree
-        s = abs(q.coeffs[0]) ** (1.0 / p)
-        self._scale = s ** np.arange(p)
-        balanced = companion_matrix(q) * np.outer(1.0 / self._scale, self._scale)
+        scale = (abs(q.coeffs[0]) ** (1.0 / p)) ** np.arange(p)
+        balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
         self._rep = build_flow(balanced, q, tol, branch_offsets)
-        inv = extended_inverse(balanced)
-        negs = [inv]
-        for _ in range(p - 1):
-            negs.append(negs[-1] @ inv)
-        self._negs_ext = negs
-        self._c_scaled = (
-            np.array(q.coeffs[::-1], dtype=np.complex128) / self._scale
-        ).astype(np.clongdouble)
+        hp = self._rep.high_precision
+        if hp is None:
+            c = -q.monic_coefficients_extended()[-2::-1]
+            self._table = companion_columns(c) @ self._rep.coeffs.e_extended
+        else:
+            from .highprec import extended_matrix
+
+            self._table = extended_matrix(hp.companion_table())
 
     def mu(self, z: complex) -> np.ndarray:
-        hp = self._rep.high_precision
-        if hp is not None:
-            return np.array(
-                [complex(v) for v in hp.companion_mu_mp(z)], dtype=np.complex128
-            )
-        nu = _mu_extended(self._rep, z)
-        czt = np.zeros_like(self._negs_ext[0])
-        for v, power in zip(nu, self._negs_ext):
-            czt += v * power
-        return (self._scale * (czt @ self._c_scaled)).astype(np.complex128)
+        return _rounded(self._table @ eval_basis_extended(self._rep.basis, z), "mu", z)
 
 
 def companion_flow_mu(
@@ -298,7 +340,7 @@ def evaluate_companion_flow(
     amp = float(sum(abs(m) * np.max(np.abs(p)) for m, p in zip(mu, negs)))
     if amp > 1e7 * max(1.0, max_norm(a)):
         # cancellation beyond what extended precision absorbs; redo the
-        # companion chain and the contraction at arbitrary precision
+        # companion table and fold it into covariants at arbitrary precision
         from .highprec import HighPrecisionFlow
 
         roots = find_roots(q, tol)
@@ -306,12 +348,12 @@ def evaluate_companion_flow(
         if branch_offsets:
             spectrum = spectrum.with_branch_offsets(branch_offsets)
         basis = build_basis(spectrum)
-        hp = HighPrecisionFlow(a, q, basis, dps=min(60, 35 + int(np.log10(amp))))
-        return hp.contract_mu(hp.companion_mu_mp(z))
+        hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))), tol)
+        return _sum_covariants(hp.basis, hp.fold(hp.companion_table()), z)
     out = np.zeros(a.shape, dtype=np.clongdouble)
     for m, power in zip(mu, negs):
         out += m * power
-    return out.astype(np.complex128)
+    return _rounded(out, "A^z", z)
 
 
 def jordan_block_flow(lam: complex, size: int, z: complex) -> np.ndarray:

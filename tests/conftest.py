@@ -67,6 +67,29 @@ def random_suite_case(rng: np.random.Generator, max_dim: int = 8) -> SuiteCase:
     return SuiteCase(matrix=a, blocks=tuple(blocks), transform=t)
 
 
+def defective_case(rng: np.random.Generator, n: int) -> SuiteCase:
+    """A Jordan block of size 3 plus ``n - 3`` simple eigenvalues (magnitudes
+    in ``[0.5, 4]``, at least 0.3 apart), conjugated by a matrix with singular
+    values in ``[1, 5]``.  From ``n = 12`` on, the relation of such a matrix
+    usually cancels beyond extended precision (the mpmath tier)."""
+    blocks = []
+    for size in [3] + [1] * (n - 3):
+        for _ in range(200):
+            lam = rng.uniform(0.5, 4.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            if all(abs(lam - mu) >= 0.3 for mu, _ in blocks):
+                break
+        blocks.append((complex(lam), size))
+    j = np.diag([lam for lam, size in blocks for _ in range(size)]) + np.diag(
+        [1.0, 1.0] + [0.0] * (n - 3), 1
+    )
+    t = (
+        _random_unitary(rng, n)
+        @ np.diag(rng.uniform(1.0, 5.0, n))
+        @ _random_unitary(rng, n)
+    )
+    return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=tuple(blocks), transform=t)
+
+
 @pytest.fixture(scope="session")
 def suite():
     """50 seeded random matrices; the acceptance suite."""

@@ -73,6 +73,22 @@ class TestPow:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["pow", str(tmp_path / "absent.json"), "--z", "1"]) == 2
 
+    def test_overflowing_result_exit_6(self, fixtures, capsys):
+        # 3^2000 overflows double precision: no Infinity in the output
+        assert main(["pow", fixtures["diag23"], "--z", "2000"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_overflowing_companion_exit_6(self, fixtures, capsys):
+        assert main(["pow", fixtures["diag23"], "--z", "2000", "--method", "companion"]) == 6
+        assert capsys.readouterr().out == ""
+
+    def test_unknown_cluster_offset_exit_2(self, fixtures, capsys):
+        assert main(["pow", fixtures["diag23"], "--z", "0.5", "--branch-offset", "5:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_branch_offset(self, tmp_path, capsys):
         p = tmp_path / "four.json"
         with open(p, "w") as fh:
@@ -114,6 +130,10 @@ class TestVerify:
         assert report["residuals"]["flow_axioms"] <= 1e-8
         assert report["residuals"]["integer_consistency"] <= 1e-8
         assert report["residuals"]["cross_agreement"] <= 1e-8
+
+    def test_negative_samples_exit_2(self, fixtures, capsys):
+        assert main(["verify", fixtures["diag23"], "--samples", "-3"]) == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_single_method(self, fixtures, capsys):
         assert main(["verify", fixtures["diag23"], "--method", "vandermonde", "--json"]) == 0

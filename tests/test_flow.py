@@ -6,6 +6,7 @@ import pytest
 
 from cflow import (
     AnnihilatorPolynomial,
+    NonFiniteEntry,
     NotJordanForm,
     RelationInvalid,
     ZeroEigenvalue,
@@ -94,6 +95,32 @@ class TestBuildFlow:
         shifted = evaluate_flow(build_flow(a, branch_offsets={0: 1}), 0.5)[0, 0]
         assert plain == pytest.approx(2.0)
         assert shifted == pytest.approx(-2.0)  # exp(i*pi) from the extra winding
+
+    @pytest.mark.parametrize("z", [float("nan"), complex(0.5, float("inf")), 2000.0])
+    def test_non_finite_exponent_or_result_raises(self, z):
+        # z = 2000 overflows 3^z; a NaN or infinite z has no finite flow
+        rep = build_flow(np.diag([2.0, 3.0]))
+        with pytest.raises(NonFiniteEntry):
+            evaluate_flow(rep, z)
+        with pytest.raises(NonFiniteEntry):
+            mu_functions(rep, z)
+
+    def test_non_finite_companion_raises(self):
+        a = np.diag([2.0, 3.0])
+        q = AnnihilatorPolynomial((-6, 5))
+        with pytest.raises(NonFiniteEntry):
+            companion_flow_mu(q, float("nan"))
+        with pytest.raises(NonFiniteEntry):
+            evaluate_companion_flow(a, q, 2000.0)
+
+    def test_covariants_fold_the_table(self):
+        # M_k = sum_i e_ik A^{-i}, so A^z = sum_k f_k(z) M_k
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rep = build_flow(a)
+        folded = np.einsum("ik,inm->knm", rep.coeffs.e, np.array(rep.neg_powers))
+        assert rep.covariants.shape == (rep.degree, 4, 4)
+        assert rel_err(rep.covariants, folded) < 1e-10
 
     def test_mu_at_integers(self):
         # contracting mu(z) against the negative powers must reproduce
