@@ -49,8 +49,10 @@ from .flow import (
     build_flow,
     check_flow_axioms,
     companion_action_check,
+    companion_columns,
     companion_flow_mu,
     companion_matrix,
+    companion_representation,
     evaluate_companion_flow,
     evaluate_flow,
     extend_matrix,
@@ -58,6 +60,7 @@ from .flow import (
     jordan_oracle,
     mu_functions,
     negative_powers,
+    spectral_table,
 )
 from .numeric import (
     DEFAULT_TOL,

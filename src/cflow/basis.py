@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,13 +179,7 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
     # High-degree relations give legitimately ill-conditioned (but provably
     # nonsingular) matrices, which extended precision below absorbs; reject
     # only pivots at rounding level rather than at the generic rank_tol.
-    pivot_tol = ToleranceConfig(
-        rank_tol=1e3 * float(np.finfo(np.float64).eps),
-        root_tol=tol.root_tol,
-        cluster_tol=tol.cluster_tol,
-        residual_tol=tol.residual_tol,
-        cond_warn=tol.cond_warn,
-    )
+    pivot_tol = replace(tol, rank_tol=1e3 * float(np.finfo(np.float64).eps))
     try:
         f = lu_factor(b / row_scale[:, None] / col_scale[None, :], pivot_tol)
     except SingularMatrix as exc:

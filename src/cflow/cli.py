@@ -16,13 +16,11 @@ import numpy as np
 
 from .annihilator import (
     AnnihilatorPolynomial,
-    cluster_roots,
-    find_roots,
     minimal_polynomial,
     characteristic_polynomial,
     validate_relation,
 )
-from .basis import build_basis, eval_basis, invert_vandermonde, vandermonde_matrix
+from .basis import eval_basis
 from .errors import (
     AmbiguousRank,
     CFlowError,
@@ -35,10 +33,11 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .flow import (
-    CompanionFlow,
     build_flow,
+    check_flow_axioms,
+    companion_representation,
     evaluate_flow,
-    negative_powers,
+    spectral_table,
 )
 from .matfile import (
     format_complex,
@@ -172,8 +171,7 @@ def _print_report(report: dict, as_json: bool, out) -> None:
         print(f"mu({report['mu_at']['z']}) = ({values})", file=out)
 
 
-def _representation_report(q, rep, skip_zero=False, residual=None) -> dict:
-    basis = rep.basis
+def _representation_report(q, basis, coeffs, skip_zero=False, residual=None) -> dict:
     spectrum = basis.spectrum
     report = {
         "degree": q.degree,
@@ -183,9 +181,9 @@ def _representation_report(q, rep, skip_zero=False, residual=None) -> dict:
             _term_text(spectrum.clusters[ci].value, j) for ci, j in basis.terms
         ],
         "coefficients": [
-            [[v.real, v.imag] for v in row] for row in np.asarray(rep.coeffs.e)
+            [[v.real, v.imag] for v in row] for row in np.asarray(coeffs.e)
         ],
-        "condition_estimate": rep.coeffs.condition_estimate,
+        "condition_estimate": coeffs.condition_estimate,
     }
     if residual is not None:
         report["relation_residual"] = residual
@@ -193,7 +191,7 @@ def _representation_report(q, rep, skip_zero=False, residual=None) -> dict:
     for i in range(q.degree):
         row = []
         for k, (ci, j) in enumerate(basis.terms):
-            e = complex(rep.coeffs.e[i, k])
+            e = complex(coeffs.e[i, k])
             if skip_zero and e == 0:
                 continue
             row.append(f"({format_complex(e)})*" + _term_text(spectrum.clusters[ci].value, j))
@@ -211,9 +209,7 @@ def cmd_pow(args) -> int:
     rep = build_flow(a, q, tol, offsets)
     result = evaluate_flow(rep, z)
     if args.method in ("companion", "both"):
-        from .flow import evaluate_companion_flow
-
-        comp = evaluate_companion_flow(a, q, z, tol, offsets)
+        comp = evaluate_flow(companion_representation(rep), z)
         if args.method == "companion":
             result = comp
         else:
@@ -235,7 +231,7 @@ def cmd_analyze(args) -> int:
     offsets = _branch_offsets(args)
     rep = build_flow(a, q, tol, offsets)
     residual = validate_relation(a, q, tol)
-    report = _representation_report(q, rep, residual=residual)
+    report = _representation_report(q, rep.basis, rep.coeffs, residual=residual)
     del report["mu_terms"]
     _print_report(report, args.json, sys.stdout)
     return 0
@@ -253,20 +249,8 @@ def cmd_formula(args) -> int:
         raise MatrixParseError("formula needs --relation or a matrix file")
     if abs(q.coeffs[0]) == 0.0:
         raise ZeroEigenvalue("constant coefficient is zero; zero is a root of the relation")
-    roots = find_roots(q, tol)
-    spectrum = cluster_roots(roots, tol, polynomial=q)
-    if offsets:
-        spectrum = spectrum.with_branch_offsets(offsets)
-    basis = build_basis(spectrum)
-    table = invert_vandermonde(vandermonde_matrix(basis).T, tol)
-
-    class _Rep:
-        pass
-
-    rep = _Rep()
-    rep.basis = basis
-    rep.coeffs = table
-    report = _representation_report(q, rep, skip_zero=args.skip_zero)
+    basis, table = spectral_table(q, tol, offsets)
+    report = _representation_report(q, basis, table, skip_zero=args.skip_zero)
     if args.at is not None:
         z = parse_complex(args.at)
         mu = table.e @ eval_basis(basis, z)
@@ -280,16 +264,12 @@ def cmd_verify(args) -> int:
     a = read_matrix(args.matrix)
     q = _relation_for(args, a, tol)
     offsets = _branch_offsets(args)
-    p = q.degree
 
     rep = build_flow(a, q, tol, offsets)
-    direct = lambda z: evaluate_flow(rep, z)
-
-    cflow_mu = CompanionFlow(q, tol, offsets)
-    negs = negative_powers(a, p, tol)
-
-    def companion(z):
-        return sum(m * m_pow for m, m_pow in zip(cflow_mu.mu(z), negs))
+    active = ["vandermonde", "companion"] if args.method == "both" else [args.method]
+    reps = {
+        name: rep if name == "vandermonde" else companion_representation(rep) for name in active
+    }
 
     rng = np.random.default_rng(args.seed)
     radius = args.z_radius
@@ -301,34 +281,22 @@ def cmd_verify(args) -> int:
         for _ in range(args.samples)
     ]
 
-    evaluators = {"vandermonde": direct, "companion": companion}
-    active = ["vandermonde", "companion"] if args.method == "both" else [args.method]
-
-    results = {}
-    scale = max(1.0, max_norm(a), max_norm(negs[-1]))
-    axiom_max = 0.0
-    for name in active:
-        f = evaluators[name]
-        axiom_max = max(axiom_max, max_norm(f(0.0) - np.eye(a.shape[0])) / scale)
-        axiom_max = max(axiom_max, max_norm(f(1.0) - a) / scale)
-        for z, w in pairs:
-            fz, fw = f(z), f(w)
-            denom = max(1.0, max_norm(fz) * max_norm(fw))
-            axiom_max = max(axiom_max, max_norm(fz @ fw - f(z + w)) / denom)
-    results["flow_axioms"] = axiom_max
+    results = {
+        "flow_axioms": max(check_flow_axioms(r, a, pairs).max_residual for r in reps.values())
+    }
 
     integer_max = 0.0
     for k in range(-3, 6):
         target = power_int(a, k, tol)
         denom = max(1.0, max_norm(target))
-        for name in active:
-            integer_max = max(integer_max, max_norm(evaluators[name](k) - target) / denom)
+        for r in reps.values():
+            integer_max = max(integer_max, max_norm(evaluate_flow(r, k) - target) / denom)
     results["integer_consistency"] = integer_max
 
     if args.method == "both":
         cross_max = 0.0
         for z, _ in pairs:
-            dv, cv = direct(z), companion(z)
+            dv, cv = evaluate_flow(rep, z), evaluate_flow(reps["companion"], z)
             cross_max = max(cross_max, max_norm(dv - cv) / max(1.0, max_norm(dv)))
         results["cross_agreement"] = cross_max
 

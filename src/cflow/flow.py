@@ -6,8 +6,12 @@ Both constructions express ``A^z`` as ``sum_i mu_i(z) A^{-i}`` over the
 negative powers ``A^{-1}, ..., A^{-p}`` of the relation degree ``p``.  The
 direct method obtains the coefficient functions by inverting a generalized
 Vandermonde system; the companion method evaluates ``C^z c`` for the
-companion matrix ``C`` of the relation.  They share only the scalar basis
-primitives, so their agreement is a genuine cross-check.
+companion matrix ``C`` of the relation.  Both are views of one
+representation: they share the relation's spectrum, basis and table ``E``
+and the matrix's negative powers, and differ in the table that is folded
+into the powers (``E``, or ``W E`` with ``W = companion_columns(c)``).  The
+two agree exactly when the relation annihilates the matrix, so their gap
+measures the relation residual plus rounding.
 
 With ``mu(z) = E f(z)`` over the basis functions ``f_k``, the same sum is
 ``A^z = sum_k f_k(z) M_k`` with ``M_k = sum_i e_ik A^{-i}``: the Frobenius
@@ -19,7 +23,7 @@ double-precision sum of ``p`` matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,11 +67,13 @@ __all__ = [
     "FlowRepresentation",
     "FlowAxiomReport",
     "negative_powers",
+    "spectral_table",
     "build_flow",
     "evaluate_flow",
     "mu_functions",
     "companion_matrix",
     "companion_columns",
+    "companion_representation",
     "CompanionFlow",
     "companion_flow_mu",
     "evaluate_companion_flow",
@@ -83,10 +89,11 @@ __all__ = [
 class FlowRepresentation:
     """Everything needed to evaluate ``A^z`` at any ``z``.
 
-    ``neg_powers`` holds ``[A^{-1}, ..., A^{-p}]``; ``coeffs.e`` is the
-    ``p x p`` table with ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis
-    functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
-    stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
+    ``neg_powers`` holds ``[A^{-1}, ..., A^{-p}]`` in extended precision
+    (``clongdouble``); ``coeffs.e`` is the ``p x p`` table with
+    ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis functions ``f_j`` of
+    ``basis``.  ``covariants`` holds the ``(p, n, n)`` stack
+    ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
     In the mpmath tier (``high_precision`` set), ``basis`` carries that
     tier's polished eigenvalues and branch logs, which ``M`` was built with.
     """
@@ -131,6 +138,35 @@ def _negative_powers_extended(a, p: int, tol: ToleranceConfig) -> list:
     return out
 
 
+def spectral_table(
+    q: AnnihilatorPolynomial,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    branch_offsets: dict | None = None,
+) -> tuple[BasisDescriptor, CoefficientTable]:
+    """The basis and coefficient table of a relation: its roots, clustered
+    into eigenvalues with branch logs (shifted by ``branch_offsets``), the
+    basis functions, and the inverse of the generalized Vandermonde system.
+
+    These depend on the relation alone, not on a matrix it annihilates.
+    """
+    spectrum = cluster_roots(find_roots(q, tol), tol, polynomial=q)
+    if branch_offsets:
+        spectrum = spectrum.with_branch_offsets(branch_offsets)
+    basis = build_basis(spectrum)
+    # mu_i = sum_j e_ij f_j requires the inverse of (f_i(-j)), the transpose
+    # of the row-per-evaluation-point layout returned by vandermonde_matrix.
+    return basis, invert_vandermonde(vandermonde_matrix(basis).T, tol)
+
+
+def _fold(table: np.ndarray, neg_powers) -> np.ndarray:
+    """``M_k = sum_i table[i, k] A^{-i}`` in extended precision, rounded to
+    complex128 with shape ``(p, n, n)``."""
+    p = len(neg_powers)
+    n = neg_powers[0].shape[0]
+    stacked = np.stack(neg_powers).reshape(p, n * n)
+    return (table.T @ stacked).astype(np.complex128).reshape(p, n, n)
+
+
 def build_flow(
     a,
     q: AnnihilatorPolynomial | None = None,
@@ -155,15 +191,7 @@ def build_flow(
             raise RelationInvalid(
                 f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}"
             )
-    roots = find_roots(q, tol)
-    spectrum = cluster_roots(roots, tol, polynomial=q)
-    if branch_offsets:
-        spectrum = spectrum.with_branch_offsets(branch_offsets)
-    basis = build_basis(spectrum)
-    # mu_i = sum_j e_ij f_j requires the inverse of (f_i(-j)), the transpose
-    # of the row-per-evaluation-point layout returned by vandermonde_matrix.
-    coeffs = invert_vandermonde(vandermonde_matrix(basis).T, tol)
-    n = a.shape[0]
+    basis, coeffs = spectral_table(q, tol, branch_offsets)
     negs_ext = _negative_powers_extended(a, q.degree, tol)
     # Estimated cancellation of the sum over the negative powers for a
     # working range of z; when extended precision cannot absorb it, the
@@ -185,14 +213,13 @@ def build_flow(
         basis = high_precision.basis
         covariants = high_precision.covariants
     else:
-        stacked = np.stack(negs_ext).reshape(q.degree, n * n)
-        covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)
+        covariants = _fold(e_ext, negs_ext)
     return FlowRepresentation(
         relation=q,
         basis=basis,
         coeffs=coeffs,
-        neg_powers=tuple(m.astype(np.complex128) for m in negs_ext),
-        source_dim=n,
+        neg_powers=tuple(negs_ext),
+        source_dim=a.shape[0],
         covariants=covariants,
         high_precision=high_precision,
     )
@@ -221,18 +248,14 @@ def mu_functions(rep: FlowRepresentation, z: complex) -> np.ndarray:
     return _rounded(e @ eval_basis_extended(rep.basis, z), "mu", z)
 
 
-def _sum_covariants(basis: BasisDescriptor, covariants: np.ndarray, z: complex) -> np.ndarray:
-    p, n, _ = covariants.shape
-    out = (eval_basis(basis, z) @ covariants.reshape(p, n * n)).reshape(n, n)
-    return _finite(out, "A^z", z)
-
-
 def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     """Evaluate ``A^z = sum_k f_k(z) M_k`` from a representation.
 
     Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite.
     """
-    return _sum_covariants(rep.basis, rep.covariants, z)
+    p, n, _ = rep.covariants.shape
+    out = (eval_basis(rep.basis, z) @ rep.covariants.reshape(p, n * n)).reshape(n, n)
+    return _finite(out, "A^z", z)
 
 
 def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
@@ -265,22 +288,45 @@ def companion_columns(c: np.ndarray) -> np.ndarray:
     return w
 
 
+def companion_representation(rep: FlowRepresentation) -> FlowRepresentation:
+    """The companion construction of ``rep``'s matrix, as a representation
+    sharing its relation, basis and negative powers.
+
+    The companion coefficients are ``mu(z) = C^z c = V f(z)`` with the
+    ``p x p`` table ``V = W E``, ``W = companion_columns(c)`` for the
+    relation's extended coefficients ``c`` (those its roots were refined
+    from).  Since ``sum_i W[i, j] A^{-i} = A^{-j}`` whenever the relation
+    annihilates ``A``, folding ``V`` into the negative powers gives the same
+    ``A^z`` as ``E`` up to the relation residual.  In the mpmath tier ``V``
+    and its fold are taken at that tier's precision, from its refined
+    relation; the result itself carries no tier.
+    """
+    hp = rep.high_precision
+    if hp is None:
+        c = -rep.relation.monic_coefficients_extended()[-2::-1]
+        table = companion_columns(c) @ rep.coeffs.e_extended
+        covariants = _fold(table, rep.neg_powers)
+    else:
+        from .highprec import extended_matrix
+
+        exact = hp.companion_table()
+        table = extended_matrix(exact)
+        covariants = hp.fold(exact)
+    coeffs = replace(rep.coeffs, e=table.astype(np.complex128), e_extended=table)
+    return replace(rep, coeffs=coeffs, covariants=covariants, high_precision=None)
+
+
 class CompanionFlow:
     """The coefficient functions ``mu(z) = C^z c`` of a relation.
 
     ``C^z`` is obtained from the direct construction applied to ``C``
     (legitimate because the relation is both the characteristic and the
-    minimal polynomial of its companion matrix), with the same branch policy.
-    The construction actually runs on a diagonal similarity ``D^{-1} C D``
+    minimal polynomial of its companion matrix), with the same branch policy,
+    and ``mu`` is read from :func:`companion_representation` of it.  The
+    construction actually runs on a diagonal similarity ``D^{-1} C D``
     with ``D`` powers of the geometric-mean root magnitude: companion
     matrices of high-degree relations are badly scaled, and balancing keeps
     the precision probe of that construction meaningful.
-
-    Since ``C^z = sum_i nu_i(z) C^{-i}`` with ``nu = E f``, the coefficients
-    are ``mu(z) = V f(z)`` with the ``p x p`` table ``V = W E`` and
-    ``W = companion_columns(c)``.  ``V`` is built once, from the relation's
-    extended coefficients (those its roots were refined from), or in the
-    mpmath tier when the balanced companion matrix enters it.
     """
 
     def __init__(
@@ -296,18 +342,10 @@ class CompanionFlow:
         p = q.degree
         scale = (abs(q.coeffs[0]) ** (1.0 / p)) ** np.arange(p)
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self._rep = build_flow(balanced, q, tol, branch_offsets)
-        hp = self._rep.high_precision
-        if hp is None:
-            c = -q.monic_coefficients_extended()[-2::-1]
-            self._table = companion_columns(c) @ self._rep.coeffs.e_extended
-        else:
-            from .highprec import extended_matrix
-
-            self._table = extended_matrix(hp.companion_table())
+        self._rep = companion_representation(build_flow(balanced, q, tol, branch_offsets))
 
     def mu(self, z: complex) -> np.ndarray:
-        return _rounded(self._table @ eval_basis_extended(self._rep.basis, z), "mu", z)
+        return mu_functions(self._rep, z)
 
 
 def companion_flow_mu(
@@ -328,32 +366,9 @@ def evaluate_companion_flow(
     branch_offsets: dict | None = None,
 ) -> np.ndarray:
     """Evaluate ``A^z = sum mu_i(z) A^{-i}`` with ``mu`` from the companion
-    construction; independent of :func:`build_flow` applied to ``a``."""
-    a = as_matrix(a)
-    residual = validate_relation(a, q, tol)
-    if residual > tol.residual_tol:
-        raise RelationInvalid(
-            f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}"
-        )
-    mu = companion_flow_mu(q, z, tol, branch_offsets).astype(np.clongdouble)
-    negs = _negative_powers_extended(a, q.degree, tol)
-    amp = float(sum(abs(m) * np.max(np.abs(p)) for m, p in zip(mu, negs)))
-    if amp > 1e7 * max(1.0, max_norm(a)):
-        # cancellation beyond what extended precision absorbs; redo the
-        # companion table and fold it into covariants at arbitrary precision
-        from .highprec import HighPrecisionFlow
-
-        roots = find_roots(q, tol)
-        spectrum = cluster_roots(roots, tol, polynomial=q)
-        if branch_offsets:
-            spectrum = spectrum.with_branch_offsets(branch_offsets)
-        basis = build_basis(spectrum)
-        hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))), tol)
-        return _sum_covariants(hp.basis, hp.fold(hp.companion_table()), z)
-    out = np.zeros(a.shape, dtype=np.clongdouble)
-    for m, power in zip(mu, negs):
-        out += m * power
-    return _rounded(out, "A^z", z)
+    construction: :func:`companion_representation` of ``a``'s
+    representation."""
+    return evaluate_flow(companion_representation(build_flow(a, q, tol, branch_offsets)), z)
 
 
 def jordan_block_flow(lam: complex, size: int, z: complex) -> np.ndarray:

@@ -8,6 +8,8 @@ import pytest
 from cflow.cli import main
 from cflow.matfile import write_matrix
 
+from conftest import defective_case
+
 
 @pytest.fixture()
 def fixtures(tmp_path):
@@ -140,6 +142,18 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert "cross_agreement" not in report["residuals"]
 
+    @pytest.mark.parametrize("method", ["companion", "both"])
+    def test_companion_in_the_tier(self, tmp_path, capsys, method):
+        # The companion route is folded at the tier's precision like the
+        # direct one; contracting its mu against the double-precision powers
+        # gave flow_axioms 1.9e-8 on this matrix.
+        p = tmp_path / "tier.json"
+        with open(p, "w") as fh:
+            write_matrix(defective_case(np.random.default_rng(0), 12).matrix, fh)
+        assert main(["verify", str(p), "--method", method, "--json"]) == 0
+        residuals = json.loads(capsys.readouterr().out)["residuals"]
+        assert residuals["flow_axioms"] <= 1e-12
+
 
 class TestFormula:
     def test_relation_at_one(self, capsys):
@@ -164,3 +178,12 @@ class TestFormula:
     def test_zero_root_exit_3(self):
         # X^2 - X has the root zero
         assert main(["formula", "--relation", "1,0"]) == 3
+
+    @pytest.mark.parametrize("name", ["unipotent", "jordan2", "diag23", "random4"])
+    def test_same_table_as_analyze(self, fixtures, capsys, name):
+        assert main(["formula", fixtures[name], "--json"]) == 0
+        formula = json.loads(capsys.readouterr().out)
+        assert main(["analyze", fixtures[name], "--json"]) == 0
+        analyze = json.loads(capsys.readouterr().out)
+        for key in ("spectrum", "basis", "coefficients", "condition_estimate"):
+            assert formula[key] == analyze[key]

@@ -16,6 +16,7 @@ from cflow import (
     companion_action_check,
     companion_flow_mu,
     companion_matrix,
+    companion_representation,
     evaluate_companion_flow,
     evaluate_flow,
     extend_matrix,
@@ -161,6 +162,16 @@ class TestCompanionConstruction:
     def test_zero_constant_coefficient_rejected(self):
         with pytest.raises(ZeroEigenvalue):
             companion_flow_mu(AnnihilatorPolynomial((0, 1)), 0.5)
+
+    def test_representation_carries_the_companion_mu(self, suite_reps):
+        # V = W E is a table over the same basis and negative powers, and the
+        # table E depends on the relation alone, so mu is C^z c exactly
+        for rep in suite_reps[:10]:
+            assert rep.high_precision is None
+            comp = companion_representation(rep)
+            assert comp.basis == rep.basis and comp.neg_powers is rep.neg_powers
+            for z in (0.5, 1j, -1.7 + 0.4j):
+                assert np.array_equal(mu_functions(comp, z), companion_flow_mu(rep.relation, z))
 
 
 class TestJordanOracle:

@@ -12,6 +12,7 @@ from cflow import (
     build_basis,
     build_flow,
     cluster_roots,
+    companion_representation,
     eval_basis,
     evaluate_companion_flow,
     evaluate_flow,
@@ -71,6 +72,17 @@ def test_companion_route(tier_case):
     z = 0.5 + 0.3j
     comp = evaluate_companion_flow(case.matrix, rep.relation, z)
     assert rel_err(comp, jordan_oracle(case.blocks, case.transform, z)) < 1e-7
+
+
+def test_companion_representation_in_the_tier(tier_case):
+    # V = W E and its fold are taken at the tier's precision, from the
+    # refined relation, so the companion route is as accurate as the direct
+    case, rep = tier_case
+    comp = companion_representation(rep)
+    assert comp.high_precision is None
+    for z in (0.0, 1.0, 0.5 + 0.3j, -2.5):
+        truth = jordan_oracle(case.blocks, case.transform, z)
+        assert rel_err(evaluate_flow(comp, z), truth) < 1e-12
 
 
 class TestFixedPointKernel:
