@@ -2,9 +2,9 @@
 
 Given a relation ``A^p = c_{p-1} A^{p-1} + ... + c_0 I``, this package builds
 analytic coefficient functions ``mu_i(z)`` with
-``A^z = sum_i mu_i(z) A^{-i}``, by two independent constructions (a
-generalized Vandermonde system and the companion-matrix power), plus a
-Jordan-block oracle for verification.
+``A^z = sum_i mu_i(z) A^{-i}`` from a generalized Vandermonde system (the
+companion-matrix power ``C^z c`` gives the same table), plus a Jordan-block
+oracle for verification.
 """
 
 from .annihilator import (
@@ -49,10 +49,8 @@ from .flow import (
     build_flow,
     check_flow_axioms,
     companion_action_check,
-    companion_columns,
     companion_flow_mu,
     companion_matrix,
-    companion_representation,
     evaluate_companion_flow,
     evaluate_flow,
     extend_matrix,

@@ -6,12 +6,11 @@ Both constructions express ``A^z`` as ``sum_i mu_i(z) A^{-i}`` over the
 negative powers ``A^{-1}, ..., A^{-p}`` of the relation degree ``p``.  The
 direct method obtains the coefficient functions by inverting a generalized
 Vandermonde system; the companion method evaluates ``C^z c`` for the
-companion matrix ``C`` of the relation.  Both are views of one
-representation: they share the relation's spectrum, basis and table ``E``
-and the matrix's negative powers, and differ in the table that is folded
-into the powers (``E``, or ``W E`` with ``W = companion_columns(c)``).  The
-two agree exactly when the relation annihilates the matrix, so their gap
-measures the relation residual plus rounding.
+companion matrix ``C`` of the relation.  The two coincide: ``C e_1 = c`` and
+``C e_{j+1} = e_j`` give ``C^{-j} c = e_j``, so ``C^z c`` has the same
+values ``mu(-j) = e_j`` and the same table ``E`` as the direct method.  The
+companion route is therefore the direct representation, and the Jordan
+oracle is the only independent check.
 
 With ``mu(z) = E f(z)`` over the basis functions ``f_k``, the same sum is
 ``A^z = sum_k f_k(z) M_k`` with ``M_k = sum_i e_ik A^{-i}``: the Frobenius
@@ -23,7 +22,7 @@ double-precision sum of ``p`` matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,8 +71,6 @@ __all__ = [
     "evaluate_flow",
     "mu_functions",
     "companion_matrix",
-    "companion_columns",
-    "companion_representation",
     "CompanionFlow",
     "companion_flow_mu",
     "evaluate_companion_flow",
@@ -89,11 +86,10 @@ __all__ = [
 class FlowRepresentation:
     """Everything needed to evaluate ``A^z`` at any ``z``.
 
-    ``neg_powers`` holds ``[A^{-1}, ..., A^{-p}]`` in extended precision
-    (``clongdouble``); ``coeffs.e`` is the ``p x p`` table with
-    ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis functions ``f_j`` of
-    ``basis``.  ``covariants`` holds the ``(p, n, n)`` stack
-    ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
+    ``neg_powers`` holds ``[A^{-1}, ..., A^{-p}]``; ``coeffs.e`` is the
+    ``p x p`` table with ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis
+    functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
+    stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
     In the mpmath tier (``high_precision`` set), ``basis`` carries that
     tier's polished eigenvalues and branch logs, which ``M`` was built with.
     """
@@ -158,15 +154,6 @@ def spectral_table(
     return basis, invert_vandermonde(vandermonde_matrix(basis).T, tol)
 
 
-def _fold(table: np.ndarray, neg_powers) -> np.ndarray:
-    """``M_k = sum_i table[i, k] A^{-i}`` in extended precision, rounded to
-    complex128 with shape ``(p, n, n)``."""
-    p = len(neg_powers)
-    n = neg_powers[0].shape[0]
-    stacked = np.stack(neg_powers).reshape(p, n * n)
-    return (table.T @ stacked).astype(np.complex128).reshape(p, n, n)
-
-
 def build_flow(
     a,
     q: AnnihilatorPolynomial | None = None,
@@ -192,6 +179,7 @@ def build_flow(
                 f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}"
             )
     basis, coeffs = spectral_table(q, tol, branch_offsets)
+    n = a.shape[0]
     negs_ext = _negative_powers_extended(a, q.degree, tol)
     # Estimated cancellation of the sum over the negative powers for a
     # working range of z; when extended precision cannot absorb it, the
@@ -213,13 +201,14 @@ def build_flow(
         basis = high_precision.basis
         covariants = high_precision.covariants
     else:
-        covariants = _fold(e_ext, negs_ext)
+        stacked = np.stack(negs_ext).reshape(q.degree, n * n)
+        covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)
     return FlowRepresentation(
         relation=q,
         basis=basis,
         coeffs=coeffs,
-        neg_powers=tuple(negs_ext),
-        source_dim=a.shape[0],
+        neg_powers=tuple(m.astype(np.complex128) for m in negs_ext),
+        source_dim=n,
         covariants=covariants,
         high_precision=high_precision,
     )
@@ -270,63 +259,18 @@ def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
     return c
 
 
-def companion_columns(c: np.ndarray) -> np.ndarray:
-    """The ``p x p`` matrix with columns ``C^{-1} c, ..., C^{-p} c`` for the
-    companion matrix ``C`` whose first column is ``c = (c_{p-1}, ..., c_0)``.
-
-    Each column is one solve against the companion structure (the last row
-    gives the first entry, the others the rest), in the precision of ``c``:
-    extended, or mpmath numbers in an object array.
-    """
-    p = len(c)
-    w = np.empty((p, p), dtype=c.dtype)
-    prev = c
-    for col in range(p):
-        x0 = prev[p - 1] / c[p - 1]
-        prev = np.concatenate([[x0], prev[:-1] - c[:-1] * x0])
-        w[:, col] = prev
-    return w
-
-
-def companion_representation(rep: FlowRepresentation) -> FlowRepresentation:
-    """The companion construction of ``rep``'s matrix, as a representation
-    sharing its relation, basis and negative powers.
-
-    The companion coefficients are ``mu(z) = C^z c = V f(z)`` with the
-    ``p x p`` table ``V = W E``, ``W = companion_columns(c)`` for the
-    relation's extended coefficients ``c`` (those its roots were refined
-    from).  Since ``sum_i W[i, j] A^{-i} = A^{-j}`` whenever the relation
-    annihilates ``A``, folding ``V`` into the negative powers gives the same
-    ``A^z`` as ``E`` up to the relation residual.  In the mpmath tier ``V``
-    and its fold are taken at that tier's precision, from its refined
-    relation; the result itself carries no tier.
-    """
-    hp = rep.high_precision
-    if hp is None:
-        c = -rep.relation.monic_coefficients_extended()[-2::-1]
-        table = companion_columns(c) @ rep.coeffs.e_extended
-        covariants = _fold(table, rep.neg_powers)
-    else:
-        from .highprec import extended_matrix
-
-        exact = hp.companion_table()
-        table = extended_matrix(exact)
-        covariants = hp.fold(exact)
-    coeffs = replace(rep.coeffs, e=table.astype(np.complex128), e_extended=table)
-    return replace(rep, coeffs=coeffs, covariants=covariants, high_precision=None)
-
-
 class CompanionFlow:
     """The coefficient functions ``mu(z) = C^z c`` of a relation.
 
     ``C^z`` is obtained from the direct construction applied to ``C``
     (legitimate because the relation is both the characteristic and the
-    minimal polynomial of its companion matrix), with the same branch policy,
-    and ``mu`` is read from :func:`companion_representation` of it.  The
-    construction actually runs on a diagonal similarity ``D^{-1} C D``
-    with ``D`` powers of the geometric-mean root magnitude: companion
-    matrices of high-degree relations are badly scaled, and balancing keeps
-    the precision probe of that construction meaningful.
+    minimal polynomial of its companion matrix), with the same branch policy.
+    Since ``C^z = sum_i nu_i(z) C^{-i}`` and ``C^{-i} c = e_i``, its
+    coefficients ``nu`` are ``C^z c`` itself.  The construction actually
+    runs on a diagonal similarity ``D^{-1} C D`` with ``D`` powers of the
+    geometric-mean root magnitude: companion matrices of high-degree
+    relations are badly scaled, and balancing keeps the precision probe of
+    that construction meaningful.
     """
 
     def __init__(
@@ -342,7 +286,7 @@ class CompanionFlow:
         p = q.degree
         scale = (abs(q.coeffs[0]) ** (1.0 / p)) ** np.arange(p)
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self._rep = companion_representation(build_flow(balanced, q, tol, branch_offsets))
+        self._rep = build_flow(balanced, q, tol, branch_offsets)
 
     def mu(self, z: complex) -> np.ndarray:
         return mu_functions(self._rep, z)
@@ -365,10 +309,12 @@ def evaluate_companion_flow(
     tol: ToleranceConfig = DEFAULT_TOL,
     branch_offsets: dict | None = None,
 ) -> np.ndarray:
-    """Evaluate ``A^z = sum mu_i(z) A^{-i}`` with ``mu`` from the companion
-    construction: :func:`companion_representation` of ``a``'s
-    representation."""
-    return evaluate_flow(companion_representation(build_flow(a, q, tol, branch_offsets)), z)
+    """Evaluate ``A^z = sum mu_i(z) A^{-i}`` with ``mu = C^z c``.
+
+    ``C^z c`` has the table of the direct construction (see the module
+    docstring), so this is :func:`evaluate_flow` of ``a``'s representation.
+    """
+    return evaluate_flow(build_flow(a, q, tol, branch_offsets), z)
 
 
 def jordan_block_flow(lam: complex, size: int, z: complex) -> np.ndarray:

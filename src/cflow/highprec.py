@@ -36,7 +36,6 @@ import numpy as np
 
 from .annihilator import AnnihilatorPolynomial, Cluster, Spectrum, cluster_roots, find_roots
 from .basis import build_basis
-from .flow import companion_columns
 from .numeric import DEFAULT_TOL, ToleranceConfig, extended_inverse
 
 __all__ = ["HighPrecisionFlow", "extended_matrix"]
@@ -378,12 +377,3 @@ class HighPrecisionFlow:
 
     def mu(self, z: complex) -> np.ndarray:
         return np.array([complex(v) for v in self.mu_mp(z)], dtype=np.complex128)
-
-    def companion_table(self) -> np.ndarray:
-        """The ``p x p`` table ``V = W E`` (mpmath numbers) with
-        ``C^z c = V f(z)`` for the companion matrix ``C`` of the refined
-        relation and ``W = companion_columns(c)``; ``fold(V)`` are then the
-        covariants of the companion route."""
-        with mp.workdps(self.dps):
-            c = np.array(self._asc[-2::-1], dtype=object)
-            return companion_columns(-c) @ self._e

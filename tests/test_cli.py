@@ -144,9 +144,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("method", ["companion", "both"])
     def test_companion_in_the_tier(self, tmp_path, capsys, method):
-        # The companion route is folded at the tier's precision like the
-        # direct one; contracting its mu against the double-precision powers
-        # gave flow_axioms 1.9e-8 on this matrix.
+        # The companion route is the tier's representation; contracting its
+        # mu against the double-precision powers gave flow_axioms 1.9e-8 here.
         p = tmp_path / "tier.json"
         with open(p, "w") as fh:
             write_matrix(defective_case(np.random.default_rng(0), 12).matrix, fh)

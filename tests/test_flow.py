@@ -16,7 +16,6 @@ from cflow import (
     companion_action_check,
     companion_flow_mu,
     companion_matrix,
-    companion_representation,
     evaluate_companion_flow,
     evaluate_flow,
     extend_matrix,
@@ -163,15 +162,16 @@ class TestCompanionConstruction:
         with pytest.raises(ZeroEigenvalue):
             companion_flow_mu(AnnihilatorPolynomial((0, 1)), 0.5)
 
-    def test_representation_carries_the_companion_mu(self, suite_reps):
-        # V = W E is a table over the same basis and negative powers, and the
-        # table E depends on the relation alone, so mu is C^z c exactly
-        for rep in suite_reps[:10]:
-            assert rep.high_precision is None
-            comp = companion_representation(rep)
-            assert comp.basis == rep.basis and comp.neg_powers is rep.neg_powers
-            for z in (0.5, 1j, -1.7 + 0.4j):
-                assert np.array_equal(mu_functions(comp, z), companion_flow_mu(rep.relation, z))
+    def test_companion_coefficients_are_the_direct_table(self):
+        # C^{-j} c = e_j, so C^z c interpolates the same values mu(-j) = e_j
+        # as the direct table: the companion route is the direct one
+        q = AnnihilatorPolynomial((2.0 - 1j, 0.5, -3.0 + 0.25j, 1.5))
+        c = companion_matrix(q)[:, 0]
+        inv = np.linalg.inv(companion_matrix(q))
+        for j in range(1, q.degree + 1):
+            unit = np.eye(q.degree)[j - 1]
+            assert np.allclose(np.linalg.matrix_power(inv, j) @ c, unit, atol=1e-12)
+            assert np.allclose(companion_flow_mu(q, -j), unit, atol=1e-12)
 
 
 class TestJordanOracle:
