@@ -324,42 +324,48 @@ def find_roots(q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> 
     raise NonConvergence("root iteration did not converge within 500 sweeps")
 
 
-def _refine_multiple_root(
-    poly: AnnihilatorPolynomial,
-    x0: complex,
-    multiplicity: int,
-    trust: float = 10.0 * _CLUSTER_FLOOR,
-) -> complex:
-    """Newton-polish an m-fold root as a simple root of the (m-1)-th derivative.
+def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
+    """``(center, multiplicity)`` of each group of one grouping, Newton-polished
+    against ``poly`` in extended precision.
 
-    The refined value is kept only if it stays within ``trust * (1 + |x0|)``
-    of the starting centroid.  Iteration runs in extended precision on the
-    extended coefficient copy: for discovered relations the double rounding
-    of the coefficients alone would already move a multiple root by more
-    than the accuracy the flow needs.
+    An m-fold root is polished as a simple root of the (m-1)-th derivative,
+    every cluster of one multiplicity in one vectorized iteration started at
+    the group centroids.  Iteration runs on the extended coefficient copy:
+    for discovered relations the double rounding of the coefficients alone
+    would already move a root by more than the accuracy the flow needs.  A
+    polished value is kept only if it stays within ``trust * (1 + |x0|)`` of
+    its centroid.
     """
+    centers = np.array([np.mean(g) for g in groups], dtype=np.complex128)
+    mults = np.array([len(g) for g in groups])
     asc = poly.monic_coefficients_extended()
-    for _ in range(multiplicity - 1):
-        asc = asc[1:] * np.arange(1, len(asc))
-    der = asc[1:] * np.arange(1, len(asc))
-    x = np.clongdouble(complex(x0))
-    for _ in range(50):
-        pv = np.clongdouble(0.0)
-        for a in asc[::-1]:
-            pv = pv * x + a
-        dv = np.clongdouble(0.0)
-        for a in der[::-1]:
-            dv = dv * x + a
-        if abs(dv) < 1e-300:
-            break
-        step = pv / dv
-        x -= step
-        if abs(step) <= 1e-18 * (1.0 + abs(x)):
-            break
-    x = complex(x)
-    if abs(x - x0) <= trust * (1.0 + abs(x0)):
-        return x
-    return complex(x0)  # refinement wandered off; keep the centroid
+    for m in np.unique(mults):
+        sel = mults == m
+        d = asc
+        for _ in range(m - 1):
+            d = d[1:] * np.arange(1, len(d))
+        x0 = centers[sel]
+        x = x0.astype(np.clongdouble)
+        last = np.inf
+        for _ in range(50):
+            pv = np.zeros_like(x)
+            dv = np.zeros_like(x)
+            for a in d[::-1]:
+                dv = dv * x + pv
+                pv = pv * x + a
+            flat = np.abs(dv) < 1e-300
+            step = np.where(flat, 0.0, pv / np.where(flat, 1.0, dv))
+            x = x - step
+            # stop at convergence, or once the steps stop shrinking: they
+            # are then rounding noise of the extended evaluation
+            largest = float(np.max(np.abs(step) / (1.0 + np.abs(x))))
+            if largest <= 1e-18 or largest >= last:
+                break
+            last = largest
+        x = x.astype(np.complex128)
+        keep = np.abs(x - x0) <= trust * (1.0 + np.abs(x0))
+        centers[sel] = np.where(keep, x, x0)  # a value that wandered off keeps its centroid
+    return list(zip(centers.tolist(), mults.tolist()))
 
 
 def _cluster_at_radius(roots: np.ndarray, radius: float) -> list:
@@ -435,28 +441,24 @@ def cluster_roots(
             radii.append(r)
 
     def refine(groups, radius):
-        out = []
-        for members in groups:
-            m = len(members)
-            center = complex(np.mean(members))
-            if polynomial is not None and m > 1:
-                trust = max(10.0 * _CLUSTER_FLOOR, 2.0 * radius / scale)
-                center = _refine_multiple_root(polynomial, center, m, trust)
-            out.append((center, m))
-        return out
+        if polynomial is None:
+            return [(complex(np.mean(g)), len(g)) for g in groups]
+        return _polish(polynomial, groups, max(10.0 * _CLUSTER_FLOOR, 2.0 * radius / scale))
 
     best = refine(_cluster_at_radius(roots, base_radius), base_radius)
     if len(radii) > 1:
         # Single-linkage groupings are nested in the radius, so the sorted
-        # multiplicity signature identifies a grouping uniquely.
+        # multiplicity signature identifies a grouping uniquely: a grouping
+        # seen at a smaller radius is skipped before it is polished.
         best_res = _rebuild_residual(polynomial, best)
         seen = {tuple(sorted(m for _, m in best))}
         for radius in radii[1:]:
-            candidate = refine(_cluster_at_radius(roots, radius), radius)
-            signature = tuple(sorted(m for _, m in candidate))
+            groups = _cluster_at_radius(roots, radius)
+            signature = tuple(sorted(len(g) for g in groups))
             if signature in seen:
                 continue
             seen.add(signature)
+            candidate = refine(groups, radius)
             res = _rebuild_residual(polynomial, candidate)
             if res < best_res:
                 best, best_res = candidate, res

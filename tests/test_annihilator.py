@@ -1,5 +1,6 @@
 """Unit tests for relations, root finding and clustering."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -10,8 +11,11 @@ from cflow import (
     cluster_roots,
     find_roots,
     minimal_polynomial,
+    spectral_table,
     validate_relation,
 )
+from cflow import annihilator
+from cflow.highprec import _mpc_from_extended
 
 
 def _coeffs(q):
@@ -198,3 +202,47 @@ class TestClusterRoots:
     def test_with_branch_offsets(self):
         s = cluster_roots([2.0]).with_branch_offsets({0: 1})
         assert s.clusters[0].log.imag == pytest.approx(2 * np.pi)
+
+
+def test_simple_roots_are_polished(suite):
+    # every simple eigenvalue sits on a root of the relation's extended
+    # coefficients, as computed at 50 digits, to double-precision rounding
+    worst = 0.0
+    for case in suite:
+        q = minimal_polynomial(case.matrix)
+        basis, _ = spectral_table(q)
+        with mp.workdps(50):
+            exact = mp.polyroots(
+                [_mpc_from_extended(c) for c in q.monic_coefficients_extended()[::-1]],
+                maxsteps=200,
+                extraprec=200,
+            )
+            for c in basis.spectrum.clusters:
+                if c.multiplicity == 1:
+                    err = min(abs(c.value - r) for r in exact) / abs(c.value)
+                    worst = max(worst, float(err))
+    assert worst <= 1e-15
+
+
+def test_ladder_polishes_each_grouping_once(monkeypatch):
+    # the scattered triple of (X - 2)^3 (X - 1) keeps its grouping over
+    # several rungs of the radius ladder; each grouping is polished once
+    groupings, polished = [], []
+    cluster_at_radius, polish = annihilator._cluster_at_radius, annihilator._polish
+
+    def recording_cluster(roots, radius):
+        groups = cluster_at_radius(roots, radius)
+        groupings.append(tuple(sorted(len(g) for g in groups)))
+        return groups
+
+    def counting_polish(poly, groups, trust):
+        polished.append(tuple(sorted(len(g) for g in groups)))
+        return polish(poly, groups, trust)
+
+    monkeypatch.setattr(annihilator, "_cluster_at_radius", recording_cluster)
+    monkeypatch.setattr(annihilator, "_polish", counting_polish)
+    q = AnnihilatorPolynomial.from_roots([2.0, 2.0, 2.0, 1.0])
+    s = cluster_roots(find_roots(q), polynomial=q)
+    assert sorted(c.multiplicity for c in s.clusters) == [1, 3]
+    assert len(groupings) > len(set(groupings))  # the ladder revisits a grouping
+    assert sorted(polished) == sorted(set(groupings))
