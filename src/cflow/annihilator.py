@@ -2,9 +2,10 @@
 
 A relation ``A^p = c_{p-1} A^{p-1} + ... + c_1 A + c_0 I`` is stored as the
 monic polynomial ``X^p - c_{p-1} X^{p-1} - ... - c_0`` via its coefficient
-vector ``(c_0, ..., c_{p-1})``.  Roots are found by simultaneous
-(Aberth-Ehrlich) iteration and merged into a :class:`Spectrum` carrying
-multiplicities and a fixed branch logarithm per eigenvalue.
+vector ``(c_0, ..., c_{p-1})``.  Its roots are the eigenvalues of its
+companion matrix; they are merged into a :class:`Spectrum` carrying
+multiplicities and a fixed branch logarithm per eigenvalue, every cluster
+polished once against the extended coefficients.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "minimal_polynomial",
     "characteristic_polynomial",
     "validate_relation",
+    "companion_matrix",
     "find_roots",
     "cluster_roots",
 ]
@@ -264,64 +266,35 @@ def validate_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAUL
     return res / max(1.0, max_norm(a) ** q.degree)
 
 
-def _poly_values(asc: np.ndarray, x: np.ndarray):
-    """Evaluate polynomial, derivative, and a rounding-floor bound at each x."""
-    p = np.zeros_like(x)
-    d = np.zeros_like(x)
-    bound = np.zeros(x.shape, dtype=np.float64)
-    ax = np.abs(x)
-    for a in asc[::-1]:
-        d = d * x + p
-        p = p * x + a
-        bound = bound * ax + np.abs(a)
-    return p, d, bound
+def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
+    """Companion matrix of the relation: coefficients ``(c_{p-1}, ..., c_0)``
+    down the first column, ones on the superdiagonal."""
+    p = q.degree
+    c = np.zeros((p, p), dtype=np.complex128)
+    c[:, 0] = q.coeffs[::-1]
+    c[np.arange(p - 1), np.arange(1, p)] = 1.0
+    return c
 
 
 def find_roots(q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """All ``p`` roots (with repetition) by simultaneous Aberth-Ehrlich iteration.
+    """All ``p`` roots (with repetition): the eigenvalues of the relation's
+    companion matrix.
 
-    Initial guesses sit on a circle of radius ``1 + max |c_i|``; the sweep
-    stops when the largest correction drops below ``root_tol`` (relative to
-    the iterate magnitudes) or every residual reaches the evaluation rounding
-    floor.
+    LAPACK's balanced QR algorithm computes them backward-stably (the roots
+    of a nearby polynomial); :func:`cluster_roots` then polishes them against
+    the extended coefficients.  ``tol`` is not used: the eigenvalue solver
+    has no tolerance.
 
     Raises
     ------
     NonConvergence
-        After 500 sweeps without meeting either criterion.
+        If the QR iteration fails (LAPACK reports no convergence, or the
+        coefficients are not finite).
     """
-    p = q.degree
-    if p == 1:
-        return np.array([q.coeffs[0]], dtype=np.complex128)
-    asc = q.monic_coefficients()
-    radius = 1.0 + max(abs(c) for c in q.coeffs)
-    angles = 2.0 * np.pi * (np.arange(p) + 0.25) / p + 0.35
-    x = radius * np.exp(1j * angles)
-    floor_hits = 0
-    for _ in range(500):
-        pv, dv, bound = _poly_values(asc, x)
-        floor = 8.0 * _EPS * (2.0 * p) * bound
-        if np.all(np.abs(pv) <= floor):
-            floor_hits += 1
-            if floor_hits >= 2:
-                return x
-        else:
-            floor_hits = 0
-        tiny = np.abs(dv) < 1e-300
-        dv = np.where(tiny, 1e-300, dv)
-        newton = pv / dv
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        repulse = inv.sum(axis=1)
-        denom = 1.0 - newton * repulse
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = newton / denom
-        x = x - step
-        if np.max(np.abs(step)) <= tol.root_tol * (1.0 + np.max(np.abs(x))):
-            return x
-    raise NonConvergence("root iteration did not converge within 500 sweeps")
+    try:
+        return np.linalg.eigvals(companion_matrix(q))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues did not converge: {exc}") from exc
 
 
 def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:

@@ -30,6 +30,7 @@ from .annihilator import (
     AnnihilatorPolynomial,
     Spectrum,
     cluster_roots,
+    companion_matrix,
     find_roots,
     minimal_polynomial,
     validate_relation,
@@ -245,18 +246,6 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     p, n, _ = rep.covariants.shape
     out = (eval_basis(rep.basis, z) @ rep.covariants.reshape(p, n * n)).reshape(n, n)
     return _finite(out, "A^z", z)
-
-
-def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
-    """Companion matrix of the relation: coefficients ``(c_{p-1}, ..., c_0)``
-    down the first column, ones on the superdiagonal."""
-    p = q.degree
-    c = np.zeros((p, p), dtype=np.complex128)
-    for i in range(p):
-        c[i, 0] = q.coeffs[p - 1 - i]
-    for i in range(p - 1):
-        c[i, i + 1] = 1.0
-    return c
 
 
 class CompanionFlow:

@@ -38,7 +38,10 @@ class ToleranceConfig:
     rank_tol : float
         Relative threshold for rank / pivot decisions.
     root_tol : float
-        Convergence threshold (max step size) for the root finder.
+        An eigenvalue (cluster centre) whose imaginary part is at most
+        ``1e3 * root_tol`` relative to its magnitude is snapped onto the
+        real axis.  The root finder (companion-matrix eigenvalues) takes no
+        tolerance.
     cluster_tol : float
         Radius used when merging nearby polynomial roots into one eigenvalue.
     residual_tol : float

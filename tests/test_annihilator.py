@@ -6,7 +6,9 @@ import pytest
 
 from cflow import (
     AnnihilatorPolynomial,
+    NonConvergence,
     ZeroEigenvalue,
+    build_flow,
     characteristic_polynomial,
     cluster_roots,
     find_roots,
@@ -152,6 +154,18 @@ class TestFindRoots:
             found = np.asarray(find_roots(q))
             for r in roots:
                 assert np.min(np.abs(found - r)) < 1e-7
+
+
+    def test_eigenvalue_failure_is_nonconvergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        q = AnnihilatorPolynomial((-6, 5))
+        with pytest.raises(NonConvergence):
+            find_roots(q)
+        with pytest.raises(NonConvergence):
+            build_flow(np.diag([2.0, 3.0]))
 
 
 class TestClusterRoots:
