@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
-eigenvalue, 4 root-finder non-convergence, 5 relation invalid, 6 result not
-finite (``A^z`` overflows at the requested exponent).
+eigenvalue, 4 root finding failed (the eigenvalue iteration on the companion
+matrix did not converge), 5 relation invalid, 6 result not finite (``A^z``
+overflows at the requested exponent).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .flow import (
+    FlowRepresentation,
     build_flow,
     check_flow_axioms,
     evaluate_flow,
@@ -52,7 +54,12 @@ RESIDUAL_LIMIT = 1e-8  # shared pass/fail threshold for all verify categories
 
 def _add_common(sub):
     sub.add_argument("--tol-rank", type=float, default=None, help="rank decision tolerance")
-    sub.add_argument("--tol-root", type=float, default=None, help="root-finder step tolerance")
+    sub.add_argument(
+        "--tol-root",
+        type=float,
+        default=None,
+        help="eigenvalues with relative imaginary part below 1e3*TOL are made real",
+    )
     sub.add_argument("--tol-cluster", type=float, default=None, help="root clustering radius")
     sub.add_argument("--tol-residual", type=float, default=None, help="matrix residual tolerance")
     sub.add_argument("--tol-cond-warn", type=float, default=None, help="condition warning level")
@@ -108,10 +115,18 @@ def _discover_relation(a, tol: ToleranceConfig) -> AnnihilatorPolynomial:
         return characteristic_polynomial(a)
 
 
-def _relation_for(args, a, tol: ToleranceConfig) -> AnnihilatorPolynomial:
-    if getattr(args, "relation", None):
-        return parse_relation(args.relation)
-    return _discover_relation(a, tol)
+def _build(args, a, tol: ToleranceConfig) -> FlowRepresentation:
+    """The flow of ``a`` for the supplied ``--relation``; without one,
+    :func:`build_flow` discovers the relation itself (and solves for it
+    afresh in its high-precision tier), falling back to the characteristic
+    polynomial when the rank decision is too close to call."""
+    offsets = _branch_offsets(args)
+    if args.relation:
+        return build_flow(a, parse_relation(args.relation), tol, offsets)
+    try:
+        return build_flow(a, None, tol, offsets)
+    except AmbiguousRank:
+        return build_flow(a, characteristic_polynomial(a), tol, offsets)
 
 
 def _term_text(lam: complex, j: int) -> str:
@@ -203,10 +218,8 @@ def cmd_pow(args) -> int:
     tol = _tolerances(args)
     a = read_matrix(args.matrix)
     z = parse_complex(args.z)
-    q = _relation_for(args, a, tol)
-    offsets = _branch_offsets(args)
     # every --method is the one representation: C^z c has the direct table
-    rep = build_flow(a, q, tol, offsets)
+    rep = _build(args, a, tol)
     result = evaluate_flow(rep, z)
     cond = rep.evaluation_condition(z)
     if cond > tol.cond_warn:
@@ -219,11 +232,9 @@ def cmd_pow(args) -> int:
 def cmd_analyze(args) -> int:
     tol = _tolerances(args)
     a = read_matrix(args.matrix)
-    q = _relation_for(args, a, tol)
-    offsets = _branch_offsets(args)
-    rep = build_flow(a, q, tol, offsets)
-    residual = validate_relation(a, q, tol)
-    report = _representation_report(q, rep.basis, rep.coeffs, residual=residual)
+    rep = _build(args, a, tol)
+    residual = validate_relation(a, rep.relation, tol)
+    report = _representation_report(rep.relation, rep.basis, rep.coeffs, residual=residual)
     del report["mu_terms"]
     _print_report(report, args.json, sys.stdout)
     return 0
@@ -254,10 +265,7 @@ def cmd_formula(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
     a = read_matrix(args.matrix)
-    q = _relation_for(args, a, tol)
-    offsets = _branch_offsets(args)
-
-    rep = build_flow(a, q, tol, offsets)
+    rep = _build(args, a, tol)
 
     rng = np.random.default_rng(args.seed)
     radius = args.z_radius

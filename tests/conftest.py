@@ -90,6 +90,21 @@ def defective_case(rng: np.random.Generator, n: int) -> SuiteCase:
     return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=tuple(blocks), transform=t)
 
 
+def distinct_case(rng: np.random.Generator, n: int) -> SuiteCase:
+    """``n`` simple eigenvalues (magnitudes in ``[0.5, 4]``, at least 0.3
+    apart) conjugated by a random unitary matrix."""
+    blocks = []
+    for _ in range(n):
+        for _ in range(200):
+            lam = rng.uniform(0.5, 4.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            if all(abs(lam - mu) >= 0.3 for mu, _ in blocks):
+                break
+        blocks.append((complex(lam), 1))
+    t = _random_unitary(rng, n)
+    a = t @ np.diag([lam for lam, _ in blocks]) @ t.conj().T
+    return SuiteCase(matrix=a, blocks=tuple(blocks), transform=t)
+
+
 @pytest.fixture(scope="session")
 def suite():
     """50 seeded random matrices; the acceptance suite."""

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from cflow import jordan_oracle
 from cflow.cli import main
 from cflow.matfile import write_matrix
 
-from conftest import defective_case
+from conftest import defective_case, distinct_case, rel_err
 
 
 @pytest.fixture()
@@ -85,6 +86,29 @@ class TestPow:
     def test_overflowing_companion_exit_6(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "2000", "--method", "companion"]) == 6
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_discovered_relation_in_the_tier(self, tmp_path, capsys):
+        # the command line lets build_flow discover the relation, so the
+        # tier solves for it afresh instead of rejecting the double-precision
+        # one (exit 5 with residual 6.1e-8 when it was passed as supplied)
+        case = distinct_case(np.random.default_rng(0), 20)
+        p = tmp_path / "distinct20.json"
+        with open(p, "w") as fh:
+            write_matrix(case.matrix, fh)
+        assert main(["pow", str(p), "--z", "0.5+0.25i"]) == 0
+        expected = jordan_oracle(case.blocks, case.transform, 0.5 + 0.25j)
+        assert rel_err(_matrix_out(capsys), expected) <= 1e-10
+
+    def test_root_finder_failure_exit_4(self, fixtures, capsys, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        assert main(["pow", fixtures["random4"], "--z", "0.5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_unknown_cluster_offset_exit_2(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "0.5", "--branch-offset", "5:1"]) == 2
