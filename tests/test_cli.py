@@ -89,9 +89,9 @@ class TestPow:
 
     @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
     def test_discovered_relation_in_the_tier(self, tmp_path, capsys):
-        # the command line lets build_flow discover the relation, so the
-        # tier solves for it afresh instead of rejecting the double-precision
-        # one (exit 5 with residual 6.1e-8 when it was passed as supplied)
+        # the double-precision relation of this matrix has residual 6.1e-8,
+        # so it must not be validated as a supplied one: build_flow discovers
+        # it, and the tier solves for it afresh
         case = distinct_case(np.random.default_rng(0), 20)
         p = tmp_path / "distinct20.json"
         with open(p, "w") as fh:
