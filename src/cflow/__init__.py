@@ -48,6 +48,7 @@ from .flow import (
     FlowRepresentation,
     build_flow,
     check_flow_axioms,
+    check_relation,
     companion_action_check,
     companion_flow_mu,
     companion_matrix,

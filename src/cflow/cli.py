@@ -37,6 +37,7 @@ from .flow import (
     FlowRepresentation,
     build_flow,
     check_flow_axioms,
+    check_relation,
     evaluate_flow,
     spectral_table,
 )
@@ -117,16 +118,19 @@ def _discover_relation(a, tol: ToleranceConfig) -> AnnihilatorPolynomial:
 
 def _build(args, a, tol: ToleranceConfig) -> FlowRepresentation:
     """The flow of ``a`` for the supplied ``--relation``; without one,
-    :func:`build_flow` discovers the relation itself (and solves for it
-    afresh in its high-precision tier), falling back to the characteristic
-    polynomial when the rank decision is too close to call."""
+    :func:`build_flow` discovers the relation (the characteristic polynomial
+    when the rank decision is too close to call).  The tier solves for a
+    discovered relation afresh; outside it, it is checked like a supplied one."""
     offsets = _branch_offsets(args)
     if args.relation:
         return build_flow(a, parse_relation(args.relation), tol, offsets)
     try:
-        return build_flow(a, None, tol, offsets)
+        rep = build_flow(a, None, tol, offsets)
     except AmbiguousRank:
         return build_flow(a, characteristic_polynomial(a), tol, offsets)
+    if rep.high_precision is None:
+        check_relation(a, rep.relation, tol)
+    return rep
 
 
 def _term_text(lam: complex, j: int) -> str:
@@ -233,8 +237,10 @@ def cmd_analyze(args) -> int:
     tol = _tolerances(args)
     a = read_matrix(args.matrix)
     rep = _build(args, a, tol)
-    residual = validate_relation(a, rep.relation, tol)
-    report = _representation_report(rep.relation, rep.basis, rep.coeffs, residual=residual)
+    # in the tier, report the relation and table the covariants were built from
+    source = rep.high_precision or rep
+    residual = validate_relation(a, source.relation, tol)
+    report = _representation_report(source.relation, rep.basis, source.coeffs, residual=residual)
     del report["mu_terms"]
     _print_report(report, args.json, sys.stdout)
     return 0

@@ -68,6 +68,7 @@ __all__ = [
     "FlowAxiomReport",
     "negative_powers",
     "spectral_table",
+    "check_relation",
     "build_flow",
     "evaluate_flow",
     "mu_functions",
@@ -92,7 +93,8 @@ class FlowRepresentation:
     functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
     stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
     In the mpmath tier (``high_precision`` set), ``basis`` carries that
-    tier's polished eigenvalues and branch logs, which ``M`` was built with.
+    tier's polished eigenvalues and branch logs, which ``M`` was built with
+    (with the tier's own ``relation`` and ``coeffs``; those here are its start).
     """
 
     relation: AnnihilatorPolynomial
@@ -109,7 +111,8 @@ class FlowRepresentation:
 
     def evaluation_condition(self, z: complex) -> float:
         """Conditioning estimate ``|E| * max_k |f_k(z)|`` for one evaluation."""
-        return max_norm(self.coeffs.e) * float(np.max(np.abs(eval_basis(self.basis, z))))
+        e = (self.high_precision or self).coeffs.e
+        return max_norm(e) * float(np.max(np.abs(eval_basis(self.basis, z))))
 
 
 def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -155,6 +158,14 @@ def spectral_table(
     return basis, invert_vandermonde(vandermonde_matrix(basis).T, tol)
 
 
+def check_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """:func:`validate_relation`, raising :class:`RelationInvalid` above ``residual_tol``."""
+    residual = validate_relation(a, q, tol)
+    if residual > tol.residual_tol:
+        raise RelationInvalid(f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}")
+    return residual
+
+
 def build_flow(
     a,
     q: AnnihilatorPolynomial | None = None,
@@ -174,11 +185,7 @@ def build_flow(
     if discovered:
         q = minimal_polynomial(a, tol)
     else:
-        residual = validate_relation(a, q, tol)
-        if residual > tol.residual_tol:
-            raise RelationInvalid(
-                f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}"
-            )
+        check_relation(a, q, tol)
     basis, coeffs = spectral_table(q, tol, branch_offsets)
     n = a.shape[0]
     negs_ext = _negative_powers_extended(a, q.degree, tol)

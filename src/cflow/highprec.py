@@ -35,7 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from .annihilator import AnnihilatorPolynomial, Cluster, Spectrum, cluster_roots, find_roots
-from .basis import build_basis
+from .basis import CoefficientTable, build_basis
 from .numeric import DEFAULT_TOL, ToleranceConfig, extended_inverse
 
 __all__ = ["HighPrecisionFlow", "extended_matrix"]
@@ -272,9 +272,10 @@ class HighPrecisionFlow:
     choices, with every numerical ingredient recomputed at working
     precision: a supplied relation is refined against the matrix, a
     ``discovered`` one is solved for afresh, and the spectrum (clusters,
-    polished eigenvalues, branch logs) is that of the result.  ``basis``
-    carries that spectrum, and ``covariants`` the matching ``M_k`` rounded
-    to complex128.
+    polished eigenvalues, branch logs) is that of the result.  ``relation``
+    is that relation and ``coeffs`` its coefficient table, both rounded to
+    extended precision; ``basis`` carries their spectrum, and ``covariants``
+    the matching ``M_k`` rounded to complex128.
     """
 
     def __init__(
@@ -316,6 +317,12 @@ class HighPrecisionFlow:
             self._terms = self.basis.terms
             b = np.array([self._basis_values(mp.mpc(-(i + 1))) for i in range(p)], dtype=object)
             self._e = _to_mp(_inverse(b.T, bits))
+            self.relation = q
+            self.coeffs = CoefficientTable(
+                e=self._e.astype(np.complex128),
+                condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(self._e))) * p,
+                e_extended=extended_matrix(self._e),
+            )
             inv = _inverse(a, bits)
             negs = [inv]
             for _ in range(p - 1):

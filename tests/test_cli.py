@@ -7,7 +7,7 @@ import pytest
 
 from cflow import jordan_oracle
 from cflow.cli import main
-from cflow.matfile import write_matrix
+from cflow.matfile import parse_complex, write_matrix
 
 from conftest import defective_case, distinct_case, rel_err
 
@@ -100,6 +100,19 @@ class TestPow:
         expected = jordan_oracle(case.blocks, case.transform, 0.5 + 0.25j)
         assert rel_err(_matrix_out(capsys), expected) <= 1e-10
 
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_wrong_discovered_relation_exit_5(self, tmp_path, capsys):
+        # build_flow keeps this matrix outside the tier although its
+        # double-precision relation has residual 17, and evaluating it is off
+        # by a relative 5e3; the CLI checks such a relation like a supplied one
+        p = tmp_path / "defective24.json"
+        with open(p, "w") as fh:
+            write_matrix(defective_case(np.random.default_rng(2), 24).matrix, fh)
+        assert main(["pow", str(p), "--z", "0.5+0.25i"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: relation residual")
+
     def test_root_finder_failure_exit_4(self, fixtures, capsys, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -142,6 +155,34 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "relation degree: 2" in out
         assert "spectrum" in out
+
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_tier_report_is_one_relation(self, tmp_path, capsys):
+        # The double-precision relation of this matrix has residual 13; the
+        # tier solves for the relation afresh, and the report must give the
+        # relation, spectrum and table the covariants were built from.
+        p = tmp_path / "defective24.json"
+        with open(p, "w") as fh:
+            write_matrix(defective_case(np.random.default_rng(0), 24).matrix, fh)
+        assert main(["analyze", str(p), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["relation_residual"] < 1e-6
+        asc = [1.0] + [-parse_complex(c) for c in report["relation"]]  # X^p first
+        columns = []
+        for row in report["spectrum"]:
+            lam, log = complex(*row["lambda"]), complex(*row["log"])
+            scale = np.polyval(np.abs(asc), abs(lam))
+            assert abs(np.polyval(asc, lam)) <= 1e-10 * scale
+            for j in range(row["multiplicity"]):
+                # f(z) = binom(z, j) lam^(z - j) at z = -1, ..., -p
+                zs = -np.arange(1, report["degree"] + 1)
+                binom = np.prod([zs - i for i in range(j)], axis=0) / np.prod(range(1, j + 1))
+                columns.append(binom * np.exp((zs - j) * log))
+        b = np.array(columns)  # b[k, i] = f_k(-(i + 1))
+        e = np.array([[complex(*v) for v in r] for r in report["coefficients"]])
+        bound = 1e-12 * np.max(np.abs(e)) * np.max(np.abs(b)) * report["degree"]
+        assert np.max(np.abs(e @ b - np.eye(report["degree"]))) <= bound
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from cflow import (
     ZeroEigenvalue,
     build_flow,
     check_flow_axioms,
+    check_relation,
     cluster_roots,
     companion_action_check,
     companion_flow_mu,
@@ -77,6 +78,12 @@ class TestBuildFlow:
     def test_supplied_relation_validated(self):
         with pytest.raises(RelationInvalid):
             build_flow(np.diag([2.0, 3.0]), AnnihilatorPolynomial((1, 0)))
+
+    def test_check_relation(self):
+        a = np.diag([2.0, 3.0])
+        assert check_relation(a, AnnihilatorPolynomial((-6, 5))) == 0.0
+        with pytest.raises(RelationInvalid, match="relation residual 8.889e-01"):
+            check_relation(a, AnnihilatorPolynomial((1, 0)))
 
     def test_padded_relation_accepted(self):
         a = np.diag([2.0, 3.0])
