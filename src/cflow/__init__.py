@@ -59,6 +59,7 @@ from .flow import (
     jordan_oracle,
     mu_functions,
     negative_powers,
+    schur_covariants,
     spectral_table,
 )
 from .numeric import (

@@ -126,15 +126,17 @@ class AnnihilatorPolynomial:
         return acc
 
     def evaluate_matrix(self, a) -> np.ndarray:
-        """Horner evaluation of the polynomial at a square matrix."""
-        a = as_matrix(a)
-        n = a.shape[0]
-        eye = np.eye(n, dtype=np.complex128)
-        asc = self.monic_coefficients()
+        """Horner evaluation of the polynomial at a square matrix, run in
+        extended precision on the extended coefficients and rounded to
+        complex128.  (Double-precision Horner leaves rounding noise of order
+        ``eps |A|^p``: 6.8e-8 relative for a right relation at n = 20.)"""
+        a = as_matrix(a).astype(np.clongdouble)
+        eye = np.eye(a.shape[0], dtype=np.clongdouble)
+        asc = self.monic_coefficients_extended()
         acc = asc[-1] * eye
         for coeff in asc[-2::-1]:
             acc = acc @ a + coeff * eye
-        return acc
+        return acc.astype(np.complex128)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
 eigenvalue, 4 root finding failed (the eigenvalue iteration on the companion
-matrix did not converge), 5 relation invalid, 6 result not finite (``A^z``
-overflows at the requested exponent).
+matrix, or the Schur form of the mpmath tier, failed), 5 relation invalid, 6 result not finite (``A^z``
+overflows at the requested exponent).  Warnings are printed to standard
+error as ``warning:`` lines.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -237,10 +239,10 @@ def cmd_analyze(args) -> int:
     tol = _tolerances(args)
     a = read_matrix(args.matrix)
     rep = _build(args, a, tol)
-    # in the tier, report the relation and table the covariants were built from
+    # in the tier, report the paper's form at working precision
     source = rep.high_precision or rep
     residual = validate_relation(a, source.relation, tol)
-    report = _representation_report(source.relation, rep.basis, source.coeffs, residual=residual)
+    report = _representation_report(source.relation, source.basis, source.coeffs, residual=residual)
     del report["mu_terms"]
     _print_report(report, args.json, sys.stdout)
     return 0
@@ -353,6 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning as the CLI's own ``warning:`` line, without the
+    source location the default display adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -360,7 +368,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except (MatrixParseError, UnknownCluster) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ class ZeroEigenvalue(CFlowError):
 
 
 class NonConvergence(CFlowError):
-    """The simultaneous root iteration did not converge within the sweep budget."""
+    """A LAPACK eigenvalue iteration, Schur reordering or Sylvester solve failed."""
 
 
 class RelationInvalid(CFlowError):

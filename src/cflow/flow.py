@@ -22,12 +22,17 @@ double-precision sum of ``p`` matrices.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from .annihilator import (
     AnnihilatorPolynomial,
+    Cluster,
     Spectrum,
     cluster_roots,
     companion_matrix,
@@ -48,6 +53,7 @@ from .basis import (
 )
 from .errors import (
     DimensionMismatch,
+    NonConvergence,
     NonFiniteEntry,
     NotJordanForm,
     RelationInvalid,
@@ -68,6 +74,7 @@ __all__ = [
     "FlowAxiomReport",
     "negative_powers",
     "spectral_table",
+    "schur_covariants",
     "check_relation",
     "build_flow",
     "evaluate_flow",
@@ -92,9 +99,12 @@ class FlowRepresentation:
     ``p x p`` table with ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis
     functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
     stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
-    In the mpmath tier (``high_precision`` set), ``basis`` carries that
-    tier's polished eigenvalues and branch logs, which ``M`` was built with
-    (with the tier's own ``relation`` and ``coeffs``; those here are its start).
+    In the mpmath tier (``high_precision`` set), ``basis`` and ``covariants``
+    come from :func:`schur_covariants` instead: one term per eigenvalue and
+    algebraic multiplicity, ``M_(lam, j) = P_lam (A - lam I)^j``.  The paper's
+    form at working precision (its ``relation``, ``coeffs``, ``basis`` and
+    ``mu``) is on ``high_precision``; ``relation`` and ``coeffs`` here are
+    that form's double-precision start.
     """
 
     relation: AnnihilatorPolynomial
@@ -158,6 +168,64 @@ def spectral_table(
     return basis, invert_vandermonde(vandermonde_matrix(basis).T, tol)
 
 
+def schur_covariants(
+    a, basis: BasisDescriptor, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[BasisDescriptor, np.ndarray]:
+    """The spectrum of ``a`` and its covariants ``M_(lam, j) = P_lam (A - lam I)^j``
+    from one complex Schur form, with no relation and no negative powers.
+
+    The Schur diagonal is grouped by :func:`cluster_roots`.  Each cluster is
+    reordered to the top (``ztrsen``), ``T11 X - X T22 = -T12`` is solved
+    (``ztrsyl``), and with ``lam = trace(T11) / m`` the covariants are
+    ``Q1 (T11 - lam I)^j (Q1* - X Q2*)`` for ``j < m``: block diagonalization
+    (Bavely and Stewart 1979), the confluent Sylvester form of Higham,
+    *Functions of Matrices* (2008), section 1.2.  Each cluster's branch log
+    carries the winding number of the nearest cluster of ``basis``.  Returns
+    the basis of this spectrum and the ``(len(terms), n, n)`` stack in its
+    term order.
+
+    Raises :class:`NonConvergence` when the Schur iteration, the reordering
+    or the Sylvester solve fails.
+    """
+    a = as_matrix(a)
+    n = a.shape[0]
+    try:
+        t, q = scipy.linalg.schur(a, output="complex", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"Schur form did not converge: {exc}") from exc
+    diag = np.diag(t)
+    spectrum = cluster_roots(diag, tol)
+    centers = np.array([c.value for c in spectrum.clusters])
+    owner = np.argmin(np.abs(diag[:, None] - centers[None, :]), axis=1)
+    clusters, blocks = [], []
+    for ci, cluster in enumerate(spectrum.clusters):
+        select = owner == ci
+        ts, qs, *_, info = lapack.ztrsen(select, t, q, job="N")
+        if info != 0:
+            raise NonConvergence(f"Schur reordering failed (ztrsen info {info})")
+        m = int(select.sum())
+        t11, q1, q2 = ts[:m, :m], qs[:, :m], qs[:, m:]
+        x = np.zeros((m, n - m), dtype=np.complex128)
+        if m < n:
+            x, scale, info = lapack.ztrsyl(t11, ts[m:, m:], -ts[:m, m:], isgn=-1)
+            if info != 0:
+                raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
+            x = x / scale
+        lam = complex(np.trace(t11)) / m
+        if cluster.value.imag == 0.0:  # cluster_roots put it on the real axis
+            lam = complex(lam.real, 0.0)
+        given = min(basis.spectrum.clusters, key=lambda c: abs(c.value - lam))
+        winding = round((given.log - cmath.log(given.value)).imag / (2.0 * math.pi))
+        clusters.append(Cluster(lam, m, cmath.log(lam) + 2j * math.pi * winding))
+        right = q1.conj().T - x @ q2.conj().T
+        nil = t11 - lam * np.eye(m)
+        power = np.eye(m, dtype=np.complex128)
+        for _ in range(m):
+            blocks.append(q1 @ power @ right)
+            power = power @ nil
+    return build_basis(Spectrum(tuple(clusters))), np.array(blocks)
+
+
 def check_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """:func:`validate_relation`, raising :class:`RelationInvalid` above ``residual_tol``."""
     residual = validate_relation(a, q, tol)
@@ -206,8 +274,7 @@ def build_flow(
 
         dps = min(60, 35 + int(np.log10(amp)))
         high_precision = HighPrecisionFlow(a, q, basis, dps, tol, discovered)
-        basis = high_precision.basis
-        covariants = high_precision.covariants
+        basis, covariants = schur_covariants(a, basis, tol)
     else:
         stacked = np.stack(negs_ext).reshape(q.degree, n * n)
         covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)

@@ -1,34 +1,36 @@
-"""Arbitrary-precision set-up for badly amplified flows.
+"""The paper's form of badly amplified flows, at arbitrary precision.
 
 The representation ``A^z = sum_i mu_i(z) A^{-i}`` cancels heavily when the
 relation mixes large and small eigenvalue magnitudes with multiplicities:
 ``sum_i |mu_i(z)| * |A^{-i}|`` can exceed ``|A^z|`` by many orders, and every
-error -- in the relation coefficients, the coefficient table, the
-negative-power chain, or the contraction -- is amplified by that ratio.
-When the measured amplification pushes the extended-precision (80-bit) error
-estimate above the accuracy target, the flow is set up here instead: the
-whole chain is redone at a working precision chosen to absorb the
-amplification, starting from the relation coefficients themselves (their
-storage rounding alone would otherwise dominate).  The cancellation is then folded away once, into the Frobenius
-covariants ``M_k = sum_i e_ik A^{-i}`` with ``A^z = sum_k f_k(z) M_k``, which
-are rounded to complex128; evaluation never returns here.
+error -- in the relation coefficients, the coefficient table, or the sum --
+is amplified by that ratio.  Where the measured amplification pushes the
+extended-precision (80-bit) error estimate above the accuracy target,
+``build_flow`` takes ``A^z`` from the Schur covariants instead
+(:func:`cflow.flow.schur_covariants`), and this module keeps the paper's
+``mu`` at a working precision chosen to absorb the amplification: the
+relation (solved for afresh, or refined against the matrix), its polished
+roots and branch logs, and the ``p x p`` coefficient table.  It is set up on
+first use, by ``mu_functions``, ``analyze`` or the evaluation condition
+estimate; building and evaluating a flow never run it.
 
 Scalar work (root polish, logarithms, the basis values) uses mpmath.
-Matrix products run on a block fixed-point kernel: a matrix is a pair of
-Python-int arrays (real and imaginary parts) times one power of two, holding
-the working precision plus guard bits relative to its largest entry.
-Rounding is then norm-wise per matrix, which is the error model the
-precision choice (``sum |mu_i| |A^{-i}| / |A|``) is made in.  The two
-inverses (``A^{-1}`` and the ``p x p`` table) are Newton-Schulz refinements
-of the extended-precision inverse on that kernel, with mpmath's LU as the
-fallback when the extended start is too far off to converge.
+Matrix products (the relation's Krylov refinement and the table inverse) run
+on a block fixed-point kernel: a matrix is a pair of Python-int arrays (real
+and imaginary parts) times one power of two, holding the working precision
+plus guard bits relative to its largest entry.  Rounding is then norm-wise
+per matrix.  The table inverse is a Newton-Schulz refinement of the
+extended-precision inverse on that kernel, with mpmath's LU as the fallback
+when the extended start is too far off to converge.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import mpmath as mp
@@ -198,12 +200,11 @@ def _newton_inverse(a: _Block, start: np.ndarray, bits: int) -> _Block | None:
 
 
 def _inverse(m: np.ndarray, bits: int) -> _Block:
-    """Inverse of a complex128 matrix or of an object array of mpmath
-    numbers, at working precision: Newton-Schulz from the extended-precision
-    inverse, or mpmath's LU when that start is too far off."""
-    exact = m.dtype == object
-    a = _from_mp(m.flat, m.shape, bits) if exact else _from_complex(m, bits)
-    x = _newton_inverse(a, extended_inverse(extended_matrix(m) if exact else m), bits)
+    """Inverse of an object array of mpmath numbers at working precision:
+    Newton-Schulz from the extended-precision inverse, or mpmath's LU when
+    that start is too far off."""
+    a = _from_mp(m.flat, m.shape, bits)
+    x = _newton_inverse(a, extended_inverse(extended_matrix(m)), bits)
     if x is None:
         inv = mp.matrix(m.tolist()) ** -1
         x = _from_mp(itertools.chain(*inv.tolist()), m.shape, bits)
@@ -265,17 +266,29 @@ def _refine_against_matrix(a: _Block, asc: list, bits: int) -> list:
     return [-c for c in coef] + [mp.mpc(1)]
 
 
+def _basis_values(terms, logs: list, z: mp.mpc) -> list:
+    """``g_j(z) lam^(z - j)`` for every basis term, given each cluster's
+    branch log, in mpmath."""
+    out = []
+    for ci, j in terms:
+        acc = mp.mpc(1)
+        for i in range(j):
+            acc *= z - i
+        out.append(acc / math.factorial(j) * mp.exp((z - j) * logs[ci]))
+    return out
+
+
 class HighPrecisionFlow:
-    """One matrix's flow, set up at ``dps`` decimal digits.
+    """The paper's form of one matrix's flow at ``dps`` decimal digits.
 
     Built from the double-precision representation's relation and branch
-    choices, with every numerical ingredient recomputed at working
-    precision: a supplied relation is refined against the matrix, a
-    ``discovered`` one is solved for afresh, and the spectrum (clusters,
-    polished eigenvalues, branch logs) is that of the result.  ``relation``
-    is that relation and ``coeffs`` its coefficient table, both rounded to
-    extended precision; ``basis`` carries their spectrum, and ``covariants``
-    the matching ``M_k`` rounded to complex128.
+    choices.  Nothing is computed until the form is first read: then a
+    supplied relation is refined against the matrix, a ``discovered`` one is
+    solved for afresh, and the spectrum (clusters, polished eigenvalues,
+    branch logs) and coefficient table are those of the result.
+    ``relation`` is that relation and ``coeffs`` its table, both rounded to
+    extended precision; ``basis`` carries their spectrum, and ``mu_mp`` the
+    coefficient functions at working precision.
     """
 
     def __init__(
@@ -288,48 +301,53 @@ class HighPrecisionFlow:
         discovered: bool = False,
     ):
         self.dps = dps
-        self._bits = bits = _working_bits(dps)
-        a = np.asarray(a, dtype=np.complex128)
-        n = a.shape[0]
-        p = relation.degree
-        with mp.workdps(dps):
-            asc = _minimal_relation(a, p) if discovered else None
+        self._a = np.asarray(a, dtype=np.complex128)
+        self._start = relation
+        self._given = basis
+        self._tol = tol
+        self._discovered = discovered
+
+    @functools.cached_property
+    def _form(self) -> SimpleNamespace:
+        """The relation, table, basis and branch logs at working precision."""
+        bits = _working_bits(self.dps)
+        p = self._start.degree
+        with mp.workdps(self.dps):
+            asc = _minimal_relation(self._a, p) if self._discovered else None
             if asc is None:
-                asc = [_mpc_from_extended(c) for c in relation.monic_coefficients_extended()]
-                asc = _refine_against_matrix(_from_complex(a, bits), asc, bits)
-            self._asc = asc
+                asc = [_mpc_from_extended(c) for c in self._start.monic_coefficients_extended()]
+                asc = _refine_against_matrix(_from_complex(self._a, bits), asc, bits)
             # the spectrum of the relation at working precision, rounded
             coeffs = -np.array(asc[:-1], dtype=object)
             q = AnnihilatorPolynomial(
                 tuple(coeffs.astype(np.complex128)), coeffs_extended=tuple(extended_matrix(coeffs))
             )
-            self._centers = []
+            logs = []
             clusters = []
+            tol, given_clusters = self._tol, self._given.spectrum.clusters
             for cluster in cluster_roots(find_roots(q, tol), tol, polynomial=q).clusters:
                 center = self._polish_root(asc, cluster.value, cluster.multiplicity)
                 # carry over the winding number of the nearest given cluster
-                given = min(basis.spectrum.clusters, key=lambda c: abs(c.value - cluster.value))
+                given = min(given_clusters, key=lambda c: abs(c.value - cluster.value))
                 winding = round((given.log - cmath.log(given.value)).imag / (2.0 * math.pi))
                 log = mp.log(center) + 2j * mp.pi * winding
-                self._centers.append((center, cluster.multiplicity, log))
+                logs.append(log)
                 clusters.append(Cluster(complex(center), cluster.multiplicity, complex(log)))
-            self.basis = build_basis(Spectrum(tuple(clusters)))
-            self._terms = self.basis.terms
-            b = np.array([self._basis_values(mp.mpc(-(i + 1))) for i in range(p)], dtype=object)
-            self._e = _to_mp(_inverse(b.T, bits))
-            self.relation = q
-            self.coeffs = CoefficientTable(
-                e=self._e.astype(np.complex128),
-                condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(self._e))) * p,
-                e_extended=extended_matrix(self._e),
+            basis = build_basis(Spectrum(tuple(clusters)))
+            b = np.array(
+                [_basis_values(basis.terms, logs, mp.mpc(-(i + 1))) for i in range(p)], dtype=object
             )
-            inv = _inverse(a, bits)
-            negs = [inv]
-            for _ in range(p - 1):
-                negs.append(_mul(negs[-1], inv, bits))
-            self._negs = _stack(negs, bits)
-            self._dim = n
-            self.covariants = self.fold(self._e)
+            e = _to_mp(_inverse(b.T, bits))
+            table = CoefficientTable(
+                e=e.astype(np.complex128),
+                condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,
+                e_extended=extended_matrix(e),
+            )
+            return SimpleNamespace(relation=q, coeffs=table, basis=basis, logs=logs, e=e)
+
+    relation = property(lambda self: self._form.relation)
+    coeffs = property(lambda self: self._form.coeffs)
+    basis = property(lambda self: self._form.basis)
 
     @staticmethod
     def _polish_root(asc: list, x0: complex, multiplicity: int) -> mp.mpc:
@@ -356,31 +374,12 @@ class HighPrecisionFlow:
                 break
         return x
 
-    def _basis_values(self, z: mp.mpc) -> list:
-        out = []
-        for ci, j in self._terms:
-            center, _, log = self._centers[ci]
-            acc = mp.mpc(1)
-            for i in range(j):
-                acc *= z - i
-            out.append(acc / math.factorial(j) * mp.exp((z - j) * log))
-        return out
-
-    def fold(self, table: np.ndarray) -> np.ndarray:
-        """``M_k = sum_i table[i, k] A^{-i}`` for every column ``k`` of a
-        ``p x p`` table, rounded to complex128 with shape ``(p, n, n)``.
-
-        The sum is exact over the stored negative powers; its cancellation
-        is what the working precision was chosen for.
-        """
-        p = len(self._terms)
-        t = _from_mp(table.T.flat, (p, p), self._bits)
-        return _to_complex(_product(t, self._negs)).reshape(p, self._dim, self._dim)
-
     def mu_mp(self, z: complex) -> list:
         """The coefficient vector as a list of ``mpc`` values."""
+        form = self._form
         with mp.workdps(self.dps):
-            return list(self._e @ np.array(self._basis_values(mp.mpc(complex(z))), dtype=object))
+            values = _basis_values(form.basis.terms, form.logs, mp.mpc(complex(z)))
+            return list(form.e @ np.array(values, dtype=object))
 
     def mu(self, z: complex) -> np.ndarray:
         return np.array([complex(v) for v in self.mu_mp(z)], dtype=np.complex128)

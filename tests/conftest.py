@@ -67,11 +67,14 @@ def random_suite_case(rng: np.random.Generator, max_dim: int = 8) -> SuiteCase:
     return SuiteCase(matrix=a, blocks=tuple(blocks), transform=t)
 
 
-def defective_case(rng: np.random.Generator, n: int) -> SuiteCase:
+def defective_case(
+    rng: np.random.Generator, n: int, singular_values: np.ndarray | None = None
+) -> SuiteCase:
     """A Jordan block of size 3 plus ``n - 3`` simple eigenvalues (magnitudes
     in ``[0.5, 4]``, at least 0.3 apart), conjugated by a matrix with singular
-    values in ``[1, 5]``.  From ``n = 12`` on, the relation of such a matrix
-    usually cancels beyond extended precision (the mpmath tier)."""
+    values in ``[1, 5]`` (or ``singular_values``, which draws none).  From
+    ``n = 12`` on, the relation of such a matrix usually cancels beyond
+    extended precision (the mpmath tier)."""
     blocks = []
     for size in [3] + [1] * (n - 3):
         for _ in range(200):
@@ -84,7 +87,7 @@ def defective_case(rng: np.random.Generator, n: int) -> SuiteCase:
     )
     t = (
         _random_unitary(rng, n)
-        @ np.diag(rng.uniform(1.0, 5.0, n))
+        @ np.diag(rng.uniform(1.0, 5.0, n) if singular_values is None else singular_values)
         @ _random_unitary(rng, n)
     )
     return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=tuple(blocks), transform=t)

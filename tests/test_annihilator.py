@@ -19,6 +19,8 @@ from cflow import (
 from cflow import annihilator
 from cflow.highprec import _mpc_from_extended
 
+from conftest import distinct_case
+
 
 def _coeffs(q):
     return np.asarray(q.coeffs)
@@ -126,6 +128,14 @@ class TestValidateRelation:
         a = np.diag([2.0, 3.0])
         # Q(A) = diag(3, 8); normalized by max(1, |A|^2) = 9
         assert validate_relation(a, q) == pytest.approx(8.0 / 9.0)
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_right_relation_at_n20_within_residual_tol(self):
+        # Horner in double precision measured 6.8e-8 for this relation, whose
+        # flow is within 7.6e-16 of the oracle; in extended precision 3.2e-11
+        a = distinct_case(np.random.default_rng(0), 20).matrix
+        relation = build_flow(a).high_precision.relation
+        assert validate_relation(a, relation) <= 1e-10
 
 
 class TestFindRoots:

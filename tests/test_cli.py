@@ -123,6 +123,30 @@ class TestPow:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_schur_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        from scipy.linalg import lapack
+
+        original = lapack.ztrsen
+        monkeypatch.setattr(lapack, "ztrsen", lambda *a, **k: (*original(*a, **k)[:-1], 1))
+        p = tmp_path / "tier.json"
+        with open(p, "w") as fh:
+            write_matrix(defective_case(np.random.default_rng(0), 12).matrix, fh)
+        assert main(["pow", str(p), "--z", "0.5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Schur reordering failed")
+
+    def test_conditioning_warning_is_a_warning_line(self, tmp_path, capsys):
+        # the default display printed the library's source path and line
+        p = tmp_path / "distinct20.json"
+        with open(p, "w") as fh:
+            write_matrix(distinct_case(np.random.default_rng(0), 20).matrix, fh)
+        assert main(["pow", str(p), "--z", "0.5"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: generalized Vandermonde condition estimate")
+        assert all(line.startswith("warning: ") for line in err.splitlines())
+        assert ".py" not in err
+
     def test_unknown_cluster_offset_exit_2(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "0.5", "--branch-offset", "5:1"]) == 2
         err = capsys.readouterr().err

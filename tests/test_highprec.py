@@ -1,14 +1,17 @@
 """The mpmath tier: a defective n=12 matrix whose relation cancels beyond
-extended precision, so its covariants are built at arbitrary precision; the
-tier's set-up run directly; and its fixed-point kernel."""
+extended precision, so its covariants come from the Schur form and the
+paper's form is kept at arbitrary precision; the tier's set-up run directly;
+its fixed-point kernel; and the Schur covariants themselves."""
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from cflow import highprec
 from cflow import (
     AnnihilatorPolynomial,
+    NonConvergence,
     build_basis,
     build_flow,
     cluster_roots,
@@ -20,9 +23,10 @@ from cflow import (
     jordan_oracle,
     mu_functions,
     power_int,
+    schur_covariants,
 )
 
-from conftest import defective_case, rel_err
+from conftest import defective_case, distinct_case, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +127,17 @@ class TestFixedPointKernel:
                 assert residual < mp.mpf(10) ** -30
 
 
+def _paper_sum(hp, a, z):
+    """``sum_i mu_i(z) A^{-i}``, summed in mpmath at the tier's precision."""
+    with mp.workdps(hp.dps):
+        inv = mp.matrix(a.tolist()) ** -1
+        power, total = inv, mp.zeros(*a.shape)
+        for m in hp.mu_mp(z):
+            total += m * power
+            power = power * inv
+        return np.array(total.tolist(), dtype=complex)
+
+
 @pytest.mark.parametrize("discovered", [True, False])
 @pytest.mark.parametrize(
     "blocks",
@@ -148,8 +163,7 @@ def test_tier_set_up_reproduces_the_flow(blocks, discovered):
     hp = highprec.HighPrecisionFlow(a, rep.relation, rep.basis, dps=40, discovered=discovered)
     assert len(hp.basis.terms) == rep.degree
     for z in (0.5 + 0.3j, -1.7):
-        value = eval_basis(hp.basis, z) @ hp.covariants.reshape(rep.degree, -1)
-        assert rel_err(value.reshape(n, n), jordan_oracle(blocks, t, z)) < 1e-10
+        assert rel_err(_paper_sum(hp, a, z), jordan_oracle(blocks, t, z)) < 1e-10
 
 
 def test_relation_above_minimal_degree_is_refined():
@@ -160,5 +174,105 @@ def test_relation_above_minimal_degree_is_refined():
     q = AnnihilatorPolynomial.from_roots([2.0, 2.0, 3.0])
     basis = build_basis(cluster_roots(find_roots(q), polynomial=q))
     hp = highprec.HighPrecisionFlow(a, q, basis, dps=40, discovered=True)
-    value = (eval_basis(hp.basis, 0.5) @ hp.covariants.reshape(3, -1)).reshape(3, 3)
-    assert rel_err(value, np.diag([2.0**0.5, 2.0**0.5, 3.0**0.5])) < 1e-12
+    assert rel_err(_paper_sum(hp, a, 0.5), np.diag([2.0**0.5, 2.0**0.5, 3.0**0.5])) < 1e-12
+
+
+def test_paper_form_is_set_up_on_first_use(monkeypatch):
+    # building and evaluating never run mpmath; the first read of mu does,
+    # once
+    calls = []
+    for name in ("_minimal_relation", "_refine_against_matrix"):
+        original = getattr(highprec, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(highprec, name, counted)
+    case = defective_case(np.random.default_rng(0), 12)
+    rep = build_flow(case.matrix)
+    assert rep.high_precision is not None
+    evaluate_flow(rep, 0.5 + 0.3j)
+    assert len(calls) == 0
+    mu_functions(rep, 0.5)
+    mu_functions(rep, -1.5)
+    assert len(calls) == 1
+
+
+def test_paper_sum_matches_the_schur_flow(tier_case):
+    # in the tier A^z comes from the Schur covariants; the paper's sum at
+    # working precision still gives the same flow
+    case, rep = tier_case
+    for z in (0.5 + 0.3j, -1.7, 2.5):
+        paper = _paper_sum(rep.high_precision, case.matrix, z)
+        assert rel_err(paper, evaluate_flow(rep, z)) < 1e-10
+
+
+def _ladder_defective_24(seed):
+    # the draws of bench/inputs.ladder_cases(seed): distinct, then defective,
+    # at n = 12, 16, 20 and 24
+    rng = np.random.default_rng(seed)
+    for n in (12, 16, 20, 24):
+        distinct_case(rng, n)
+        case = defective_case(rng, n)
+    return case
+
+
+@pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+@pytest.mark.parametrize("seed", [4, 6, 8, 13, 14])
+def test_n24_defective_ladder_matrix(seed):
+    # the tier's negative-power chain missed these by 2.6e-7 to 3.4e-3
+    case = _ladder_defective_24(seed)
+    rep = build_flow(case.matrix)
+    assert rep.high_precision is not None
+    for z in (0.5 + 0.3j, -1.7, 2.5):
+        assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-12
+
+
+def test_tier_matrix_with_wide_transform():
+    # singular values of T from 1 to 1e3: the negative-power chain missed
+    # this one by 1.6e-6
+    case = defective_case(np.random.default_rng(3), 12, singular_values=np.geomspace(1, 1e3, 12))
+    rep = build_flow(case.matrix)
+    assert rep.high_precision is not None
+    for z in (0.5 + 0.3j, -1.7, 2.0):
+        assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-10
+
+
+def test_schur_covariants_on_non_normal_suite_matrices(suite):
+    # the ladder's distinct matrices are normal (T12 = 0) and cannot catch
+    # a sign error in the projector; the suite's matrices are not normal
+    for case in suite[:20]:
+        rep = build_flow(case.matrix)
+        basis, covariants = schur_covariants(case.matrix, rep.basis)
+        assert covariants.shape == (len(basis.terms),) + case.matrix.shape
+        for z in (0.5 + 0.3j, -1.7):
+            value = np.tensordot(eval_basis(basis, z), covariants, axes=1)
+            assert rel_err(value, jordan_oracle(case.blocks, case.transform, z)) < 1e-11
+
+
+def test_schur_keeps_the_principal_branch_of_a_real_negative_eigenvalue():
+    # the Schur diagonal puts a real eigenvalue off the axis by rounding, on
+    # either side of the branch cut
+    rng = np.random.default_rng(1)
+    t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    blocks = ((-2.0, 1), (3.0, 1), (-0.5, 1))
+    a = t @ np.diag([-2.0, 3.0, -0.5]) @ np.linalg.inv(t)
+    basis, covariants = schur_covariants(a, build_flow(a).basis)
+    value = np.tensordot(eval_basis(basis, 0.5), covariants, axes=1)
+    assert rel_err(value, jordan_oracle(blocks, t, 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
+def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
+    original = getattr(lapack, routine)
+
+    def failing(*args, **kwargs):
+        return (*original(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(lapack, routine, failing)
+    case, rep = tier_case
+    with pytest.raises(NonConvergence):
+        schur_covariants(case.matrix, rep.basis)
+    with pytest.raises(NonConvergence):
+        build_flow(case.matrix)
