@@ -71,7 +71,6 @@ from .numeric import (
     inverse,
     lu_factor,
     max_norm,
-    multiply,
     power_int,
     solve,
 )

@@ -43,11 +43,14 @@ class AnnihilatorPolynomial:
     """Monic polynomial ``X^p - c_{p-1} X^{p-1} - ... - c_1 X - c_0``.
 
     ``coeffs`` stores ``(c_0, ..., c_{p-1})``, the right-hand side of the
-    matrix relation ``A^p = sum c_i A^i``.
+    matrix relation ``A^p = sum c_i A^i``.  A relation discovered by
+    :func:`minimal_polynomial` carries ``residual``, its
+    :func:`validate_relation` measure against the matrix it came from.
     """
 
     coeffs: tuple
     coeffs_extended: tuple | None = field(default=None, compare=False, repr=False)
+    residual: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
@@ -174,8 +177,15 @@ class Spectrum:
             new[idx] = replace(c, log=c.log + 2j * math.pi * int(k))
         return Spectrum(tuple(new))
 
+    def winding_near(self, value: complex) -> int:
+        """The branch offset of the cluster nearest ``value``: the integer
+        ``k`` with ``log = principal log + 2 pi i k``.  A spectrum derived
+        from this one carries its branch choice over by this number."""
+        near = min(self.clusters, key=lambda c: abs(c.value - value))
+        return round((near.log - cmath.log(near.value)).imag / (2.0 * math.pi))
 
-def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> np.ndarray:
+
+def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> tuple:
     """Iteratively refine relation coefficients against an extended-precision
     Krylov system.
 
@@ -183,7 +193,8 @@ def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> np.ndarray
     power chain; a few rounds of mixed-precision refinement (extended
     residual, double correction) push the coefficient error down to the
     extended working precision, which the root refinement downstream
-    inherits.
+    inherits.  Returns the coefficients and ``max |Q(A)|`` of the result,
+    the largest entry of its extended residual ``vec(A^p) - K c``.
     """
     p = coef.shape[0]
     ae = a.astype(np.clongdouble)
@@ -198,7 +209,7 @@ def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> np.ndarray
         r = v_ext - k_ext @ coef
         delta, *_ = np.linalg.lstsq(k_dbl, r.astype(np.complex128), rcond=None)
         coef = coef + delta.astype(np.clongdouble)
-    return coef
+    return coef, float(np.max(np.abs(v_ext - k_ext @ coef)))
 
 
 def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPolynomial:
@@ -206,6 +217,9 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
 
     Flattens ``I, A, A^2, ...`` into vectors and detects the first linear
     dependence by incremental orthogonalization against the running span.
+    The result's ``residual`` is read off the extended refinement of its
+    coefficients, which forms ``vec(Q(A))``; it is the
+    :func:`validate_relation` measure without a second evaluation.
 
     Raises
     ------
@@ -231,9 +245,11 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
         if rel <= tol.rank_tol:
             k = np.column_stack([m.reshape(-1) for m in powers[:q]])
             coef, *_ = np.linalg.lstsq(k, v, rcond=None)
-            coef_ext = _refine_relation_coefficients(a, coef)
+            coef_ext, res = _refine_relation_coefficients(a, coef)
             return AnnihilatorPolynomial(
-                tuple(coef_ext.astype(np.complex128)), coeffs_extended=tuple(coef_ext)
+                tuple(coef_ext.astype(np.complex128)),
+                coeffs_extended=tuple(coef_ext),
+                residual=_relative_residual(res, a, q),
             )
         if rel <= 10.0 * tol.rank_tol or q == n:
             # Cayley-Hamilton forces dependence by q = n, so reaching q = n
@@ -261,11 +277,14 @@ def characteristic_polynomial(a) -> AnnihilatorPolynomial:
     return AnnihilatorPolynomial(coeffs)
 
 
+def _relative_residual(res: float, a: np.ndarray, p: int) -> float:
+    return res / max(1.0, max_norm(a) ** p)
+
+
 def validate_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Relative residual ``|Q(A)| / max(1, |A|^p)`` (pure measurement)."""
     a = as_matrix(a)
-    res = max_norm(q.evaluate_matrix(a))
-    return res / max(1.0, max_norm(a) ** q.degree)
+    return _relative_residual(max_norm(q.evaluate_matrix(a)), a, q.degree)
 
 
 def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:

@@ -139,27 +139,29 @@ def eval_basis(basis: BasisDescriptor, z: complex) -> np.ndarray:
     return out
 
 
-def eval_basis_extended(basis: BasisDescriptor, z: complex) -> np.ndarray:
-    """Extended-precision values of every basis function at ``z``."""
-    z = np.clongdouble(_finite_exponent(z))
-    out = np.empty(basis.size, dtype=np.clongdouble)
-    for k, (ci, j) in enumerate(basis.terms):
-        log = np.clongdouble(basis.spectrum.clusters[ci].log)
-        acc = np.clongdouble(1.0)
-        for i in range(j):
-            acc *= z - i
-        out[k] = acc / math.factorial(j) * np.exp((z - j) * log)
-    return out
+def eval_basis_extended(basis: BasisDescriptor, z) -> np.ndarray:
+    """Extended-precision values of every basis function at ``z``: a vector
+    for a scalar ``z``, one row per exponent for an array of them."""
+    zs = np.asarray(z, dtype=np.complex128)
+    if not np.isfinite(zs).all():
+        raise NonFiniteEntry(f"exponent {z} is not finite")
+    zs = zs.astype(np.clongdouble)[..., None]
+    shifts = np.array([j for _, j in basis.terms])
+    logs = np.array([basis.spectrum.clusters[ci].log for ci, _ in basis.terms], dtype=np.clongdouble)
+    values = np.exp((zs - shifts) * logs)
+    top = max(j for _, j in basis.terms)
+    if top:  # the binomial factors g_j(z) of multiple eigenvalues
+        binomial = np.ones_like(values)
+        for i in range(top):
+            binomial *= np.where(i < shifts, zs - i, 1)
+        values *= binomial / np.array([math.factorial(j) for j in shifts], dtype=np.clongdouble)
+    return values
 
 
 def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
     """The ``p x p`` matrix with row ``i``, column ``j`` entry ``f_j(-i)``
     (``i, j`` counted from 1)."""
-    p = basis.size
-    b = np.empty((p, p), dtype=np.complex128)
-    for i in range(p):
-        b[i, :] = eval_basis_extended(basis, -(i + 1))
-    return b
+    return eval_basis_extended(basis, -np.arange(1, basis.size + 1)).astype(np.complex128)
 
 
 def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTable:

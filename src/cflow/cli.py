@@ -1,5 +1,11 @@
 """Command-line front end: ``pow``, ``analyze``, ``verify`` and ``formula``.
 
+The commands keep no relation logic: a matrix's representation, with its
+relation discovered or the ``--relation`` given, checked and measured, is
+:func:`cflow.flow.build_flow`'s.  ``analyze`` and ``formula MATRIX`` report
+the paper's form of that representation (at working precision in the
+mpmath tier).
+
 Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
 eigenvalue, 4 root finding failed (the eigenvalue iteration on the companion
@@ -17,15 +23,8 @@ import warnings
 
 import numpy as np
 
-from .annihilator import (
-    AnnihilatorPolynomial,
-    minimal_polynomial,
-    characteristic_polynomial,
-    validate_relation,
-)
 from .basis import eval_basis
 from .errors import (
-    AmbiguousRank,
     CFlowError,
     MatrixParseError,
     NonConvergence,
@@ -39,7 +38,6 @@ from .flow import (
     FlowRepresentation,
     build_flow,
     check_flow_axioms,
-    check_relation,
     evaluate_flow,
     spectral_table,
 )
@@ -109,30 +107,10 @@ def _branch_offsets(args) -> dict:
     return offsets
 
 
-def _discover_relation(a, tol: ToleranceConfig) -> AnnihilatorPolynomial:
-    """Minimal polynomial, falling back to the characteristic polynomial
-    when the rank decision is too close to call."""
-    try:
-        return minimal_polynomial(a, tol)
-    except AmbiguousRank:
-        return characteristic_polynomial(a)
-
-
 def _build(args, a, tol: ToleranceConfig) -> FlowRepresentation:
-    """The flow of ``a`` for the supplied ``--relation``; without one,
-    :func:`build_flow` discovers the relation (the characteristic polynomial
-    when the rank decision is too close to call).  The tier solves for a
-    discovered relation afresh; outside it, it is checked like a supplied one."""
-    offsets = _branch_offsets(args)
-    if args.relation:
-        return build_flow(a, parse_relation(args.relation), tol, offsets)
-    try:
-        rep = build_flow(a, None, tol, offsets)
-    except AmbiguousRank:
-        return build_flow(a, characteristic_polynomial(a), tol, offsets)
-    if rep.high_precision is None:
-        check_relation(a, rep.relation, tol)
-    return rep
+    """:func:`build_flow` of ``a`` with the ``--relation`` given, if any."""
+    q = parse_relation(args.relation) if args.relation else None
+    return build_flow(a, q, tol, _branch_offsets(args))
 
 
 def _term_text(lam: complex, j: int) -> str:
@@ -235,14 +213,18 @@ def cmd_pow(args) -> int:
     return 0
 
 
+def _paper_form(args, tol: ToleranceConfig):
+    """The relation, basis, table and relation residual of the matrix file's
+    representation; in the mpmath tier, those at working precision."""
+    rep = _build(args, read_matrix(args.matrix), tol)
+    return rep.high_precision or rep
+
+
 def cmd_analyze(args) -> int:
-    tol = _tolerances(args)
-    a = read_matrix(args.matrix)
-    rep = _build(args, a, tol)
-    # in the tier, report the paper's form at working precision
-    source = rep.high_precision or rep
-    residual = validate_relation(a, source.relation, tol)
-    report = _representation_report(source.relation, source.basis, source.coeffs, residual=residual)
+    form = _paper_form(args, _tolerances(args))
+    report = _representation_report(
+        form.relation, form.basis, form.coeffs, residual=form.relation_residual
+    )
     del report["mu_terms"]
     _print_report(report, args.json, sys.stdout)
     return 0
@@ -250,17 +232,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_formula(args) -> int:
     tol = _tolerances(args)
-    offsets = _branch_offsets(args)
-    if args.relation:
+    if args.matrix:
+        form = _paper_form(args, tol)
+        q, basis, table = form.relation, form.basis, form.coeffs
+    elif args.relation:
         q = parse_relation(args.relation)
-    elif args.matrix:
-        a = read_matrix(args.matrix)
-        q = _discover_relation(a, tol)
+        if abs(q.coeffs[0]) == 0.0:
+            raise ZeroEigenvalue("constant coefficient is zero; zero is a root of the relation")
+        basis, table = spectral_table(q, tol, _branch_offsets(args))
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
-    if abs(q.coeffs[0]) == 0.0:
-        raise ZeroEigenvalue("constant coefficient is zero; zero is a root of the relation")
-    basis, table = spectral_table(q, tol, offsets)
     report = _representation_report(q, basis, table, skip_zero=args.skip_zero)
     if args.at is not None:
         z = parse_complex(args.at)
@@ -374,7 +355,7 @@ def main(argv=None) -> int:
     except (MatrixParseError, UnknownCluster) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SingularMatrix, ZeroEigenvalue, AmbiguousRank) as exc:
+    except (SingularMatrix, ZeroEigenvalue) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NonConvergence as exc:

@@ -34,6 +34,7 @@ from .annihilator import (
     AnnihilatorPolynomial,
     Cluster,
     Spectrum,
+    characteristic_polynomial,
     cluster_roots,
     companion_matrix,
     find_roots,
@@ -52,6 +53,7 @@ from .basis import (
     vandermonde_matrix,
 )
 from .errors import (
+    AmbiguousRank,
     DimensionMismatch,
     NonConvergence,
     NonFiniteEntry,
@@ -99,12 +101,14 @@ class FlowRepresentation:
     ``p x p`` table with ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis
     functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
     stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
-    In the mpmath tier (``high_precision`` set), ``basis`` and ``covariants``
-    come from :func:`schur_covariants` instead: one term per eigenvalue and
-    algebraic multiplicity, ``M_(lam, j) = P_lam (A - lam I)^j``.  The paper's
-    form at working precision (its ``relation``, ``coeffs``, ``basis`` and
-    ``mu``) is on ``high_precision``; ``relation`` and ``coeffs`` here are
-    that form's double-precision start.
+    ``relation_residual`` is the relation's :func:`validate_relation`
+    measure.  In the mpmath tier (``high_precision`` set), ``basis`` and
+    ``covariants`` come from :func:`schur_covariants` instead: one term per
+    eigenvalue and algebraic multiplicity, ``M_(lam, j) = P_lam (A - lam I)^j``.
+    The paper's form at working precision (its ``relation``, ``coeffs``,
+    ``basis``, ``mu`` and ``relation_residual``) is on ``high_precision``;
+    ``relation``, ``coeffs`` and ``relation_residual`` here are that form's
+    double-precision start.
     """
 
     relation: AnnihilatorPolynomial
@@ -112,6 +116,7 @@ class FlowRepresentation:
     coeffs: CoefficientTable
     neg_powers: tuple
     source_dim: int
+    relation_residual: float
     covariants: np.ndarray = field(compare=False, repr=False)
     high_precision: object | None = field(default=None, compare=False, repr=False)
 
@@ -214,8 +219,7 @@ def schur_covariants(
         lam = complex(np.trace(t11)) / m
         if cluster.value.imag == 0.0:  # cluster_roots put it on the real axis
             lam = complex(lam.real, 0.0)
-        given = min(basis.spectrum.clusters, key=lambda c: abs(c.value - lam))
-        winding = round((given.log - cmath.log(given.value)).imag / (2.0 * math.pi))
+        winding = basis.spectrum.winding_near(lam)
         clusters.append(Cluster(lam, m, cmath.log(lam) + 2j * math.pi * winding))
         right = q1.conj().T - x @ q2.conj().T
         nil = t11 - lam * np.eye(m)
@@ -226,12 +230,15 @@ def schur_covariants(
     return build_basis(Spectrum(tuple(clusters))), np.array(blocks)
 
 
-def check_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """:func:`validate_relation`, raising :class:`RelationInvalid` above ``residual_tol``."""
-    residual = validate_relation(a, q, tol)
+def _accepted(residual: float, tol: ToleranceConfig) -> float:
     if residual > tol.residual_tol:
         raise RelationInvalid(f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}")
     return residual
+
+
+def check_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """:func:`validate_relation`, raising :class:`RelationInvalid` above ``residual_tol``."""
+    return _accepted(validate_relation(a, q, tol), tol)
 
 
 def build_flow(
@@ -242,18 +249,27 @@ def build_flow(
 ) -> FlowRepresentation:
     """Assemble the direct (Vandermonde) flow representation of ``a``.
 
-    With ``q`` omitted the minimal polynomial is discovered; a supplied
-    relation is validated first and rejected with :class:`RelationInvalid`
-    if its residual exceeds ``residual_tol``.  ``branch_offsets`` maps a
-    cluster index to an integer winding number added to that eigenvalue's
-    branch log (each choice yields a different, equally valid flow).
+    This is the one place that decides the relation.  A supplied ``q`` is
+    validated first.  With ``q`` omitted the minimal polynomial is
+    discovered; when its rank decision is too close to call
+    (:class:`AmbiguousRank`), the characteristic polynomial is taken and
+    validated like a supplied relation.  A discovered relation is checked
+    against ``residual_tol`` too, with the residual of its own extended
+    refinement, unless the matrix enters the mpmath tier, which solves for
+    its relation afresh.  A relation above ``residual_tol`` raises
+    :class:`RelationInvalid`; ``relation_residual`` records the residual.
+    ``branch_offsets`` maps a cluster index to an integer winding number
+    added to that eigenvalue's branch log (each choice yields a different,
+    equally valid flow).
     """
     a = as_matrix(a)
     discovered = q is None
     if discovered:
-        q = minimal_polynomial(a, tol)
-    else:
-        check_relation(a, q, tol)
+        try:
+            q = minimal_polynomial(a, tol)
+        except AmbiguousRank:
+            q, discovered = characteristic_polynomial(a), False
+    residual = q.residual if discovered else check_relation(a, q, tol)
     basis, coeffs = spectral_table(q, tol, branch_offsets)
     n = a.shape[0]
     negs_ext = _negative_powers_extended(a, q.degree, tol)
@@ -276,6 +292,8 @@ def build_flow(
         high_precision = HighPrecisionFlow(a, q, basis, dps, tol, discovered)
         basis, covariants = schur_covariants(a, basis, tol)
     else:
+        if discovered:
+            _accepted(residual, tol)
         stacked = np.stack(negs_ext).reshape(q.degree, n * n)
         covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)
     return FlowRepresentation(
@@ -284,6 +302,7 @@ def build_flow(
         coeffs=coeffs,
         neg_powers=tuple(m.astype(np.complex128) for m in negs_ext),
         source_dim=n,
+        relation_residual=residual,
         covariants=covariants,
         high_precision=high_precision,
     )

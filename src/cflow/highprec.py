@@ -9,24 +9,24 @@ extended-precision (80-bit) error estimate above the accuracy target,
 ``build_flow`` takes ``A^z`` from the Schur covariants instead
 (:func:`cflow.flow.schur_covariants`), and this module keeps the paper's
 ``mu`` at a working precision chosen to absorb the amplification: the
-relation (solved for afresh, or refined against the matrix), its polished
-roots and branch logs, and the ``p x p`` coefficient table.  It is set up on
-first use, by ``mu_functions``, ``analyze`` or the evaluation condition
-estimate; building and evaluating a flow never run it.
+relation, its polished roots and branch logs, and the ``p x p`` coefficient
+table.  It is set up on first use, by ``mu_functions``, ``analyze`` or the
+evaluation condition estimate; building and evaluating a flow never run it.
 
-Scalar work (root polish, logarithms, the basis values) uses mpmath.
-Matrix products (the relation's Krylov refinement and the table inverse) run
-on a block fixed-point kernel: a matrix is a pair of Python-int arrays (real
-and imaginary parts) times one power of two, holding the working precision
-plus guard bits relative to its largest entry.  Rounding is then norm-wise
-per matrix.  The table inverse is a Newton-Schulz refinement of the
-extended-precision inverse on that kernel, with mpmath's LU as the fallback
-when the extended start is too far off to converge.
+The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
+random vector, in mpmath: solved for when ``build_flow`` discovered it, and
+refined from its start otherwise.  Scalar work (root polish, logarithms, the
+basis values) uses mpmath too.  The table inverse runs on a block
+fixed-point kernel: a matrix is a pair of Python-int arrays (real and
+imaginary parts) times one power of two, holding the working precision plus
+guard bits relative to its largest entry, so rounding is norm-wise per
+matrix.  The inverse is a Newton-Schulz refinement of the extended-precision
+inverse on that kernel, with mpmath's LU as the fallback when the extended
+start is too far off to converge.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -36,14 +36,20 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .annihilator import AnnihilatorPolynomial, Cluster, Spectrum, cluster_roots, find_roots
+from .annihilator import (
+    AnnihilatorPolynomial,
+    Cluster,
+    Spectrum,
+    cluster_roots,
+    find_roots,
+    validate_relation,
+)
 from .basis import CoefficientTable, build_basis
 from .numeric import DEFAULT_TOL, ToleranceConfig, extended_inverse
 
 __all__ = ["HighPrecisionFlow", "extended_matrix"]
 
 GUARD_BITS = 32
-_FLOAT_BITS = 1000  # int parts are cut to this many bits before float conversion
 
 
 class _Block(NamedTuple):
@@ -148,25 +154,6 @@ def _to_mp(b: _Block) -> np.ndarray:
     return out
 
 
-def _to_complex(b: _Block) -> np.ndarray:
-    """Round a block to complex128."""
-    b = _normalized(b, _FLOAT_BITS)
-    return np.ldexp(b.re.astype(np.float64), b.exp) + 1j * np.ldexp(
-        b.im.astype(np.float64), b.exp
-    )
-
-
-def _stack(blocks: list, bits: int) -> _Block:
-    """Equal-shape blocks flattened into the rows of one block at a common
-    exponent; exact, except for parts more than ``2 * bits`` bits below the
-    largest."""
-    top = max(b.exp + _top_bits(b) for b in blocks)
-    exp = max(min(b.exp for b in blocks), top - 2 * bits)
-    re = np.stack([_shift(b.re, b.exp - exp).reshape(-1) for b in blocks])
-    im = np.stack([_shift(b.im, b.exp - exp).reshape(-1) for b in blocks])
-    return _Block(re, im, exp)
-
-
 def _mpc_from_extended(x) -> mp.mpc:
     """Convert a ``clongdouble`` scalar to ``mpc`` without dropping the bits
     beyond double precision (high/low split)."""
@@ -211,18 +198,22 @@ def _inverse(m: np.ndarray, bits: int) -> _Block:
     return x
 
 
-def _minimal_relation(a: np.ndarray, p: int) -> list | None:
-    """Ascending monic coefficients of the degree-``p`` minimal relation of
-    ``a`` at working precision; ``None`` when the Krylov vectors below
-    degree ``p`` are dependent (``p`` is above the minimal degree).
+def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial, solve: bool) -> list:
+    """Ascending monic coefficients of the degree-``p`` relation of ``a`` at
+    working precision, from the Krylov sequence ``v, A v, ..., A^p v`` of a
+    fixed random vector.
 
-    The relation is solved for directly from the Krylov sequence of a fixed
-    random vector, ``A^p v = sum_i c_i A^i v``, by least squares in mpmath:
-    its double-precision discovery can be wrong in every digit once the
-    Krylov basis outgrows double precision (n = 20 to 24), and refining
-    such a start does not converge.
+    With ``solve``, ``A^p v = sum_i c_i A^i v`` is solved for the
+    coefficients by least squares in mpmath: a discovered double-precision
+    relation can be wrong in every digit once the Krylov basis outgrows
+    double precision (n = 20 to 24), and refining such a start does not
+    converge.  Otherwise, or when the vectors below degree ``p`` are
+    dependent (``p`` is above the minimal degree), ``start`` is refined on
+    the same system: residuals at working precision, corrections from a
+    double-precision least-squares solve.  The entries of ``a`` are taken
+    as exact.
     """
-    n = a.shape[0]
+    n, p = a.shape[0], start.degree
     rng = np.random.default_rng(0)
     v = mp.matrix((rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist())
     am = mp.matrix(a.tolist())
@@ -233,37 +224,21 @@ def _minimal_relation(a: np.ndarray, p: int) -> list | None:
     for j in range(p):
         for i in range(n):
             k[i, j] = krylov[j][i]
-    try:
-        c = mp.lu_solve(k, krylov[p]) if p == n else mp.qr_solve(k, krylov[p])[0]
-    except ZeroDivisionError:  # mpmath's report of a numerically singular system
-        return None
-    return [-c[i] for i in range(p)] + [mp.mpc(1)]
-
-
-def _refine_against_matrix(a: _Block, asc: list, bits: int) -> list:
-    """Refine ascending monic coefficients so the relation annihilates ``a``
-    at working precision.
-
-    Mixed-precision iteration on the flattened Krylov system: residuals at
-    working precision, corrections from a double-precision least-squares
-    solve.  The entries of ``a`` are taken as exact.
-    """
-    p = len(asc) - 1
-    powers = [a]
-    for _ in range(p - 1):
-        powers.append(_mul(powers[-1], a, bits))
-    krylov = _stack([_identity(a.re.shape[0])] + powers[: p - 1], bits)
-    k_dbl = _to_complex(krylov).T
-    top = _stack(powers[-1:], bits)
-    coef = [-asc[i] for i in range(p)]
+    if solve:
+        try:
+            c = mp.lu_solve(k, krylov[p]) if p == n else mp.qr_solve(k, krylov[p])[0]
+            return [-c[i] for i in range(p)] + [mp.mpc(1)]
+        except ZeroDivisionError:  # mpmath's report of a numerically singular system
+            pass
+    k_dbl = np.array(k.tolist(), dtype=np.complex128)
+    c = mp.matrix([-_mpc_from_extended(x) for x in start.monic_coefficients_extended()[:-1]])
     for _ in range(6):
-        fit = _product(_from_mp(coef, (1, p), bits), krylov)
-        r_dbl = _to_complex(_sum(top, fit, -1))[0]
+        r_dbl = np.array((krylov[p] - k * c).tolist(), dtype=np.complex128)[:, 0]
         if np.max(np.abs(r_dbl)) == 0.0:
             break
         delta, *_ = np.linalg.lstsq(k_dbl, r_dbl, rcond=None)
-        coef = [coef[i] + mp.mpc(complex(delta[i])) for i in range(p)]
-    return [-c for c in coef] + [mp.mpc(1)]
+        c += mp.matrix(delta.tolist())
+    return [-c[i] for i in range(p)] + [mp.mpc(1)]
 
 
 def _basis_values(terms, logs: list, z: mp.mpc) -> list:
@@ -283,12 +258,13 @@ class HighPrecisionFlow:
 
     Built from the double-precision representation's relation and branch
     choices.  Nothing is computed until the form is first read: then a
-    supplied relation is refined against the matrix, a ``discovered`` one is
-    solved for afresh, and the spectrum (clusters, polished eigenvalues,
-    branch logs) and coefficient table are those of the result.
+    ``discovered`` relation is solved for afresh and a supplied one refined
+    (:func:`_krylov_relation`), and the spectrum (clusters, polished
+    eigenvalues, branch logs) and coefficient table are those of the result.
     ``relation`` is that relation and ``coeffs`` its table, both rounded to
-    extended precision; ``basis`` carries their spectrum, and ``mu_mp`` the
-    coefficient functions at working precision.
+    extended precision; ``relation_residual`` is the relation's
+    :func:`validate_relation` measure, ``basis`` carries their spectrum, and
+    ``mu_mp`` the coefficient functions at working precision.
     """
 
     def __init__(
@@ -310,13 +286,9 @@ class HighPrecisionFlow:
     @functools.cached_property
     def _form(self) -> SimpleNamespace:
         """The relation, table, basis and branch logs at working precision."""
-        bits = _working_bits(self.dps)
         p = self._start.degree
         with mp.workdps(self.dps):
-            asc = _minimal_relation(self._a, p) if self._discovered else None
-            if asc is None:
-                asc = [_mpc_from_extended(c) for c in self._start.monic_coefficients_extended()]
-                asc = _refine_against_matrix(_from_complex(self._a, bits), asc, bits)
+            asc = _krylov_relation(self._a, self._start, solve=self._discovered)
             # the spectrum of the relation at working precision, rounded
             coeffs = -np.array(asc[:-1], dtype=object)
             q = AnnihilatorPolynomial(
@@ -324,12 +296,10 @@ class HighPrecisionFlow:
             )
             logs = []
             clusters = []
-            tol, given_clusters = self._tol, self._given.spectrum.clusters
+            tol = self._tol
             for cluster in cluster_roots(find_roots(q, tol), tol, polynomial=q).clusters:
                 center = self._polish_root(asc, cluster.value, cluster.multiplicity)
-                # carry over the winding number of the nearest given cluster
-                given = min(given_clusters, key=lambda c: abs(c.value - cluster.value))
-                winding = round((given.log - cmath.log(given.value)).imag / (2.0 * math.pi))
+                winding = self._given.spectrum.winding_near(cluster.value)
                 log = mp.log(center) + 2j * mp.pi * winding
                 logs.append(log)
                 clusters.append(Cluster(complex(center), cluster.multiplicity, complex(log)))
@@ -337,17 +307,21 @@ class HighPrecisionFlow:
             b = np.array(
                 [_basis_values(basis.terms, logs, mp.mpc(-(i + 1))) for i in range(p)], dtype=object
             )
-            e = _to_mp(_inverse(b.T, bits))
+            e = _to_mp(_inverse(b.T, _working_bits(self.dps)))
             table = CoefficientTable(
                 e=e.astype(np.complex128),
                 condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,
                 e_extended=extended_matrix(e),
             )
-            return SimpleNamespace(relation=q, coeffs=table, basis=basis, logs=logs, e=e)
+        residual = validate_relation(self._a, q, tol)
+        return SimpleNamespace(
+            relation=q, coeffs=table, basis=basis, logs=logs, e=e, relation_residual=residual
+        )
 
     relation = property(lambda self: self._form.relation)
     coeffs = property(lambda self: self._form.coeffs)
     basis = property(lambda self: self._form.basis)
+    relation_residual = property(lambda self: self._form.relation_residual)
 
     @staticmethod
     def _polish_root(asc: list, x0: complex, multiplicity: int) -> mp.mpc:

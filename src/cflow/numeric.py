@@ -18,7 +18,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "as_matrix",
-    "multiply",
     "max_norm",
     "LUFactorization",
     "lu_factor",
@@ -77,15 +76,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.view(np.float64))):
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
     return m
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product with dimension checking."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def max_norm(a) -> float:

@@ -93,6 +93,18 @@ def defective_case(
     return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=tuple(blocks), transform=t)
 
 
+def jordan_block_case(rng: np.random.Generator, lam: complex, size: int) -> SuiteCase:
+    """One Jordan block conjugated by a matrix with singular values in
+    ``[1, 5]``."""
+    t = (
+        _random_unitary(rng, size)
+        @ np.diag(rng.uniform(1.0, 5.0, size))
+        @ _random_unitary(rng, size)
+    )
+    j = lam * np.eye(size) + np.diag(np.ones(size - 1), 1)
+    return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=((complex(lam), size),), transform=t)
+
+
 def distinct_case(rng: np.random.Generator, n: int) -> SuiteCase:
     """``n`` simple eigenvalues (magnitudes in ``[0.5, 4]``, at least 0.3
     apart) conjugated by a random unitary matrix."""

@@ -96,6 +96,14 @@ class TestMinimalPolynomial:
         q = minimal_polynomial(np.diag([2.0, 3.0]))
         assert q.coeffs_extended is not None
 
+    def test_residual_is_the_validate_relation_measure(self, suite):
+        # read off the extended refinement, not a second Horner evaluation
+        for case in suite[:20]:
+            q = minimal_polynomial(case.matrix)
+            horner = validate_relation(case.matrix, q)
+            assert abs(q.residual - horner) <= 0.25 * horner + 1e-18
+        assert AnnihilatorPolynomial((-6, 5)).residual is None
+
 
 class TestCharacteristicPolynomial:
     def test_diag(self):
@@ -212,6 +220,15 @@ class TestClusterRoots:
         assert sorted(c.multiplicity for c in s.clusters) == [1, 3]
         triple = max(s.clusters, key=lambda c: c.multiplicity)
         assert abs(triple.value - 2.0) < 1e-10
+
+    @pytest.mark.parametrize("root, m", [(2.0, 5), (1.0, 8)])
+    def test_ladder_merges_high_multiplicity(self, root, m):
+        # the roots of (X - root)^m scatter like eps**(1/m); at the base
+        # radius alone they stay m simple clusters
+        q = AnnihilatorPolynomial.from_roots([root] * m)
+        s = cluster_roots(find_roots(q), polynomial=q)
+        assert [c.multiplicity for c in s.clusters] == [m]
+        assert abs(s.clusters[0].value - root) < 1e-12
 
     def test_adaptive_radius_keeps_close_simple_roots(self):
         # two genuinely distinct roots 0.4 apart must never be merged

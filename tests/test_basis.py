@@ -7,6 +7,7 @@ import pytest
 
 from cflow import (
     AnnihilatorPolynomial,
+    NonFiniteEntry,
     ConditioningWarning,
     ZeroEigenvalue,
     branch_log,
@@ -19,6 +20,7 @@ from cflow import (
     scalar_flow,
     vandermonde_matrix,
 )
+from cflow.basis import eval_basis_extended
 
 
 class TestGeneralizedBinomial:
@@ -91,6 +93,32 @@ class TestBasisLayout:
     def test_eval_at_one_gives_eigenvalues(self):
         basis = _basis_for((-6, 5))
         assert np.allclose(eval_basis(basis, 1.0), [3.0, 2.0])
+
+
+def _extended_values_by_loop(basis, z):
+    """The per-term, per-exponent loop the array evaluator replaced."""
+    z = np.clongdouble(complex(z))
+    out = np.empty(basis.size, dtype=np.clongdouble)
+    for k, (ci, j) in enumerate(basis.terms):
+        log = np.clongdouble(basis.spectrum.clusters[ci].log)
+        acc = np.clongdouble(1.0)
+        for i in range(j):
+            acc *= z - i
+        out[k] = acc / math.factorial(j) * np.exp((z - j) * log)
+    return out
+
+
+def test_extended_values_over_an_array_of_z(suite_reps):
+    # the same arithmetic per value, so equal to the bit
+    zs = np.array([0.5 + 0.3j, -1.7, 2.0, -4.0, 3.1 - 2.2j])
+    for rep in suite_reps:
+        rows = eval_basis_extended(rep.basis, zs)
+        assert rows.shape == (len(zs), rep.basis.size)
+        for z, row in zip(zs, rows):
+            assert np.array_equal(row, _extended_values_by_loop(rep.basis, z))
+            assert np.array_equal(eval_basis_extended(rep.basis, z), row)
+    with pytest.raises(NonFiniteEntry):
+        eval_basis_extended(suite_reps[0].basis, np.array([1.0, np.inf]))
 
 
 class TestVandermonde:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import cflow
 from cflow import jordan_oracle
 from cflow.cli import main
 from cflow.matfile import parse_complex, write_matrix
@@ -209,6 +210,25 @@ class TestAnalyze:
         assert np.max(np.abs(e @ b - np.eye(report["degree"]))) <= bound
 
 
+    @pytest.mark.parametrize("command", [["analyze", "--json"], ["pow", "--z", "0.5"]])
+    def test_discovered_relation_validated_by_no_second_pass(
+        self, fixtures, capsys, monkeypatch, command
+    ):
+        # the residual of a discovered relation is its discovery's own
+        calls = []
+        original = cflow.annihilator.validate_relation
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in vars(cflow).values():
+            if getattr(module, "validate_relation", None) is original:
+                monkeypatch.setattr(module, "validate_relation", counted)
+        assert main([command[0], fixtures["random4"], *command[1:]]) == 0
+        assert calls == []
+
+
 class TestVerify:
     def test_fixtures_pass(self, fixtures):
         for name in ("identity", "unipotent", "diag23", "jordan2", "random4"):
@@ -266,6 +286,29 @@ class TestFormula:
     def test_zero_root_exit_3(self):
         # X^2 - X has the root zero
         assert main(["formula", "--relation", "1,0"]) == 3
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_same_form_as_analyze_in_the_tier(self, tmp_path, capsys):
+        # formula printed the double-precision relation the tier discards
+        p = tmp_path / "tier.json"
+        with open(p, "w") as fh:
+            write_matrix(defective_case(np.random.default_rng(0), 12).matrix, fh)
+        assert main(["formula", str(p), "--json"]) == 0
+        formula = json.loads(capsys.readouterr().out)
+        assert main(["analyze", str(p), "--json"]) == 0
+        analyze = json.loads(capsys.readouterr().out)
+        for key in ("relation", "spectrum", "basis", "coefficients", "condition_estimate"):
+            assert formula[key] == analyze[key]
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_wrong_discovered_relation_exit_5(self, tmp_path, capsys):
+        p = tmp_path / "defective24.json"
+        with open(p, "w") as fh:
+            write_matrix(defective_case(np.random.default_rng(2), 24).matrix, fh)
+        assert main(["formula", str(p), "--json"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: relation residual")
 
     @pytest.mark.parametrize("name", ["unipotent", "jordan2", "diag23", "random4"])
     def test_same_table_as_analyze(self, fixtures, capsys, name):

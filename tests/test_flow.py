@@ -4,7 +4,9 @@ structural checks."""
 import numpy as np
 import pytest
 
+from cflow import flow
 from cflow import (
+    AmbiguousRank,
     AnnihilatorPolynomial,
     NonFiniteEntry,
     NotJordanForm,
@@ -12,6 +14,7 @@ from cflow import (
     ZeroEigenvalue,
     build_flow,
     check_flow_axioms,
+    characteristic_polynomial,
     check_relation,
     cluster_roots,
     companion_action_check,
@@ -24,9 +27,10 @@ from cflow import (
     jordan_oracle,
     mu_functions,
     negative_powers,
+    validate_relation,
 )
 
-from conftest import rel_err
+from conftest import defective_case, jordan_block_case, rel_err
 
 
 class TestNegativePowers:
@@ -85,6 +89,34 @@ class TestBuildFlow:
         with pytest.raises(RelationInvalid, match="relation residual 8.889e-01"):
             check_relation(a, AnnihilatorPolynomial((1, 0)))
 
+    def test_relation_residual_recorded(self):
+        a = np.diag([2.0, 3.0])
+        supplied = AnnihilatorPolynomial((-6, 5)).times_linear(1.5)
+        assert build_flow(a, supplied).relation_residual == validate_relation(a, supplied)
+        rep = build_flow(a)
+        assert rep.relation_residual == rep.relation.residual < 1e-15
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_wrong_discovered_relation_raises(self):
+        # outside the tier, this matrix's double-precision relation has
+        # residual 16.9, and its flow was off by a relative 8e3
+        case = defective_case(np.random.default_rng(2), 24)
+        with pytest.raises(RelationInvalid, match="relation residual 1.694e"):
+            build_flow(case.matrix)
+
+    def test_ambiguous_rank_falls_back_to_characteristic_polynomial(self, suite, monkeypatch):
+        def ambiguous(a, tol):
+            raise AmbiguousRank("forced")
+
+        monkeypatch.setattr(flow, "minimal_polynomial", ambiguous)
+        case = next(c for c in suite if c.matrix.shape[0] >= 4)
+        rep = build_flow(case.matrix)
+        assert rep.relation == characteristic_polynomial(case.matrix)
+        assert rep.relation_residual == validate_relation(case.matrix, rep.relation)
+        for z in (0.5 + 0.3j, -1.7, 2.0):
+            expected = jordan_oracle(case.blocks, case.transform, z)
+            assert rel_err(evaluate_flow(rep, z), expected) < 1e-12
+
     def test_padded_relation_accepted(self):
         a = np.diag([2.0, 3.0])
         q = AnnihilatorPolynomial((-6, 5)).times_linear(1.5)
@@ -139,6 +171,17 @@ class TestBuildFlow:
             mu = mu_functions(rep, z)
             recon = sum(m * p for m, p in zip(mu, negs))
             assert rel_err(recon, evaluate_flow(rep, z)) < 1e-12
+
+
+@pytest.mark.parametrize("lam, size, seed", [(2.0, 4, 4), (0.8 + 0.6j, 4, 0), (1.0, 5, 0)])
+def test_jordan_blocks_of_size_four_and_five(lam, size, seed):
+    # the eigenvalue scatters past the base clustering radius; without the
+    # radius ladder these raise SingularMatrix, or are off by 9e4 and 2e-4
+    case = jordan_block_case(np.random.default_rng(seed), lam, size)
+    rep = build_flow(case.matrix)
+    assert [c.multiplicity for c in rep.basis.spectrum.clusters] == [size]
+    for z in (0.5, 0.5 + 0.3j, -1.7):
+        assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) <= 1e-10
 
 
 class TestCompanionConstruction:

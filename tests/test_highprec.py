@@ -181,14 +181,13 @@ def test_paper_form_is_set_up_on_first_use(monkeypatch):
     # building and evaluating never run mpmath; the first read of mu does,
     # once
     calls = []
-    for name in ("_minimal_relation", "_refine_against_matrix"):
-        original = getattr(highprec, name)
+    original = highprec._krylov_relation
 
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(highprec, name, counted)
+    monkeypatch.setattr(highprec, "_krylov_relation", counted)
     case = defective_case(np.random.default_rng(0), 12)
     rep = build_flow(case.matrix)
     assert rep.high_precision is not None

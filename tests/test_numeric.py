@@ -12,7 +12,6 @@ from cflow import (
     inverse,
     lu_factor,
     max_norm,
-    multiply,
     power_int,
     solve,
 )
@@ -38,24 +37,6 @@ class TestAsMatrix:
     def test_rejects_inf_imag(self):
         with pytest.raises(NonFiniteEntry):
             as_matrix([[complex(0, np.inf)]])
-
-
-class TestMultiply:
-    def test_identity_fixes_factor(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
-        assert np.array_equal(multiply(np.eye(2), a), a)
-
-    def test_shift_squares_to_zero(self):
-        n2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-        assert max_norm(multiply(n2, n2)) == 0.0
-
-    def test_swap_is_involution(self):
-        s = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-        assert np.allclose(multiply(s, s), np.eye(2))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            multiply(np.eye(2), np.eye(3))
 
 
 class TestLU:
