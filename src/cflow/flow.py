@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
+import scipy
 
 from .annihilator import (
     AnnihilatorPolynomial,
@@ -67,7 +66,6 @@ from .numeric import (
     as_matrix,
     extended_inverse,
     inverse,
-    lu_factor,
     max_norm,
 )
 
@@ -135,7 +133,7 @@ def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
 
     The chain is carried in extended precision: its rounding error is later
     amplified by the cancellation in ``sum mu_i A^{-i}``.  Singularity is
-    still detected through the pivoted factorization.
+    still detected from the inverse's partial pivots.
     """
     return [m.astype(np.complex128) for m in _negative_powers_extended(a, p, tol)]
 
@@ -145,8 +143,7 @@ def _negative_powers_extended(a, p: int, tol: ToleranceConfig) -> list:
     a = as_matrix(a)
     if p < 1:
         raise ValueError("need at least one negative power")
-    lu_factor(a, tol)  # pivot-based singularity check
-    inv = extended_inverse(a)
+    inv = extended_inverse(a, tol)
     out = [inv]
     for _ in range(p - 1):
         out.append(out[-1] @ inv)
@@ -205,14 +202,14 @@ def schur_covariants(
     clusters, blocks = [], []
     for ci, cluster in enumerate(spectrum.clusters):
         select = owner == ci
-        ts, qs, *_, info = lapack.ztrsen(select, t, q, job="N")
+        ts, qs, *_, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
         if info != 0:
             raise NonConvergence(f"Schur reordering failed (ztrsen info {info})")
         m = int(select.sum())
         t11, q1, q2 = ts[:m, :m], qs[:, :m], qs[:, m:]
         x = np.zeros((m, n - m), dtype=np.complex128)
         if m < n:
-            x, scale, info = lapack.ztrsyl(t11, ts[m:, m:], -ts[:m, m:], isgn=-1)
+            x, scale, info = scipy.linalg.lapack.ztrsyl(t11, ts[m:, m:], -ts[:m, m:], isgn=-1)
             if info != 0:
                 raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
             x = x / scale
@@ -230,9 +227,11 @@ def schur_covariants(
     return build_basis(Spectrum(tuple(clusters))), np.array(blocks)
 
 
-def _accepted(residual: float, tol: ToleranceConfig) -> float:
+def _accepted(residual: float, tol: ToleranceConfig, source: str = "") -> float:
     if residual > tol.residual_tol:
-        raise RelationInvalid(f"relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}")
+        raise RelationInvalid(
+            f"{source}relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}"
+        )
     return residual
 
 
@@ -263,13 +262,14 @@ def build_flow(
     equally valid flow).
     """
     a = as_matrix(a)
-    discovered = q is None
+    discovered, source = q is None, ""
     if discovered:
         try:
             q = minimal_polynomial(a, tol)
         except AmbiguousRank:
             q, discovered = characteristic_polynomial(a), False
-    residual = q.residual if discovered else check_relation(a, q, tol)
+            source = "characteristic polynomial (minimal polynomial rank ambiguous): "
+    residual = q.residual if discovered else _accepted(validate_relation(a, q, tol), tol, source)
     basis, coeffs = spectral_table(q, tol, branch_offsets)
     n = a.shape[0]
     negs_ext = _negative_powers_extended(a, q.degree, tol)

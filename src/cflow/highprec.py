@@ -22,7 +22,8 @@ imaginary parts) times one power of two, holding the working precision plus
 guard bits relative to its largest entry, so rounding is norm-wise per
 matrix.  The inverse is a Newton-Schulz refinement of the extended-precision
 inverse on that kernel, with mpmath's LU as the fallback when the extended
-start is too far off to converge.
+start is too far off to converge.  Importing this module also loads the tier's
+``scipy.linalg`` (Schur form): one load point, whatever matrices follow.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+import scipy.linalg  # noqa: F401  (schur_covariants)
 
 from .annihilator import (
     AnnihilatorPolynomial,

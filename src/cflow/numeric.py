@@ -2,15 +2,16 @@
 
 All matrices are square ``numpy.ndarray`` values of dtype complex128.  Every
 operation is a pure function over immutable inputs; nothing here keeps state.
+The factorization and the inverses are eliminations in numpy, each checking
+its own pivots; ``scipy.linalg`` is loaded only by :func:`solve`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import DimensionMismatch, NonFiniteEntry, SingularMatrix
 
@@ -93,27 +94,36 @@ class LUFactorization:
     smallest_pivot: float
 
 
+def _singular(pivot: float) -> SingularMatrix:
+    return SingularMatrix(
+        f"pivot {pivot:.3e} at or below rank tolerance; matrix is numerically singular"
+    )
+
+
 def lu_factor(a, tol: ToleranceConfig = DEFAULT_TOL) -> LUFactorization:
-    """Factor ``a`` with partial pivoting.
+    """Factor ``a`` with partial pivoting, in LAPACK's ``getrf`` layout.
 
     Raises
     ------
     SingularMatrix
-        If the smallest pivot magnitude is at or below
-        ``rank_tol * max_norm(a)``.
+        If a pivot magnitude is at or below ``rank_tol * max_norm(a)``.
     """
-    a = as_matrix(a)
-    with warnings.catch_warnings():
-        # scipy warns on exact zero pivots; the pivot check below turns that
-        # case into SingularMatrix
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    lu = as_matrix(a).copy()
+    n = lu.shape[0]
+    threshold = tol.rank_tol * max(max_norm(lu), 1e-300)
+    piv = np.arange(n, dtype=np.int32)
+    for k in range(n):
+        # getrf's pivot: the largest |re| + |im| in the column
+        col = lu[k:, k]
+        p = piv[k] = k + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+        if abs(lu[k, k]) <= threshold:
+            raise _singular(abs(lu[k, k]))
+        lu[k + 1 :, k] /= lu[k, k]
+        lu[k + 1 :, k + 1 :] -= lu[k + 1 :, k, None] * lu[k, k + 1 :]
     smallest = float(np.min(np.abs(np.diag(lu))))
-    if smallest <= tol.rank_tol * max(max_norm(a), 1e-300):
-        raise SingularMatrix(
-            f"pivot {smallest:.3e} at or below rank tolerance; matrix is numerically singular"
-        )
-    return LUFactorization(lu=lu, piv=piv, n=a.shape[0], smallest_pivot=smallest)
+    return LUFactorization(lu=lu, piv=piv, n=n, smallest_pivot=smallest)
 
 
 def solve(f: LUFactorization, rhs) -> np.ndarray:
@@ -125,30 +135,33 @@ def solve(f: LUFactorization, rhs) -> np.ndarray:
 
 
 def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse formed by solving against the identity."""
-    a = as_matrix(a)
-    return solve(lu_factor(a, tol), np.eye(a.shape[0], dtype=np.complex128))
+    """:func:`extended_inverse` of ``a`` rounded to complex128."""
+    return extended_inverse(as_matrix(a), tol).astype(np.complex128)
 
 
-def extended_inverse(a) -> np.ndarray:
+def extended_inverse(a, tol: ToleranceConfig | None = None) -> np.ndarray:
     """Gauss-Jordan inverse in extended precision (``clongdouble`` result).
 
     Used where inversion error would otherwise be amplified by heavy
     cancellation downstream (Vandermonde coefficients, negative-power
-    chains); matrices stay small, so the cost is negligible.  Callers are
-    responsible for singularity checks via :func:`lu_factor`.
+    chains); matrices stay small, so the cost is negligible.  With ``tol``
+    given, a partial pivot at or below ``rank_tol * max_norm(a)`` raises
+    :class:`SingularMatrix` before it is divided by; without it, callers
+    check singularity themselves.
     """
     a = np.asarray(a)
     n = a.shape[0]
+    threshold = None if tol is None else tol.rank_tol * max(max_norm(a), 1e-300)
     work = np.hstack([a.astype(np.clongdouble), np.eye(n, dtype=np.clongdouble)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(work[col:, col])))
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
-        work[col] = work[col] / work[col, col]
-        for r in range(n):
-            if r != col:
-                work[r] = work[r] - work[r, col] * work[col]
+        if threshold is not None and abs(work[col, col]) <= threshold:
+            raise _singular(float(abs(work[col, col])))
+        pivot_row = work[col] / work[col, col]
+        work -= work[:, col, None] * pivot_row
+        work[col] = pivot_row
     return work[:, n:]
 
 

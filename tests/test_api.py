@@ -1,4 +1,10 @@
-"""The package namespace re-exports the public names of its modules."""
+"""The package namespace re-exports the public names of its modules, and
+importing it loads no ``scipy.linalg``."""
+
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,3 +16,61 @@ from cflow import annihilator, basis, flow, numeric
 def test_package_reexports_module_api(module):
     missing = [name for name in module.__all__ if not hasattr(cflow, name)]
     assert missing == []
+
+
+# Run in a fresh interpreter: prints whether scipy.linalg is loaded after each
+# stage (importing the tier's module loads it), and the tier build's error against the Jordan oracle.
+_LOADS = """
+import contextlib, io, json, sys
+import numpy as np
+import cflow
+from cflow.cli import main
+from cflow.matfile import write_matrix
+from conftest import defective_case, random_suite_case, rel_err
+
+def loaded():
+    return "scipy.linalg" in sys.modules
+
+seen = {"import": loaded()}
+case = random_suite_case(np.random.default_rng(0))
+cflow.evaluate_flow(cflow.build_flow(case.matrix), 0.5 + 0.25j)
+seen["build"] = loaded()
+path = sys.argv[1]
+with open(path, "w") as fh:
+    write_matrix(case.matrix, fh)
+commands = (
+    ["pow", path, "--z", "0.5"],
+    ["verify", path, "--json"],
+    ["analyze", path, "--json"],
+    ["formula", path, "--json"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["codes"] = [main(argv) for argv in commands]
+seen["cli"] = loaded()
+import cflow.highprec
+seen["tier_module"] = loaded()
+tier = defective_case(np.random.default_rng(0), 12)
+rep = cflow.build_flow(tier.matrix)
+z = 0.5 + 0.25j
+truth = cflow.jordan_oracle(tier.blocks, tier.transform, z)
+seen["tier"] = loaded()
+seen["tier_error"] = rel_err(cflow.evaluate_flow(rep, z), truth)
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_linalg_loads_only_in_the_tier(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS, str(tmp_path / "a.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["codes"] == [0, 0, 0, 0]
+    assert not seen["import"] and not seen["build"] and not seen["cli"]
+    assert seen["tier_module"] and seen["tier"]
+    assert seen["tier_error"] < 1e-9

@@ -114,6 +114,21 @@ class TestPow:
         assert captured.out == ""
         assert captured.err.startswith("error: relation residual")
 
+    def test_characteristic_fallback_failure_exit_5(self, tmp_path, capsys):
+        # minimal_polynomial's rank decision is ambiguous on this matrix, and
+        # the characteristic polynomial taken in its place fails its check;
+        # the error names that relation, which no user supplied
+        p = tmp_path / "distinct32.json"
+        with open(p, "w") as fh:
+            write_matrix(distinct_case(np.random.default_rng(0), 32).matrix, fh)
+        assert main(["pow", str(p), "--z", "0.5"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: characteristic polynomial (minimal polynomial rank ambiguous): "
+            "relation residual"
+        )
+
     def test_root_finder_failure_exit_4(self, fixtures, capsys, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

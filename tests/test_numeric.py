@@ -1,19 +1,26 @@
 """Unit tests for the dense matrix arithmetic layer."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cflow import (
+    DEFAULT_TOL,
     DimensionMismatch,
     NonFiniteEntry,
     SingularMatrix,
     ToleranceConfig,
     as_matrix,
+    extended_inverse,
     inverse,
     lu_factor,
     max_norm,
     power_int,
     solve,
+    vandermonde_matrix,
 )
 
 
@@ -68,6 +75,130 @@ class TestLU:
     def test_solve_rhs_dimension(self):
         with pytest.raises(DimensionMismatch):
             solve(lu_factor(np.eye(2)), np.eye(3))
+
+
+def _lu_cases(suite, suite_reps):
+    """``(matrix, tolerance)`` pairs: the suite matrices, the equilibrated
+    Vandermonde tables of their relations with ``invert_vandermonde``'s pivot
+    tolerance, and rank-deficient matrices."""
+    cases = [(case.matrix, DEFAULT_TOL) for case in suite]
+    pivot_tol = replace(DEFAULT_TOL, rank_tol=1e3 * float(np.finfo(np.float64).eps))
+    for rep in suite_reps:
+        b = vandermonde_matrix(rep.basis).T
+        row_scale = np.max(np.abs(b), axis=1)
+        col_scale = np.max(np.abs(b) / row_scale[:, None], axis=0)
+        cases.append((b / row_scale[:, None] / col_scale[None, :], pivot_tol))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    rank_one = np.outer(x[:, 0], x[:, 1].conj())
+    zero_col = rng.standard_normal((4, 4)) + 0j
+    zero_col[:, 2] = 0.0
+    repeated_row = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    repeated_row[3] = repeated_row[1]
+    for a in (
+        np.ones((3, 3)),
+        np.zeros((2, 2)),
+        rank_one,
+        x @ x.T,
+        zero_col,
+        repeated_row,
+        np.diag([1.0, 1e-12, 2.0]),
+        np.diag([1.0, 1e-9, 2.0]),
+    ):
+        cases.append((as_matrix(a), DEFAULT_TOL))
+    return cases
+
+
+class TestNumpyLU:
+    """``lu_factor`` against LAPACK's ``getrf`` through ``scipy.linalg``."""
+
+    def test_matches_scipy(self, suite, suite_reps):
+        rng = np.random.default_rng(9)
+        singular = 0
+        for a, tol in _lu_cases(suite, suite_reps):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                ref_lu, ref_piv = scipy.linalg.lu_factor(a)
+            threshold = tol.rank_tol * max(max_norm(a), 1e-300)
+            ref_singular = np.min(np.abs(np.diag(ref_lu))) <= threshold
+            try:
+                f = lu_factor(a, tol)
+            except SingularMatrix:
+                assert ref_singular
+                singular += 1
+                continue
+            assert not ref_singular
+            assert np.array_equal(f.piv, ref_piv)
+            assert max_norm(f.lu - ref_lu) <= 1e-13 * max_norm(ref_lu)
+            x = rng.standard_normal((f.n, 2)) + 1j * rng.standard_normal((f.n, 2))
+            rhs = a @ x
+            y = solve(f, rhs)
+            assert max_norm(a @ y - rhs) <= 1e-13 * f.n * max_norm(a) * max_norm(y)
+        assert singular == 7
+
+    def test_extended_inverse_raises_where_lu_factor_does(self, suite, suite_reps):
+        for a, tol in _lu_cases(suite, suite_reps):
+            try:
+                lu_factor(a, tol)
+                expected = False
+            except SingularMatrix:
+                expected = True
+            try:
+                extended_inverse(a, tol)
+                raised = False
+            except SingularMatrix:
+                raised = True
+            assert raised == expected
+
+    def test_pivots_in_lapack_layout(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
+        f = lu_factor(a)
+        assert f.piv.tolist() == [1, 1]
+        assert np.allclose(f.lu, [[3.0, 4.0], [1.0 / 3.0, 2.0 - 4.0 / 3.0]])
+
+
+def _loop_extended_inverse(a):
+    """The row-by-row Gauss-Jordan elimination that ``extended_inverse``
+    does with one rank-1 update per column; the reference it must equal."""
+    a = np.asarray(a)
+    n = a.shape[0]
+    work = np.hstack([a.astype(np.clongdouble), np.eye(n, dtype=np.clongdouble)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(work[col:, col])))
+        if piv != col:
+            work[[col, piv]] = work[[piv, col]]
+        work[col] = work[col] / work[col, col]
+        for r in range(n):
+            if r != col:
+                work[r] = work[r] - work[r, col] * work[col]
+    return work[:, n:]
+
+
+def _bitwise_equal(x, y):
+    return all(
+        np.array_equal(u, v) and np.array_equal(np.signbit(u), np.signbit(v))
+        for u, v in ((x.real, y.real), (x.imag, y.imag))
+    )
+
+
+class TestExtendedInverse:
+    def test_equals_the_row_loop(self, suite):
+        rng = np.random.default_rng(12)
+        mats = [case.matrix for case in suite]
+        for _ in range(60):
+            n = int(rng.integers(2, 25))
+            mats.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for a in mats:
+            assert _bitwise_equal(extended_inverse(a), _loop_extended_inverse(a))
+
+    def test_singular_raises_with_tolerance(self):
+        with pytest.raises(SingularMatrix):
+            extended_inverse(np.ones((3, 3)), DEFAULT_TOL)
+
+    def test_inverse_is_the_extended_inverse_rounded(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        assert np.array_equal(inverse(a), extended_inverse(a).astype(np.complex128))
 
 
 class TestPowerInt:
