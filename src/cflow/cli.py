@@ -39,6 +39,7 @@ from .flow import (
     build_flow,
     check_flow_axioms,
     evaluate_flow,
+    mu_functions,
     spectral_table,
 )
 from .matfile import (
@@ -214,14 +215,14 @@ def cmd_pow(args) -> int:
 
 
 def _paper_form(args, tol: ToleranceConfig):
-    """The relation, basis, table and relation residual of the matrix file's
-    representation; in the mpmath tier, those at working precision."""
+    """The matrix file's representation, and its relation, basis, table and
+    relation residual; in the mpmath tier, those at working precision."""
     rep = _build(args, read_matrix(args.matrix), tol)
-    return rep.high_precision or rep
+    return rep, rep.high_precision or rep
 
 
 def cmd_analyze(args) -> int:
-    form = _paper_form(args, _tolerances(args))
+    _, form = _paper_form(args, _tolerances(args))
     report = _representation_report(
         form.relation, form.basis, form.coeffs, residual=form.relation_residual
     )
@@ -233,19 +234,20 @@ def cmd_analyze(args) -> int:
 def cmd_formula(args) -> int:
     tol = _tolerances(args)
     if args.matrix:
-        form = _paper_form(args, tol)
+        rep, form = _paper_form(args, tol)
         q, basis, table = form.relation, form.basis, form.coeffs
     elif args.relation:
         q = parse_relation(args.relation)
         if abs(q.coeffs[0]) == 0.0:
             raise ZeroEigenvalue("constant coefficient is zero; zero is a root of the relation")
+        rep = None
         basis, table = spectral_table(q, tol, _branch_offsets(args))
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
     report = _representation_report(q, basis, table, skip_zero=args.skip_zero)
     if args.at is not None:
         z = parse_complex(args.at)
-        mu = table.e @ eval_basis(basis, z)
+        mu = table.e @ eval_basis(basis, z) if rep is None else mu_functions(rep, z)
         report["mu_at"] = {"z": args.at, "values": [[v.real, v.imag] for v in mu]}
     _print_report(report, args.json, sys.stdout)
     return 0

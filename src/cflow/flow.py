@@ -123,9 +123,17 @@ class FlowRepresentation:
         return self.relation.degree
 
     def evaluation_condition(self, z: complex) -> float:
-        """Conditioning estimate ``|E| * max_k |f_k(z)|`` for one evaluation."""
-        e = (self.high_precision or self).coeffs.e
-        return max_norm(e) * float(np.max(np.abs(eval_basis(self.basis, z))))
+        """Condition of the sum :func:`evaluate_flow` computes at ``z``:
+        ``sum_k |f_k(z)| |M_k| / |A^z|`` in the max norm.
+
+        At least 1 up to rounding, by the triangle inequality; the rounding
+        errors of the double-precision sum are amplified by this ratio.  It
+        reads the covariants that are evaluated, in or out of the mpmath tier.
+        """
+        f = eval_basis(self.basis, z)
+        scales = np.max(np.abs(self.covariants), axis=(1, 2))
+        value = np.tensordot(f, self.covariants, axes=1)
+        return float(np.abs(f) @ scales) / max(max_norm(value), 1e-300)
 
 
 def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:

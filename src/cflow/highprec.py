@@ -10,29 +10,23 @@ extended-precision (80-bit) error estimate above the accuracy target,
 (:func:`cflow.flow.schur_covariants`), and this module keeps the paper's
 ``mu`` at a working precision chosen to absorb the amplification: the
 relation, its polished roots and branch logs, and the ``p x p`` coefficient
-table.  It is set up on first use, by ``mu_functions``, ``analyze`` or the
-evaluation condition estimate; building and evaluating a flow never run it.
+table.  It is set up on first use, by ``mu_functions``, ``analyze`` or
+``formula``; building and evaluating a flow, and the evaluation condition
+estimate, never run it.
 
 The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
 random vector, in mpmath: solved for when ``build_flow`` discovered it, and
 refined from its start otherwise.  Scalar work (root polish, logarithms, the
-basis values) uses mpmath too.  The table inverse runs on a block
-fixed-point kernel: a matrix is a pair of Python-int arrays (real and
-imaginary parts) times one power of two, holding the working precision plus
-guard bits relative to its largest entry, so rounding is norm-wise per
-matrix.  The inverse is a Newton-Schulz refinement of the extended-precision
-inverse on that kernel, with mpmath's LU as the fallback when the extended
-start is too far off to converge.  Importing this module also loads the tier's
+basis values) uses mpmath too, and the table is inverted by mpmath's LU at
+the working precision.  Importing this module also loads the tier's
 ``scipy.linalg`` (Schur form): one load point, whatever matrices follow.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -47,113 +41,9 @@ from .annihilator import (
     validate_relation,
 )
 from .basis import CoefficientTable, build_basis
-from .numeric import DEFAULT_TOL, ToleranceConfig, extended_inverse
+from .numeric import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["HighPrecisionFlow", "extended_matrix"]
-
-GUARD_BITS = 32
-
-
-class _Block(NamedTuple):
-    """A complex array ``(re + i * im) * 2**exp`` with Python-int parts."""
-
-    re: np.ndarray
-    im: np.ndarray
-    exp: int
-
-
-def _working_bits(dps: int) -> int:
-    return int(math.ceil(dps * math.log2(10))) + GUARD_BITS
-
-
-def _top_bits(b: _Block) -> int:
-    return max(map(int.bit_length, itertools.chain(b.re.flat, b.im.flat)), default=0)
-
-
-def _shift(ints: np.ndarray, by: int) -> np.ndarray:
-    """``ints * 2**by``, truncated when ``by`` is negative."""
-    if by > 0:
-        return ints << by
-    if by < 0:
-        return ints >> -by
-    return ints
-
-
-def _normalized(b: _Block, bits: int) -> _Block:
-    """Drop the low bits so the largest part keeps ``bits`` bits."""
-    excess = _top_bits(b) - bits
-    if excess > 0:
-        return _Block(b.re >> excess, b.im >> excess, b.exp + excess)
-    return b
-
-
-def _product(a: _Block, b: _Block) -> _Block:
-    """Exact complex product ``a @ b`` in three integer matmuls."""
-    rr = a.re @ b.re
-    ii = a.im @ b.im
-    mixed = (a.re + a.im) @ (b.re + b.im)
-    return _Block(rr - ii, mixed - rr - ii, a.exp + b.exp)
-
-
-def _mul(a: _Block, b: _Block, bits: int) -> _Block:
-    return _normalized(_product(a, b), bits)
-
-
-def _sum(a: _Block, b: _Block, sign: int = 1) -> _Block:
-    """Exact ``a + sign * b`` of equal-shape blocks."""
-    exp = min(a.exp, b.exp)
-    re = _shift(a.re, a.exp - exp) + sign * _shift(b.re, b.exp - exp)
-    im = _shift(a.im, a.exp - exp) + sign * _shift(b.im, b.exp - exp)
-    return _Block(re, im, exp)
-
-
-def _identity(n: int) -> _Block:
-    one = np.zeros((n, n), dtype=object)
-    np.fill_diagonal(one, 1)
-    return _Block(one, np.zeros_like(one), 0)
-
-
-def _from_parts(parts: list, shape: tuple, bits: int) -> _Block:
-    """Block from ``(mantissa, exponent)`` pairs, alternating real and
-    imaginary parts.  Exact, except for parts more than ``2 * bits`` bits
-    below the largest."""
-    nonzero = [(m, e) for m, e in parts if m]
-    if not nonzero:
-        zeros = np.zeros(shape, dtype=object)
-        return _Block(zeros, zeros.copy(), 0)
-    top = max(e + abs(m).bit_length() for m, e in nonzero)
-    exp = max(min(e for _, e in nonzero), top - 2 * bits)
-    ints = np.empty(len(parts), dtype=object)
-    ints[:] = [m << (e - exp) if e >= exp else m >> (exp - e) for m, e in parts]
-    return _Block(ints[0::2].reshape(shape), ints[1::2].reshape(shape), exp)
-
-
-def _from_mp(values, shape: tuple, bits: int) -> _Block:
-    """Block holding mpmath numbers (row-major ``values``)."""
-    parts = []
-    for x in values:
-        for y in (x.real, x.imag):
-            sign, man, e, _ = y._mpf_
-            parts.append((-man if sign else man, e))
-    return _from_parts(parts, shape, bits)
-
-
-def _from_complex(a: np.ndarray, bits: int) -> _Block:
-    """Block holding a complex128 or clongdouble array (exactly, for a
-    modest entry range)."""
-    mant, e = np.frexp(np.stack([a.real, a.imag], axis=-1).reshape(-1))
-    digits = min(np.finfo(mant.dtype).nmant + 1, 63)
-    ints = np.ldexp(mant, digits).astype(np.int64)
-    parts = [(int(m), int(x) - digits) for m, x in zip(ints, e)]
-    return _from_parts(parts, a.shape, bits)
-
-
-def _to_mp(b: _Block) -> np.ndarray:
-    """A block as an object array of ``mpc`` values."""
-    out = np.empty(b.re.shape, dtype=object)
-    for idx, re in np.ndenumerate(b.re):
-        out[idx] = mp.mpc(mp.mpf((re, b.exp)), mp.mpf((b.im[idx], b.exp)))
-    return out
 
 
 def _mpc_from_extended(x) -> mp.mpc:
@@ -169,35 +59,6 @@ def extended_matrix(m: np.ndarray) -> np.ndarray:
     hi = m.astype(np.complex128)
     lo = (m - hi).astype(np.complex128)
     return hi.astype(np.clongdouble) + lo
-
-
-def _newton_inverse(a: _Block, start: np.ndarray, bits: int) -> _Block | None:
-    """Refine an approximate inverse of ``a`` to working precision by the
-    Newton-Schulz iteration ``X <- X + X (I - A X)``, which squares the
-    residual each step.  ``None`` when ``start`` is too far off for it."""
-    one = _identity(a.re.shape[0])
-    x = _from_complex(start, bits)
-    for _ in range(12):
-        r = _sum(one, _product(a, x), -1)
-        size = _top_bits(r) + r.exp  # |I - A X| < 2**size
-        if size >= 0:
-            return None
-        x = _normalized(_sum(x, _mul(x, _normalized(r, bits), bits)), bits)
-        if 2 * size <= -bits:  # this step squared the residual below working precision
-            return x
-    return None
-
-
-def _inverse(m: np.ndarray, bits: int) -> _Block:
-    """Inverse of an object array of mpmath numbers at working precision:
-    Newton-Schulz from the extended-precision inverse, or mpmath's LU when
-    that start is too far off."""
-    a = _from_mp(m.flat, m.shape, bits)
-    x = _newton_inverse(a, extended_inverse(extended_matrix(m)), bits)
-    if x is None:
-        inv = mp.matrix(m.tolist()) ** -1
-        x = _from_mp(itertools.chain(*inv.tolist()), m.shape, bits)
-    return x
 
 
 def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial, solve: bool) -> list:
@@ -309,7 +170,8 @@ class HighPrecisionFlow:
             b = np.array(
                 [_basis_values(basis.terms, logs, mp.mpc(-(i + 1))) for i in range(p)], dtype=object
             )
-            e = _to_mp(_inverse(b.T, _working_bits(self.dps)))
+            inv = mp.matrix(b.T.tolist()) ** -1
+            e = np.array(inv.tolist(), dtype=object)
             table = CoefficientTable(
                 e=e.astype(np.complex128),
                 condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,

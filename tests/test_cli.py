@@ -6,11 +6,23 @@ import numpy as np
 import pytest
 
 import cflow
-from cflow import jordan_oracle
+from cflow import build_flow, highprec, jordan_oracle, mu_functions
 from cflow.cli import main
-from cflow.matfile import parse_complex, write_matrix
+from cflow.matfile import parse_complex, read_matrix, write_matrix
 
 from conftest import defective_case, distinct_case, rel_err
+
+
+def _save(tmp_path, name, a) -> str:
+    p = tmp_path / f"{name}.json"
+    with open(p, "w") as fh:
+        write_matrix(np.asarray(a, dtype=np.complex128), fh)
+    return str(p)
+
+
+def _tier_file(tmp_path) -> str:
+    """The defective n=12 matrix of the mpmath tier's tests."""
+    return _save(tmp_path, "tier", defective_case(np.random.default_rng(0), 12).matrix)
 
 
 @pytest.fixture()
@@ -162,6 +174,41 @@ class TestPow:
         assert err.startswith("warning: generalized Vandermonde condition estimate")
         assert all(line.startswith("warning: ") for line in err.splitlines())
         assert ".py" not in err
+
+    @pytest.mark.parametrize(
+        "command, calls",
+        [(["pow", "--z", "0.5"], 0), (["verify"], 0), (["analyze"], 1)],
+    )
+    def test_mpmath_runs_only_for_the_paper_form(
+        self, tmp_path, capsys, monkeypatch, command, calls
+    ):
+        # pow and verify evaluate the Schur covariants and print nothing of
+        # the paper's form, so its working-precision set-up never runs
+        counted = []
+        original = highprec._krylov_relation
+
+        def counting(*args, **kwargs):
+            counted.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(highprec, "_krylov_relation", counting)
+        assert main([command[0], _tier_file(tmp_path), *command[1:]]) == 0
+        assert len(counted) == calls
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_evaluation_warning_measures_the_evaluated_sum(self, tmp_path, capsys):
+        # the paper's table times the Schur basis values read 2.6e12 here,
+        # for a result within 5e-15 of the oracle
+        case = distinct_case(np.random.default_rng(0), 20)
+        p = _save(tmp_path, "distinct20", case.matrix)
+        assert main(["pow", p, "--z", "3i"]) == 0
+        captured = capsys.readouterr()
+        assert "warning: evaluation condition estimate" not in captured.err
+        doc = json.loads(captured.out)
+        result = np.array([[complex(*v) for v in row] for row in doc["entries"]])
+        assert rel_err(result, jordan_oracle(case.blocks, case.transform, 3j)) <= 1e-12
+        assert main(["pow", p, "--z", "3i", "--tol-cond-warn", "1e-3"]) == 0
+        assert "warning: evaluation condition estimate" in capsys.readouterr().err
 
     def test_unknown_cluster_offset_exit_2(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "0.5", "--branch-offset", "5:1"]) == 2
@@ -324,6 +371,17 @@ class TestFormula:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: relation residual")
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    @pytest.mark.parametrize("at", ["0.5+0.3i", "-1.7"])
+    def test_mu_at_is_the_library_mu(self, fixtures, tmp_path, capsys, at):
+        # formula --at multiplied the double-rounded table by double-precision
+        # basis values, which is not the mu the library computes
+        for path in (fixtures["random4"], _tier_file(tmp_path)):
+            assert main(["formula", path, "--at", at, "--json"]) == 0
+            values = json.loads(capsys.readouterr().out)["mu_at"]["values"]
+            mu = mu_functions(build_flow(read_matrix(path)), parse_complex(at))
+            assert [complex(*v) for v in values] == list(mu)
 
     @pytest.mark.parametrize("name", ["unipotent", "jordan2", "diag23", "random4"])
     def test_same_table_as_analyze(self, fixtures, capsys, name):

@@ -1,7 +1,7 @@
 """The mpmath tier: a defective n=12 matrix whose relation cancels beyond
 extended precision, so its covariants come from the Schur form and the
 paper's form is kept at arbitrary precision; the tier's set-up run directly;
-its fixed-point kernel; and the Schur covariants themselves."""
+and the Schur covariants themselves."""
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +18,6 @@ from cflow import (
     eval_basis,
     evaluate_companion_flow,
     evaluate_flow,
-    extended_inverse,
     find_roots,
     jordan_oracle,
     mu_functions,
@@ -84,47 +83,6 @@ def test_companion_route_is_the_tier_flow(tier_case):
     for z in (0.5 + 0.3j, -2.5):
         truth = jordan_oracle(case.blocks, case.transform, z)
         assert rel_err(evaluate_companion_flow(case.matrix, rep.relation, z), truth) < 1e-12
-
-
-class TestFixedPointKernel:
-    """The block fixed-point helpers against mpmath at the same precision."""
-
-    BITS = 200
-
-    def _random_mp(self, rng, n, scale=1.0):
-        values = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return np.array([[mp.mpc(complex(v)) for v in row] for row in values], dtype=object)
-
-    def test_product_matches_mpmath(self):
-        rng = np.random.default_rng(3)
-        with mp.workdps(60):
-            x, y = self._random_mp(rng, 5), self._random_mp(rng, 5, 1e6)
-            got = highprec._to_mp(
-                highprec._mul(
-                    highprec._from_mp(x.flat, x.shape, self.BITS),
-                    highprec._from_mp(y.flat, y.shape, self.BITS),
-                    self.BITS,
-                )
-            )
-            err = max(abs(v) for v in (got - x @ y).flat)
-            assert err <= mp.mpf(2) ** (-self.BITS + 8) * max(abs(v) for v in (x @ y).flat)
-
-    def test_inverse_by_newton_and_by_fallback(self):
-        rng = np.random.default_rng(4)
-        n = 6
-        with mp.workdps(60):
-            # well conditioned: Newton-Schulz from the extended inverse
-            x = self._random_mp(rng, n)
-            # a Hilbert matrix of order 14 (condition ~1e19) has no usable
-            # extended-precision start, so mpmath's LU takes over
-            h = np.array([[mp.mpc(1) / (i + j + 1) for j in range(14)] for i in range(14)], dtype=object)
-            for m, newton in ((x, True), (h, False)):
-                start = extended_inverse(highprec.extended_matrix(m))
-                block = highprec._from_mp(m.flat, m.shape, self.BITS)
-                assert (highprec._newton_inverse(block, start, self.BITS) is not None) == newton
-                inv = highprec._to_mp(highprec._inverse(m, self.BITS))
-                residual = max(abs(v) for v in (m @ inv - np.eye(len(m))).flat)
-                assert residual < mp.mpf(10) ** -30
 
 
 def _paper_sum(hp, a, z):
