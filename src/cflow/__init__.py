@@ -20,6 +20,7 @@ from .annihilator import (
 from .basis import (
     BasisDescriptor,
     CoefficientTable,
+    basis_values,
     branch_log,
     build_basis,
     eval_basis,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AmbiguousRank, NonConvergence, UnknownCluster, ZeroEigenvalue
+from .errors import AmbiguousRank, NonConvergence, NonFiniteEntry, UnknownCluster, ZeroEigenvalue
 from .numeric import DEFAULT_TOL, ToleranceConfig, as_matrix, max_norm
 
 __all__ = [
@@ -278,7 +278,12 @@ def characteristic_polynomial(a) -> AnnihilatorPolynomial:
 
 
 def _relative_residual(res: float, a: np.ndarray, p: int) -> float:
-    return res / max(1.0, max_norm(a) ** p)
+    try:
+        return res / max(1.0, max_norm(a) ** p)
+    except OverflowError as exc:
+        raise NonFiniteEntry(
+            f"an intermediate of the build overflows: |A|^{p} exceeds double precision"
+        ) from exc
 
 
 def validate_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:

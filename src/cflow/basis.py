@@ -14,6 +14,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "BasisDescriptor",
     "CoefficientTable",
     "build_basis",
+    "basis_values",
     "eval_basis",
     "vandermonde_matrix",
     "invert_vandermonde",
@@ -52,9 +54,10 @@ def generalized_binomial(j: int, z: complex) -> complex:
         raise ValueError("shift must be nonnegative")
     if j == 0:
         return 1.0 + 0.0j
+    z = complex(z)
     acc = 1.0 + 0.0j
     for i in range(j):
-        acc *= complex(z) - i
+        acc *= z - i
     return acc / math.factorial(j)
 
 
@@ -89,6 +92,12 @@ class BasisDescriptor:
     def size(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def term_logs(self) -> tuple:
+        """``(shift, branch log)`` of every term, in term order."""
+        clusters = self.spectrum.clusters
+        return tuple((j, clusters[ci].log) for ci, j in self.terms)
+
 
 @dataclass(frozen=True)
 class CoefficientTable:
@@ -101,6 +110,18 @@ class CoefficientTable:
     e: np.ndarray
     condition_estimate: float
     e_extended: np.ndarray | None = None
+
+    def warn_if_ill_conditioned(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+        """Emit a :class:`ConditioningWarning` (never an error) when the
+        condition estimate exceeds ``cond_warn``, attributed to the caller of
+        the function that asks."""
+        if self.condition_estimate > tol.cond_warn:
+            warnings.warn(
+                f"generalized Vandermonde condition estimate {self.condition_estimate:.3e} "
+                f"exceeds {tol.cond_warn:.1e}; coefficients may be inaccurate",
+                ConditioningWarning,
+                stacklevel=3,
+            )
 
 
 def build_basis(spectrum: Spectrum) -> BasisDescriptor:
@@ -119,24 +140,29 @@ def _finite_exponent(z: complex) -> complex:
     return z
 
 
-def eval_basis(basis: BasisDescriptor, z: complex) -> np.ndarray:
-    """Values of every basis function at ``z``, in double precision.
+def basis_values(basis: BasisDescriptor, z: complex) -> list:
+    """Values of every basis function at ``z``, as Python complex numbers.
 
     Raises :class:`NonFiniteEntry` when ``z`` is not finite or a value
     overflows.
     """
     z = _finite_exponent(z)
-    clusters = basis.spectrum.clusters
-    out = np.empty(basis.size, dtype=np.complex128)
     try:
-        for k, (ci, j) in enumerate(basis.terms):
-            power = cmath.exp((z - j) * clusters[ci].log)
-            out[k] = power if j == 0 else generalized_binomial(j, z) * power
+        return [
+            cmath.exp((z - j) * log)
+            if j == 0
+            else generalized_binomial(j, z) * cmath.exp((z - j) * log)
+            for j, log in basis.term_logs
+        ]
     except OverflowError as exc:
         raise NonFiniteEntry(
             f"A^z overflows: a basis value exceeds double precision at z={z}"
         ) from exc
-    return out
+
+
+def eval_basis(basis: BasisDescriptor, z: complex) -> np.ndarray:
+    """:func:`basis_values` as a double-precision vector."""
+    return np.array(basis_values(basis, z), dtype=np.complex128)
 
 
 def eval_basis_extended(basis: BasisDescriptor, z) -> np.ndarray:
@@ -146,10 +172,10 @@ def eval_basis_extended(basis: BasisDescriptor, z) -> np.ndarray:
     if not np.isfinite(zs).all():
         raise NonFiniteEntry(f"exponent {z} is not finite")
     zs = zs.astype(np.clongdouble)[..., None]
-    shifts = np.array([j for _, j in basis.terms])
-    logs = np.array([basis.spectrum.clusters[ci].log for ci, _ in basis.terms], dtype=np.clongdouble)
+    shifts = np.array([j for j, _ in basis.term_logs])
+    logs = np.array([log for _, log in basis.term_logs], dtype=np.clongdouble)
     values = np.exp((zs - shifts) * logs)
-    top = max(j for _, j in basis.terms)
+    top = int(shifts.max())
     if top:  # the binomial factors g_j(z) of multiple eigenvalues
         binomial = np.ones_like(values)
         for i in range(top):
@@ -198,11 +224,6 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
         e_ext = e_ext @ (2.0 * eye - b_ext @ e_ext)
     e = e_ext.astype(np.complex128)
     cond = max_norm(b) * max_norm(e) * p
-    if cond > tol.cond_warn:
-        warnings.warn(
-            f"generalized Vandermonde condition estimate {cond:.3e} exceeds "
-            f"{tol.cond_warn:.1e}; coefficients may be inaccurate",
-            ConditioningWarning,
-            stacklevel=2,
-        )
-    return CoefficientTable(e=e, condition_estimate=cond, e_extended=e_ext)
+    table = CoefficientTable(e=e, condition_estimate=cond, e_extended=e_ext)
+    table.warn_if_ill_conditioned(tol)
+    return table

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -43,6 +44,7 @@ from .annihilator import (
 from .basis import (
     BasisDescriptor,
     CoefficientTable,
+    basis_values,
     build_basis,
     eval_basis,
     eval_basis_extended,
@@ -122,6 +124,16 @@ class FlowRepresentation:
     def degree(self) -> int:
         return self.relation.degree
 
+    @cached_property
+    def _contraction(self) -> tuple:
+        """What every evaluation reads, built on first use: the covariants as
+        one contiguous ``(p, n*n)`` matrix, their scales ``max|M_k|``, the
+        largest scale, and ``n``."""
+        p, n, _ = self.covariants.shape
+        flat = np.ascontiguousarray(self.covariants.reshape(p, n * n))
+        scales = np.max(np.abs(flat), axis=1)
+        return flat, scales, float(np.max(scales)), n
+
     def evaluation_condition(self, z: complex) -> float:
         """Condition of the sum :func:`evaluate_flow` computes at ``z``:
         ``sum_k |f_k(z)| |M_k| / |A^z|`` in the max norm.
@@ -130,10 +142,9 @@ class FlowRepresentation:
         errors of the double-precision sum are amplified by this ratio.  It
         reads the covariants that are evaluated, in or out of the mpmath tier.
         """
+        flat, scales, *_ = self._contraction
         f = eval_basis(self.basis, z)
-        scales = np.max(np.abs(self.covariants), axis=(1, 2))
-        value = np.tensordot(f, self.covariants, axes=1)
-        return float(np.abs(f) @ scales) / max(max_norm(value), 1e-300)
+        return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
 
 
 def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -278,7 +289,9 @@ def build_flow(
             q, discovered = characteristic_polynomial(a), False
             source = "characteristic polynomial (minimal polynomial rank ambiguous): "
     residual = q.residual if discovered else _accepted(validate_relation(a, q, tol), tol, source)
-    basis, coeffs = spectral_table(q, tol, branch_offsets)
+    # The double-precision table is folded into the covariants only outside
+    # the mpmath tier, so its conditioning is reported once that is decided.
+    basis, coeffs = spectral_table(q, replace(tol, cond_warn=math.inf), branch_offsets)
     n = a.shape[0]
     negs_ext = _negative_powers_extended(a, q.degree, tol)
     # Estimated cancellation of the sum over the negative powers for a
@@ -292,6 +305,11 @@ def build_flow(
     for probe in (1.0, 5.0, -3.0):
         mu_probe = np.abs(e_ext @ eval_basis_extended(basis, probe)).astype(np.float64)
         amp = max(amp, float(mu_probe @ neg_scales) / max(1.0, max_norm(a)))
+    if not math.isfinite(amp):
+        raise NonFiniteEntry(
+            "an intermediate of the build overflows: the amplification estimate "
+            "of the negative-power sum exceeds double precision"
+        )
     high_precision = None
     if amp > 1e8:
         from .highprec import HighPrecisionFlow
@@ -300,6 +318,7 @@ def build_flow(
         high_precision = HighPrecisionFlow(a, q, basis, dps, tol, discovered)
         basis, covariants = schur_covariants(a, basis, tol)
     else:
+        coeffs.warn_if_ill_conditioned(tol)
         if discovered:
             _accepted(residual, tol)
         stacked = np.stack(negs_ext).reshape(q.degree, n * n)
@@ -344,9 +363,14 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
 
     Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite.
     """
-    p, n, _ = rep.covariants.shape
-    out = (eval_basis(rep.basis, z) @ rep.covariants.reshape(p, n * n)).reshape(n, n)
-    return _finite(out, "A^z", z)
+    flat, _, top, n = rep._contraction
+    values = basis_values(rep.basis, z)
+    out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
+    # Every entry is at most sum_k |f_k| max|M|, so a bound far below the
+    # overflow threshold proves the result finite; a NaN fails the comparison.
+    if not sum(map(abs, values)) * top <= 1e300:
+        _finite(out, "A^z", z)
+    return out
 
 
 class CompanionFlow:

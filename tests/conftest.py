@@ -67,6 +67,22 @@ def random_suite_case(rng: np.random.Generator, max_dim: int = 8) -> SuiteCase:
     return SuiteCase(matrix=a, blocks=tuple(blocks), transform=t)
 
 
+def overflowing_builds() -> dict:
+    """Finite, invertible matrices whose builds overflow double precision:
+    the first n=8 suite matrix of seed 0 (also the first of
+    ``bench/inputs.many_z_cases(0)``) scaled by 1e30, where the amplification
+    estimate is infinite, and by 1e40, where ``|A|^p`` of the relation
+    residual overflows like it does for ``[[2, 1e160], [0, 3]]``."""
+    rng = np.random.default_rng(0)
+    while (case := random_suite_case(rng)).matrix.shape[0] != 8:
+        pass
+    return {
+        "suite8x1e30": case.matrix * 1e30,
+        "suite8x1e40": case.matrix * 1e40,
+        "entry1e160": np.array([[2.0, 1e160], [0.0, 3.0]], dtype=np.complex128),
+    }
+
+
 def defective_case(
     rng: np.random.Generator, n: int, singular_values: np.ndarray | None = None
 ) -> SuiteCase:

@@ -10,7 +10,7 @@ from cflow import build_flow, highprec, jordan_oracle, mu_functions
 from cflow.cli import main
 from cflow.matfile import parse_complex, read_matrix, write_matrix
 
-from conftest import defective_case, distinct_case, rel_err
+from conftest import defective_case, distinct_case, overflowing_builds, rel_err
 
 
 def _save(tmp_path, name, a) -> str:
@@ -164,16 +164,34 @@ class TestPow:
         assert captured.out == ""
         assert captured.err.startswith("error: Schur reordering failed")
 
-    def test_conditioning_warning_is_a_warning_line(self, tmp_path, capsys):
+    def test_conditioning_warning_is_a_warning_line(self, fixtures, capsys):
         # the default display printed the library's source path and line
-        p = tmp_path / "distinct20.json"
-        with open(p, "w") as fh:
-            write_matrix(distinct_case(np.random.default_rng(0), 20).matrix, fh)
-        assert main(["pow", str(p), "--z", "0.5"]) == 0
+        assert main(["pow", fixtures["random4"], "--z", "0.5", "--tol-cond-warn", "1"]) == 0
         err = capsys.readouterr().err
         assert err.startswith("warning: generalized Vandermonde condition estimate")
         assert all(line.startswith("warning: ") for line in err.splitlines())
         assert ".py" not in err
+
+    def test_tier_prints_no_vandermonde_line(self, tmp_path, capsys):
+        # the tier evaluates the Schur covariants: the double-precision
+        # table's estimate (1.2e14 here) says nothing about the result
+        case = distinct_case(np.random.default_rng(0), 20)
+        assert main(["pow", _save(tmp_path, "distinct20", case.matrix), "--z", "0.5"]) == 0
+        captured = capsys.readouterr()
+        assert "Vandermonde" not in captured.err
+        doc = json.loads(captured.out)
+        result = np.array([[complex(*v) for v in row] for row in doc["entries"]])
+        assert rel_err(result, jordan_oracle(case.blocks, case.transform, 0.5)) <= 1e-12
+
+    @pytest.mark.parametrize("command", [["pow", "--z", "0.5"], ["verify"], ["analyze"]])
+    @pytest.mark.parametrize("name", sorted(overflowing_builds()))
+    def test_overflowing_build_exit_6(self, tmp_path, capsys, command, name):
+        # these finite, invertible inputs ended in a bare OverflowError
+        path = _save(tmp_path, name, overflowing_builds()[name])
+        assert main([command[0], path, *command[1:]]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: an intermediate of the build overflows" in captured.err
 
     @pytest.mark.parametrize(
         "command, calls",

@@ -1,6 +1,10 @@
 """Unit tests for the two flow constructions, the Jordan oracle and the
 structural checks."""
 
+import cmath
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,11 @@ from cflow import flow
 from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
+    ConditioningWarning,
     NonFiniteEntry,
     NotJordanForm,
     RelationInvalid,
+    ToleranceConfig,
     ZeroEigenvalue,
     build_flow,
     check_flow_axioms,
@@ -20,17 +26,25 @@ from cflow import (
     companion_action_check,
     companion_flow_mu,
     companion_matrix,
+    eval_basis,
     evaluate_companion_flow,
     evaluate_flow,
     extend_matrix,
     jordan_block_flow,
     jordan_oracle,
+    max_norm,
     mu_functions,
     negative_powers,
     validate_relation,
 )
 
-from conftest import defective_case, jordan_block_case, rel_err
+from conftest import (
+    defective_case,
+    distinct_case,
+    jordan_block_case,
+    overflowing_builds,
+    rel_err,
+)
 
 
 class TestNegativePowers:
@@ -151,6 +165,33 @@ class TestBuildFlow:
             companion_flow_mu(q, float("nan"))
         with pytest.raises(NonFiniteEntry):
             evaluate_companion_flow(a, q, 2000.0)
+
+    @pytest.mark.parametrize("name", sorted(overflowing_builds()))
+    def test_overflowing_build_raises_non_finite(self, name):
+        # finite, invertible inputs whose build overflowed with a bare OverflowError
+        with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
+            build_flow(overflowing_builds()[name])
+
+    def test_tier_does_not_warn_about_the_table_it_discards(self):
+        # the double-precision table's estimate read 1.2e14 here, for a
+        # result within 1e-12 of the oracle
+        case = distinct_case(np.random.default_rng(0), 20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = build_flow(case.matrix)
+        assert rep.high_precision is not None
+        assert rep.coeffs.condition_estimate > 1e12
+        assert [w for w in caught if issubclass(w.category, ConditioningWarning)] == []
+        z = 0.5 + 0.25j
+        assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-12
+
+    def test_folded_table_warns_at_the_caller(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.warns(ConditioningWarning, match="generalized Vandermonde") as caught:
+            build_flow(a, tol=ToleranceConfig(cond_warn=1.0))
+        assert len(caught) == 1
+        assert caught[0].filename == __file__
 
     def test_covariants_fold_the_table(self):
         # M_k = sum_i e_ik A^{-i}, so A^z = sum_k f_k(z) M_k
@@ -321,3 +362,80 @@ class TestCheckFlowAxioms:
         assert report.identity_residual < 1e-12
         assert report.generator_residual < 1e-12
         assert report.group_residual < 1e-12
+
+
+def _evaluated_by_loop(rep, z):
+    """``A^z``, the basis values and the evaluation condition by the per-term
+    loop, stacked contraction and ``isfinite`` pass that the cached
+    contraction replaced."""
+    z = complex(z)
+    clusters = rep.basis.spectrum.clusters
+    f = np.empty(rep.basis.size, dtype=np.complex128)
+    for k, (ci, j) in enumerate(rep.basis.terms):
+        power = cmath.exp((z - j) * clusters[ci].log)
+        acc = 1.0 + 0.0j
+        for i in range(j):
+            acc *= z - i
+        f[k] = power if j == 0 else acc / math.factorial(j) * power
+    p, n, _ = rep.covariants.shape
+    out = (f @ rep.covariants.reshape(p, n * n)).reshape(n, n)
+    assert np.isfinite(out).all()
+    scales = np.max(np.abs(rep.covariants), axis=(1, 2))
+    value = np.tensordot(f, rep.covariants, axes=1)
+    return out, f, float(np.abs(f) @ scales) / max(max_norm(value), 1e-300)
+
+
+_GRID = [0.0, 1.0, -1.0, 0.5, 2.5, -1.7, 7.0, 0.5 + 0.3j, 3j, -2.0 - 1.5j, 1e-9, -0.0 - 0.0j] + [
+    complex(*v) for v in np.random.default_rng(3).uniform(-3.0, 3.0, (12, 2))
+]
+
+
+class TestEvaluateFlow:
+    """The cached contraction is the parent's evaluation to the bit."""
+
+    @staticmethod
+    def _check(rep, zs=_GRID):
+        for z in zs:
+            out, f, cond = _evaluated_by_loop(rep, z)
+            assert evaluate_flow(rep, z).tobytes() == out.tobytes()
+            assert eval_basis(rep.basis, z).tobytes() == f.tobytes()
+            assert rep.evaluation_condition(z) == cond
+
+    def test_suite(self, suite_reps):
+        for rep in suite_reps:
+            self._check(rep)
+
+    def test_tier_fixture(self):
+        rep = build_flow(defective_case(np.random.default_rng(0), 12).matrix)
+        assert rep.high_precision is not None
+        self._check(rep)
+
+    @pytest.mark.parametrize("lam, size", [(2.0, 3), (0.8 + 0.6j, 4), (-1.5, 2), (1.0, 5)])
+    def test_conjugated_jordan_blocks(self, lam, size):
+        self._check(build_flow(jordan_block_case(np.random.default_rng(5), lam, size).matrix))
+
+    def test_bound_above_threshold_keeps_a_finite_result(self):
+        # at z = 620 the finiteness bound is about 6e303, so the entries are
+        # checked one by one, and they are finite
+        self._check(build_flow(np.array([[2.0, 1e8], [0.0, 3.0]])), [600.0, 620.0])
+
+    def test_nan_basis_value_raises(self):
+        # g_2(1e160) overflows and 0.5^1e160 underflows: their product is NaN
+        rep = build_flow(np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]))
+        assert np.isnan(eval_basis(rep.basis, 1e160)).any()
+        with pytest.raises(NonFiniteEntry, match="not finite"):
+            evaluate_flow(rep, 1e160)
+
+    def test_overflowing_contraction_raises(self):
+        # the basis values are finite at z = 640 (3^640 is about 1e305), and
+        # the covariants' 1e8 entries take the sum past double precision
+        rep = build_flow(np.array([[2.0, 1e8], [0.0, 3.0]]))
+        assert np.isfinite(eval_basis(rep.basis, 640.0)).all()
+        with pytest.raises(NonFiniteEntry, match="A\\^z is not finite"):
+            evaluate_flow(rep, 640.0)
+        with pytest.raises(NonFiniteEntry, match="overflows"):
+            evaluate_flow(rep, 650.0)
+
+    def test_nan_exponent_raises(self, suite_reps):
+        with pytest.raises(NonFiniteEntry, match="exponent"):
+            evaluate_flow(suite_reps[0], complex(float("nan"), 0.0))
