@@ -212,13 +212,43 @@ def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> tuple:
     return coef, float(np.max(np.abs(v_ext - k_ext @ coef)))
 
 
+def _dependence_residuals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Krylov matrix ``[vec(I), vec(A), ..., vec(A^n)]`` and, for each
+    column ``q``, its relative distance from the span of the columns before
+    it: ``|R[q, q]| / ||vec(A^q)||`` from one Householder QR.
+
+    From the first power whose norm is not finite on, the residual is NaN and
+    those columns stay out of the factorization.  A column beyond the
+    ``n^2`` rows (only at ``n = 1``) lies in the span of the ones before it
+    and has residual 0; a zero power has residual NaN (``0 / 0``), which is
+    no dependence.
+    """
+    n = a.shape[0]
+    powers = [np.eye(n, dtype=np.complex128)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            powers.append(powers[-1] @ a)
+        krylov = np.stack(powers).reshape(n + 1, n * n).T
+        norms = np.linalg.norm(krylov, axis=0)
+        ok = np.isfinite(norms)
+        m = n + 1 if ok.all() else int(np.argmin(ok))
+        r = np.linalg.qr(krylov[:, :m], mode="r")
+        diag = np.zeros(m)
+        diag[: min(r.shape)] = np.abs(np.diagonal(r))
+        residuals = np.full(n + 1, np.nan)
+        residuals[:m] = diag / norms[:m]
+    return krylov, residuals
+
+
 def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPolynomial:
     """Monic annihilating polynomial of least degree.
 
-    Flattens ``I, A, A^2, ...`` into vectors and detects the first linear
-    dependence by incremental orthogonalization against the running span.
-    The result's ``residual`` is read off the extended refinement of its
-    coefficients, which forms ``vec(Q(A))``; it is the
+    Flattens ``I, A, ..., A^n`` into the columns of a Krylov matrix and takes
+    the degree at the first linear dependence: the first ``q`` whose QR
+    residual ``|R[q, q]| / ||vec(A^q)||`` falls to ``rank_tol``.  The
+    coefficients solve the least-squares system on the first ``q`` columns
+    and are refined in extended precision.  The result's ``residual`` is read
+    off that refinement, which forms ``vec(Q(A))``; it is the
     :func:`validate_relation` measure without a second evaluation.
 
     Raises
@@ -229,22 +259,11 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
     """
     a = as_matrix(a)
     n = a.shape[0]
-    basis = []  # orthonormal vectors spanning {vec(A^0), ..., vec(A^{q-1})}
-    powers = [np.eye(n, dtype=np.complex128)]
-    v0 = powers[0].reshape(-1)
-    basis.append(v0 / np.linalg.norm(v0))
+    krylov, residuals = _dependence_residuals(a)
     for q in range(1, n + 1):
-        powers.append(powers[-1] @ a)
-        v = powers[-1].reshape(-1)
-        scale = np.linalg.norm(v)
-        r = v.copy()
-        for _ in range(2):  # re-orthogonalize for a trustworthy residual
-            for u in basis:
-                r = r - (np.conj(u) @ r) * u
-        rel = np.linalg.norm(r) / scale
+        rel = residuals[q]
         if rel <= tol.rank_tol:
-            k = np.column_stack([m.reshape(-1) for m in powers[:q]])
-            coef, *_ = np.linalg.lstsq(k, v, rcond=None)
+            coef, *_ = np.linalg.lstsq(krylov[:, :q], krylov[:, q], rcond=None)
             coef_ext, res = _refine_relation_coefficients(a, coef)
             return AnnihilatorPolynomial(
                 tuple(coef_ext.astype(np.complex128)),
@@ -257,7 +276,6 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
             raise AmbiguousRank(
                 f"dependence residual {rel:.3e} too close to rank_tol at degree {q}"
             )
-        basis.append(r / np.linalg.norm(r))
     raise AssertionError("unreachable")
 
 
@@ -367,9 +385,9 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
     return list(zip(centers.tolist(), mults.tolist()))
 
 
-def _cluster_at_radius(roots: np.ndarray, radius: float) -> list:
+def _cluster_at_radius(roots: list, radius: float) -> list:
     """Single-linkage grouping of the root list at a fixed merge radius."""
-    parent = list(range(roots.size))
+    parent = list(range(len(roots)))
 
     def find(i):
         while parent[i] != i:
@@ -377,14 +395,14 @@ def _cluster_at_radius(roots: np.ndarray, radius: float) -> list:
             i = parent[i]
         return i
 
-    for i in range(roots.size):
-        for j in range(i + 1, roots.size):
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) <= radius:
                 parent[find(i)] = find(j)
 
     groups = {}
-    for i in range(roots.size):
-        groups.setdefault(find(i), []).append(roots[i])
+    for i, root in enumerate(roots):
+        groups.setdefault(find(i), []).append(root)
     return list(groups.values())
 
 
@@ -444,7 +462,8 @@ def cluster_roots(
             return [(complex(np.mean(g)), len(g)) for g in groups]
         return _polish(polynomial, groups, max(10.0 * _CLUSTER_FLOOR, 2.0 * radius / scale))
 
-    best = refine(_cluster_at_radius(roots, base_radius), base_radius)
+    values = roots.tolist()  # the O(p^2) grouping loop runs on Python complex numbers
+    best = refine(_cluster_at_radius(values, base_radius), base_radius)
     if len(radii) > 1:
         # Single-linkage groupings are nested in the radius, so the sorted
         # multiplicity signature identifies a grouping uniquely: a grouping
@@ -452,7 +471,7 @@ def cluster_roots(
         best_res = _rebuild_residual(polynomial, best)
         seen = {tuple(sorted(m for _, m in best))}
         for radius in radii[1:]:
-            groups = _cluster_at_radius(roots, radius)
+            groups = _cluster_at_radius(values, radius)
             signature = tuple(sorted(len(g) for g in groups))
             if signature in seen:
                 continue

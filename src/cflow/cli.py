@@ -10,8 +10,8 @@ Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
 eigenvalue, 4 root finding failed (the eigenvalue iteration on the companion
 matrix, or the Schur form of the mpmath tier, failed), 5 relation invalid, 6 result not finite (``A^z``
-overflows at the requested exponent).  Warnings are printed to standard
-error as ``warning:`` lines.
+overflows at the requested exponent).  cflow's warnings are printed to
+standard error as ``warning:`` lines; numpy's own are not shown.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .basis import eval_basis
 from .errors import (
     CFlowError,
+    ConditioningWarning,
     MatrixParseError,
     NonConvergence,
     NonFiniteEntry,
@@ -339,9 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """A library warning as the CLI's own ``warning:`` line, without the
-    source location the default display adds."""
-    print(f"warning: {message}", file=sys.stderr)
+    """A cflow warning as the CLI's own ``warning:`` line, without the source
+    location the default display adds.  Other warnings, such as numpy's
+    ``overflow encountered in dot``, name an operation, not the input, and
+    are not shown."""
+    if issubclass(category, ConditioningWarning):
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -293,18 +293,19 @@ def build_flow(
     # the mpmath tier, so its conditioning is reported once that is decided.
     basis, coeffs = spectral_table(q, replace(tol, cond_warn=math.inf), branch_offsets)
     n = a.shape[0]
-    negs_ext = _negative_powers_extended(a, q.degree, tol)
+    negs_ext = np.stack(_negative_powers_extended(a, q.degree, tol))
     # Estimated cancellation of the sum over the negative powers for a
     # working range of z; when extended precision cannot absorb it, the
     # covariants are built at arbitrary precision.  (At z = k the result
     # |A^k| can be dwarfed by the terms |mu_i(k)| |A^{-i}|, and every
     # rounding error scales with the terms.)
     e_ext = coeffs.e_extended
-    neg_scales = np.array([np.max(np.abs(p)) for p in negs_ext], dtype=np.float64)
+    neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
+    a_scale = max(1.0, max_norm(a))
     amp = 0.0
-    for probe in (1.0, 5.0, -3.0):
-        mu_probe = np.abs(e_ext @ eval_basis_extended(basis, probe)).astype(np.float64)
-        amp = max(amp, float(mu_probe @ neg_scales) / max(1.0, max_norm(a)))
+    for f in eval_basis_extended(basis, np.array([1.0, 5.0, -3.0])):
+        mu_probe = np.abs(e_ext @ f).astype(np.float64)
+        amp = max(amp, float(mu_probe @ neg_scales) / a_scale)
     if not math.isfinite(amp):
         raise NonFiniteEntry(
             "an intermediate of the build overflows: the amplification estimate "
@@ -321,13 +322,13 @@ def build_flow(
         coeffs.warn_if_ill_conditioned(tol)
         if discovered:
             _accepted(residual, tol)
-        stacked = np.stack(negs_ext).reshape(q.degree, n * n)
+        stacked = negs_ext.reshape(q.degree, n * n)
         covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)
     return FlowRepresentation(
         relation=q,
         basis=basis,
         coeffs=coeffs,
-        neg_powers=tuple(m.astype(np.complex128) for m in negs_ext),
+        neg_powers=tuple(negs_ext.astype(np.complex128)),
         source_dim=n,
         relation_residual=residual,
         covariants=covariants,

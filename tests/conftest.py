@@ -67,15 +67,29 @@ def random_suite_case(rng: np.random.Generator, max_dim: int = 8) -> SuiteCase:
     return SuiteCase(matrix=a, blocks=tuple(blocks), transform=t)
 
 
-def overflowing_builds() -> dict:
-    """Finite, invertible matrices whose builds overflow double precision:
-    the first n=8 suite matrix of seed 0 (also the first of
-    ``bench/inputs.many_z_cases(0)``) scaled by 1e30, where the amplification
-    estimate is infinite, and by 1e40, where ``|A|^p`` of the relation
-    residual overflows like it does for ``[[2, 1e160], [0, 3]]``."""
+def first_suite8_case() -> SuiteCase:
+    """The first n=8 suite matrix of seed 0, also the first of
+    ``bench/inputs.many_z_cases(0)``."""
     rng = np.random.default_rng(0)
     while (case := random_suite_case(rng)).matrix.shape[0] != 8:
         pass
+    return case
+
+
+# Why large scales get false diagnoses (ROADMAP item 3), for the strict xfails
+# that pin them.
+LSTSQ_TRUNCATES_SCALES = (
+    "the Krylov columns differ in scale by 1e77 to 1e100, and lstsq's default "
+    "rcond truncates them, so the discovered relation is wrong; ROADMAP item 3"
+)
+
+
+def overflowing_builds() -> dict:
+    """Finite, invertible matrices whose builds overflow double precision:
+    :func:`first_suite8_case` scaled by 1e30, where the amplification
+    estimate is infinite, and by 1e40, where ``|A|^p`` of the relation
+    residual overflows like it does for ``[[2, 1e160], [0, 3]]``."""
+    case = first_suite8_case()
     return {
         "suite8x1e30": case.matrix * 1e30,
         "suite8x1e40": case.matrix * 1e40,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cflow import (
+    DEFAULT_TOL,
+    AmbiguousRank,
     AnnihilatorPolynomial,
     NonConvergence,
     ZeroEigenvalue,
@@ -19,7 +21,13 @@ from cflow import (
 from cflow import annihilator
 from cflow.highprec import _mpc_from_extended
 
-from conftest import distinct_case
+from conftest import (
+    defective_case,
+    distinct_case,
+    first_suite8_case,
+    overflowing_builds,
+    random_suite_case,
+)
 
 
 def _coeffs(q):
@@ -287,3 +295,111 @@ def test_ladder_polishes_each_grouping_once(monkeypatch):
     assert sorted(c.multiplicity for c in s.clusters) == [1, 3]
     assert len(groupings) > len(set(groupings))  # the ladder revisits a grouping
     assert sorted(polished) == sorted(set(groupings))
+
+
+def _by_gram_schmidt(a, tol=DEFAULT_TOL):
+    """The degree decision as ``minimal_polynomial`` made it before its QR:
+    each power orthogonalized twice against the running span by modified
+    Gram-Schmidt.  Returns the residual of every degree looked at, and the
+    minimal polynomial or the exception the decision raised."""
+    n = a.shape[0]
+    basis, residuals = [], []
+    powers = [np.eye(n, dtype=np.complex128)]
+    v0 = powers[0].reshape(-1)
+    basis.append(v0 / np.linalg.norm(v0))
+    with np.errstate(all="ignore"):
+        for q in range(1, n + 1):
+            powers.append(powers[-1] @ a)
+            v = powers[-1].reshape(-1)
+            scale = np.linalg.norm(v)
+            r = v.copy()
+            for _ in range(2):
+                for u in basis:
+                    r = r - (np.conj(u) @ r) * u
+            rel = np.linalg.norm(r) / scale
+            residuals.append(rel)
+            if rel <= tol.rank_tol:
+                k = np.column_stack([m.reshape(-1) for m in powers[:q]])
+                coef, *_ = np.linalg.lstsq(k, v, rcond=None)
+                coef_ext, res = annihilator._refine_relation_coefficients(a, coef)
+                return residuals, AnnihilatorPolynomial(
+                    tuple(coef_ext.astype(np.complex128)),
+                    coeffs_extended=tuple(coef_ext),
+                    residual=annihilator._relative_residual(res, a, q),
+                )
+            if rel <= 10.0 * tol.rank_tol or q == n:
+                return residuals, AmbiguousRank(
+                    f"dependence residual {rel:.3e} too close to rank_tol at degree {q}"
+                )
+            basis.append(r / np.linalg.norm(r))
+
+
+def _ladder(seed, sizes=(20, 24)):
+    """The matrices of ``bench/inputs.ladder_cases(seed)`` at ``sizes``: the
+    ladder draws a distinct, then a defective matrix at n = 12, 16, 20 and
+    24, and conjugates the distinct one by ``T`` and ``inv(T)``."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for n in (12, 16, 20, 24):
+        case = distinct_case(rng, n)
+        defective = defective_case(rng, n).matrix
+        if n in sizes:
+            t, lam = case.transform, np.diag([lam for lam, _ in case.blocks])
+            out[f"ladder{seed}-n{n}-distinct"] = t @ lam @ np.linalg.inv(t)
+            out[f"ladder{seed}-n{n}-defective"] = defective
+    return out
+
+
+def _decision_inputs() -> dict:
+    rng = np.random.default_rng(0)
+    inputs = {f"suite{i}": random_suite_case(rng).matrix for i in range(50)}
+    inputs.update(_ladder(0))
+    inputs.update(_ladder(16))
+    inputs["eye3"] = np.eye(3, dtype=np.complex128)
+    inputs["diag223"] = np.diag([2.0, 2.0, 3.0]).astype(np.complex128)
+    inputs["unipotent"] = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=np.complex128)
+    inputs["one"] = np.array([[2.5 - 1.0j]])
+    inputs.update(overflowing_builds())
+    return inputs
+
+
+_DECISION_INPUTS = _decision_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(_DECISION_INPUTS))
+def test_qr_decides_like_gram_schmidt(name):
+    # the QR residual |R[q, q]| / |vec(A^q)| takes the same decision and the
+    # same relation as the Gram-Schmidt loop it replaced
+    a = _DECISION_INPUTS[name]
+    residuals, expected = _by_gram_schmidt(a)
+    try:
+        q = minimal_polynomial(a)
+    except Exception as exc:
+        assert isinstance(expected, Exception)
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert isinstance(expected, AnnihilatorPolynomial)
+        assert q.coeffs == expected.coeffs
+        assert q.coeffs_extended == expected.coeffs_extended
+        assert q.residual == expected.residual
+    _, qr = annihilator._dependence_residuals(a)
+    decided = len(residuals)
+    np.testing.assert_allclose(qr[1:decided], residuals[:-1], rtol=1e-6)
+
+
+def test_overflowed_power_is_no_dependence():
+    # |vec(A^8)| overflows here while its distance from the lower powers does
+    # not; Gram-Schmidt read finite / inf = 0 as a dependence and returned a
+    # relation with residual 10.6, whose roots raised ZeroEigenvalue
+    a = first_suite8_case().matrix * 1e20
+    with pytest.raises(AmbiguousRank, match="residual nan .* at degree 8"):
+        minimal_polynomial(a)
+
+
+def test_dependence_residuals_at_n1_and_for_a_zero_power():
+    # a 1x1 matrix has one row, so its Krylov matrix has no R[1, 1]: a nonzero
+    # A is a dependence, a zero one (0 / 0) is not
+    _, residuals = annihilator._dependence_residuals(np.array([[2.0 + 0j]]))
+    assert residuals.tolist() == [1.0, 0.0]
+    _, residuals = annihilator._dependence_residuals(np.zeros((1, 1), dtype=np.complex128))
+    assert np.isnan(residuals[1])

@@ -10,7 +10,13 @@ from cflow import build_flow, highprec, jordan_oracle, mu_functions
 from cflow.cli import main
 from cflow.matfile import parse_complex, read_matrix, write_matrix
 
-from conftest import defective_case, distinct_case, overflowing_builds, rel_err
+from conftest import (
+    LSTSQ_TRUNCATES_SCALES,
+    defective_case,
+    distinct_case,
+    overflowing_builds,
+    rel_err,
+)
 
 
 def _save(tmp_path, name, a) -> str:
@@ -192,6 +198,28 @@ class TestPow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: an intermediate of the build overflows" in captured.err
+
+    @pytest.mark.parametrize(
+        "matrix, z", [([[2.0, 1e160], [0.0, 3.0]], "0.5"), ([[2.0, 1e8], [0.0, 3.0]], "640")]
+    )
+    def test_numpy_warnings_are_not_shown(self, tmp_path, capsys, matrix, z):
+        # numpy's overflow warnings named its operations ("overflow
+        # encountered in dot") before the error that names the overflow
+        assert main(["pow", _save(tmp_path, "large", matrix), "--z", z]) == 6
+        err = capsys.readouterr().err
+        assert "encountered in" not in err
+        assert err.startswith("error: ")
+
+    @pytest.mark.xfail(strict=True, reason=LSTSQ_TRUNCATES_SCALES)
+    def test_large_entry_is_not_singular(self, tmp_path, capsys):
+        # eigenvalues 2 and 3: the discovered relation has roots {0, 5}, and
+        # its residual 6.0e-200 passes residual_tol because validate_relation
+        # divides by |A|^p, so pow exits 3 as "not invertible"
+        path = _save(tmp_path, "entry1e100", [[2.0, 1e100], [0.0, 3.0]])
+        assert main(["pow", path, "--z", "0.5"]) == 0
+        r2, r3 = 2.0**0.5, 3.0**0.5
+        expected = np.array([[r2, 1e100 * (r3 - r2)], [0.0, r3]])
+        assert rel_err(_matrix_out(capsys), expected) < 1e-12
 
     @pytest.mark.parametrize(
         "command, calls",

@@ -39,8 +39,10 @@ from cflow import (
 )
 
 from conftest import (
+    LSTSQ_TRUNCATES_SCALES,
     defective_case,
     distinct_case,
+    first_suite8_case,
     jordan_block_case,
     overflowing_builds,
     rel_err,
@@ -171,6 +173,16 @@ class TestBuildFlow:
         # finite, invertible inputs whose build overflowed with a bare OverflowError
         with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
             build_flow(overflowing_builds()[name])
+
+    @pytest.mark.xfail(strict=True, raises=ZeroEigenvalue, reason=LSTSQ_TRUNCATES_SCALES)
+    def test_large_scale_is_not_a_zero_eigenvalue(self):
+        # eigenvalues of magnitude 5e9 to 3e10: the discovered relation has
+        # residual 5.6 and roots near 0, and the build raises ZeroEigenvalue
+        case, s = first_suite8_case(), 1e10
+        rep = build_flow(case.matrix * s)
+        for z in (0.5, -1.7 + 0.3j):
+            expected = jordan_oracle(case.blocks, case.transform, z) * s**z
+            assert rel_err(evaluate_flow(rep, z), expected) < 1e-8
 
     def test_tier_does_not_warn_about_the_table_it_discards(self):
         # the double-precision table's estimate read 1.2e14 here, for a
