@@ -441,6 +441,9 @@ def cluster_roots(
     ZeroEigenvalue
         If any root magnitude is at or below ``cluster_tol`` (the matrix is
         not invertible, so no flow exists).
+    NonConvergence
+        If a cluster centre lands at or below ``cluster_tol`` although no
+        root does.
     """
     roots = np.asarray(roots, dtype=np.complex128)
     if roots.size == 0:
@@ -483,6 +486,11 @@ def cluster_roots(
 
     clusters = []
     for center, m in best:
+        if abs(center) <= tol.cluster_tol:
+            raise NonConvergence(
+                f"polishing a root cluster drove its centre to magnitude {abs(center):.3e}, "
+                f"although every root lies above {tol.cluster_tol:.1e} in magnitude"
+            )
         if abs(center.imag) <= 1e3 * tol.root_tol * (1.0 + abs(center)):
             center = complex(center.real, 0.0)  # deterministic branch on the real axis
         clusters.append((center, m))

@@ -93,10 +93,10 @@ class BasisDescriptor:
         return len(self.terms)
 
     @cached_property
-    def term_logs(self) -> tuple:
-        """``(shift, branch log)`` of every term, in term order."""
+    def term_table(self) -> tuple:
+        """``(shift, branch log, shift!)`` of every term, in term order."""
         clusters = self.spectrum.clusters
-        return tuple((j, clusters[ci].log) for ci, j in self.terms)
+        return tuple((j, clusters[ci].log, math.factorial(j)) for ci, j in self.terms)
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,25 @@ def _finite_exponent(z: complex) -> complex:
     return z
 
 
+def term_values(basis: BasisDescriptor, z: complex) -> list:
+    """:func:`basis_values` at a finite Python complex ``z``, unchecked:
+    ``generalized_binomial(j, z)`` times the power, inlined in the same order
+    of operations.
+
+    Raises ``OverflowError`` when a power overflows.
+    """
+    values = []
+    for j, log, factorial in basis.term_table:
+        if j == 0:
+            values.append(cmath.exp(z * log))
+        else:
+            acc = 1.0 + 0.0j
+            for i in range(j):
+                acc *= z - i
+            values.append(acc / factorial * cmath.exp((z - j) * log))
+    return values
+
+
 def basis_values(basis: BasisDescriptor, z: complex) -> list:
     """Values of every basis function at ``z``, as Python complex numbers.
 
@@ -148,12 +167,7 @@ def basis_values(basis: BasisDescriptor, z: complex) -> list:
     """
     z = _finite_exponent(z)
     try:
-        return [
-            cmath.exp((z - j) * log)
-            if j == 0
-            else generalized_binomial(j, z) * cmath.exp((z - j) * log)
-            for j, log in basis.term_logs
-        ]
+        return term_values(basis, z)
     except OverflowError as exc:
         raise NonFiniteEntry(
             f"A^z overflows: a basis value exceeds double precision at z={z}"
@@ -172,22 +186,33 @@ def eval_basis_extended(basis: BasisDescriptor, z) -> np.ndarray:
     if not np.isfinite(zs).all():
         raise NonFiniteEntry(f"exponent {z} is not finite")
     zs = zs.astype(np.clongdouble)[..., None]
-    shifts = np.array([j for j, _ in basis.term_logs])
-    logs = np.array([log for _, log in basis.term_logs], dtype=np.clongdouble)
+    shifts = np.array([j for j, _, _ in basis.term_table])
+    logs = np.array([log for _, log, _ in basis.term_table], dtype=np.clongdouble)
     values = np.exp((zs - shifts) * logs)
     top = int(shifts.max())
     if top:  # the binomial factors g_j(z) of multiple eigenvalues
         binomial = np.ones_like(values)
         for i in range(top):
             binomial *= np.where(i < shifts, zs - i, 1)
-        values *= binomial / np.array([math.factorial(j) for j in shifts], dtype=np.clongdouble)
+        values *= binomial / np.array([f for _, _, f in basis.term_table], dtype=np.clongdouble)
     return values
 
 
 def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
     """The ``p x p`` matrix with row ``i``, column ``j`` entry ``f_j(-i)``
-    (``i, j`` counted from 1)."""
-    return eval_basis_extended(basis, -np.arange(1, basis.size + 1)).astype(np.complex128)
+    (``i, j`` counted from 1).
+
+    Raises :class:`NonFiniteEntry` when an entry exceeds double precision.
+    """
+    values = eval_basis_extended(basis, -np.arange(1, basis.size + 1))
+    with np.errstate(over="ignore"):
+        b = values.astype(np.complex128)
+    if not np.isfinite(b).all():
+        raise NonFiniteEntry(
+            "an intermediate of the build overflows: an entry of the generalized "
+            "Vandermonde matrix exceeds double precision"
+        )
+    return b
 
 
 def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTable:

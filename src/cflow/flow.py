@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -51,6 +52,7 @@ from .basis import (
     generalized_binomial,
     invert_vandermonde,
     scalar_flow,
+    term_values,
     vandermonde_matrix,
 )
 from .errors import (
@@ -128,11 +130,12 @@ class FlowRepresentation:
     def _contraction(self) -> tuple:
         """What every evaluation reads, built on first use: the covariants as
         one contiguous ``(p, n*n)`` matrix, their scales ``max|M_k|``, the
-        largest scale, and ``n``."""
+        largest scale, ``n``, and the radius of :func:`_finite_radius`."""
         p, n, _ = self.covariants.shape
         flat = np.ascontiguousarray(self.covariants.reshape(p, n * n))
         scales = np.max(np.abs(flat), axis=1)
-        return flat, scales, float(np.max(scales)), n
+        top = float(np.max(scales))
+        return flat, scales, top, n, _finite_radius(self.basis, top)
 
     def evaluation_condition(self, z: complex) -> float:
         """Condition of the sum :func:`evaluate_flow` computes at ``z``:
@@ -145,6 +148,33 @@ class FlowRepresentation:
         flat, scales, *_ = self._contraction
         f = eval_basis(self.basis, z)
         return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
+
+
+def _finite_radius(basis: BasisDescriptor, top: float) -> float:
+    """A radius ``R`` such that every ``|z| <= R`` gives finite basis values
+    and ``sum_k |f_k(z)| max|M| <= 1e300``, which proves ``A^z`` finite with
+    room for rounding; -1 when a covariant is not finite.
+
+    A term of shift ``j`` is at most ``(|z| + j)^j e^((|z| + j) |log lam|) /
+    j!``.  With ``J`` the largest shift, ``L = max |log lam|`` and ``s = |z| +
+    J``, every term is at most ``s^J e^(sL)``, and the bound holds while ``J
+    log s + sL <= B = log(1e300 / (p max|M|))``.  ``s0 = B / L`` drops the
+    logarithm, so it is at least the largest such ``s``, and ``s1 = (B - J
+    log s0) / L`` satisfies the bound when ``s0 > 1``: a closed form, not an
+    iteration.  ``R = s1 - J`` is finite, so an infinite ``z`` lies outside.
+    """
+    if not math.isfinite(top):
+        return -1.0
+    shift = max(j for j, _, _ in basis.term_table)
+    spread = max(abs(log) for _, log, _ in basis.term_table)
+    budget = math.log(1e300 / max(basis.size * top, 1.0))
+    if spread == 0.0:  # every eigenvalue is 1 on the principal branch
+        s = math.exp(budget / shift) if shift else math.inf
+    else:
+        s = budget / spread
+        if shift and s > 1.0:
+            s = (budget - shift * math.log(s)) / spread
+    return min(s - shift, sys.float_info.max)
 
 
 def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -364,12 +394,18 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
 
     Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite.
     """
-    flat, _, top, n = rep._contraction
-    values = basis_values(rep.basis, z)
+    flat, _, top, n, radius = rep._contraction
+    z = complex(z)
+    # Inside the radius the basis values and the result are finite, so
+    # nothing is checked; a NaN or infinite z fails the comparison.  (abs()
+    # can raise OverflowError on a NaN, from a stale errno.)
+    inside = math.hypot(z.real, z.imag) <= radius
+    values = term_values(rep.basis, z) if inside else basis_values(rep.basis, z)
     out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
-    # Every entry is at most sum_k |f_k| max|M|, so a bound far below the
-    # overflow threshold proves the result finite; a NaN fails the comparison.
-    if not sum(map(abs, values)) * top <= 1e300:
+    # Beyond it, every entry is at most sum_k |f_k| max|M|, so a bound far
+    # below the overflow threshold proves the result finite; a NaN fails the
+    # comparison.
+    if not inside and not sum(map(abs, values)) * top <= 1e300:
         _finite(out, "A^z", z)
     return out
 

@@ -84,6 +84,22 @@ LSTSQ_TRUNCATES_SCALES = (
 )
 
 
+# Suite case 0 of seed 0 times this scale has eigenvalues of magnitude 1.4e-5
+# to 3.5e-5, and a polished cluster centre of its relation lands on 0.
+CENTRE_AT_ZERO_SCALE = 1e-5
+
+# Why that case gets no flow, for the strict xfail that pins it.
+NOT_SCALE_INVARIANT = (
+    "the clustering radius and the zero-eigenvalue threshold are absolute, so "
+    "a small scale merges distinct eigenvalues; ROADMAP item 1"
+)
+
+
+def first_suite_case() -> SuiteCase:
+    """Suite case 0 of seed 0, a 7x7 with one 2-block."""
+    return random_suite_case(np.random.default_rng(0))
+
+
 def overflowing_builds() -> dict:
     """Finite, invertible matrices whose builds overflow double precision:
     :func:`first_suite8_case` scaled by 1e30, where the amplification

@@ -11,9 +11,11 @@ from cflow.cli import main
 from cflow.matfile import parse_complex, read_matrix, write_matrix
 
 from conftest import (
+    CENTRE_AT_ZERO_SCALE,
     LSTSQ_TRUNCATES_SCALES,
     defective_case,
     distinct_case,
+    first_suite_case,
     overflowing_builds,
     rel_err,
 )
@@ -209,6 +211,17 @@ class TestPow:
         err = capsys.readouterr().err
         assert "encountered in" not in err
         assert err.startswith("error: ")
+
+    def test_centre_at_zero_exit_4(self, tmp_path, capsys):
+        # a polished cluster centre landed on 0: cmath.log raised "math
+        # domain error", and pow printed a traceback and exited 1
+        path = _save(tmp_path, "small", first_suite_case().matrix * CENTRE_AT_ZERO_SCALE)
+        assert main(["pow", path, "--z", "0.5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "singular" not in captured.err
 
     @pytest.mark.xfail(strict=True, reason=LSTSQ_TRUNCATES_SCALES)
     def test_large_entry_is_not_singular(self, tmp_path, capsys):

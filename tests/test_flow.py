@@ -2,6 +2,7 @@
 structural checks."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
     ConditioningWarning,
+    NonConvergence,
     NonFiniteEntry,
     NotJordanForm,
     RelationInvalid,
@@ -30,6 +32,7 @@ from cflow import (
     evaluate_companion_flow,
     evaluate_flow,
     extend_matrix,
+    generalized_binomial,
     jordan_block_flow,
     jordan_oracle,
     max_norm,
@@ -39,9 +42,12 @@ from cflow import (
 )
 
 from conftest import (
+    CENTRE_AT_ZERO_SCALE,
     LSTSQ_TRUNCATES_SCALES,
+    NOT_SCALE_INVARIANT,
     defective_case,
     distinct_case,
+    first_suite_case,
     first_suite8_case,
     jordan_block_case,
     overflowing_builds,
@@ -183,6 +189,33 @@ class TestBuildFlow:
         for z in (0.5, -1.7 + 0.3j):
             expected = jordan_oracle(case.blocks, case.transform, z) * s**z
             assert rel_err(evaluate_flow(rep, z), expected) < 1e-8
+
+    def test_centre_at_zero_is_non_convergence(self):
+        # a polished cluster centre landed on 0, and cmath.log raised an
+        # untyped ValueError; the matrix is not singular
+        with pytest.raises(NonConvergence, match="centre"):
+            build_flow(first_suite_case().matrix * CENTRE_AT_ZERO_SCALE)
+
+    @pytest.mark.xfail(strict=True, raises=NonConvergence, reason=NOT_SCALE_INVARIANT)
+    def test_small_scale_is_the_scaled_flow(self):
+        case, s = first_suite_case(), CENTRE_AT_ZERO_SCALE
+        rep = build_flow(case.matrix * s)
+        for z in (0.5 + 0.25j, -1.7, 3j):
+            expected = s**z * jordan_oracle(case.blocks, case.transform, z)
+            assert rel_err(evaluate_flow(rep, z), expected) < 1e-10
+
+    def test_overflowing_vandermonde_is_typed(self):
+        # a 30-fold root at 1e-6 puts entries of 1e354 in the generalized
+        # Vandermonde matrix: its cast to double precision leaked numpy's
+        # RuntimeWarning, and the finite input was reported as containing
+        # "NaN or infinite entries"
+        q = AnnihilatorPolynomial.from_roots([1e-6] * 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
+                build_flow(np.array([[1e-6]]), q)
+            with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
+                companion_flow_mu(q, 0.5)
 
     def test_tier_does_not_warn_about_the_table_it_discards(self):
         # the double-precision table's estimate read 1.2e14 here, for a
@@ -451,3 +484,149 @@ class TestEvaluateFlow:
     def test_nan_exponent_raises(self, suite_reps):
         with pytest.raises(NonFiniteEntry, match="exponent"):
             evaluate_flow(suite_reps[0], complex(float("nan"), 0.0))
+
+
+def _parent_outcome(rep, z):
+    """``evaluate_flow`` as it was before the finiteness radius: the basis
+    values with one ``generalized_binomial`` per shifted term, and the bound
+    ``sum_k |f_k| max|M| <= 1e300`` checked on every call.  Returns the
+    result's bytes, or the error's type and message."""
+    try:
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise NonFiniteEntry(f"exponent {z} is not finite")
+        clusters = rep.basis.spectrum.clusters
+        try:
+            values = [
+                cmath.exp((z - j) * clusters[ci].log)
+                if j == 0
+                else generalized_binomial(j, z) * cmath.exp((z - j) * clusters[ci].log)
+                for ci, j in rep.basis.terms
+            ]
+        except OverflowError as exc:
+            raise NonFiniteEntry(
+                f"A^z overflows: a basis value exceeds double precision at z={z}"
+            ) from exc
+        p, n, _ = rep.covariants.shape
+        flat = np.ascontiguousarray(rep.covariants.reshape(p, n * n))
+        with np.errstate(all="ignore"):
+            out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
+        if not sum(map(abs, values)) * float(np.max(np.abs(flat))) <= 1e300:
+            if not np.isfinite(out).all():
+                raise NonFiniteEntry(f"A^z is not finite at z={z}")
+        return out.tobytes()
+    except NonFiniteEntry as exc:
+        return NonFiniteEntry, str(exc)
+
+
+def _outcome(rep, z):
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate_flow(rep, z).tobytes()
+    except NonFiniteEntry as exc:
+        return NonFiniteEntry, str(exc)
+
+
+def _radius(rep) -> float:
+    return rep._contraction[4]
+
+
+def _steepest(rep) -> complex:
+    """The unit direction in which the term with the largest ``|log lam|``
+    grows fastest."""
+    log = max((log for _, log, _ in rep.basis.term_table), key=abs)
+    return log.conjugate() / abs(log)
+
+
+def _radius_points(rep) -> list:
+    """Just inside and just outside the radius, on the real axis and in the
+    steepest direction."""
+    r = _radius(rep)
+    return [r * (1.0 + d) * u for d in (-1e-12, 1e-12) for u in (1.0, _steepest(rep))]
+
+
+class TestFiniteRadius:
+    """Inside the radius of ``_contraction``, ``evaluate_flow`` computes only
+    the basis values and one product; its outcome is the parent's to the bit."""
+
+    ZS = [0.0, 1.0, -1.0, 3.0, 0.5 + 0.25j, -1.7]
+
+    @pytest.fixture(scope="class")
+    def tier_rep(self):
+        rep = build_flow(defective_case(np.random.default_rng(0), 12).matrix)
+        assert rep.high_precision is not None
+        return rep
+
+    def _check(self, rep):
+        for z in self.ZS + _radius_points(rep):
+            assert _outcome(rep, z) == _parent_outcome(rep, z), z
+
+    def test_suite(self, suite_reps):
+        assert any(j for rep in suite_reps for _, j in rep.basis.terms)  # shifted terms
+        for rep in suite_reps:
+            self._check(rep)
+
+    def test_tier_fixture(self, tier_rep):
+        self._check(tier_rep)
+
+    def test_short_path_is_taken_only_inside(self, suite_reps, tier_rep, monkeypatch):
+        calls, term_values = [], flow.term_values
+
+        def spy(basis, z):
+            calls.append(z)
+            return term_values(basis, z)
+
+        monkeypatch.setattr(flow, "term_values", spy)
+        for rep in [*suite_reps, tier_rep]:
+            inner, outer = _radius(rep) * (1.0 - 1e-12), _radius(rep) * (1.0 + 1e-12)
+            for u in (1.0, _steepest(rep)):
+                calls.clear()
+                _outcome(rep, inner * u)
+                assert len(calls) == 1
+                _outcome(rep, outer * u)
+                assert len(calls) == 1
+
+    def test_radius_is_just_below_the_overflow(self, suite_reps, tier_rep):
+        # in the steepest direction the results overflow between 1.03 R and
+        # 1.06 R, so the short path covers all but a few percent of the
+        # finite results
+        for rep in [*suite_reps, tier_rep]:
+            u = _radius(rep) * _steepest(rep)
+            assert isinstance(_parent_outcome(rep, 0.99 * u), bytes)
+            assert _parent_outcome(rep, 1.2 * u)[0] is NonFiniteEntry
+
+    def test_non_finite_still_raises(self, suite_reps):
+        rep = suite_reps[0]
+        for z in (float("nan"), float("inf"), complex(0.5, float("inf")), complex(float("nan"), 1.0)):
+            # an overflow first leaves errno set, and abs() of a NaN then
+            # raised OverflowError
+            with pytest.raises(NonFiniteEntry, match="overflows"):
+                evaluate_flow(rep, 2.0 * _radius(rep) * _steepest(rep))
+            with pytest.raises(NonFiniteEntry, match="exponent"):
+                evaluate_flow(rep, z)
+        # the basis values are finite at z = 640 and the sum is not
+        large = build_flow(np.array([[2.0, 1e8], [0.0, 3.0]]))
+        assert _radius(large) < 640.0
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteEntry, match="A\\^z is not finite"):
+            evaluate_flow(large, 640.0)
+
+    def test_extreme_covariants_keep_their_checks(self, suite_reps, monkeypatch):
+        rep = next(rep for rep in suite_reps if any(j for _, j in rep.basis.terms))
+        held = rep.covariants.copy()
+        held[0, 0, 0] = np.inf
+        held = dataclasses.replace(rep, covariants=held)
+        assert _radius(held) == -1.0
+        monkeypatch.setattr(flow, "term_values", None)  # the short path would fail on None
+        for z in (0.0, 1.0, 0.5 + 0.25j):
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteEntry, match="A\\^z is not"):
+                evaluate_flow(held, z)
+        monkeypatch.undo()
+        # finite covariants near overflow: the sum overflows where the basis
+        # values are still about 1e150, at about three times the radius
+        huge = dataclasses.replace(rep, covariants=rep.covariants * 1e250)
+        log = max((log for _, log, _ in rep.basis.term_table), key=abs)
+        window = math.log(1e150) / abs(log) * _steepest(rep)
+        assert 2.0 * _radius(huge) < abs(window)
+        for z in [*self.ZS, *_radius_points(huge), window]:
+            assert _outcome(huge, z) == _parent_outcome(huge, z), z
+        assert _outcome(huge, window)[0] is NonFiniteEntry
