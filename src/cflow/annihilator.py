@@ -38,6 +38,17 @@ _EPS = float(np.finfo(np.float64).eps)
 _CLUSTER_FLOOR = (1e4 * _EPS) ** (1.0 / 3.0)
 
 
+def _horner(asc, x):
+    """Value and slope at ``x`` of the polynomial with ascending coefficients
+    ``asc``, by one joint Horner recurrence in the arithmetic of ``x``: a
+    Python or numpy scalar, a numpy array of points, or an ``mpc``."""
+    value = slope = x - x  # zero in that arithmetic (and shape)
+    for a in asc[::-1]:
+        slope = slope * x + value
+        value = value * x + a
+    return value, slope
+
+
 @dataclass(frozen=True)
 class AnnihilatorPolynomial:
     """Monic polynomial ``X^p - c_{p-1} X^{p-1} - ... - c_1 X - c_0``.
@@ -114,19 +125,11 @@ class AnnihilatorPolynomial:
         )
 
     def __call__(self, x: complex) -> complex:
-        asc = self.monic_coefficients()
-        acc = 0.0 + 0.0j
-        for a in asc[::-1]:
-            acc = acc * x + a
-        return acc
+        return _horner(self.monic_coefficients(), x)[0]
 
     def derivative_value(self, x: complex) -> complex:
         asc = self.monic_coefficients()
-        der = asc[1:] * np.arange(1, len(asc))
-        acc = 0.0 + 0.0j
-        for a in der[::-1]:
-            acc = acc * x + a
-        return acc
+        return _horner(asc[1:] * np.arange(1, len(asc)), x)[0]
 
     def evaluate_matrix(self, a) -> np.ndarray:
         """Horner evaluation of the polynomial at a square matrix, run in
@@ -365,11 +368,7 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
         x = x0.astype(np.clongdouble)
         last = np.inf
         for _ in range(50):
-            pv = np.zeros_like(x)
-            dv = np.zeros_like(x)
-            for a in d[::-1]:
-                dv = dv * x + pv
-                pv = pv * x + a
+            pv, dv = _horner(d, x)
             flat = np.abs(dv) < 1e-300
             step = np.where(flat, 0.0, pv / np.where(flat, 1.0, dv))
             x = x - step

@@ -140,22 +140,25 @@ def _finite_exponent(z: complex) -> complex:
     return z
 
 
-def term_values(basis: BasisDescriptor, z: complex) -> list:
-    """:func:`basis_values` at a finite Python complex ``z``, unchecked:
+def term_values(table, z, exp=cmath.exp) -> list:
+    """The basis values ``g_j(z) exp((z - j) log)`` of a term table
+    (:attr:`BasisDescriptor.term_table`) at a finite ``z``, unchecked:
     ``generalized_binomial(j, z)`` times the power, inlined in the same order
-    of operations.
+    of operations.  ``z``, the logs and ``exp`` share one arithmetic: Python
+    complex numbers with ``cmath.exp``, or ``mpc`` with ``mpmath.exp`` (which
+    ``cmath.exp`` would round to double precision).
 
-    Raises ``OverflowError`` when a power overflows.
+    Raises ``OverflowError`` when a power overflows double precision.
     """
     values = []
-    for j, log, factorial in basis.term_table:
+    for j, log, factorial in table:
         if j == 0:
-            values.append(cmath.exp(z * log))
+            values.append(exp(z * log))
         else:
             acc = 1.0 + 0.0j
             for i in range(j):
                 acc *= z - i
-            values.append(acc / factorial * cmath.exp((z - j) * log))
+            values.append(acc / factorial * exp((z - j) * log))
     return values
 
 
@@ -167,7 +170,7 @@ def basis_values(basis: BasisDescriptor, z: complex) -> list:
     """
     z = _finite_exponent(z)
     try:
-        return term_values(basis, z)
+        return term_values(basis.term_table, z)
     except OverflowError as exc:
         raise NonFiniteEntry(
             f"A^z overflows: a basis value exceeds double precision at z={z}"
@@ -215,6 +218,16 @@ def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
     return b
 
 
+def _singular_vandermonde(where: str, cause: Exception) -> SingularMatrix:
+    """The error of a pivot failure ``where`` (empty in double precision)."""
+    return SingularMatrix(
+        f"generalized Vandermonde matrix is numerically singular{where}; a nonzero "
+        "determinant is guaranteed for distinct eigenvalue clusters, so "
+        "root clustering upstream has likely merged or split eigenvalues "
+        f"incorrectly ({cause})"
+    )
+
+
 def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTable:
     """Invert a generalized Vandermonde matrix via LU, with refinement.
 
@@ -236,12 +249,7 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
     try:
         f = lu_factor(b / row_scale[:, None] / col_scale[None, :], pivot_tol)
     except SingularMatrix as exc:
-        raise SingularMatrix(
-            "generalized Vandermonde matrix is numerically singular; a nonzero "
-            "determinant is guaranteed for distinct eigenvalue clusters, so "
-            "root clustering upstream has likely merged or split eigenvalues "
-            f"incorrectly ({exc})"
-        ) from exc
+        raise _singular_vandermonde("", exc) from exc
     b_ext = b.astype(np.clongdouble)
     eye = np.eye(p, dtype=np.clongdouble)
     e_ext = extended_inverse(b)

@@ -3,8 +3,9 @@
 The commands keep no relation logic: a matrix's representation, with its
 relation discovered or the ``--relation`` given, checked and measured, is
 :func:`cflow.flow.build_flow`'s.  ``analyze`` and ``formula MATRIX`` report
-the paper's form of that representation (at working precision in the
-mpmath tier).
+the paper's form of that representation, and ``formula --relation`` that of
+the relation's companion construction (:class:`cflow.flow.CompanionFlow`),
+at working precision in the mpmath tier.
 
 Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
@@ -23,7 +24,6 @@ import warnings
 
 import numpy as np
 
-from .basis import eval_basis
 from .errors import (
     CFlowError,
     ConditioningWarning,
@@ -36,12 +36,12 @@ from .errors import (
     ZeroEigenvalue,
 )
 from .flow import (
+    CompanionFlow,
     FlowRepresentation,
     build_flow,
     check_flow_axioms,
     evaluate_flow,
     mu_functions,
-    spectral_table,
 )
 from .matfile import (
     format_complex,
@@ -53,6 +53,16 @@ from .matfile import (
 from .numeric import DEFAULT_TOL, ToleranceConfig, max_norm, power_int
 
 RESIDUAL_LIMIT = 1e-8  # shared pass/fail threshold for all verify categories
+
+# The exit code of each error, first match wins (see the module docstring).
+_EXIT_CODES = (
+    ((MatrixParseError, UnknownCluster), 2),
+    ((SingularMatrix, ZeroEigenvalue), 3),
+    (NonConvergence, 4),
+    (RelationInvalid, 5),
+    (NonFiniteEntry, 6),
+    (CFlowError, 3),  # anything else operational
+)
 
 
 def _add_common(sub):
@@ -215,15 +225,9 @@ def cmd_pow(args) -> int:
     return 0
 
 
-def _paper_form(args, tol: ToleranceConfig):
-    """The matrix file's representation, and its relation, basis, table and
-    relation residual; in the mpmath tier, those at working precision."""
-    rep = _build(args, read_matrix(args.matrix), tol)
-    return rep, rep.high_precision or rep
-
-
 def cmd_analyze(args) -> int:
-    _, form = _paper_form(args, _tolerances(args))
+    rep = _build(args, read_matrix(args.matrix), _tolerances(args))
+    form = rep.high_precision or rep
     report = _representation_report(
         form.relation, form.basis, form.coeffs, residual=form.relation_residual
     )
@@ -235,20 +239,18 @@ def cmd_analyze(args) -> int:
 def cmd_formula(args) -> int:
     tol = _tolerances(args)
     if args.matrix:
-        rep, form = _paper_form(args, tol)
-        q, basis, table = form.relation, form.basis, form.coeffs
+        rep = _build(args, read_matrix(args.matrix), tol)
     elif args.relation:
         q = parse_relation(args.relation)
-        if abs(q.coeffs[0]) == 0.0:
-            raise ZeroEigenvalue("constant coefficient is zero; zero is a root of the relation")
-        rep = None
-        basis, table = spectral_table(q, tol, _branch_offsets(args))
+        rep = CompanionFlow(q, tol, _branch_offsets(args)).representation
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
-    report = _representation_report(q, basis, table, skip_zero=args.skip_zero)
+    form = rep.high_precision or rep
+    report = _representation_report(
+        form.relation, form.basis, form.coeffs, skip_zero=args.skip_zero
+    )
     if args.at is not None:
-        z = parse_complex(args.at)
-        mu = table.e @ eval_basis(basis, z) if rep is None else mu_functions(rep, z)
+        mu = mu_functions(rep, parse_complex(args.at))
         report["mu_at"] = {"z": args.at, "values": [[v.real, v.imag] for v in mu]}
     _print_report(report, args.json, sys.stdout)
     return 0
@@ -358,24 +360,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return args.func(args)
-    except (MatrixParseError, UnknownCluster) as exc:
+    except CFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SingularMatrix, ZeroEigenvalue) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except RelationInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NonFiniteEntry as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except CFlowError as exc:  # anything else operational
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

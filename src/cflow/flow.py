@@ -383,10 +383,7 @@ def mu_functions(rep: FlowRepresentation, z: complex) -> np.ndarray:
     """The coefficient vector ``mu(z)`` with ``A^z = sum mu_i(z) A^{-i}``."""
     if rep.high_precision is not None:
         return _finite(rep.high_precision.mu(z), "mu", z)
-    e = rep.coeffs.e_extended
-    if e is None:
-        e = rep.coeffs.e.astype(np.clongdouble)
-    return _rounded(e @ eval_basis_extended(rep.basis, z), "mu", z)
+    return _rounded(rep.coeffs.e_extended @ eval_basis_extended(rep.basis, z), "mu", z)
 
 
 def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
@@ -400,13 +397,20 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     # nothing is checked; a NaN or infinite z fails the comparison.  (abs()
     # can raise OverflowError on a NaN, from a stale errno.)
     inside = math.hypot(z.real, z.imag) <= radius
-    values = term_values(rep.basis, z) if inside else basis_values(rep.basis, z)
+    values = term_values(rep.basis.term_table, z) if inside else basis_values(rep.basis, z)
     out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
     # Beyond it, every entry is at most sum_k |f_k| max|M|, so a bound far
     # below the overflow threshold proves the result finite; a NaN fails the
-    # comparison.
-    if not inside and not sum(map(abs, values)) * top <= 1e300:
-        _finite(out, "A^z", z)
+    # comparison.  A bound that cannot be formed (abs() of a finite value
+    # beyond the largest double, or of a NaN with a stale errno, raises
+    # OverflowError) proves nothing, and the entries are checked.
+    if not inside:
+        try:
+            bounded = sum(map(abs, values)) * top <= 1e300
+        except OverflowError:
+            bounded = False
+        if not bounded:
+            _finite(out, "A^z", z)
     return out
 
 
@@ -421,7 +425,8 @@ class CompanionFlow:
     runs on a diagonal similarity ``D^{-1} C D`` with ``D`` powers of the
     geometric-mean root magnitude: companion matrices of high-degree
     relations are badly scaled, and balancing keeps the precision probe of
-    that construction meaningful.
+    that construction meaningful.  ``representation`` is that construction's
+    flow, whose relation is ``q``.
     """
 
     def __init__(
@@ -437,10 +442,10 @@ class CompanionFlow:
         p = q.degree
         scale = (abs(q.coeffs[0]) ** (1.0 / p)) ** np.arange(p)
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self._rep = build_flow(balanced, q, tol, branch_offsets)
+        self.representation = build_flow(balanced, q, tol, branch_offsets)
 
     def mu(self, z: complex) -> np.ndarray:
-        return mu_functions(self._rep, z)
+        return mu_functions(self.representation, z)
 
 
 def companion_flow_mu(

@@ -36,11 +36,12 @@ from .annihilator import (
     AnnihilatorPolynomial,
     Cluster,
     Spectrum,
+    _horner,
     cluster_roots,
     find_roots,
     validate_relation,
 )
-from .basis import CoefficientTable, build_basis
+from .basis import CoefficientTable, _singular_vandermonde, build_basis, term_values
 from .numeric import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["HighPrecisionFlow", "extended_matrix"]
@@ -104,18 +105,6 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial, solve: bool) -
     return [-c[i] for i in range(p)] + [mp.mpc(1)]
 
 
-def _basis_values(terms, logs: list, z: mp.mpc) -> list:
-    """``g_j(z) lam^(z - j)`` for every basis term, given each cluster's
-    branch log, in mpmath."""
-    out = []
-    for ci, j in terms:
-        acc = mp.mpc(1)
-        for i in range(j):
-            acc *= z - i
-        out.append(acc / math.factorial(j) * mp.exp((z - j) * logs[ci]))
-    return out
-
-
 class HighPrecisionFlow:
     """The paper's form of one matrix's flow at ``dps`` decimal digits.
 
@@ -148,7 +137,7 @@ class HighPrecisionFlow:
 
     @functools.cached_property
     def _form(self) -> SimpleNamespace:
-        """The relation, table, basis and branch logs at working precision."""
+        """The relation, table, basis and term table at working precision."""
         p = self._start.degree
         with mp.workdps(self.dps):
             asc = _krylov_relation(self._a, self._start, solve=self._discovered)
@@ -167,10 +156,14 @@ class HighPrecisionFlow:
                 logs.append(log)
                 clusters.append(Cluster(complex(center), cluster.multiplicity, complex(log)))
             basis = build_basis(Spectrum(tuple(clusters)))
+            terms = tuple((j, logs[ci], math.factorial(j)) for ci, j in basis.terms)
             b = np.array(
-                [_basis_values(basis.terms, logs, mp.mpc(-(i + 1))) for i in range(p)], dtype=object
+                [term_values(terms, mp.mpc(-(i + 1)), mp.exp) for i in range(p)], dtype=object
             )
-            inv = mp.matrix(b.T.tolist()) ** -1
+            try:
+                inv = mp.matrix(b.T.tolist()) ** -1
+            except ZeroDivisionError as exc:  # mpmath's report of a numerically singular matrix
+                raise _singular_vandermonde(" at working precision", exc) from exc
             e = np.array(inv.tolist(), dtype=object)
             table = CoefficientTable(
                 e=e.astype(np.complex128),
@@ -179,7 +172,7 @@ class HighPrecisionFlow:
             )
         residual = validate_relation(self._a, q, tol)
         return SimpleNamespace(
-            relation=q, coeffs=table, basis=basis, logs=logs, e=e, relation_residual=residual
+            relation=q, coeffs=table, basis=basis, terms=terms, e=e, relation_residual=residual
         )
 
     relation = property(lambda self: self._form.relation)
@@ -193,20 +186,12 @@ class HighPrecisionFlow:
         d = asc
         for _ in range(multiplicity - 1):
             d = [d[i] * i for i in range(1, len(d))]
-        dd = [d[i] * i for i in range(1, len(d))]
-
-        def horner(c, x):
-            v = mp.mpc(0)
-            for coeff in reversed(c):
-                v = v * x + coeff
-            return v
-
         x = mp.mpc(x0)
         for _ in range(100):
-            denom = horner(dd, x)
-            if abs(denom) == 0:
+            value, slope = _horner(d, x)
+            if abs(slope) == 0:
                 break
-            step = horner(d, x) / denom
+            step = value / slope
             x -= step
             if abs(step) <= mp.mpf(10) ** (-mp.mp.dps + 5) * (1 + abs(x)):
                 break
@@ -216,7 +201,7 @@ class HighPrecisionFlow:
         """The coefficient vector as a list of ``mpc`` values."""
         form = self._form
         with mp.workdps(self.dps):
-            values = _basis_values(form.basis.terms, form.logs, mp.mpc(complex(z)))
+            values = term_values(form.terms, mp.mpc(complex(z)), mp.exp)
             return list(form.e @ np.array(values, dtype=object))
 
     def mu(self, z: complex) -> np.ndarray:

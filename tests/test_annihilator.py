@@ -48,6 +48,23 @@ class TestPolynomial:
         assert q(0) == pytest.approx(6)
         assert q.derivative_value(0) == pytest.approx(-5)
 
+    def test_call_and_derivative_are_the_former_loops(self):
+        def horner(asc, x):  # the loop each of them ran on its own
+            acc = 0.0 + 0.0j
+            for a in asc[::-1]:
+                acc = acc * x + a
+            return acc
+
+        rng = np.random.default_rng(7)
+        for p in range(1, 10):
+            q = AnnihilatorPolynomial(tuple(rng.standard_normal(p) + 1j * rng.standard_normal(p)))
+            asc = q.monic_coefficients()
+            der = asc[1:] * np.arange(1, len(asc))
+            points = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            for x in [0, -2.5, *points, *map(complex, points)]:
+                assert q(x) == horner(asc, x)
+                assert q.derivative_value(x) == horner(der, x)
+
     def test_from_roots(self):
         q = AnnihilatorPolynomial.from_roots([2, 3])
         assert np.allclose(_coeffs(q), [-6, 5])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import cflow
-from cflow import build_flow, highprec, jordan_oracle, mu_functions
+from cflow import AnnihilatorPolynomial, build_flow, highprec, jordan_oracle, mu_functions
 from cflow.cli import main
-from cflow.matfile import parse_complex, read_matrix, write_matrix
+from cflow.matfile import format_complex, parse_complex, parse_relation, read_matrix, write_matrix
 
 from conftest import (
     CENTRE_AT_ZERO_SCALE,
@@ -103,6 +103,14 @@ class TestPow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_modulus_beyond_the_largest_double_exit_0(self, fixtures, capsys):
+        # 3^z is finite here; forming the bound of the sum raised OverflowError
+        assert main(["pow", fixtures["diag23"], "--z", "646.2227+0.7149i"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        re, im = json.loads(captured.out)["entries"][1][1]
+        assert 1e308 < re < np.inf and 1e308 < im < np.inf
 
     def test_overflowing_companion_exit_6(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "2000", "--method", "companion"]) == 6
@@ -441,6 +449,35 @@ class TestFormula:
             values = json.loads(capsys.readouterr().out)["mu_at"]["values"]
             mu = mu_functions(build_flow(read_matrix(path)), parse_complex(at))
             assert [complex(*v) for v in values] == list(mu)
+
+    @pytest.mark.parametrize("at", ["0.5+0.3i", "-1.7"])
+    @pytest.mark.parametrize("name", ["random4", "diag23", "jordan2"])
+    def test_relation_mu_at_is_the_library_mu(self, fixtures, capsys, name, at):
+        # formula --relation --at kept a double-precision mu of its own; the
+        # library's is that of any matrix the relation annihilates
+        a = read_matrix(fixtures[name])
+        coeffs = build_flow(a).relation.coeffs
+        relation = ",".join(format_complex(c) for c in coeffs[::-1])
+        assert main(["formula", f"--relation={relation}", "--at", at, "--json"]) == 0
+        values = json.loads(capsys.readouterr().out)["mu_at"]["values"]
+        mu = mu_functions(build_flow(a, parse_relation(relation)), parse_complex(at))
+        assert [complex(*v) for v in values] == list(mu)
+
+    def test_relation_overflowing_mu_exit_6(self, capsys):
+        # the double-precision mu wrote Infinity and NaN into the JSON
+        assert main(["formula", "--relation", "5,-6", "--at", "645.5", "--json"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: mu is not finite")
+
+    def test_relation_singular_tier_table_exit_3(self, capsys):
+        q = AnnihilatorPolynomial.from_roots([1e-6] * 20)
+        relation = ",".join(format_complex(c) for c in q.coeffs[::-1])
+        assert main(["formula", f"--relation={relation}", "--at", "0.5", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: generalized Vandermonde matrix is numerically")
+        assert "at working precision" in captured.err
 
     @pytest.mark.parametrize("name", ["unipotent", "jordan2", "diag23", "random4"])
     def test_same_table_as_analyze(self, fixtures, capsys, name):

@@ -610,6 +610,20 @@ class TestFiniteRadius:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteEntry, match="A\\^z is not finite"):
             evaluate_flow(large, 640.0)
 
+    def test_modulus_beyond_the_largest_double(self):
+        # each part of 3^z is about 1.5e308 and finite, its modulus is not a
+        # double, and forming the bound raised an untyped OverflowError
+        rep = build_flow(np.diag([2.0, 3.0]))
+        z = 646.2227 + 0.7149j
+        assert abs(z) > _radius(rep)
+        out = evaluate_flow(rep, z)
+        expected = [cmath.exp(z * cmath.log(2.0)), cmath.exp(z * cmath.log(3.0))]
+        assert abs(expected[1].real) > 1e308 and abs(expected[1].imag) > 1e308
+        assert out[0, 1] == 0 and out[1, 0] == 0
+        for got, want in zip(np.diag(out), expected):
+            for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                assert abs(g - w) <= 1e-10 * abs(w)
+
     def test_extreme_covariants_keep_their_checks(self, suite_reps, monkeypatch):
         rep = next(rep for rep in suite_reps if any(j for _, j in rep.basis.terms))
         held = rep.covariants.copy()

@@ -12,9 +12,11 @@ from cflow import highprec
 from cflow import (
     AnnihilatorPolynomial,
     NonConvergence,
+    SingularMatrix,
     build_basis,
     build_flow,
     cluster_roots,
+    companion_flow_mu,
     eval_basis,
     evaluate_companion_flow,
     evaluate_flow,
@@ -184,6 +186,13 @@ def test_n24_defective_ladder_matrix(seed):
     assert rep.high_precision is not None
     for z in (0.5 + 0.3j, -1.7, 2.5):
         assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-12
+
+
+def test_singular_table_at_working_precision_is_typed():
+    # mpmath's ZeroDivisionError escaped the inverse of the tier's table
+    q = AnnihilatorPolynomial.from_roots([1e-6] * 20)
+    with pytest.raises(SingularMatrix, match="at working precision"):
+        companion_flow_mu(q, 0.5)
 
 
 def test_tier_matrix_with_wide_transform():
