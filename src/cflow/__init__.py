@@ -65,15 +65,12 @@ from .flow import (
 )
 from .numeric import (
     DEFAULT_TOL,
-    LUFactorization,
     ToleranceConfig,
     as_matrix,
     extended_inverse,
     inverse,
-    lu_factor,
     max_norm,
     power_int,
-    solve,
 )
 
 __version__ = "0.1.0"

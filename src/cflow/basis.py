@@ -25,7 +25,6 @@ from .numeric import (
     ToleranceConfig,
     as_matrix,
     extended_inverse,
-    lu_factor,
     max_norm,
 )
 
@@ -229,7 +228,8 @@ def _singular_vandermonde(where: str, cause: Exception) -> SingularMatrix:
 
 
 def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTable:
-    """Invert a generalized Vandermonde matrix via LU, with refinement.
+    """Invert a generalized Vandermonde matrix by extended-precision
+    Gauss-Jordan elimination, with two Newton steps.
 
     The exact matrix is provably nonsingular for distinct eigenvalue
     clusters, so a pivot failure here points at the clustering upstream.
@@ -238,8 +238,9 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
     """
     b = as_matrix(b)
     p = b.shape[0]
-    # Row magnitudes vary like |lambda|^(-i); equilibrate before the pivot
-    # check so bad scaling is not mistaken for singularity.
+    # Row magnitudes vary like |lambda|^(-i); the pivot check eliminates an
+    # equilibrated copy so bad scaling is not mistaken for singularity, and
+    # discards its inverse.
     row_scale = np.max(np.abs(b), axis=1)
     col_scale = np.max(np.abs(b) / row_scale[:, None], axis=0)
     # High-degree relations give legitimately ill-conditioned (but provably
@@ -247,7 +248,7 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
     # only pivots at rounding level rather than at the generic rank_tol.
     pivot_tol = replace(tol, rank_tol=1e3 * float(np.finfo(np.float64).eps))
     try:
-        f = lu_factor(b / row_scale[:, None] / col_scale[None, :], pivot_tol)
+        extended_inverse(as_matrix(b / row_scale[:, None] / col_scale[None, :]), pivot_tol)
     except SingularMatrix as exc:
         raise _singular_vandermonde("", exc) from exc
     b_ext = b.astype(np.clongdouble)

@@ -65,6 +65,25 @@ _EXIT_CODES = (
 )
 
 
+# Options whose values may start with "-": an exponent "-1+2i" or "-i", a
+# relation "-1.5,2".  argparse reads such a separate token as an option.
+_DASH_VALUE_OPTIONS = ("--z", "--at", "--relation")
+
+
+def _attach_dash_values(argv: list) -> list:
+    """``--z -1+2i`` as ``--z=-1+2i``, which argparse reads as a value; the
+    abbreviations argparse accepts (``--rel``) too."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        takes_value = len(prev) > 2 and any(o.startswith(prev) for o in _DASH_VALUE_OPTIONS)
+        if takes_value and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _add_common(sub):
     sub.add_argument("--tol-rank", type=float, default=None, help="rank decision tolerance")
     sub.add_argument(
@@ -353,7 +372,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -147,6 +147,9 @@ class FlowRepresentation:
         """
         flat, scales, *_ = self._contraction
         f = eval_basis(self.basis, z)
+        # A power of two brings the largest part into [0.5, 1), so that no
+        # modulus overflows; the ratio is unchanged.
+        f *= math.ldexp(1.0, -int(np.frexp(np.max(np.abs(f.view(np.float64))))[1]))
         return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
 
 
@@ -422,11 +425,11 @@ class CompanionFlow:
     minimal polynomial of its companion matrix), with the same branch policy.
     Since ``C^z = sum_i nu_i(z) C^{-i}`` and ``C^{-i} c = e_i``, its
     coefficients ``nu`` are ``C^z c`` itself.  The construction actually
-    runs on a diagonal similarity ``D^{-1} C D`` with ``D`` powers of the
-    geometric-mean root magnitude: companion matrices of high-degree
-    relations are badly scaled, and balancing keeps the precision probe of
-    that construction meaningful.  ``representation`` is that construction's
-    flow, whose relation is ``q``.
+    runs on a diagonal similarity ``D^{-1} C D`` with ``D`` powers of ``2^k``,
+    ``k`` the rounded ``log2`` of the geometric-mean root magnitude: companion
+    matrices of high-degree relations are badly scaled, and balancing keeps
+    the precision probe of that construction meaningful.  ``representation``
+    is that construction's flow, whose relation is ``q``.
     """
 
     def __init__(
@@ -440,7 +443,9 @@ class CompanionFlow:
                 "constant coefficient is zero; zero is a root of the relation"
             )
         p = q.degree
-        scale = (abs(q.coeffs[0]) ** (1.0 / p)) ** np.arange(p)
+        # Powers of two keep the similarity exact, so q stays the balanced
+        # matrix's relation to the last bit.
+        scale = np.ldexp(1.0, round(math.log2(abs(q.coeffs[0])) / p) * np.arange(p))
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
         self.representation = build_flow(balanced, q, tol, branch_offsets)
 

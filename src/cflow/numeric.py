@@ -1,9 +1,9 @@
-"""Dense complex matrix arithmetic, LU factorization and the tolerance policy.
+"""Dense complex matrix arithmetic, the inverse and the tolerance policy.
 
 All matrices are square ``numpy.ndarray`` values of dtype complex128.  Every
 operation is a pure function over immutable inputs; nothing here keeps state.
-The factorization and the inverses are eliminations in numpy, each checking
-its own pivots; ``scipy.linalg`` is loaded only by :func:`solve`.
+The one elimination is :func:`extended_inverse`, in numpy, checking its own
+pivots.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import DimensionMismatch, NonFiniteEntry, SingularMatrix
 
@@ -20,9 +19,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "max_norm",
-    "LUFactorization",
-    "lu_factor",
-    "solve",
     "inverse",
     "extended_inverse",
     "power_int",
@@ -84,54 +80,10 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(np.asarray(a, dtype=np.complex128))))
 
 
-@dataclass(frozen=True)
-class LUFactorization:
-    """Row-pivoted triangular factorization of a square matrix."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-    n: int
-    smallest_pivot: float
-
-
 def _singular(pivot: float) -> SingularMatrix:
     return SingularMatrix(
         f"pivot {pivot:.3e} at or below rank tolerance; matrix is numerically singular"
     )
-
-
-def lu_factor(a, tol: ToleranceConfig = DEFAULT_TOL) -> LUFactorization:
-    """Factor ``a`` with partial pivoting, in LAPACK's ``getrf`` layout.
-
-    Raises
-    ------
-    SingularMatrix
-        If a pivot magnitude is at or below ``rank_tol * max_norm(a)``.
-    """
-    lu = as_matrix(a).copy()
-    n = lu.shape[0]
-    threshold = tol.rank_tol * max(max_norm(lu), 1e-300)
-    piv = np.arange(n, dtype=np.int32)
-    for k in range(n):
-        # getrf's pivot: the largest |re| + |im| in the column
-        col = lu[k:, k]
-        p = piv[k] = k + int(np.argmax(np.abs(col.real) + np.abs(col.imag)))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        if abs(lu[k, k]) <= threshold:
-            raise _singular(abs(lu[k, k]))
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= lu[k + 1 :, k, None] * lu[k, k + 1 :]
-    smallest = float(np.min(np.abs(np.diag(lu))))
-    return LUFactorization(lu=lu, piv=piv, n=n, smallest_pivot=smallest)
-
-
-def solve(f: LUFactorization, rhs) -> np.ndarray:
-    """Solve ``A X = rhs`` given a factorization of ``A``."""
-    rhs = np.asarray(rhs, dtype=np.complex128)
-    if rhs.shape[0] != f.n:
-        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, factorization has {f.n}")
-    return scipy.linalg.lu_solve((f.lu, f.piv), rhs, check_finite=False)
 
 
 def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

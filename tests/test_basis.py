@@ -7,8 +7,11 @@ import pytest
 
 from cflow import (
     AnnihilatorPolynomial,
+    Cluster,
     NonFiniteEntry,
     ConditioningWarning,
+    SingularMatrix,
+    Spectrum,
     ZeroEigenvalue,
     branch_log,
     build_basis,
@@ -154,3 +157,10 @@ class TestVandermonde:
             invert_vandermonde(
                 vandermonde_matrix(basis).T, ToleranceConfig(cond_warn=100.0)
             )
+
+    def test_equal_clusters_are_singular(self):
+        # two clusters at one eigenvalue give two equal columns
+        cluster = Cluster(2.0 + 0j, 1, math.log(2.0) + 0j)
+        basis = build_basis(Spectrum((cluster, cluster)))
+        with pytest.raises(SingularMatrix, match="numerically singular"):
+            invert_vandermonde(vandermonde_matrix(basis).T)

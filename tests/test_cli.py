@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import cflow
-from cflow import AnnihilatorPolynomial, build_flow, highprec, jordan_oracle, mu_functions
+from cflow import (
+    AnnihilatorPolynomial,
+    build_flow,
+    evaluate_flow,
+    highprec,
+    jordan_oracle,
+    mu_functions,
+)
 from cflow.cli import main
 from cflow.matfile import format_complex, parse_complex, parse_relation, read_matrix, write_matrix
 
@@ -111,6 +118,19 @@ class TestPow:
         assert "Traceback" not in captured.err
         re, im = json.loads(captured.out)["entries"][1][1]
         assert 1e308 < re < np.inf and 1e308 < im < np.inf
+
+    def test_condition_warning_beyond_the_largest_double(self, fixtures, capsys):
+        # the condition estimate was NaN there, so no level could warn
+        argv = ["pow", fixtures["diag23"], "--z", "646.2227+0.7149i", "--tol-cond-warn", "0.5"]
+        assert main(argv) == 0
+        assert "warning: evaluation condition estimate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", ["-1+2i", "-i"])
+    def test_exponent_with_a_leading_dash(self, fixtures, capsys, z):
+        # argparse took the value for an option: exit 2, "expected one argument"
+        assert main(["pow", fixtures["diag23"], "--z", z]) == 0
+        expected = evaluate_flow(build_flow(np.diag([2.0, 3.0])), parse_complex(z))
+        assert np.array_equal(_matrix_out(capsys), expected)
 
     def test_overflowing_companion_exit_6(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "2000", "--method", "companion"]) == 6
@@ -398,6 +418,31 @@ class TestFormula:
         report = json.loads(capsys.readouterr().out)
         values = [complex(*v) for v in report["mu_at"]["values"]]
         assert values == pytest.approx([19.0, -30.0])
+
+    @pytest.mark.parametrize("option", ["--relation", "--rel"])
+    def test_relation_with_a_leading_dash(self, capsys, option):
+        # argparse took "-1.5,2" for an option: exit 2
+        assert main(["formula", option, "-1.5,2", "--at", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["relation"] == ["-1.5", "2.0"]
+        # A = (c_1^2 + c_0) A^-1 + c_1 c_0 A^-2
+        assert [complex(*v) for v in report["mu_at"]["values"]] == pytest.approx([4.25, -3.0])
+
+    def test_at_with_a_leading_dash(self, capsys):
+        assert main(["formula", "--relation", "5,-6", "--at", "-0.5-1i", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mu_at"]["z"] == "-0.5-1i"
+        mu = mu_functions(build_flow(np.diag([2.0, 3.0]), parse_relation("5,-6")), -0.5 - 1j)
+        assert [complex(*v) for v in report["mu_at"]["values"]] == list(mu)
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_relation_in_the_tier_is_reported_as_given(self, tmp_path, capsys):
+        # the companion build's tier refined the relation against a rounded
+        # balanced matrix, and 8 of the 12 printed coefficients differed
+        q = build_flow(defective_case(np.random.default_rng(0), 12).matrix).relation
+        relation = ",".join(format_complex(c) for c in q.coeffs[::-1])
+        assert main(["formula", f"--relation={relation}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["relation"] == relation.split(",")
 
     def test_text_output_contains_value(self, capsys):
         assert main(["formula", "--relation", "5,-6", "--at", "1"]) == 0

@@ -624,6 +624,11 @@ class TestFiniteRadius:
             for g, w in ((got.real, want.real), (got.imag, want.imag)):
                 assert abs(g - w) <= 1e-10 * abs(w)
 
+    def test_condition_where_the_modulus_is_beyond_the_largest_double(self):
+        # np.abs of 3^z overflowed, and inf / inf gave NaN
+        rep = build_flow(np.diag([2.0, 3.0]))
+        assert rep.evaluation_condition(646.2227 + 0.7149j) == pytest.approx(1.0)
+
     def test_extreme_covariants_keep_their_checks(self, suite_reps, monkeypatch):
         rep = next(rep for rep in suite_reps if any(j for _, j in rep.basis.terms))
         held = rep.covariants.copy()

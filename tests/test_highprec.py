@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 from cflow import highprec
 from cflow import (
     AnnihilatorPolynomial,
+    CompanionFlow,
     NonConvergence,
     SingularMatrix,
     build_basis,
@@ -85,6 +86,16 @@ def test_companion_route_is_the_tier_flow(tier_case):
     for z in (0.5 + 0.3j, -2.5):
         truth = jordan_oracle(case.blocks, case.transform, z)
         assert rel_err(evaluate_companion_flow(case.matrix, rep.relation, z), truth) < 1e-12
+
+
+def test_companion_build_keeps_the_relation(tier_case):
+    # balancing by |c_0|^(k/p) rounded the companion's entries, and the tier
+    # refined the relation against that rounded matrix: 8 of 12 differed
+    _, rep = tier_case
+    q = rep.relation
+    hp = CompanionFlow(q).representation.high_precision
+    assert hp is not None
+    assert hp.relation == q
 
 
 def _paper_sum(hp, a, z):

@@ -16,10 +16,8 @@ from cflow import (
     as_matrix,
     extended_inverse,
     inverse,
-    lu_factor,
     max_norm,
     power_int,
-    solve,
     vandermonde_matrix,
 )
 
@@ -47,34 +45,10 @@ class TestAsMatrix:
 
 
 class TestLU:
-    def test_identity_all_pivots_one(self):
-        f = lu_factor(np.eye(3))
-        assert f.smallest_pivot == pytest.approx(1.0)
-
-    def test_diagonal_pivots(self):
-        f = lu_factor(np.diag([2.0, 3.0]))
-        assert sorted(np.abs(np.diag(f.lu))) == pytest.approx([2.0, 3.0])
-
-    def test_rank_one_is_singular(self):
-        with pytest.raises(SingularMatrix):
-            lu_factor(np.ones((2, 2)))
-
-    def test_solve_identity(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
-        assert np.allclose(solve(lu_factor(np.eye(2)), b), b)
-
-    def test_solve_scalar(self):
-        x = solve(lu_factor(np.array([[2.0]])), np.array([[1.0]]))
-        assert x[0, 0] == pytest.approx(0.5)
-
     def test_solve_against_identity_gives_inverse(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.allclose(a @ inverse(a), np.eye(4), atol=1e-12)
-
-    def test_solve_rhs_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            solve(lu_factor(np.eye(2)), np.eye(3))
 
 
 def _lu_cases(suite, suite_reps):
@@ -109,52 +83,30 @@ def _lu_cases(suite, suite_reps):
     return cases
 
 
-class TestNumpyLU:
-    """``lu_factor`` against LAPACK's ``getrf`` through ``scipy.linalg``."""
+def _getrf_singular(a, tol):
+    """The pivot test on LAPACK's ``getrf`` factors: a pivot at or below
+    ``rank_tol * max_norm(a)``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, _ = scipy.linalg.lu_factor(a)
+    return np.min(np.abs(np.diag(lu))) <= tol.rank_tol * max(max_norm(a), 1e-300)
 
-    def test_matches_scipy(self, suite, suite_reps):
-        rng = np.random.default_rng(9)
-        singular = 0
-        for a, tol in _lu_cases(suite, suite_reps):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                ref_lu, ref_piv = scipy.linalg.lu_factor(a)
-            threshold = tol.rank_tol * max(max_norm(a), 1e-300)
-            ref_singular = np.min(np.abs(np.diag(ref_lu))) <= threshold
-            try:
-                f = lu_factor(a, tol)
-            except SingularMatrix:
-                assert ref_singular
-                singular += 1
-                continue
-            assert not ref_singular
-            assert np.array_equal(f.piv, ref_piv)
-            assert max_norm(f.lu - ref_lu) <= 1e-13 * max_norm(ref_lu)
-            x = rng.standard_normal((f.n, 2)) + 1j * rng.standard_normal((f.n, 2))
-            rhs = a @ x
-            y = solve(f, rhs)
-            assert max_norm(a @ y - rhs) <= 1e-13 * f.n * max_norm(a) * max_norm(y)
-        assert singular == 7
+
+class TestNumpyLU:
+    """``extended_inverse``'s pivot test against LAPACK's ``getrf``."""
 
     def test_extended_inverse_raises_where_lu_factor_does(self, suite, suite_reps):
+        singular = 0
         for a, tol in _lu_cases(suite, suite_reps):
-            try:
-                lu_factor(a, tol)
-                expected = False
-            except SingularMatrix:
-                expected = True
+            expected = _getrf_singular(a, tol)
             try:
                 extended_inverse(a, tol)
                 raised = False
             except SingularMatrix:
                 raised = True
             assert raised == expected
-
-    def test_pivots_in_lapack_layout(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
-        f = lu_factor(a)
-        assert f.piv.tolist() == [1, 1]
-        assert np.allclose(f.lu, [[3.0, 4.0], [1.0 / 3.0, 2.0 - 4.0 / 3.0]])
+            singular += raised
+        assert singular == 7
 
 
 def _loop_extended_inverse(a):
