@@ -290,10 +290,12 @@ def characteristic_polynomial(a) -> AnnihilatorPolynomial:
     # p(X) = X^n + b[1] X^{n-1} + ... + b[n]
     b = np.zeros(n + 1, dtype=np.complex128)
     b[0] = 1.0
-    for k in range(1, n + 1):
-        if k > 1:
-            m = a @ m + b[k - 1] * np.eye(n, dtype=np.complex128)
-        b[k] = -np.trace(a @ m) / k
+    # An overflow leaves inf or NaN coefficients, which validation reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            if k > 1:
+                m = a @ m + b[k - 1] * np.eye(n, dtype=np.complex128)
+            b[k] = -np.trace(a @ m) / k
     coeffs = tuple(-b[n - j] for j in range(n))  # c_j multiplies X^j
     return AnnihilatorPolynomial(coeffs)
 
@@ -323,14 +325,13 @@ def companion_matrix(q: AnnihilatorPolynomial) -> np.ndarray:
     return c
 
 
-def find_roots(q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def find_roots(q: AnnihilatorPolynomial) -> np.ndarray:
     """All ``p`` roots (with repetition): the eigenvalues of the relation's
     companion matrix.
 
     LAPACK's balanced QR algorithm computes them backward-stably (the roots
     of a nearby polynomial); :func:`cluster_roots` then polishes them against
-    the extended coefficients.  ``tol`` is not used: the eigenvalue solver
-    has no tolerance.
+    the extended coefficients.
 
     Raises
     ------

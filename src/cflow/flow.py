@@ -45,9 +45,9 @@ from .annihilator import (
 from .basis import (
     BasisDescriptor,
     CoefficientTable,
+    _finite_exponent,
     basis_values,
     build_basis,
-    eval_basis,
     eval_basis_extended,
     generalized_binomial,
     invert_vandermonde,
@@ -99,10 +99,11 @@ __all__ = [
 class FlowRepresentation:
     """Everything needed to evaluate ``A^z`` at any ``z``.
 
-    ``neg_powers`` holds ``[A^{-1}, ..., A^{-p}]``; ``coeffs.e`` is the
-    ``p x p`` table with ``mu_i(z) = sum_j e[i, j] * f_j(z)`` over the basis
-    functions ``f_j`` of ``basis``.  ``covariants`` holds the ``(p, n, n)``
-    stack ``M_k = sum_i e[i, k] A^{-i}``, so that ``A^z = sum_k f_k(z) M_k``.
+    ``coeffs.e`` is the ``p x p`` table with ``mu_i(z) = sum_j e[i, j] *
+    f_j(z)`` over the basis functions ``f_j`` of ``basis``.  ``covariants``
+    holds the ``(p, n, n)`` stack ``M_k = sum_i e[i, k] A^{-i}``, so that
+    ``A^z = sum_k f_k(z) M_k``; the negative powers themselves are not kept
+    (:func:`negative_powers` gives them).
     ``relation_residual`` is the relation's :func:`validate_relation`
     measure.  In the mpmath tier (``high_precision`` set), ``basis`` and
     ``covariants`` come from :func:`schur_covariants` instead: one term per
@@ -116,8 +117,6 @@ class FlowRepresentation:
     relation: AnnihilatorPolynomial
     basis: BasisDescriptor
     coeffs: CoefficientTable
-    neg_powers: tuple
-    source_dim: int
     relation_residual: float
     covariants: np.ndarray = field(compare=False, repr=False)
     high_precision: object | None = field(default=None, compare=False, repr=False)
@@ -129,13 +128,12 @@ class FlowRepresentation:
     @cached_property
     def _contraction(self) -> tuple:
         """What every evaluation reads, built on first use: the covariants as
-        one contiguous ``(p, n*n)`` matrix, their scales ``max|M_k|``, the
-        largest scale, ``n``, and the radius of :func:`_finite_radius`."""
+        one contiguous ``(p, n*n)`` matrix, their scales ``max|M_k|``, ``n``,
+        and the radius of :func:`_finite_radius`."""
         p, n, _ = self.covariants.shape
         flat = np.ascontiguousarray(self.covariants.reshape(p, n * n))
         scales = np.max(np.abs(flat), axis=1)
-        top = float(np.max(scales))
-        return flat, scales, top, n, _finite_radius(self.basis, top)
+        return flat, scales, n, _finite_radius(self.basis, float(np.max(scales)))
 
     def evaluation_condition(self, z: complex) -> float:
         """Condition of the sum :func:`evaluate_flow` computes at ``z``:
@@ -146,10 +144,12 @@ class FlowRepresentation:
         reads the covariants that are evaluated, in or out of the mpmath tier.
         """
         flat, scales, *_ = self._contraction
-        f = eval_basis(self.basis, z)
-        # A power of two brings the largest part into [0.5, 1), so that no
-        # modulus overflows; the ratio is unchanged.
-        f *= math.ldexp(1.0, -int(np.frexp(np.max(np.abs(f.view(np.float64))))[1]))
+        z = _finite_exponent(z)
+        table = self.basis.term_table
+        # Every power is divided by e^c, the largest modulus among them: the
+        # ratio is unchanged, and no modulus overflows or all underflow.
+        c = max(((z - j) * log).real for j, log, _ in table)
+        f = np.array(term_values(table, z, lambda w: cmath.exp(w - c)), dtype=np.complex128)
         return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
 
 
@@ -190,8 +190,9 @@ def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     return [m.astype(np.complex128) for m in _negative_powers_extended(a, p, tol)]
 
 
-def _negative_powers_extended(a, p: int, tol: ToleranceConfig) -> list:
-    """The negative-power chain kept in extended precision."""
+def _negative_powers_extended(a, p: int, tol: ToleranceConfig | None) -> list:
+    """The negative-power chain kept in extended precision; ``tol=None``
+    skips the pivot check."""
     a = as_matrix(a)
     if p < 1:
         raise ValueError("need at least one negative power")
@@ -213,7 +214,7 @@ def spectral_table(
 
     These depend on the relation alone, not on a matrix it annihilates.
     """
-    spectrum = cluster_roots(find_roots(q, tol), tol, polynomial=q)
+    spectrum = cluster_roots(find_roots(q), tol, polynomial=q)
     if branch_offsets:
         spectrum = spectrum.with_branch_offsets(branch_offsets)
     basis = build_basis(spectrum)
@@ -333,12 +334,15 @@ def build_flow(
     # |A^k| can be dwarfed by the terms |mu_i(k)| |A^{-i}|, and every
     # rounding error scales with the terms.)
     e_ext = coeffs.e_extended
-    neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
     a_scale = max(1.0, max_norm(a))
     amp = 0.0
-    for f in eval_basis_extended(basis, np.array([1.0, 5.0, -3.0])):
-        mu_probe = np.abs(e_ext @ f).astype(np.float64)
-        amp = max(amp, float(mu_probe @ neg_scales) / a_scale)
+    # A scale beyond double precision rounds to inf, which the check below
+    # reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
+        for f in eval_basis_extended(basis, np.array([1.0, 5.0, -3.0])):
+            mu_probe = np.abs(e_ext @ f).astype(np.float64)
+            amp = max(amp, float(mu_probe @ neg_scales) / a_scale)
     if not math.isfinite(amp):
         raise NonFiniteEntry(
             "an intermediate of the build overflows: the amplification estimate "
@@ -349,7 +353,7 @@ def build_flow(
         from .highprec import HighPrecisionFlow
 
         dps = min(60, 35 + int(np.log10(amp)))
-        high_precision = HighPrecisionFlow(a, q, basis, dps, tol, discovered)
+        high_precision = HighPrecisionFlow(a, q, basis, dps, tol)
         basis, covariants = schur_covariants(a, basis, tol)
     else:
         coeffs.warn_if_ill_conditioned(tol)
@@ -361,8 +365,6 @@ def build_flow(
         relation=q,
         basis=basis,
         coeffs=coeffs,
-        neg_powers=tuple(negs_ext.astype(np.complex128)),
-        source_dim=n,
         relation_residual=residual,
         covariants=covariants,
         high_precision=high_precision,
@@ -394,27 +396,19 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
 
     Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite.
     """
-    flat, _, top, n, radius = rep._contraction
+    flat, _, n, radius = rep._contraction
     z = complex(z)
     # Inside the radius the basis values and the result are finite, so
     # nothing is checked; a NaN or infinite z fails the comparison.  (abs()
     # can raise OverflowError on a NaN, from a stale errno.)
-    inside = math.hypot(z.real, z.imag) <= radius
-    values = term_values(rep.basis.term_table, z) if inside else basis_values(rep.basis, z)
-    out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
-    # Beyond it, every entry is at most sum_k |f_k| max|M|, so a bound far
-    # below the overflow threshold proves the result finite; a NaN fails the
-    # comparison.  A bound that cannot be formed (abs() of a finite value
-    # beyond the largest double, or of a NaN with a stale errno, raises
-    # OverflowError) proves nothing, and the entries are checked.
-    if not inside:
-        try:
-            bounded = sum(map(abs, values)) * top <= 1e300
-        except OverflowError:
-            bounded = False
-        if not bounded:
-            _finite(out, "A^z", z)
-    return out
+    if math.hypot(z.real, z.imag) <= radius:
+        values = term_values(rep.basis.term_table, z)
+        return np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
+    # Beyond it, the entries are checked.
+    values = basis_values(rep.basis, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
+    return _finite(out, "A^z", z)
 
 
 class CompanionFlow:
@@ -542,39 +536,32 @@ def extend_matrix(
     spectrum_of_a: Spectrum,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Enlarge ``a`` so its minimal polynomial gains the factor ``(X - new_root)``
-    while the top-left block of any flow of the result reproduces the flow of ``a``.
+    """Enlarge ``a`` by a last row and column so that its minimal polynomial
+    gains the factor ``(X - new_root)``, while the top-left ``n x n`` block of
+    any flow of the result is the flow of ``a``.
 
-    A root away from the existing spectrum is appended as a 1x1 diagonal
-    block.  A repeated root requires ``a`` in Jordan (block-diagonal) form;
-    the largest block with that eigenvalue grows by one row and column.
+    ``a`` is the result's top-left block.  A root away from the existing
+    spectrum is the new diagonal entry, alone.  A repeated root requires ``a``
+    in Jordan (block-diagonal) form: the largest block with that eigenvalue
+    grows by one, its eigenvalue on the new diagonal entry and a one in the
+    new column on that block's last row.  The result is that Jordan matrix
+    with the grown block's new row and column moved last, a permutation
+    similarity that keeps the flow of ``a`` on the other rows and columns.
     """
     a = as_matrix(a)
-    new_root = complex(new_root)
-    is_eigenvalue = any(
-        abs(new_root - c.value) <= tol.cluster_tol for c in spectrum_of_a.clusters
-    )
-    if not is_eigenvalue:
-        n = a.shape[0]
-        out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        out[:n, :n] = a
-        out[n, n] = new_root
-        return out
-    blocks = _parse_jordan_blocks(a, tol)
-    candidates = [
-        k for k, (lam, _) in enumerate(blocks) if abs(lam - new_root) <= tol.cluster_tol
-    ]
-    target = max(candidates, key=lambda k: blocks[k][1])
-    lam, size = blocks[target]
-    blocks[target] = (lam, size + 1)
-    n = a.shape[0] + 1
-    out = np.zeros((n, n), dtype=np.complex128)
-    pos = 0
-    for lam, size in blocks:
-        out[pos : pos + size, pos : pos + size] = lam * np.eye(size) + np.diag(
-            np.ones(size - 1), 1
-        )
-        pos += size
+    n = a.shape[0]
+    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    out[:n, :n] = a
+    out[n, n] = new_root
+    if any(abs(out[n, n] - c.value) <= tol.cluster_tol for c in spectrum_of_a.clusters):
+        blocks = _parse_jordan_blocks(a, tol)
+        last_rows = np.cumsum([size for _, size in blocks]) - 1
+        candidates = [
+            k for k, (lam, _) in enumerate(blocks) if abs(lam - out[n, n]) <= tol.cluster_tol
+        ]
+        target = max(candidates, key=lambda k: blocks[k][1])
+        out[last_rows[target], n] = 1.0
+        out[n, n] = blocks[target][0]
     return out
 
 
@@ -625,8 +612,10 @@ def check_flow_axioms(rep: FlowRepresentation, a, samples) -> FlowAxiomReport:
     group-law sample by ``max(1, |F(z)| * |F(w)|)``.
     """
     a = as_matrix(a)
-    scale = max(1.0, max_norm(a), max_norm(rep.neg_powers[-1]))
-    ident = max_norm(evaluate_flow(rep, 0.0) - np.eye(rep.source_dim)) / scale
+    # the chain of the build, whose pivots that build has checked
+    last = _negative_powers_extended(a, rep.degree, None)[-1]
+    scale = max(1.0, max_norm(a), max_norm(last))
+    ident = max_norm(evaluate_flow(rep, 0.0) - np.eye(a.shape[0])) / scale
     gen = max_norm(evaluate_flow(rep, 1.0) - a) / scale
     group = 0.0
     for z, w in samples:

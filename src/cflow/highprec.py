@@ -15,10 +15,10 @@ table.  It is set up on first use, by ``mu_functions``, ``analyze`` or
 estimate, never run it.
 
 The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
-random vector, in mpmath: solved for when ``build_flow`` discovered it, and
-refined from its start otherwise.  Scalar work (root polish, logarithms, the
-basis values) uses mpmath too, and the table is inverted by mpmath's LU at
-the working precision.  Importing this module also loads the tier's
+random vector, in mpmath: solved for when it comes from
+``minimal_polynomial``, and refined from its start otherwise.  Scalar work
+(root polish, logarithms, the basis values) uses mpmath too, and the table is
+inverted by mpmath's LU at the working precision.  Importing this module also loads the tier's
 ``scipy.linalg`` (Schur form): one load point, whatever matrices follow.
 """
 
@@ -62,20 +62,21 @@ def extended_matrix(m: np.ndarray) -> np.ndarray:
     return hi.astype(np.clongdouble) + lo
 
 
-def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial, solve: bool) -> list:
+def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
     """Ascending monic coefficients of the degree-``p`` relation of ``a`` at
     working precision, from the Krylov sequence ``v, A v, ..., A^p v`` of a
     fixed random vector.
 
-    With ``solve``, ``A^p v = sum_i c_i A^i v`` is solved for the
-    coefficients by least squares in mpmath: a discovered double-precision
-    relation can be wrong in every digit once the Krylov basis outgrows
-    double precision (n = 20 to 24), and refining such a start does not
-    converge.  Otherwise, or when the vectors below degree ``p`` are
-    dependent (``p`` is above the minimal degree), ``start`` is refined on
-    the same system: residuals at working precision, corrections from a
-    double-precision least-squares solve.  The entries of ``a`` are taken
-    as exact.
+    A relation found by :func:`minimal_polynomial` (one that carries its
+    ``residual``) has the minimal degree, so ``A^p v = sum_i c_i A^i v``
+    determines it, and the coefficients are solved for by least squares in
+    mpmath: such a double-precision relation can be wrong in every digit once
+    the Krylov basis outgrows double precision (n = 20 to 24), and refining
+    it does not converge.  Any other relation, or one whose system mpmath
+    reports singular, may lie above the minimal degree, where the system has
+    many solutions; ``start`` is then refined on the same system: residuals
+    at working precision, corrections from a double-precision least-squares
+    solve.  The entries of ``a`` are taken as exact.
     """
     n, p = a.shape[0], start.degree
     rng = np.random.default_rng(0)
@@ -88,11 +89,11 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial, solve: bool) -
     for j in range(p):
         for i in range(n):
             k[i, j] = krylov[j][i]
-    if solve:
+    if start.residual is not None:
         try:
             c = mp.lu_solve(k, krylov[p]) if p == n else mp.qr_solve(k, krylov[p])[0]
             return [-c[i] for i in range(p)] + [mp.mpc(1)]
-        except ZeroDivisionError:  # mpmath's report of a numerically singular system
+        except (ZeroDivisionError, ValueError):  # mpmath's reports of a singular system
             pass
     k_dbl = np.array(k.tolist(), dtype=np.complex128)
     c = mp.matrix([-_mpc_from_extended(x) for x in start.monic_coefficients_extended()[:-1]])
@@ -110,8 +111,8 @@ class HighPrecisionFlow:
 
     Built from the double-precision representation's relation and branch
     choices.  Nothing is computed until the form is first read: then a
-    ``discovered`` relation is solved for afresh and a supplied one refined
-    (:func:`_krylov_relation`), and the spectrum (clusters, polished
+    relation from ``minimal_polynomial`` is solved for afresh and any other
+    refined (:func:`_krylov_relation`), and the spectrum (clusters, polished
     eigenvalues, branch logs) and coefficient table are those of the result.
     ``relation`` is that relation and ``coeffs`` its table, both rounded to
     extended precision; ``relation_residual`` is the relation's
@@ -126,21 +127,19 @@ class HighPrecisionFlow:
         basis,
         dps: int = 50,
         tol: ToleranceConfig = DEFAULT_TOL,
-        discovered: bool = False,
     ):
         self.dps = dps
         self._a = np.asarray(a, dtype=np.complex128)
         self._start = relation
         self._given = basis
         self._tol = tol
-        self._discovered = discovered
 
     @functools.cached_property
     def _form(self) -> SimpleNamespace:
         """The relation, table, basis and term table at working precision."""
         p = self._start.degree
         with mp.workdps(self.dps):
-            asc = _krylov_relation(self._a, self._start, solve=self._discovered)
+            asc = _krylov_relation(self._a, self._start)
             # the spectrum of the relation at working precision, rounded
             coeffs = -np.array(asc[:-1], dtype=object)
             q = AnnihilatorPolynomial(
@@ -149,7 +148,7 @@ class HighPrecisionFlow:
             logs = []
             clusters = []
             tol = self._tol
-            for cluster in cluster_roots(find_roots(q, tol), tol, polynomial=q).clusters:
+            for cluster in cluster_roots(find_roots(q), tol, polynomial=q).clusters:
                 center = self._polish_root(asc, cluster.value, cluster.multiplicity)
                 winding = self._given.spectrum.winding_near(cluster.value)
                 log = mp.log(center) + 2j * mp.pi * winding

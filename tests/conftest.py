@@ -76,11 +76,11 @@ def first_suite8_case() -> SuiteCase:
     return case
 
 
-# Why large scales get false diagnoses (ROADMAP item 3), for the strict xfails
+# Why large scales get false diagnoses (ROADMAP item 1), for the strict xfails
 # that pin them.
 LSTSQ_TRUNCATES_SCALES = (
     "the Krylov columns differ in scale by 1e77 to 1e100, and lstsq's default "
-    "rcond truncates them, so the discovered relation is wrong; ROADMAP item 3"
+    "rcond truncates them, so the discovered relation is wrong; ROADMAP item 1"
 )
 
 

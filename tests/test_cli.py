@@ -125,6 +125,16 @@ class TestPow:
         assert main(argv) == 0
         assert "warning: evaluation condition estimate" in capsys.readouterr().err
 
+    def test_subnormal_result_exit_0(self, fixtures, capsys):
+        # the condition estimate's scale factor overflowed: a traceback of
+        # "OverflowError: math range error" and exit 1
+        assert main(["pow", fixtures["diag23"], "--z=-1070"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        expected = evaluate_flow(build_flow(np.diag([2.0, 3.0])), -1070.0)
+        doc = json.loads(captured.out)
+        assert np.array_equal([[complex(*v) for v in row] for row in doc["entries"]], expected)
+
     @pytest.mark.parametrize("z", ["-1+2i", "-i"])
     def test_exponent_with_a_leading_dash(self, fixtures, capsys, z):
         # argparse took the value for an option: exit 2, "expected one argument"
@@ -308,6 +318,31 @@ class TestPow:
             write_matrix(np.array([[4.0]]), fh)
         assert main(["pow", str(p), "--z", "0.5", "--branch-offset", "0:1"]) == 0
         assert np.allclose(_matrix_out(capsys), [[-2.0]], atol=1e-12)
+
+
+class TestInputChecks:
+    """Malformed input: exit 2 and one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"entries": [[[1, 0]]]}, "expected an object with 'n' and 'entries'"),
+            ({"n": 0, "entries": []}, "'n' must be a positive integer"),
+            ({"n": 2, "entries": [[[1, 0], [0, 0]], [[1, 0]]]}, "row 1 does not have 2 entries"),
+        ],
+    )
+    def test_malformed_matrix_document(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["pow", str(path), "--z", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("offset", ["1", "a:b", "0:1:2"])
+    def test_malformed_branch_offset(self, fixtures, capsys, offset):
+        assert main(["pow", fixtures["diag23"], "--z", "0.5", "--branch-offset", offset]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --branch-offset") and "Traceback" not in err
 
 
 class TestAnalyze:

@@ -243,7 +243,7 @@ class TestBuildFlow:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rep = build_flow(a)
-        folded = np.einsum("ik,inm->knm", rep.coeffs.e, np.array(rep.neg_powers))
+        folded = np.einsum("ik,inm->knm", rep.coeffs.e, np.array(negative_powers(a, rep.degree)))
         assert rep.covariants.shape == (rep.degree, 4, 4)
         assert rel_err(rep.covariants, folded) < 1e-10
 
@@ -365,6 +365,29 @@ class TestExtendMatrix:
         with pytest.raises(NotJordanForm):
             extend_matrix(a, 5.0, self._spectrum([5.0, 5.0]))
 
+    @pytest.mark.parametrize("root", [2.0, 3.0])
+    def test_flow_restriction_for_any_grown_block(self, root):
+        # J2(2) + J2(3): growing the first block put the new row and column
+        # inside the top-left block, which was off by 0.354 at z = 0.5
+        a = np.array([[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 3, 1], [0, 0, 0, 3]], dtype=complex)
+        big = extend_matrix(a, root, self._spectrum([2.0, 2.0, 3.0, 3.0]))
+        assert np.array_equal(big[:4, :4], a)
+        rep = build_flow(big)
+        assert rep.degree == 5
+        for z in (0.5, -1.0, 0.7 + 0.2j):
+            truth = jordan_oracle([(2.0, 2), (3.0, 2)], np.eye(4), z)
+            assert rel_err(evaluate_flow(rep, z)[:4, :4], truth) < 1e-11
+
+    def test_superdiagonal_one_between_eigenvalues(self):
+        a = np.array([[2.0, 1.0], [0.0, 3.0]])
+        with pytest.raises(NotJordanForm, match="joins two different eigenvalues"):
+            extend_matrix(a, 2.0, self._spectrum([2.0, 3.0]))
+
+    def test_superdiagonal_entry_neither_zero_nor_one(self):
+        a = np.array([[2.0, 0.5], [0.0, 2.0]])
+        with pytest.raises(NotJordanForm, match="exactly zero or one"):
+            extend_matrix(a, 2.0, self._spectrum([2.0, 2.0]))
+
     def test_flow_restriction(self):
         # the flow of the extended matrix restricts to the original flow
         a = np.diag([2.0, 3.0])
@@ -412,22 +435,27 @@ class TestCheckFlowAxioms:
 def _evaluated_by_loop(rep, z):
     """``A^z``, the basis values and the evaluation condition by the per-term
     loop, stacked contraction and ``isfinite`` pass that the cached
-    contraction replaced."""
+    contraction replaced.  The condition divides every power by ``e^c``, the
+    largest modulus among them."""
     z = complex(z)
     clusters = rep.basis.spectrum.clusters
+    c = max(((z - j) * clusters[ci].log).real for ci, j in rep.basis.terms)
     f = np.empty(rep.basis.size, dtype=np.complex128)
+    g = np.empty(rep.basis.size, dtype=np.complex128)
     for k, (ci, j) in enumerate(rep.basis.terms):
         power = cmath.exp((z - j) * clusters[ci].log)
+        scaled = cmath.exp((z - j) * clusters[ci].log - c)
         acc = 1.0 + 0.0j
         for i in range(j):
             acc *= z - i
         f[k] = power if j == 0 else acc / math.factorial(j) * power
+        g[k] = scaled if j == 0 else acc / math.factorial(j) * scaled
     p, n, _ = rep.covariants.shape
     out = (f @ rep.covariants.reshape(p, n * n)).reshape(n, n)
     assert np.isfinite(out).all()
     scales = np.max(np.abs(rep.covariants), axis=(1, 2))
-    value = np.tensordot(f, rep.covariants, axes=1)
-    return out, f, float(np.abs(f) @ scales) / max(max_norm(value), 1e-300)
+    value = np.tensordot(g, rep.covariants, axes=1)
+    return out, f, float(np.abs(g) @ scales) / max(max_norm(value), 1e-300)
 
 
 _GRID = [0.0, 1.0, -1.0, 0.5, 2.5, -1.7, 7.0, 0.5 + 0.3j, 3j, -2.0 - 1.5j, 1e-9, -0.0 - 0.0j] + [
@@ -460,8 +488,8 @@ class TestEvaluateFlow:
         self._check(build_flow(jordan_block_case(np.random.default_rng(5), lam, size).matrix))
 
     def test_bound_above_threshold_keeps_a_finite_result(self):
-        # at z = 620 the finiteness bound is about 6e303, so the entries are
-        # checked one by one, and they are finite
+        # z = 620 lies outside the finiteness radius (about 611), so the
+        # entries are checked one by one, and they are finite
         self._check(build_flow(np.array([[2.0, 1e8], [0.0, 3.0]])), [600.0, 620.0])
 
     def test_nan_basis_value_raises(self):
@@ -528,7 +556,7 @@ def _outcome(rep, z):
 
 
 def _radius(rep) -> float:
-    return rep._contraction[4]
+    return rep._contraction[-1]
 
 
 def _steepest(rep) -> complex:
@@ -623,6 +651,14 @@ class TestFiniteRadius:
         for got, want in zip(np.diag(out), expected):
             for g, w in ((got.real, want.real), (got.imag, want.imag)):
                 assert abs(g - w) <= 1e-10 * abs(w)
+
+    @pytest.mark.parametrize("z", [-1070.0, -2000.0])
+    def test_condition_where_the_values_underflow(self, z):
+        # at -1070 the largest part is subnormal and scaling it by a power of
+        # two overflowed (OverflowError); at -2000 every value rounds to 0,
+        # and the estimate was 0
+        rep = build_flow(np.diag([2.0, 3.0]))
+        assert rep.evaluation_condition(z) == pytest.approx(1.0)
 
     def test_condition_where_the_modulus_is_beyond_the_largest_double(self):
         # np.abs of 3^z overflowed, and inf / inf gave NaN

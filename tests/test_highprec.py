@@ -3,6 +3,8 @@ extended precision, so its covariants come from the Schur form and the
 paper's form is kept at arbitrary precision; the tier's set-up run directly;
 and the Schur covariants themselves."""
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -119,7 +121,8 @@ def _paper_sum(hp, a, z):
 )
 def test_tier_set_up_reproduces_the_flow(blocks, discovered):
     # the set-up run directly on matrices that would not need it, with the
-    # relation solved for afresh or refined from the given one
+    # discovered relation solved for afresh, or refined once it no longer
+    # carries its discovery's residual
     rng = np.random.default_rng(5)
     n = sum(size for _, size in blocks)
     t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -131,21 +134,27 @@ def test_tier_set_up_reproduces_the_flow(blocks, discovered):
         pos += size
     a = t @ j @ np.linalg.inv(t)
     rep = build_flow(a)
-    hp = highprec.HighPrecisionFlow(a, rep.relation, rep.basis, dps=40, discovered=discovered)
+    relation = rep.relation if discovered else dataclasses.replace(rep.relation, residual=None)
+    hp = highprec.HighPrecisionFlow(a, relation, rep.basis, dps=40)
     assert len(hp.basis.terms) == rep.degree
     for z in (0.5 + 0.3j, -1.7):
         assert rel_err(_paper_sum(hp, a, z), jordan_oracle(blocks, t, z)) < 1e-10
 
 
 def test_relation_above_minimal_degree_is_refined():
-    # (X - 2)^2 (X - 3) annihilates diag(2, 2, 3) but is not minimal, so the
-    # Krylov vectors up to degree 3 are dependent and the given relation is
-    # refined instead of solved for
-    a = np.diag([2.0, 2.0, 3.0]).astype(complex)
+    # (X - 2)^2 (X - 3) annihilates diag(2, 2, 3) and diag(2, 2, 2, 3) but is
+    # not minimal, so the Krylov vectors up to degree 3 are dependent: a
+    # given relation is refined, and one marked as discovered is refined once
+    # mpmath reports the system singular (ZeroDivisionError from the square
+    # solve, ValueError from the tall one)
     q = AnnihilatorPolynomial.from_roots([2.0, 2.0, 3.0])
     basis = build_basis(cluster_roots(find_roots(q), polynomial=q))
-    hp = highprec.HighPrecisionFlow(a, q, basis, dps=40, discovered=True)
-    assert rel_err(_paper_sum(hp, a, 0.5), np.diag([2.0**0.5, 2.0**0.5, 3.0**0.5])) < 1e-12
+    for diagonal in ([2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 3.0]):
+        a = np.diag(diagonal).astype(complex)
+        for relation in (q, dataclasses.replace(q, residual=0.0)):
+            hp = highprec.HighPrecisionFlow(a, relation, basis, dps=40)
+            assert rel_err(_paper_sum(hp, a, 0.5), np.diag(np.sqrt(diagonal))) < 1e-12
+            assert hp.relation == q
 
 
 def test_paper_form_is_set_up_on_first_use(monkeypatch):
@@ -253,3 +262,32 @@ def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
         schur_covariants(case.matrix, rep.basis)
     with pytest.raises(NonConvergence):
         build_flow(case.matrix)
+
+
+def _conjugated(blocks, seed):
+    """``T J T^{-1}`` of diagonal Jordan data, with the random ``T``."""
+    rng = np.random.default_rng(seed)
+    n = len(blocks)
+    t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return t @ np.diag([lam for lam, _ in blocks]) @ np.linalg.inv(t), t
+
+
+@pytest.mark.parametrize(
+    "blocks, roots",
+    [
+        # minimal degree 3 < p = 4 < n = 5, eigenvalues split by rounding: the
+        # tall system is not reported singular, and solving it replaced the
+        # given relation by a least-squares fit with another root
+        (((2.0, 1), (2.0, 1), (3.0, 1), (0.7j, 1), (0.7j, 1)), [2.0, 2.0, 3.0, 0.7j]),
+        # p = n + 1: the Krylov system is wide
+        (((2.0, 1), (3.0, 1)), [2.0, 3.0, 5.0]),
+    ],
+)
+def test_given_relation_is_kept(blocks, roots):
+    a, t = _conjugated(blocks, 1)
+    q = AnnihilatorPolynomial.from_roots(roots)
+    basis = build_basis(cluster_roots(find_roots(q), polynomial=q))
+    hp = highprec.HighPrecisionFlow(a, q, basis, dps=40)
+    assert np.allclose(hp.relation.coeffs, q.coeffs, rtol=0.0, atol=1e-12)
+    for z in (0.5 + 0.3j, -1.7):
+        assert rel_err(_paper_sum(hp, a, z), jordan_oracle(blocks, t, z)) < 1e-12
