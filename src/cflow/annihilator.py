@@ -164,12 +164,15 @@ class Spectrum:
     def degree(self) -> int:
         return sum(c.multiplicity for c in self.clusters)
 
-    def with_branch_offsets(self, offsets: dict) -> "Spectrum":
+    def with_branch_offsets(self, offsets) -> "Spectrum":
         """Shift chosen branch logs by integer multiples of ``2 pi i``.
 
         ``offsets`` maps a cluster index (0-based, in this spectrum's order)
-        to an integer winding number.
+        to an integer winding number, or is a spectrum whose nearest cluster's
+        branch choice each cluster takes over (:meth:`winding_near`).
         """
+        if isinstance(offsets, Spectrum):
+            offsets = {i: offsets.winding_near(c.value) for i, c in enumerate(self.clusters)}
         new = list(self.clusters)
         for idx, k in offsets.items():
             if not 0 <= idx < len(new):
@@ -431,8 +434,9 @@ def cluster_roots(
     polynomial's coefficients wins.  (A multiple root of a badly conditioned
     polynomial can scatter far beyond the static floor; merging genuinely
     distinct roots, on the other hand, ruins the rebuilt coefficients, so
-    the rebuild residual separates the two cases.)  Representatives are
-    cluster centroids, polished against ``polynomial`` when it is supplied,
+    the rebuild residual separates the two cases.)  Without it, the ladder
+    widens while each group of ``m`` roots is an ``m``-fold root's scatter.
+    Representatives are cluster centroids, polished against ``polynomial``,
     with branch logarithms on the principal branch.  Clusters are ordered by
     descending magnitude, then ascending argument.
 
@@ -454,20 +458,26 @@ def cluster_roots(
     base_radius = max(tol.cluster_tol, _CLUSTER_FLOOR * scale)
 
     radii = [base_radius]
-    if polynomial is not None:
-        r = base_radius
-        while r < 0.05 * scale:
-            r *= 4.0
-            radii.append(r)
-
-    def refine(groups, radius):
-        if polynomial is None:
-            return [(complex(np.mean(g)), len(g)) for g in groups]
-        return _polish(polynomial, groups, max(10.0 * _CLUSTER_FLOOR, 2.0 * radius / scale))
+    while radii[-1] < 0.05 * scale:
+        radii.append(4.0 * radii[-1])
 
     values = roots.tolist()  # the O(p^2) grouping loop runs on Python complex numbers
-    best = refine(_cluster_at_radius(values, base_radius), base_radius)
-    if len(radii) > 1:
+    groups = _cluster_at_radius(values, base_radius)
+    if polynomial is None:
+        # Widen while every group of m roots lies within (1e4 eps)^(1/m) of its
+        # centroid, where its m Taylor terms truncate at about 1e4 eps.
+        distances = np.abs(roots[:, None] - roots[None, :])
+        for narrow, radius in zip(radii, radii[1:]):
+            if not np.any((distances > narrow) & (distances <= radius)):
+                continue  # the same groups
+            wider = _cluster_at_radius(values, radius)
+            spreads = [(np.max(np.abs(np.subtract(g, np.mean(g)))), len(g)) for g in wider]
+            if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
+                break
+            groups = wider
+        best = [(complex(np.mean(g)), len(g)) for g in groups]
+    else:
+        best = _polish(polynomial, groups, max(10 * _CLUSTER_FLOOR, 2.0 * base_radius / scale))
         # Single-linkage groupings are nested in the radius, so the sorted
         # multiplicity signature identifies a grouping uniquely: a grouping
         # seen at a smaller radius is skipped before it is polished.
@@ -479,7 +489,7 @@ def cluster_roots(
             if signature in seen:
                 continue
             seen.add(signature)
-            candidate = refine(groups, radius)
+            candidate = _polish(polynomial, groups, max(10 * _CLUSTER_FLOOR, 2.0 * radius / scale))
             res = _rebuild_residual(polynomial, candidate)
             if res < best_res:
                 best, best_res = candidate, res

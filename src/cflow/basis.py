@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -112,14 +113,17 @@ class CoefficientTable:
 
     def warn_if_ill_conditioned(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         """Emit a :class:`ConditioningWarning` (never an error) when the
-        condition estimate exceeds ``cond_warn``, attributed to the caller of
-        the function that asks."""
+        condition estimate exceeds ``cond_warn``, attributed to the first
+        caller outside cflow (and the ``functools`` of its cached forms)."""
         if self.condition_estimate > tol.cond_warn:
+            frame, level = sys._getframe(), 1
+            while frame.f_back and frame.f_globals["__name__"].startswith(("cflow.", "functools")):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"generalized Vandermonde condition estimate {self.condition_estimate:.3e} "
                 f"exceeds {tol.cond_warn:.1e}; coefficients may be inaccurate",
                 ConditioningWarning,
-                stacklevel=3,
+                stacklevel=level,
             )
 
 

@@ -5,7 +5,9 @@ relation discovered or the ``--relation`` given, checked and measured, is
 :func:`cflow.flow.build_flow`'s.  ``analyze`` and ``formula MATRIX`` report
 the paper's form of that representation, and ``formula --relation`` that of
 the relation's companion construction (:class:`cflow.flow.CompanionFlow`),
-at working precision in the mpmath tier.
+at working precision in the mpmath tier.  ``pow --method companion``, and
+``verify --method both`` for its ``cross_agreement`` (outside the pass
+decision), evaluate the paper's sum instead of the Schur covariants.
 
 Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
@@ -38,10 +40,12 @@ from .errors import (
 from .flow import (
     CompanionFlow,
     FlowRepresentation,
+    _finite,
     build_flow,
     check_flow_axioms,
     evaluate_flow,
     mu_functions,
+    negative_powers,
 )
 from .matfile import (
     format_complex,
@@ -229,24 +233,32 @@ def _representation_report(q, basis, coeffs, skip_zero=False, residual=None) -> 
     return report
 
 
+def _paper_sums(rep: FlowRepresentation, a, zs: list, tol: ToleranceConfig) -> list:
+    """The paper's sums ``sum_i mu_i(z) A^{-i}``, over one negative-power chain."""
+    negs = np.array(negative_powers(a, rep.degree, tol))
+    return [_finite(np.tensordot(mu_functions(rep, z), negs, 1), "A^z", z) for z in zs]
+
+
 def cmd_pow(args) -> int:
     tol = _tolerances(args)
     a = read_matrix(args.matrix)
     z = parse_complex(args.z)
-    # every --method is the one representation: C^z c has the direct table
     rep = _build(args, a, tol)
-    result = evaluate_flow(rep, z)
-    cond = rep.evaluation_condition(z)
-    if cond > tol.cond_warn:
-        print(f"warning: evaluation condition estimate {cond:.3e}", file=sys.stderr)
+    if args.method == "companion":
+        result = _paper_sums(rep, a, [z], tol)[0]
+    else:
+        result = evaluate_flow(rep, z)
+        cond = rep.evaluation_condition(z)
+        if cond > tol.cond_warn:
+            print(f"warning: evaluation condition estimate {cond:.3e}", file=sys.stderr)
     json.dump(matrix_document(result), sys.stdout)
     sys.stdout.write("\n")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    rep = _build(args, read_matrix(args.matrix), _tolerances(args))
-    form = rep.high_precision or rep
+    paper = _build(args, read_matrix(args.matrix), _tolerances(args)).paper
+    form = paper.high_precision or paper
     report = _representation_report(
         form.relation, form.basis, form.coeffs, residual=form.relation_residual
     )
@@ -258,18 +270,18 @@ def cmd_analyze(args) -> int:
 def cmd_formula(args) -> int:
     tol = _tolerances(args)
     if args.matrix:
-        rep = _build(args, read_matrix(args.matrix), tol)
+        paper = _build(args, read_matrix(args.matrix), tol).paper
     elif args.relation:
         q = parse_relation(args.relation)
-        rep = CompanionFlow(q, tol, _branch_offsets(args)).representation
+        paper = CompanionFlow(q, tol, _branch_offsets(args)).representation
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
-    form = rep.high_precision or rep
+    form = paper.high_precision or paper
     report = _representation_report(
         form.relation, form.basis, form.coeffs, skip_zero=args.skip_zero
     )
     if args.at is not None:
-        mu = mu_functions(rep, parse_complex(args.at))
+        mu = paper.mu(parse_complex(args.at))
         report["mu_at"] = {"z": args.at, "values": [[v.real, v.imag] for v in mu]}
     _print_report(report, args.json, sys.stdout)
     return 0
@@ -301,9 +313,11 @@ def cmd_verify(args) -> int:
 
     ok = all(v <= RESIDUAL_LIMIT for v in results.values())
     if args.method == "both":
-        # Not a check: the companion route is this representation (C^{-j} c
-        # = e_j gives it the direct table), so the two agree by construction.
-        results["cross_agreement"] = 0.0
+        zs = [z for pair in pairs for z in pair]
+        flows = [evaluate_flow(rep, z) for z in zs]
+        sums = _paper_sums(rep, a, zs, tol)
+        gaps = [max_norm(s - f) / max(1.0, max_norm(f)) for s, f in zip(sums, flows)]
+        results["cross_agreement"] = max(gaps, default=0.0)
     if args.json:
         json.dump({"residuals": results, "pass": ok}, sys.stdout)
         sys.stdout.write("\n")

@@ -1,32 +1,26 @@
-"""Complete flows A^z: the direct generalized-Vandermonde construction, the
-companion-matrix construction, the Jordan-block oracle, and the structural
-checks tying them together.
+"""Complete flows A^z: the evaluated Schur construction, the paper's form,
+the Jordan-block oracle, and the structural checks tying them together.
 
-Both constructions express ``A^z`` as ``sum_i mu_i(z) A^{-i}`` over the
-negative powers ``A^{-1}, ..., A^{-p}`` of the relation degree ``p``.  The
-direct method obtains the coefficient functions by inverting a generalized
-Vandermonde system; the companion method evaluates ``C^z c`` for the
-companion matrix ``C`` of the relation.  The two coincide: ``C e_1 = c`` and
-``C e_{j+1} = e_j`` give ``C^{-j} c = e_j``, so ``C^z c`` has the same
-values ``mu(-j) = e_j`` and the same table ``E`` as the direct method.  The
-companion route is therefore the direct representation, and the Jordan
-oracle is the only independent check.
-
-With ``mu(z) = E f(z)`` over the basis functions ``f_k``, the same sum is
-``A^z = sum_k f_k(z) M_k`` with ``M_k = sum_i e_ik A^{-i}``: the Frobenius
-covariants of the confluent Sylvester formula.  The cancellation of the
-negative-power sum is confined to ``M``, which is built once per
-representation in extended (or arbitrary) precision; evaluation is then a
-double-precision sum of ``p`` matrices.
+:func:`build_flow` evaluates ``A^z = sum_k f_k(z) M_k`` over the covariants
+``M_(lam, j) = P_lam (A - lam I)^j`` of the confluent Sylvester formula, from
+one balanced complex Schur form: no relation and no negative powers.  The
+paper's form ``A^z = sum_i mu_i(z) A^{-i}`` over the negative powers of the
+relation degree ``p`` is an independent second construction, built on first
+read (:class:`PaperForm`): the generalized Vandermonde table.  The companion
+method, ``C^z c`` for the companion matrix ``C`` of the relation, has the
+same table: ``C e_1 = c`` and ``C e_{j+1} = e_j`` give ``C^{-j} c = e_j``.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -57,6 +51,7 @@ from .basis import (
 )
 from .errors import (
     AmbiguousRank,
+    CFlowError,
     DimensionMismatch,
     NonConvergence,
     NonFiniteEntry,
@@ -95,35 +90,116 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlowRepresentation:
-    """Everything needed to evaluate ``A^z`` at any ``z``.
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrapper, loaded on first use by file path (a
+    few ms, against about 0.25 s for ``import scipy.linalg``), or
+    ``scipy.linalg.lapack`` where scipy's layout has no such file."""
+    found = sorted(Path(scipy.__file__).parent.glob("linalg/_flapack*"))
+    if not found:
+        return importlib.import_module("scipy.linalg.lapack")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    ``coeffs.e`` is the ``p x p`` table with ``mu_i(z) = sum_j e[i, j] *
-    f_j(z)`` over the basis functions ``f_j`` of ``basis``.  ``covariants``
-    holds the ``(p, n, n)`` stack ``M_k = sum_i e[i, k] A^{-i}``, so that
-    ``A^z = sum_k f_k(z) M_k``; the negative powers themselves are not kept
-    (:func:`negative_powers` gives them).
-    ``relation_residual`` is the relation's :func:`validate_relation`
-    measure.  In the mpmath tier (``high_precision`` set), ``basis`` and
-    ``covariants`` come from :func:`schur_covariants` instead: one term per
-    eigenvalue and algebraic multiplicity, ``M_(lam, j) = P_lam (A - lam I)^j``.
-    The paper's form at working precision (its ``relation``, ``coeffs``,
-    ``basis``, ``mu`` and ``relation_residual``) is on ``high_precision``;
-    ``relation``, ``coeffs`` and ``relation_residual`` here are that form's
-    double-precision start.
+
+class PaperForm:
+    """The paper's form ``A^z = sum_i mu_i(z) A^{-i}`` of one matrix, built on
+    first read of any attribute or by :meth:`mu`.
+
+    A supplied relation ``q`` is validated at once.  Otherwise the minimal
+    polynomial is discovered, or, when its rank is ambiguous, the
+    characteristic polynomial is validated like a supplied relation.
+    ``basis`` and ``coeffs`` are its :func:`spectral_table`, branch logs
+    shifted by ``branch``.  Where the sum's cancellation (``sum |mu_i(z)|
+    |A^{-i}|`` against ``|A^z|`` over a working range of ``z``) is beyond
+    extended precision, ``high_precision`` is the form at working precision
+    (:class:`cflow.highprec.HighPrecisionFlow`); otherwise it is None, a
+    discovered relation is validated too, and an ill-conditioned table warns.
     """
 
-    relation: AnnihilatorPolynomial
-    basis: BasisDescriptor
-    coeffs: CoefficientTable
-    relation_residual: float
-    covariants: np.ndarray = field(compare=False, repr=False)
-    high_precision: object | None = field(default=None, compare=False, repr=False)
+    def __init__(self, a, q=None, tol: ToleranceConfig = DEFAULT_TOL, branch=None):
+        self._a, self._q, self._tol, self._branch = as_matrix(a), q, tol, branch
+        self._residual = None if q is None else check_relation(self._a, q, tol)
 
-    @property
-    def degree(self) -> int:
-        return self.relation.degree
+    relation = property(lambda self: self._form.relation)
+    basis = property(lambda self: self._form.basis)
+    coeffs = property(lambda self: self._form.coeffs)
+    relation_residual = property(lambda self: self._form.relation_residual)
+    high_precision = property(lambda self: self._form.high_precision)
+    degree = property(lambda self: self._form.relation.degree)
+
+    @cached_property
+    def _form(self) -> SimpleNamespace:
+        a, q, tol, residual = self._a, self._q, self._tol, self._residual
+        if discovered := q is None:
+            try:
+                q = minimal_polynomial(a, tol)
+                residual = q.residual
+            except AmbiguousRank:
+                q, discovered = characteristic_polynomial(a), False
+                source = "characteristic polynomial (minimal polynomial rank ambiguous): "
+                residual = _accepted(validate_relation(a, q, tol), tol, source)
+        # The table's conditioning is reported once the tier is decided.
+        basis, coeffs = spectral_table(q, replace(tol, cond_warn=math.inf), self._branch)
+        negs_ext = np.stack(_negative_powers_extended(a, q.degree, tol))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
+            f = eval_basis_extended(basis, np.array([1.0, 5.0, -3.0]))
+            mu_probe = np.abs(f @ coeffs.e_extended.T).astype(np.float64)
+            amp = float(np.max(mu_probe @ neg_scales)) / max(1.0, max_norm(a))
+        if not math.isfinite(amp):
+            raise NonFiniteEntry(
+                "an intermediate of the build overflows: the amplification estimate "
+                "of the negative-power sum exceeds double precision"
+            )
+        hp = None
+        if amp > 1e8:
+            from .highprec import HighPrecisionFlow
+
+            hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))), tol)
+        else:
+            coeffs.warn_if_ill_conditioned(tol)
+            if discovered:
+                _accepted(residual, tol)
+        return SimpleNamespace(
+            relation=q, basis=basis, coeffs=coeffs, relation_residual=residual, high_precision=hp
+        )
+
+    def mu(self, z: complex) -> np.ndarray:
+        """The coefficient vector ``mu(z)``, which must be finite."""
+        if self.high_precision is not None:
+            return _finite(self.high_precision.mu(z), "mu", z)
+        with np.errstate(over="ignore", invalid="ignore"):  # rounded, then checked
+            mu = (self.coeffs.e_extended @ eval_basis_extended(self.basis, z)).astype(np.complex128)
+        return _finite(mu, "mu", z)
+
+
+@dataclass(frozen=True)
+class FlowRepresentation:
+    """Everything needed to evaluate ``A^z = sum_k f_k(z) M_k`` at any ``z``:
+    ``basis`` and ``covariants`` are :func:`schur_covariants`.  ``relation``,
+    ``coeffs``, ``relation_residual`` and ``degree`` are those of ``paper``,
+    the matrix's :class:`PaperForm`, and raise its errors; ``high_precision``
+    is None where that form fails as well as outside the mpmath tier.
+    """
+
+    basis: BasisDescriptor
+    covariants: np.ndarray = field(compare=False, repr=False)
+    paper: PaperForm = field(compare=False, repr=False)
+
+    relation = property(lambda self: self.paper.relation)
+    coeffs = property(lambda self: self.paper.coeffs)
+    relation_residual = property(lambda self: self.paper.relation_residual)
+    degree = property(lambda self: self.paper.degree)
+
+    @cached_property  # a failed form is not built again on every read
+    def high_precision(self):
+        try:
+            return self.paper.high_precision
+        except CFlowError:
+            return None
 
     @cached_property
     def _contraction(self) -> tuple:
@@ -140,8 +216,7 @@ class FlowRepresentation:
         ``sum_k |f_k(z)| |M_k| / |A^z|`` in the max norm.
 
         At least 1 up to rounding, by the triangle inequality; the rounding
-        errors of the double-precision sum are amplified by this ratio.  It
-        reads the covariants that are evaluated, in or out of the mpmath tier.
+        errors of the double-precision sum are amplified by this ratio.
         """
         flat, scales, *_ = self._contraction
         z = _finite_exponent(z)
@@ -206,11 +281,11 @@ def _negative_powers_extended(a, p: int, tol: ToleranceConfig | None) -> list:
 def spectral_table(
     q: AnnihilatorPolynomial,
     tol: ToleranceConfig = DEFAULT_TOL,
-    branch_offsets: dict | None = None,
+    branch_offsets: dict | Spectrum | None = None,
 ) -> tuple[BasisDescriptor, CoefficientTable]:
     """The basis and coefficient table of a relation: its roots, clustered
-    into eigenvalues with branch logs (shifted by ``branch_offsets``), the
-    basis functions, and the inverse of the generalized Vandermonde system.
+    into eigenvalues with branch logs (:meth:`Spectrum.with_branch_offsets`),
+    the basis functions, and the inverse of the generalized Vandermonde system.
 
     These depend on the relation alone, not on a matrix it annihilates.
     """
@@ -223,31 +298,35 @@ def spectral_table(
     return basis, invert_vandermonde(vandermonde_matrix(basis).T, tol)
 
 
-def schur_covariants(
-    a, basis: BasisDescriptor, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[BasisDescriptor, np.ndarray]:
+def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescriptor, np.ndarray]:
     """The spectrum of ``a`` and its covariants ``M_(lam, j) = P_lam (A - lam I)^j``
     from one complex Schur form, with no relation and no negative powers.
 
-    The Schur diagonal is grouped by :func:`cluster_roots`.  Each cluster is
-    reordered to the top (``ztrsen``), ``T11 X - X T22 = -T12`` is solved
-    (``ztrsyl``), and with ``lam = trace(T11) / m`` the covariants are
-    ``Q1 (T11 - lam I)^j (Q1* - X Q2*)`` for ``j < m``: block diagonalization
-    (Bavely and Stewart 1979), the confluent Sylvester form of Higham,
-    *Functions of Matrices* (2008), section 1.2.  Each cluster's branch log
-    carries the winding number of the nearest cluster of ``basis``.  Returns
-    the basis of this spectrum and the ``(len(terms), n, n)`` stack in its
-    term order.
+    The form is that of ``B = D^{-1} A D / s``, ``D`` from LAPACK ``zgebal``
+    (scaling only; Parlett and Reinsch, *Numer. Math.* 13, 1969) and ``s =
+    2^floor(log2 max|B|)``: powers of two, so every threshold is relative to
+    ``A``'s scale and the map back is exact, ``lam = s mu`` and ``M_j = s^j D
+    N_j D^{-1}``.  Its diagonal is grouped by :func:`cluster_roots`.  Each
+    cluster is reordered to the top (``ztrsen``), ``T11 X - X T22 = -T12`` is
+    solved (``ztrsyl``), and with ``mu = trace(T11) / m`` the covariants of
+    ``B`` are ``N_j = Q1 (T11 - mu I)^j (Q1* - X Q2*)`` for ``j < m``: block
+    diagonalization (Bavely and Stewart 1979), the confluent Sylvester form
+    of Higham, *Functions of Matrices* (2008), section 1.2.  Returns the
+    basis of ``A``'s spectrum, on the principal branch, and the
+    ``(len(terms), n, n)`` stack in its term order.
 
     Raises :class:`NonConvergence` when the Schur iteration, the reordering
-    or the Sylvester solve fails.
+    or the Sylvester solve fails, and it or :class:`ZeroEigenvalue` for a
+    singular matrix.
     """
+    lapack = _lapack()
     a = as_matrix(a)
     n = a.shape[0]
-    try:
-        t, q = scipy.linalg.schur(a, output="complex", check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"Schur form did not converge: {exc}") from exc
+    b, _, _, d, _ = lapack.zgebal(a, scale=1)
+    s = math.ldexp(1.0, math.frexp(max_norm(b))[1] - 1)
+    t, _, _, q, _, info = lapack.zgees(lambda _: None, b / s)
+    if info != 0:
+        raise NonConvergence(f"Schur form did not converge (zgees info {info})")
     diag = np.diag(t)
     spectrum = cluster_roots(diag, tol)
     centers = np.array([c.value for c in spectrum.clusters])
@@ -255,27 +334,26 @@ def schur_covariants(
     clusters, blocks = [], []
     for ci, cluster in enumerate(spectrum.clusters):
         select = owner == ci
-        ts, qs, *_, info = scipy.linalg.lapack.ztrsen(select, t, q, job="N")
+        ts, qs, *_, info = lapack.ztrsen(select, t, q, job="N")
         if info != 0:
             raise NonConvergence(f"Schur reordering failed (ztrsen info {info})")
         m = int(select.sum())
         t11, q1, q2 = ts[:m, :m], qs[:, :m], qs[:, m:]
         x = np.zeros((m, n - m), dtype=np.complex128)
         if m < n:
-            x, scale, info = scipy.linalg.lapack.ztrsyl(t11, ts[m:, m:], -ts[:m, m:], isgn=-1)
+            x, scale, info = lapack.ztrsyl(t11, ts[m:, m:], -ts[:m, m:], isgn=-1)
             if info != 0:
                 raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
             x = x / scale
-        lam = complex(np.trace(t11)) / m
+        mu = complex(np.trace(t11)) / m
         if cluster.value.imag == 0.0:  # cluster_roots put it on the real axis
-            lam = complex(lam.real, 0.0)
-        winding = basis.spectrum.winding_near(lam)
-        clusters.append(Cluster(lam, m, cmath.log(lam) + 2j * math.pi * winding))
-        right = q1.conj().T - x @ q2.conj().T
-        nil = t11 - lam * np.eye(m)
+            mu = complex(mu.real, 0.0)
+        clusters.append(Cluster(s * mu, m, cmath.log(s * mu)))
+        left, right = d[:, None] * q1, (q1.conj().T - x @ q2.conj().T) / d
+        nil = (t11 - mu * np.eye(m)) * s
         power = np.eye(m, dtype=np.complex128)
         for _ in range(m):
-            blocks.append(q1 @ power @ right)
+            blocks.append(left @ power @ right)
             power = power @ nil
     return build_basis(Spectrum(tuple(clusters))), np.array(blocks)
 
@@ -299,76 +377,18 @@ def build_flow(
     tol: ToleranceConfig = DEFAULT_TOL,
     branch_offsets: dict | None = None,
 ) -> FlowRepresentation:
-    """Assemble the direct (Vandermonde) flow representation of ``a``.
-
-    This is the one place that decides the relation.  A supplied ``q`` is
-    validated first.  With ``q`` omitted the minimal polynomial is
-    discovered; when its rank decision is too close to call
-    (:class:`AmbiguousRank`), the characteristic polynomial is taken and
-    validated like a supplied relation.  A discovered relation is checked
-    against ``residual_tol`` too, with the residual of its own extended
-    refinement, unless the matrix enters the mpmath tier, which solves for
-    its relation afresh.  A relation above ``residual_tol`` raises
-    :class:`RelationInvalid`; ``relation_residual`` records the residual.
-    ``branch_offsets`` maps a cluster index to an integer winding number
-    added to that eigenvalue's branch log (each choice yields a different,
-    equally valid flow).
+    """The flow representation of ``a``: its :func:`schur_covariants`, and
+    its :class:`PaperForm` with ``q`` validated now, or discovered on first
+    read when omitted.  ``branch_offsets`` maps a cluster index of the Schur
+    spectrum to an integer winding number added to that eigenvalue's branch
+    log (each choice yields a different, equally valid flow), and the paper's
+    form carries the choice over to its nearest clusters.
     """
     a = as_matrix(a)
-    discovered, source = q is None, ""
-    if discovered:
-        try:
-            q = minimal_polynomial(a, tol)
-        except AmbiguousRank:
-            q, discovered = characteristic_polynomial(a), False
-            source = "characteristic polynomial (minimal polynomial rank ambiguous): "
-    residual = q.residual if discovered else _accepted(validate_relation(a, q, tol), tol, source)
-    # The double-precision table is folded into the covariants only outside
-    # the mpmath tier, so its conditioning is reported once that is decided.
-    basis, coeffs = spectral_table(q, replace(tol, cond_warn=math.inf), branch_offsets)
-    n = a.shape[0]
-    negs_ext = np.stack(_negative_powers_extended(a, q.degree, tol))
-    # Estimated cancellation of the sum over the negative powers for a
-    # working range of z; when extended precision cannot absorb it, the
-    # covariants are built at arbitrary precision.  (At z = k the result
-    # |A^k| can be dwarfed by the terms |mu_i(k)| |A^{-i}|, and every
-    # rounding error scales with the terms.)
-    e_ext = coeffs.e_extended
-    a_scale = max(1.0, max_norm(a))
-    amp = 0.0
-    # A scale beyond double precision rounds to inf, which the check below
-    # reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
-        for f in eval_basis_extended(basis, np.array([1.0, 5.0, -3.0])):
-            mu_probe = np.abs(e_ext @ f).astype(np.float64)
-            amp = max(amp, float(mu_probe @ neg_scales) / a_scale)
-    if not math.isfinite(amp):
-        raise NonFiniteEntry(
-            "an intermediate of the build overflows: the amplification estimate "
-            "of the negative-power sum exceeds double precision"
-        )
-    high_precision = None
-    if amp > 1e8:
-        from .highprec import HighPrecisionFlow
-
-        dps = min(60, 35 + int(np.log10(amp)))
-        high_precision = HighPrecisionFlow(a, q, basis, dps, tol)
-        basis, covariants = schur_covariants(a, basis, tol)
-    else:
-        coeffs.warn_if_ill_conditioned(tol)
-        if discovered:
-            _accepted(residual, tol)
-        stacked = negs_ext.reshape(q.degree, n * n)
-        covariants = (e_ext.T @ stacked).astype(np.complex128).reshape(q.degree, n, n)
-    return FlowRepresentation(
-        relation=q,
-        basis=basis,
-        coeffs=coeffs,
-        relation_residual=residual,
-        covariants=covariants,
-        high_precision=high_precision,
-    )
+    basis, covariants = schur_covariants(a, tol)
+    if branch_offsets:
+        basis = build_basis(basis.spectrum.with_branch_offsets(branch_offsets))
+    return FlowRepresentation(basis, covariants, PaperForm(a, q, tol, basis.spectrum))
 
 
 def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
@@ -377,18 +397,9 @@ def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
     return x
 
 
-def _rounded(x: np.ndarray, what: str, z: complex) -> np.ndarray:
-    """An extended-precision result rounded to complex128, which must be finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = x.astype(np.complex128)
-    return _finite(x, what, z)
-
-
 def mu_functions(rep: FlowRepresentation, z: complex) -> np.ndarray:
     """The coefficient vector ``mu(z)`` with ``A^z = sum mu_i(z) A^{-i}``."""
-    if rep.high_precision is not None:
-        return _finite(rep.high_precision.mu(z), "mu", z)
-    return _rounded(rep.coeffs.e_extended @ eval_basis_extended(rep.basis, z), "mu", z)
+    return rep.paper.mu(z)
 
 
 def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
@@ -414,16 +425,12 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
 class CompanionFlow:
     """The coefficient functions ``mu(z) = C^z c`` of a relation.
 
-    ``C^z`` is obtained from the direct construction applied to ``C``
-    (legitimate because the relation is both the characteristic and the
-    minimal polynomial of its companion matrix), with the same branch policy.
-    Since ``C^z = sum_i nu_i(z) C^{-i}`` and ``C^{-i} c = e_i``, its
-    coefficients ``nu`` are ``C^z c`` itself.  The construction actually
-    runs on a diagonal similarity ``D^{-1} C D`` with ``D`` powers of ``2^k``,
-    ``k`` the rounded ``log2`` of the geometric-mean root magnitude: companion
-    matrices of high-degree relations are badly scaled, and balancing keeps
-    the precision probe of that construction meaningful.  ``representation``
-    is that construction's flow, whose relation is ``q``.
+    ``representation`` is the :class:`PaperForm` of the companion matrix
+    ``C`` with the relation ``q``: since ``C^z = sum_i nu_i(z) C^{-i}`` and
+    ``C^{-i} c = e_i``, its ``nu`` are ``C^z c`` itself.  ``C`` is balanced by
+    ``D^{-1} C D``, ``D`` powers of ``2^k`` with ``k`` the rounded ``log2`` of
+    the geometric-mean root magnitude, which keeps the precision probe of
+    high-degree relations meaningful.
     """
 
     def __init__(
@@ -441,10 +448,10 @@ class CompanionFlow:
         # matrix's relation to the last bit.
         scale = np.ldexp(1.0, round(math.log2(abs(q.coeffs[0])) / p) * np.arange(p))
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self.representation = build_flow(balanced, q, tol, branch_offsets)
+        self.representation = PaperForm(balanced, q, tol, branch_offsets)
 
     def mu(self, z: complex) -> np.ndarray:
-        return mu_functions(self.representation, z)
+        return self.representation.mu(z)
 
 
 def companion_flow_mu(
@@ -466,8 +473,8 @@ def evaluate_companion_flow(
 ) -> np.ndarray:
     """Evaluate ``A^z = sum mu_i(z) A^{-i}`` with ``mu = C^z c``.
 
-    ``C^z c`` has the table of the direct construction (see the module
-    docstring), so this is :func:`evaluate_flow` of ``a``'s representation.
+    That is the flow of ``a`` with ``q`` validated, so this is
+    :func:`evaluate_flow` of ``a``'s representation, from its covariants.
     """
     return evaluate_flow(build_flow(a, q, tol, branch_offsets), z)
 
@@ -612,7 +619,7 @@ def check_flow_axioms(rep: FlowRepresentation, a, samples) -> FlowAxiomReport:
     group-law sample by ``max(1, |F(z)| * |F(w)|)``.
     """
     a = as_matrix(a)
-    # the chain of the build, whose pivots that build has checked
+    # the chain of the paper's form, whose pivots that form has checked
     last = _negative_powers_extended(a, rep.degree, None)[-1]
     scale = max(1.0, max_norm(a), max_norm(last))
     ident = max_norm(evaluate_flow(rep, 0.0) - np.eye(a.shape[0])) / scale

@@ -6,20 +6,16 @@ relation mixes large and small eigenvalue magnitudes with multiplicities:
 error -- in the relation coefficients, the coefficient table, or the sum --
 is amplified by that ratio.  Where the measured amplification pushes the
 extended-precision (80-bit) error estimate above the accuracy target,
-``build_flow`` takes ``A^z`` from the Schur covariants instead
-(:func:`cflow.flow.schur_covariants`), and this module keeps the paper's
-``mu`` at a working precision chosen to absorb the amplification: the
-relation, its polished roots and branch logs, and the ``p x p`` coefficient
-table.  It is set up on first use, by ``mu_functions``, ``analyze`` or
-``formula``; building and evaluating a flow, and the evaluation condition
-estimate, never run it.
+:class:`cflow.flow.PaperForm` keeps its ``mu`` here, at a working precision
+chosen to absorb it: the relation, its polished roots and branch logs, and
+the ``p x p`` coefficient table, set up on first use.  ``A^z`` itself comes
+from the Schur covariants (:func:`cflow.flow.schur_covariants`).
 
 The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
 random vector, in mpmath: solved for when it comes from
 ``minimal_polynomial``, and refined from its start otherwise.  Scalar work
 (root polish, logarithms, the basis values) uses mpmath too, and the table is
-inverted by mpmath's LU at the working precision.  Importing this module also loads the tier's
-``scipy.linalg`` (Schur form): one load point, whatever matrices follow.
+inverted by mpmath's LU at the working precision.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
-import scipy.linalg  # noqa: F401  (schur_covariants)
 
 from .annihilator import (
     AnnihilatorPolynomial,

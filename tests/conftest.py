@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cflow import build_flow
+from cflow import build_flow, jordan_oracle
 
 
 @dataclass(frozen=True)
@@ -76,23 +76,9 @@ def first_suite8_case() -> SuiteCase:
     return case
 
 
-# Why large scales get false diagnoses (ROADMAP item 1), for the strict xfails
-# that pin them.
-LSTSQ_TRUNCATES_SCALES = (
-    "the Krylov columns differ in scale by 1e77 to 1e100, and lstsq's default "
-    "rcond truncates them, so the discovered relation is wrong; ROADMAP item 1"
-)
-
-
 # Suite case 0 of seed 0 times this scale has eigenvalues of magnitude 1.4e-5
 # to 3.5e-5, and a polished cluster centre of its relation lands on 0.
 CENTRE_AT_ZERO_SCALE = 1e-5
-
-# Why that case gets no flow, for the strict xfail that pins it.
-NOT_SCALE_INVARIANT = (
-    "the clustering radius and the zero-eigenvalue threshold are absolute, so "
-    "a small scale merges distinct eigenvalues; ROADMAP item 1"
-)
 
 
 def first_suite_case() -> SuiteCase:
@@ -111,6 +97,29 @@ def overflowing_builds() -> dict:
         "suite8x1e40": case.matrix * 1e40,
         "entry1e160": np.array([[2.0, 1e160], [0.0, 3.0]], dtype=np.complex128),
     }
+
+
+def overflowing_oracle(name: str, z: complex) -> np.ndarray:
+    """``A^z`` of :func:`overflowing_builds` ``[name]``: ``s^z`` times the Jordan
+    oracle of the scaled suite matrix, or :func:`triangular_flow`."""
+    if name == "entry1e160":
+        return triangular_flow(1e160, z)
+    case, s = first_suite8_case(), float(name.split("x")[1])
+    return s**z * jordan_oracle(case.blocks, case.transform, z)
+
+
+def triangular_flow(u: float, z: complex) -> np.ndarray:
+    """``A^z`` of ``[[2, u], [0, 3]] = T diag(2, 3) T^{-1}``, ``T = [[1, u], [0,
+    1]]``, in closed form."""
+    r2, r3 = 2.0 ** complex(z), 3.0 ** complex(z)
+    return np.array([[r2, u * (r3 - r2)], [0.0, r3]])
+
+
+def eigen_oracle(a: np.ndarray, z: complex) -> np.ndarray:
+    """``A^z`` of a diagonalizable matrix from numpy's eigendecomposition, by
+    the Jordan oracle with the eigenvectors as ``T``."""
+    w, v = np.linalg.eig(a)
+    return jordan_oracle([(lam, 1) for lam in w], v, z)
 
 
 def defective_case(

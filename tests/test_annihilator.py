@@ -13,6 +13,7 @@ from cflow import (
     build_flow,
     characteristic_polynomial,
     cluster_roots,
+    evaluate_flow,
     find_roots,
     minimal_polynomial,
     spectral_table,
@@ -207,8 +208,11 @@ class TestFindRoots:
         q = AnnihilatorPolynomial((-6, 5))
         with pytest.raises(NonConvergence):
             find_roots(q)
+        # the roots are the paper's form's; the Schur flow needs none
+        rep = build_flow(np.diag([2.0, 3.0]))
         with pytest.raises(NonConvergence):
-            build_flow(np.diag([2.0, 3.0]))
+            rep.relation
+        assert np.allclose(evaluate_flow(rep, 2.0), np.diag([4.0, 9.0]), rtol=0.0, atol=1e-14)
 
 
 class TestClusterRoots:

@@ -10,21 +10,25 @@ from cflow import (
     AnnihilatorPolynomial,
     build_flow,
     evaluate_flow,
+    flow,
     highprec,
     jordan_oracle,
     mu_functions,
+    negative_powers,
 )
 from cflow.cli import main
 from cflow.matfile import format_complex, parse_complex, parse_relation, read_matrix, write_matrix
 
 from conftest import (
     CENTRE_AT_ZERO_SCALE,
-    LSTSQ_TRUNCATES_SCALES,
     defective_case,
     distinct_case,
+    eigen_oracle,
     first_suite_case,
     overflowing_builds,
+    overflowing_oracle,
     rel_err,
+    triangular_flow,
 )
 
 
@@ -83,10 +87,16 @@ class TestPow:
         assert np.allclose(_matrix_out(capsys), expected, atol=1e-12)
 
     def test_companion_method_agrees(self, fixtures, capsys):
+        # --method companion is the paper's sum over the negative powers, an
+        # independent construction of the same flow
         assert main(["pow", fixtures["random4"], "--z", "0.5", "--method", "companion"]) == 0
         comp = _matrix_out(capsys)
         assert main(["pow", fixtures["random4"], "--z", "0.5"]) == 0
         assert np.allclose(comp, _matrix_out(capsys), atol=1e-9)
+        a = read_matrix(fixtures["random4"])
+        rep = build_flow(a)
+        paper = np.tensordot(mu_functions(rep, 0.5), np.array(negative_powers(a, rep.degree)), 1)
+        assert np.array_equal(comp, paper)
 
     def test_explicit_relation(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "2", "--relation", "5,-6"]) == 0
@@ -161,45 +171,54 @@ class TestPow:
 
     @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
     def test_wrong_discovered_relation_exit_5(self, tmp_path, capsys):
-        # build_flow keeps this matrix outside the tier although its
-        # double-precision relation has residual 17, and evaluating it is off
-        # by a relative 5e3; the CLI checks such a relation like a supplied one
-        p = tmp_path / "defective24.json"
-        with open(p, "w") as fh:
-            write_matrix(defective_case(np.random.default_rng(2), 24).matrix, fh)
-        assert main(["pow", str(p), "--z", "0.5+0.25i"]) == 5
+        # the paper's form keeps this matrix outside the tier although its
+        # double-precision relation has residual 17, and its sum is off by a
+        # relative 5e3; the relation is checked like a supplied one, and pow
+        # evaluates the Schur flow
+        case = defective_case(np.random.default_rng(2), 24)
+        p = _save(tmp_path, "defective24", case.matrix)
+        assert main(["analyze", p]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: relation residual")
+        assert main(["pow", p, "--z", "0.5+0.25i"]) == 0
+        expected = jordan_oracle(case.blocks, case.transform, 0.5 + 0.25j)
+        assert rel_err(_matrix_out(capsys), expected) < 1e-12
 
     def test_characteristic_fallback_failure_exit_5(self, tmp_path, capsys):
         # minimal_polynomial's rank decision is ambiguous on this matrix, and
         # the characteristic polynomial taken in its place fails its check;
         # the error names that relation, which no user supplied
-        p = tmp_path / "distinct32.json"
-        with open(p, "w") as fh:
-            write_matrix(distinct_case(np.random.default_rng(0), 32).matrix, fh)
-        assert main(["pow", str(p), "--z", "0.5"]) == 5
+        # (in the paper's form: pow evaluates the Schur flow)
+        case = distinct_case(np.random.default_rng(0), 32)
+        p = _save(tmp_path, "distinct32", case.matrix)
+        assert main(["analyze", p]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(
             "error: characteristic polynomial (minimal polynomial rank ambiguous): "
             "relation residual"
         )
+        assert main(["pow", p, "--z", "0.5"]) == 0
+        assert rel_err(_matrix_out(capsys), jordan_oracle(case.blocks, case.transform, 0.5)) < 1e-12
 
     def test_root_finder_failure_exit_4(self, fixtures, capsys, monkeypatch):
+        # the relation's roots are the paper's form's; pow needs none
+        expected = eigen_oracle(read_matrix(fixtures["random4"]), 0.5)
+
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
-        assert main(["pow", fixtures["random4"], "--z", "0.5"]) == 4
+        assert main(["analyze", fixtures["random4"]]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert main(["pow", fixtures["random4"], "--z", "0.5"]) == 0
+        assert rel_err(_matrix_out(capsys), expected) < 1e-13
 
     def test_schur_failure_exit_4(self, tmp_path, capsys, monkeypatch):
-        from scipy.linalg import lapack
-
+        lapack = flow._lapack()
         original = lapack.ztrsen
         monkeypatch.setattr(lapack, "ztrsen", lambda *a, **k: (*original(*a, **k)[:-1], 1))
         p = tmp_path / "tier.json"
@@ -211,12 +230,20 @@ class TestPow:
         assert captured.err.startswith("error: Schur reordering failed")
 
     def test_conditioning_warning_is_a_warning_line(self, fixtures, capsys):
-        # the default display printed the library's source path and line
-        assert main(["pow", fixtures["random4"], "--z", "0.5", "--tol-cond-warn", "1"]) == 0
+        # the default display printed the library's source path and line; the
+        # Vandermonde table is the paper's form's, which pow does not build
+        assert main(["analyze", fixtures["random4"], "--tol-cond-warn", "1"]) == 0
         err = capsys.readouterr().err
         assert err.startswith("warning: generalized Vandermonde condition estimate")
         assert all(line.startswith("warning: ") for line in err.splitlines())
         assert ".py" not in err
+        assert main(["pow", fixtures["random4"], "--z", "0.5", "--tol-cond-warn", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "Vandermonde" not in captured.err
+        expected = eigen_oracle(read_matrix(fixtures["random4"]), 0.5)
+        doc = json.loads(captured.out)
+        result = np.array([[complex(*v) for v in row] for row in doc["entries"]])
+        assert rel_err(result, expected) < 1e-13
 
     def test_tier_prints_no_vandermonde_line(self, tmp_path, capsys):
         # the tier evaluates the Schur covariants: the double-precision
@@ -232,8 +259,13 @@ class TestPow:
     @pytest.mark.parametrize("command", [["pow", "--z", "0.5"], ["verify"], ["analyze"]])
     @pytest.mark.parametrize("name", sorted(overflowing_builds()))
     def test_overflowing_build_exit_6(self, tmp_path, capsys, command, name):
-        # these finite, invertible inputs ended in a bare OverflowError
+        # these finite, invertible inputs ended in a bare OverflowError; only
+        # their paper's form overflows now, and pow evaluates the Schur flow
         path = _save(tmp_path, name, overflowing_builds()[name])
+        if command[0] == "pow":
+            assert main([command[0], path, *command[1:]]) == 0
+            assert rel_err(_matrix_out(capsys), overflowing_oracle(name, 0.5)) < 1e-13
+            return
         assert main([command[0], path, *command[1:]]) == 6
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -244,24 +276,38 @@ class TestPow:
     )
     def test_numpy_warnings_are_not_shown(self, tmp_path, capsys, matrix, z):
         # numpy's overflow warnings named its operations ("overflow
-        # encountered in dot") before the error that names the overflow
-        assert main(["pow", _save(tmp_path, "large", matrix), "--z", z]) == 6
+        # encountered in dot") before the error that names the overflow; the
+        # build of [[2, 1e160], [0, 3]] overflows in its paper's form only
+        path = _save(tmp_path, "large", matrix)
+        large_build = matrix[0][1] == 1e160
+        assert main(["analyze", path] if large_build else ["pow", path, "--z", z]) == 6
         err = capsys.readouterr().err
         assert "encountered in" not in err
         assert err.startswith("error: ")
+        if large_build:
+            assert main(["pow", path, "--z", z]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            result = np.array([[complex(*v) for v in row] for row in doc["entries"]])
+            assert rel_err(result, triangular_flow(1e160, 0.5)) < 1e-14
 
     def test_centre_at_zero_exit_4(self, tmp_path, capsys):
-        # a polished cluster centre landed on 0: cmath.log raised "math
-        # domain error", and pow printed a traceback and exited 1
-        path = _save(tmp_path, "small", first_suite_case().matrix * CENTRE_AT_ZERO_SCALE)
-        assert main(["pow", path, "--z", "0.5"]) == 4
+        # a polished cluster centre of the relation landed on 0: cmath.log
+        # raised "math domain error", and pow printed a traceback and exited
+        # 1; the paper's form still fails, and pow evaluates the Schur flow
+        case, s = first_suite_case(), CENTRE_AT_ZERO_SCALE
+        path = _save(tmp_path, "small", case.matrix * s)
+        assert main(["analyze", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert "singular" not in captured.err
+        assert main(["pow", path, "--z", "0.5"]) == 0
+        expected = s**0.5 * jordan_oracle(case.blocks, case.transform, 0.5)
+        assert rel_err(_matrix_out(capsys), expected) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=LSTSQ_TRUNCATES_SCALES)
     def test_large_entry_is_not_singular(self, tmp_path, capsys):
         # eigenvalues 2 and 3: the discovered relation has roots {0, 5}, and
         # its residual 6.0e-200 passes residual_tol because validate_relation
@@ -274,13 +320,19 @@ class TestPow:
 
     @pytest.mark.parametrize(
         "command, calls",
-        [(["pow", "--z", "0.5"], 0), (["verify"], 0), (["analyze"], 1)],
+        [
+            (["pow", "--z", "0.5"], 0),
+            (["verify", "--method", "vandermonde"], 0),
+            (["analyze"], 1),
+            (["verify"], 1),
+        ],
     )
     def test_mpmath_runs_only_for_the_paper_form(
         self, tmp_path, capsys, monkeypatch, command, calls
     ):
-        # pow and verify evaluate the Schur covariants and print nothing of
-        # the paper's form, so its working-precision set-up never runs
+        # pow and verify evaluate the Schur covariants, so the paper's
+        # working-precision set-up runs only for what reads it: analyze, and
+        # the cross agreement of verify --method both
         counted = []
         original = highprec._krylov_relation
 
@@ -419,12 +471,25 @@ class TestVerify:
             assert main(["verify", fixtures[name]]) == 0
 
     def test_json_residuals(self, fixtures, capsys):
-        assert main(["verify", fixtures["diag23"], "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["pass"] is True
-        assert report["residuals"]["flow_axioms"] <= 1e-8
-        assert report["residuals"]["integer_consistency"] <= 1e-8
-        assert report["residuals"]["cross_agreement"] <= 1e-8
+        for name in ("diag23", "random4"):
+            assert main(["verify", fixtures[name], "--json", "--samples", "3"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["pass"] is True
+            assert report["residuals"]["flow_axioms"] <= 1e-8
+            assert report["residuals"]["integer_consistency"] <= 1e-8
+            # the gap between the Schur flow and the paper's sum at the samples
+            a = read_matrix(fixtures[name])
+            rep = build_flow(a)
+            rng = np.random.default_rng(0)
+            zs = [complex(*(3.0 * rng.uniform(-1, 1, 2) / np.sqrt(2))) for _ in range(6)]
+            negs = np.array(negative_powers(a, rep.degree))
+            gaps = []
+            for z in zs:
+                value = evaluate_flow(rep, z)
+                paper = np.tensordot(mu_functions(rep, z), negs, 1)
+                gaps.append(np.max(np.abs(paper - value)) / max(1.0, np.max(np.abs(value))))
+            assert report["residuals"]["cross_agreement"] == max(gaps)
+            assert 0.0 < max(gaps) <= 1e-12
 
     def test_negative_samples_exit_2(self, fixtures, capsys):
         assert main(["verify", fixtures["diag23"], "--samples", "-3"]) == 2
@@ -445,6 +510,12 @@ class TestVerify:
         assert main(["verify", str(p), "--method", method, "--json"]) == 0
         residuals = json.loads(capsys.readouterr().out)["residuals"]
         assert residuals["flow_axioms"] <= 1e-12
+        # the paper's sum in double precision, in the tier, against the
+        # Schur flow: reported, outside the pass decision
+        if method == "both":
+            assert 0.0 < residuals["cross_agreement"] <= 1e-6
+        else:
+            assert "cross_agreement" not in residuals
 
 
 class TestFormula:

@@ -43,15 +43,16 @@ from cflow import (
 
 from conftest import (
     CENTRE_AT_ZERO_SCALE,
-    LSTSQ_TRUNCATES_SCALES,
-    NOT_SCALE_INVARIANT,
     defective_case,
     distinct_case,
+    eigen_oracle,
     first_suite_case,
     first_suite8_case,
     jordan_block_case,
     overflowing_builds,
+    overflowing_oracle,
     rel_err,
+    triangular_flow,
 )
 
 
@@ -121,10 +122,15 @@ class TestBuildFlow:
     @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
     def test_wrong_discovered_relation_raises(self):
         # outside the tier, this matrix's double-precision relation has
-        # residual 16.9, and its flow was off by a relative 8e3
+        # residual 16.9, and its flow was off by a relative 8e3; the paper's
+        # form raises, and the Schur flow is right
         case = defective_case(np.random.default_rng(2), 24)
+        rep = build_flow(case.matrix)
         with pytest.raises(RelationInvalid, match="relation residual 1.694e"):
-            build_flow(case.matrix)
+            rep.relation
+        for z in (0.5 + 0.25j, -1.7):
+            truth = jordan_oracle(case.blocks, case.transform, z)
+            assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
 
     def test_ambiguous_rank_falls_back_to_characteristic_polynomial(self, suite, monkeypatch):
         def ambiguous(a, tol):
@@ -176,11 +182,15 @@ class TestBuildFlow:
 
     @pytest.mark.parametrize("name", sorted(overflowing_builds()))
     def test_overflowing_build_raises_non_finite(self, name):
-        # finite, invertible inputs whose build overflowed with a bare OverflowError
+        # finite, invertible inputs whose build overflowed with a bare
+        # OverflowError; now only their paper's form does, and the Schur flow
+        # is the scaled one
+        rep = build_flow(overflowing_builds()[name])
         with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
-            build_flow(overflowing_builds()[name])
+            rep.coeffs
+        for z in (0.5 + 0.25j, -1.7):
+            assert rel_err(evaluate_flow(rep, z), overflowing_oracle(name, z)) < 1e-13
 
-    @pytest.mark.xfail(strict=True, raises=ZeroEigenvalue, reason=LSTSQ_TRUNCATES_SCALES)
     def test_large_scale_is_not_a_zero_eigenvalue(self):
         # eigenvalues of magnitude 5e9 to 3e10: the discovered relation has
         # residual 5.6 and roots near 0, and the build raises ZeroEigenvalue
@@ -191,12 +201,17 @@ class TestBuildFlow:
             assert rel_err(evaluate_flow(rep, z), expected) < 1e-8
 
     def test_centre_at_zero_is_non_convergence(self):
-        # a polished cluster centre landed on 0, and cmath.log raised an
-        # untyped ValueError; the matrix is not singular
+        # a polished cluster centre of the relation landed on 0, and cmath.log
+        # raised an untyped ValueError; the matrix is not singular, and its
+        # Schur flow is the scaled one
+        case, s = first_suite_case(), CENTRE_AT_ZERO_SCALE
+        rep = build_flow(case.matrix * s)
         with pytest.raises(NonConvergence, match="centre"):
-            build_flow(first_suite_case().matrix * CENTRE_AT_ZERO_SCALE)
+            rep.relation
+        z = 0.5 + 0.25j
+        expected = s**z * jordan_oracle(case.blocks, case.transform, z)
+        assert rel_err(evaluate_flow(rep, z), expected) < 1e-12
 
-    @pytest.mark.xfail(strict=True, raises=NonConvergence, reason=NOT_SCALE_INVARIANT)
     def test_small_scale_is_the_scaled_flow(self):
         case, s = first_suite_case(), CENTRE_AT_ZERO_SCALE
         rep = build_flow(case.matrix * s)
@@ -209,13 +224,16 @@ class TestBuildFlow:
         # Vandermonde matrix: its cast to double precision leaked numpy's
         # RuntimeWarning, and the finite input was reported as containing
         # "NaN or infinite entries"
+        # (now in the paper's form only: the Schur flow of [[1e-6]] is right)
         q = AnnihilatorPolynomial.from_roots([1e-6] * 30)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            rep = build_flow(np.array([[1e-6]]), q)
             with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
-                build_flow(np.array([[1e-6]]), q)
+                rep.coeffs
             with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
                 companion_flow_mu(q, 0.5)
+        assert evaluate_flow(rep, 0.5)[0, 0] == pytest.approx(1e-3, rel=1e-15)
 
     def test_tier_does_not_warn_about_the_table_it_discards(self):
         # the double-precision table's estimate read 1.2e14 here, for a
@@ -224,17 +242,23 @@ class TestBuildFlow:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = build_flow(case.matrix)
-        assert rep.high_precision is not None
+            assert rep.high_precision is not None
         assert rep.coeffs.condition_estimate > 1e12
         assert [w for w in caught if issubclass(w.category, ConditioningWarning)] == []
         z = 0.5 + 0.25j
         assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-12
 
     def test_folded_table_warns_at_the_caller(self):
+        # the paper's table is built, and reported, on first read
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            rep = build_flow(a, tol=ToleranceConfig(cond_warn=1.0))
+            z = 0.5 + 0.25j
+            assert rel_err(evaluate_flow(rep, z), eigen_oracle(a, z)) < 1e-13
         with pytest.warns(ConditioningWarning, match="generalized Vandermonde") as caught:
-            build_flow(a, tol=ToleranceConfig(cond_warn=1.0))
+            rep.coeffs
         assert len(caught) == 1
         assert caught[0].filename == __file__
 
@@ -685,3 +709,114 @@ class TestFiniteRadius:
         for z in [*self.ZS, *_radius_points(huge), window]:
             assert _outcome(huge, z) == _parent_outcome(huge, z), z
         assert _outcome(huge, window)[0] is NonFiniteEntry
+
+
+_GATE_ZS = (0.5 + 0.25j, -1.7, 3j)
+
+
+class TestScaleInvariance:
+    """The Schur form is built on ``D^{-1} A D / s``, every factor a power of
+    two, so no threshold depends on ``A``'s scale (ROADMAP item 1)."""
+
+    def test_scaled_suite(self, suite):
+        # before the balanced Schur form, 1e-5 gave 8 silent wrong answers and
+        # 30 raises, and 1e-12 and 1e6 to 1e30 raised on most matrices
+        for k in range(-60, 101, 20):
+            s = 2.0**k
+            for case in suite:
+                rep = build_flow(case.matrix * s)
+                for z in _GATE_ZS:
+                    expected = s**z * jordan_oracle(case.blocks, case.transform, z)
+                    assert rel_err(evaluate_flow(rep, z), expected) < 1e-10, (k, z)
+
+    @pytest.mark.parametrize("u", [1e8, 1e100, 1e160])
+    def test_graded_entry(self, u):
+        # with s alone, [[2, 1e8], [0, 3]] scales to eigenvalues of 1.5e-8 and
+        # raised ZeroEigenvalue; D balances the entry away
+        rep = build_flow(np.array([[2.0, u], [0.0, 3.0]]))
+        for z in _GATE_ZS:
+            assert rel_err(evaluate_flow(rep, z), triangular_flow(u, z)) < 1e-14
+
+    def test_large_diagonal(self):
+        rep = build_flow(np.diag([1e80, 2e80]))
+        for z in _GATE_ZS:
+            expected = jordan_oracle([(1e80, 1), (2e80, 1)], np.eye(2), z)
+            assert rel_err(evaluate_flow(rep, z), expected) < 1e-14
+
+    @pytest.mark.parametrize("name", ["diag10", "rank3", "nilpotent3", "nilpotent3+1"])
+    def test_singular_inputs_stay_typed(self, name):
+        # relative thresholds on the balanced form still see these as
+        # singular; raw Schur turned typed errors into silent wrong answers
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        j = np.diag([0, 0, 0, 1.0]) + np.diag([1.0, 1.0, 0], 1)  # J3(0) + 1
+        a = {
+            "diag10": np.diag([1.0, 0.0]),
+            "rank3": rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6)),
+            "nilpotent3": t[:3, :3] @ j[:3, :3] @ np.linalg.inv(t[:3, :3]),
+            "nilpotent3+1": t @ j @ np.linalg.inv(t),
+        }[name]
+        with pytest.raises((ZeroEigenvalue, NonConvergence)):
+            build_flow(a)
+
+    @pytest.mark.parametrize("n", [32, 40, 48])
+    def test_large_matrices(self, n):
+        # the relation path raised RelationInvalid on 9 of these 12
+        for seed, kind in [(s, k) for s in (0, 1) for k in (distinct_case, defective_case)]:
+            case = kind(np.random.default_rng(seed), n)
+            rep = build_flow(case.matrix)
+            for z in _GATE_ZS:
+                truth = jordan_oracle(case.blocks, case.transform, z)
+                assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
+
+
+def test_evaluated_form_runs_no_relation(suite, monkeypatch):
+    # build_flow, evaluate_flow and evaluation_condition read the Schur form
+    # alone; the relation, its table and the negative powers are the paper's
+    # form's, built on first read
+    calls = []
+
+    def counted(name):
+        original = getattr(flow, name)
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    for name in ("minimal_polynomial", "spectral_table", "_negative_powers_extended"):
+        monkeypatch.setattr(flow, name, counted(name))
+    reps = [build_flow(case.matrix) for case in suite]
+    reps.append(build_flow(defective_case(np.random.default_rng(0), 12).matrix))
+    for rep in reps:
+        evaluate_flow(rep, 0.5 + 0.25j)
+        rep.evaluation_condition(-1.7)
+    assert calls == []
+    assert reps[-1].relation.degree == 12
+    assert calls == ["minimal_polynomial", "spectral_table", "_negative_powers_extended"]
+
+
+class TestLapackLoader:
+    """The Schur form's LAPACK, loaded by file path without ``scipy.linalg``."""
+
+    def test_routines_match_scipy_linalg(self):
+        from scipy.linalg import lapack
+
+        loaded = flow._lapack()
+        assert loaded is not lapack and loaded.__name__ == "scipy.linalg._flapack"
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        a[0, 1:] *= 1e6  # something for zgebal to balance
+        outputs = []
+        for module in (loaded, lapack):
+            ba, *_, d, _ = module.zgebal(a, scale=1)
+            t, _, w, q, _, _ = module.zgees(lambda _: None, ba)
+            select = np.arange(8) < 3
+            ts, qs, *_ = module.ztrsen(select, t, q, job="N")
+            x, scale, _ = module.ztrsyl(ts[:3, :3], ts[3:, 3:], -ts[:3, 3:], isgn=-1)
+            outputs.append([ba, d, t, w, q, ts, qs, x, np.array(scale)])
+        for mine, theirs in zip(*outputs):
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_falls_back_to_scipy_linalg(self, tmp_path, monkeypatch):
+        import scipy
+        from scipy.linalg import lapack
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        assert flow._lapack.__wrapped__() is lapack

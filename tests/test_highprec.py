@@ -1,16 +1,13 @@
 """The mpmath tier: a defective n=12 matrix whose relation cancels beyond
-extended precision, so its covariants come from the Schur form and the
-paper's form is kept at arbitrary precision; the tier's set-up run directly;
-and the Schur covariants themselves."""
+extended precision, so its paper's form is kept at arbitrary precision; the
+tier's set-up run directly; and the Schur covariants themselves."""
 
 import dataclasses
 
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.linalg import lapack
-
-from cflow import highprec
+from cflow import flow, highprec
 from cflow import (
     AnnihilatorPolynomial,
     CompanionFlow,
@@ -229,8 +226,7 @@ def test_schur_covariants_on_non_normal_suite_matrices(suite):
     # the ladder's distinct matrices are normal (T12 = 0) and cannot catch
     # a sign error in the projector; the suite's matrices are not normal
     for case in suite[:20]:
-        rep = build_flow(case.matrix)
-        basis, covariants = schur_covariants(case.matrix, rep.basis)
+        basis, covariants = schur_covariants(case.matrix)
         assert covariants.shape == (len(basis.terms),) + case.matrix.shape
         for z in (0.5 + 0.3j, -1.7):
             value = np.tensordot(eval_basis(basis, z), covariants, axes=1)
@@ -244,13 +240,14 @@ def test_schur_keeps_the_principal_branch_of_a_real_negative_eigenvalue():
     t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     blocks = ((-2.0, 1), (3.0, 1), (-0.5, 1))
     a = t @ np.diag([-2.0, 3.0, -0.5]) @ np.linalg.inv(t)
-    basis, covariants = schur_covariants(a, build_flow(a).basis)
+    basis, covariants = schur_covariants(a)
     value = np.tensordot(eval_basis(basis, 0.5), covariants, axes=1)
     assert rel_err(value, jordan_oracle(blocks, t, 0.5)) < 1e-12
 
 
 @pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
 def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
+    lapack = flow._lapack()
     original = getattr(lapack, routine)
 
     def failing(*args, **kwargs):
@@ -259,7 +256,7 @@ def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
     monkeypatch.setattr(lapack, routine, failing)
     case, rep = tier_case
     with pytest.raises(NonConvergence):
-        schur_covariants(case.matrix, rep.basis)
+        schur_covariants(case.matrix)
     with pytest.raises(NonConvergence):
         build_flow(case.matrix)
 
