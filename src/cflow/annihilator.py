@@ -424,6 +424,7 @@ def cluster_roots(
     roots,
     tol: ToleranceConfig = DEFAULT_TOL,
     polynomial: AnnihilatorPolynomial | None = None,
+    zero: float | None = None,
 ) -> Spectrum:
     """Merge a root list into a :class:`Spectrum` with multiplicities.
 
@@ -443,16 +444,18 @@ def cluster_roots(
     Raises
     ------
     ZeroEigenvalue
-        If any root magnitude is at or below ``cluster_tol`` (the matrix is
-        not invertible, so no flow exists).
+        If any root magnitude, or without ``polynomial`` a centroid, is at
+        or below ``zero`` (``cluster_tol`` by default): the matrix is not
+        invertible, so no flow exists.
     NonConvergence
-        If a cluster centre lands at or below ``cluster_tol`` although no
-        root does.
+        If polishing drives a cluster centre to ``zero`` or below although
+        no root lies there.
     """
     roots = np.asarray(roots, dtype=np.complex128)
     if roots.size == 0:
         raise ValueError("root list is empty")
-    if np.any(np.abs(roots) <= tol.cluster_tol):
+    zero = tol.cluster_tol if zero is None else zero
+    if np.any(np.abs(roots) <= zero):
         raise ZeroEigenvalue("a root lies at or near zero; the matrix is not invertible")
     scale = 1.0 + float(np.max(np.abs(roots)))
     base_radius = max(tol.cluster_tol, _CLUSTER_FLOOR * scale)
@@ -496,10 +499,12 @@ def cluster_roots(
 
     clusters = []
     for center, m in best:
-        if abs(center) <= tol.cluster_tol:
+        if abs(center) <= zero and polynomial is None:  # a nilpotent block's scatter
+            raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
+        if abs(center) <= zero:
             raise NonConvergence(
                 f"polishing a root cluster drove its centre to magnitude {abs(center):.3e}, "
-                f"although every root lies above {tol.cluster_tol:.1e} in magnitude"
+                f"although every root lies above {zero:.1e} in magnitude"
             )
         if abs(center.imag) <= 1e3 * tol.root_tol * (1.0 + abs(center)):
             center = complex(center.real, 0.0)  # deterministic branch on the real axis

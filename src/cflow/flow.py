@@ -17,6 +17,7 @@ import cmath
 import importlib.util
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -52,6 +53,7 @@ from .basis import (
 from .errors import (
     AmbiguousRank,
     CFlowError,
+    ConditioningWarning,
     DimensionMismatch,
     NonConvergence,
     NonFiniteEntry,
@@ -106,7 +108,7 @@ def _lapack():
 
 class PaperForm:
     """The paper's form ``A^z = sum_i mu_i(z) A^{-i}`` of one matrix, built on
-    first read of any attribute or by :meth:`mu`.
+    first read of any attribute, or by :meth:`mu` or :meth:`power`.
 
     A supplied relation ``q`` is validated at once.  Otherwise the minimal
     polynomial is discovered, or, when its rank is ambiguous, the
@@ -164,16 +166,29 @@ class PaperForm:
             if discovered:
                 _accepted(residual, tol)
         return SimpleNamespace(
-            relation=q, basis=basis, coeffs=coeffs, relation_residual=residual, high_precision=hp
+            relation=q, basis=basis, coeffs=coeffs, relation_residual=residual,
+            high_precision=hp, negs=negs_ext, amplification=amp,
         )
 
-    def mu(self, z: complex) -> np.ndarray:
-        """The coefficient vector ``mu(z)``, which must be finite."""
+    def mu(self, z: complex, extended: bool = False) -> np.ndarray:
+        """The coefficient vector ``mu(z)``, which must be finite; outside the
+        mpmath tier, ``extended`` keeps it in extended precision."""
         if self.high_precision is not None:
             return _finite(self.high_precision.mu(z), "mu", z)
         with np.errstate(over="ignore", invalid="ignore"):  # rounded, then checked
-            mu = (self.coeffs.e_extended @ eval_basis_extended(self.basis, z)).astype(np.complex128)
-        return _finite(mu, "mu", z)
+            mu = self.coeffs.e_extended @ eval_basis_extended(self.basis, z)
+            return _finite(mu if extended else mu.astype(np.complex128), "mu", z)
+
+    def power(self, z: complex) -> np.ndarray:
+        """The paper's sum ``A^z = sum_i mu_i(z) A^{-i}`` over the extended
+        chain.  In the mpmath tier, where it cancels by more than 1e8 and only
+        ``mu`` is at working precision, it warns (:class:`ConditioningWarning`)."""
+        if self.high_precision is not None:
+            amp = self._form.amplification
+            warnings.warn(f"the paper's sum cancels by about {amp:.1e}", ConditioningWarning, 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # rounded, then checked
+            out = np.tensordot(self.mu(z, extended=True), self._form.negs, 1)
+            return _finite(out.astype(np.complex128), "A^z", z)
 
 
 @dataclass(frozen=True)
@@ -265,16 +280,14 @@ def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     return [m.astype(np.complex128) for m in _negative_powers_extended(a, p, tol)]
 
 
-def _negative_powers_extended(a, p: int, tol: ToleranceConfig | None) -> list:
-    """The negative-power chain kept in extended precision; ``tol=None``
-    skips the pivot check."""
+def _negative_powers_extended(a, p: int, tol: ToleranceConfig) -> list:
+    """The negative-power chain kept in extended precision."""
     a = as_matrix(a)
     if p < 1:
         raise ValueError("need at least one negative power")
-    inv = extended_inverse(a, tol)
-    out = [inv]
+    out = [extended_inverse(a, tol)]
     for _ in range(p - 1):
-        out.append(out[-1] @ inv)
+        out.append(out[-1] @ out[0])
     return out
 
 
@@ -315,9 +328,10 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     basis of ``A``'s spectrum, on the principal branch, and the
     ``(len(terms), n, n)`` stack in its term order.
 
-    Raises :class:`NonConvergence` when the Schur iteration, the reordering
-    or the Sylvester solve fails, and it or :class:`ZeroEigenvalue` for a
-    singular matrix.
+    An eigenvalue of ``B`` at or below ``rank_tol`` (``max|B|`` lies in
+    ``[1, 2)``), or a cluster centred there, raises :class:`ZeroEigenvalue`;
+    a failed Schur iteration, reordering or Sylvester solve raises
+    :class:`NonConvergence`.
     """
     lapack = _lapack()
     a = as_matrix(a)
@@ -328,7 +342,7 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     if info != 0:
         raise NonConvergence(f"Schur form did not converge (zgees info {info})")
     diag = np.diag(t)
-    spectrum = cluster_roots(diag, tol)
+    spectrum = cluster_roots(diag, tol, zero=tol.rank_tol)
     centers = np.array([c.value for c in spectrum.clusters])
     owner = np.argmin(np.abs(diag[:, None] - centers[None, :]), axis=1)
     clusters, blocks = [], []
@@ -471,11 +485,9 @@ def evaluate_companion_flow(
     tol: ToleranceConfig = DEFAULT_TOL,
     branch_offsets: dict | None = None,
 ) -> np.ndarray:
-    """Evaluate ``A^z = sum mu_i(z) A^{-i}`` with ``mu = C^z c``.
-
-    That is the flow of ``a`` with ``q`` validated, so this is
-    :func:`evaluate_flow` of ``a``'s representation, from its covariants.
-    """
+    """``A^z`` of ``a`` with the relation ``q`` validated: :func:`evaluate_flow`
+    of its representation, from the covariants.  The paper's sum with ``mu =
+    C^z c`` is :meth:`PaperForm.power` of ``build_flow(a, q).paper``."""
     return evaluate_flow(build_flow(a, q, tol, branch_offsets), z)
 
 
@@ -619,8 +631,7 @@ def check_flow_axioms(rep: FlowRepresentation, a, samples) -> FlowAxiomReport:
     group-law sample by ``max(1, |F(z)| * |F(w)|)``.
     """
     a = as_matrix(a)
-    # the chain of the paper's form, whose pivots that form has checked
-    last = _negative_powers_extended(a, rep.degree, None)[-1]
+    last = rep.paper._form.negs[-1]  # the paper's chain, its pivots checked
     scale = max(1.0, max_norm(a), max_norm(last))
     ident = max_norm(evaluate_flow(rep, 0.0) - np.eye(a.shape[0])) / scale
     gen = max_norm(evaluate_flow(rep, 1.0) - a) / scale

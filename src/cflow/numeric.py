@@ -32,7 +32,8 @@ class ToleranceConfig:
     Parameters
     ----------
     rank_tol : float
-        Relative threshold for rank / pivot decisions.
+        Relative threshold for rank / pivot decisions, and for a zero
+        eigenvalue of the balanced Schur form.
     root_tol : float
         An eigenvalue (cluster centre) whose imaginary part is at most
         ``1e3 * root_tol`` relative to its magnitude is snapped onto the

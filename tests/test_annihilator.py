@@ -240,6 +240,15 @@ class TestClusterRoots:
         with pytest.raises(ZeroEigenvalue):
             cluster_roots([1.0, 0.0])
 
+    def test_zero_centroid_is_a_zero_eigenvalue(self):
+        # a nilpotent block's Schur diagonal: every value lies above ``zero``,
+        # their centroid at 0; nothing was polished, so the matrix is singular
+        scatter = 6e-6 * np.exp(2j * np.pi * np.arange(3) / 3)
+        with pytest.raises(ZeroEigenvalue, match="centred at zero"):
+            cluster_roots(scatter, zero=1e-10)
+        with pytest.raises(ZeroEigenvalue, match="at or near zero"):
+            cluster_roots(scatter, zero=1e-5)  # each value lies below it
+
     def test_adaptive_radius_recovers_scattered_triple(self):
         # roots of (X - 2)^3 (X - 1) scatter far beyond the base merge
         # radius in double precision; the polynomial-rebuild criterion must
