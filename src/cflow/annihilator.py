@@ -388,8 +388,8 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
     return list(zip(centers.tolist(), mults.tolist()))
 
 
-def _cluster_at_radius(roots: list, radius: float) -> list:
-    """Single-linkage grouping of the root list at a fixed merge radius."""
+def _cluster_at_radius(roots: list, pairs: list, radius: float) -> list:
+    """Single-linkage grouping of the root list at one radius, over ``(distance, i, j)`` pairs."""
     parent = list(range(len(roots)))
 
     def find(i):
@@ -398,10 +398,9 @@ def _cluster_at_radius(roots: list, radius: float) -> list:
             i = parent[i]
         return i
 
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) <= radius:
-                parent[find(i)] = find(j)
+    for distance, i, j in pairs:
+        if distance <= radius:
+            parent[find(i)] = find(j)
 
     groups = {}
     for i, root in enumerate(roots):
@@ -455,30 +454,36 @@ def cluster_roots(
     if roots.size == 0:
         raise ValueError("root list is empty")
     zero = tol.cluster_tol if zero is None else zero
-    if np.any(np.abs(roots) <= zero):
+    if np.abs(roots).min() <= zero:
         raise ZeroEigenvalue("a root lies at or near zero; the matrix is not invertible")
-    scale = 1.0 + float(np.max(np.abs(roots)))
+    scale = 1.0 + float(np.abs(roots).max())
     base_radius = max(tol.cluster_tol, _CLUSTER_FLOOR * scale)
 
     radii = [base_radius]
     while radii[-1] < 0.05 * scale:
         radii.append(4.0 * radii[-1])
 
-    values = roots.tolist()  # the O(p^2) grouping loop runs on Python complex numbers
-    groups = _cluster_at_radius(values, base_radius)
+    values = roots.tolist()  # groups and centroids are Python complex numbers
+    distances = np.abs(roots[:, None] - roots[None, :])
+    distances.flat[:: len(values) + 1] = np.inf  # no root is its own neighbour
+    near = np.nonzero(distances <= radii[-1])  # every pair any rung can join
+    pairs = list(zip(distances[near].tolist(), *(k.tolist() for k in near)))
+    groups = _cluster_at_radius(values, pairs, base_radius)
     if polynomial is None:
         # Widen while every group of m roots lies within (1e4 eps)^(1/m) of its
-        # centroid, where its m Taylor terms truncate at about 1e4 eps.
-        distances = np.abs(roots[:, None] - roots[None, :])
-        for narrow, radius in zip(radii, radii[1:]):
-            if not np.any((distances > narrow) & (distances <= radius)):
+        # centroid, where its m Taylor terms truncate at about 1e4 eps.  Only a
+        # rung that some distance falls into changes the groups.
+        between = [r for r, _, _ in pairs if r > base_radius]
+        for narrow, radius in zip(radii, radii[1:]) if between else ():
+            if not any(narrow < r <= radius for r in between):
                 continue  # the same groups
-            wider = _cluster_at_radius(values, radius)
-            spreads = [(np.max(np.abs(np.subtract(g, np.mean(g)))), len(g)) for g in wider]
+            wider = _cluster_at_radius(values, pairs, radius)
+            centroids = [sum(g) / len(g) for g in wider]
+            spreads = [(max(abs(v - c) for v in g), len(g)) for c, g in zip(centroids, wider)]
             if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
                 break
             groups = wider
-        best = [(complex(np.mean(g)), len(g)) for g in groups]
+        best = [(sum(g) / len(g), len(g)) for g in groups]
     else:
         best = _polish(polynomial, groups, max(10 * _CLUSTER_FLOOR, 2.0 * base_radius / scale))
         # Single-linkage groupings are nested in the radius, so the sorted
@@ -487,7 +492,7 @@ def cluster_roots(
         best_res = _rebuild_residual(polynomial, best)
         seen = {tuple(sorted(m for _, m in best))}
         for radius in radii[1:]:
-            groups = _cluster_at_radius(values, radius)
+            groups = _cluster_at_radius(values, pairs, radius)
             signature = tuple(sorted(len(g) for g in groups))
             if signature in seen:
                 continue

@@ -22,7 +22,8 @@ class ZeroEigenvalue(CFlowError):
 
 
 class NonConvergence(CFlowError):
-    """A LAPACK eigenvalue iteration, Schur reordering or Sylvester solve failed."""
+    """A LAPACK eigenvalue iteration, Schur reordering, Sylvester solve or
+    triangular inverse failed."""
 
 
 class RelationInvalid(CFlowError):

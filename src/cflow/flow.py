@@ -315,23 +315,26 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     """The spectrum of ``a`` and its covariants ``M_(lam, j) = P_lam (A - lam I)^j``
     from one complex Schur form, with no relation and no negative powers.
 
-    The form is that of ``B = D^{-1} A D / s``, ``D`` from LAPACK ``zgebal``
-    (scaling only; Parlett and Reinsch, *Numer. Math.* 13, 1969) and ``s =
-    2^floor(log2 max|B|)``: powers of two, so every threshold is relative to
-    ``A``'s scale and the map back is exact, ``lam = s mu`` and ``M_j = s^j D
-    N_j D^{-1}``.  Its diagonal is grouped by :func:`cluster_roots`.  Each
-    cluster is reordered to the top (``ztrsen``), ``T11 X - X T22 = -T12`` is
-    solved (``ztrsyl``), and with ``mu = trace(T11) / m`` the covariants of
-    ``B`` are ``N_j = Q1 (T11 - mu I)^j (Q1* - X Q2*)`` for ``j < m``: block
-    diagonalization (Bavely and Stewart 1979), the confluent Sylvester form
-    of Higham, *Functions of Matrices* (2008), section 1.2.  Returns the
-    basis of ``A``'s spectrum, on the principal branch, and the
-    ``(len(terms), n, n)`` stack in its term order.
+    The form ``B = Q T Q*`` is that of ``B = D^{-1} A D / s``, ``D`` from
+    LAPACK ``zgebal`` (scaling only; Parlett and Reinsch, *Numer. Math.* 13,
+    1969) and ``s = 2^floor(log2 max|B|)``: powers of two, so every threshold
+    is relative to ``A``'s scale and the map back is exact, ``lam = s mu``
+    and ``M_j = s^j D N_j D^{-1}``.  The diagonal of ``T`` is grouped by
+    :func:`cluster_roots`; each multiple cluster is reordered to the top in
+    turn (``ztrsen`` keeps the order of the rest), so every cluster is one
+    block ``b = [lo, hi)``.  ``T_bb X - X T[hi:, hi:] = T[lo:hi, hi:]``
+    (``ztrsyl``) gives its rows ``[0 I X]`` of the unit upper-triangular
+    ``R`` with ``R T R^{-1}`` block diagonal (Bavely and Stewart 1979), and
+    ``L = R^{-1}`` (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, the
+    covariants of ``B`` are ``N_j = (Q L)[:, b] (T_bb - mu I)^j (R Q*)[b, :]``
+    for ``j < m``: the confluent Sylvester form of Higham, *Functions of
+    Matrices* (2008), section 1.2.  Returns the basis of ``A``'s spectrum,
+    on the principal branch, and the ``(n, n, n)`` stack in its term order.
 
     An eigenvalue of ``B`` at or below ``rank_tol`` (``max|B|`` lies in
     ``[1, 2)``), or a cluster centred there, raises :class:`ZeroEigenvalue`;
-    a failed Schur iteration, reordering or Sylvester solve raises
-    :class:`NonConvergence`.
+    a failed Schur iteration, reordering, Sylvester solve or triangular
+    inverse raises :class:`NonConvergence`.
     """
     lapack = _lapack()
     a = as_matrix(a)
@@ -345,31 +348,43 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     spectrum = cluster_roots(diag, tol, zero=tol.rank_tol)
     centers = np.array([c.value for c in spectrum.clusters])
     owner = np.argmin(np.abs(diag[:, None] - centers[None, :]), axis=1)
-    clusters, blocks = [], []
-    for ci, cluster in enumerate(spectrum.clusters):
+    counts = np.bincount(owner, minlength=len(centers)).tolist()
+    for ci in [ci for ci, m in enumerate(counts) if m > 1]:
         select = owner == ci
-        ts, qs, *_, info = lapack.ztrsen(select, t, q, job="N")
+        t, q, *_, info = lapack.ztrsen(select, t, q, job="N")
         if info != 0:
             raise NonConvergence(f"Schur reordering failed (ztrsen info {info})")
-        m = int(select.sum())
-        t11, q1, q2 = ts[:m, :m], qs[:, :m], qs[:, m:]
-        x = np.zeros((m, n - m), dtype=np.complex128)
-        if m < n:
-            x, scale, info = lapack.ztrsyl(t11, ts[m:, m:], -ts[:m, m:], isgn=-1)
-            if info != 0:
-                raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
-            x = x / scale
-        mu = complex(np.trace(t11)) / m
-        if cluster.value.imag == 0.0:  # cluster_roots put it on the real axis
-            mu = complex(mu.real, 0.0)
-        clusters.append(Cluster(s * mu, m, cmath.log(s * mu)))
-        left, right = d[:, None] * q1, (q1.conj().T - x @ q2.conj().T) / d
-        nil = (t11 - mu * np.eye(m)) * s
-        power = np.eye(m, dtype=np.complex128)
-        for _ in range(m):
-            blocks.append(left @ power @ right)
-            power = power @ nil
-    return build_basis(Spectrum(tuple(clusters))), np.array(blocks)
+        owner = np.concatenate([owner[select], owner[~select]])
+    owner = owner.tolist()
+    starts = [0] + [i for i in range(1, n) if owner[i] != owner[i - 1]]
+    blocks = list(zip(starts, starts[1:] + [n]))
+    r = np.eye(n, dtype=np.complex128)
+    for lo, hi in blocks[:-1]:  # the last block has nothing to its right
+        x, scale, info = lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], t[lo:hi, hi:], isgn=-1)
+        if info != 0:
+            raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
+        r[lo:hi, hi:] = x / scale
+    l, info = lapack.ztrtri(r, unitdiag=1)
+    if info != 0:
+        raise NonConvergence(f"inverting the block diagonalization failed (ztrtri info {info})")
+    left, right = (d[:, None] * q) @ l, (r @ q.conj().T) / d
+    # Every position's rank-one term, in term order (each simple eigenvalue's
+    # covariant); a multiple cluster's terms are then replaced.
+    order = sorted(range(n), key=owner.__getitem__)
+    out = left.T[order, :, None] @ right[order, None, :]
+    diag, mus = np.diag(t).tolist(), [0j] * len(counts)
+    for lo, hi in blocks:
+        ci, m = owner[lo], hi - lo
+        mu = mus[ci] = sum(diag[lo:hi]) / m
+        if spectrum.clusters[ci].value.imag == 0.0:  # cluster_roots put it on the real axis
+            mu = mus[ci] = complex(mu.real, 0.0)
+        if m > 1:
+            nil, power = (t[lo:hi, lo:hi] - mu * np.eye(m)) * s, np.eye(m)
+            for j in range(order.index(lo), order.index(lo) + m):
+                out[j] = left[:, lo:hi] @ power @ right[lo:hi]
+                power = power @ nil
+    clusters = [Cluster(s * mu, m, cmath.log(s * mu)) for mu, m in zip(mus, counts)]
+    return build_basis(Spectrum(tuple(clusters))), out
 
 
 def _accepted(residual: float, tol: ToleranceConfig, source: str = "") -> float:
@@ -398,8 +413,7 @@ def build_flow(
     log (each choice yields a different, equally valid flow), and the paper's
     form carries the choice over to its nearest clusters.
     """
-    a = as_matrix(a)
-    basis, covariants = schur_covariants(a, tol)
+    basis, covariants = schur_covariants(a, tol)  # which validates a
     if branch_offsets:
         basis = build_basis(basis.spectrum.with_branch_offsets(branch_offsets))
     return FlowRepresentation(basis, covariants, PaperForm(a, q, tol, basis.spectrum))

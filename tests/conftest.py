@@ -160,6 +160,21 @@ def jordan_block_case(rng: np.random.Generator, lam: complex, size: int) -> Suit
     return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=((complex(lam), size),), transform=t)
 
 
+def several_multiple_case() -> SuiteCase:
+    """``T (J_2(2) + J_3(-1+0.5i) + J_1(3) + 0.5 I_2 + J_1(-1+0.5i)) T^{-1}`` with
+    a random complex ``T`` (seed 3): n = 9, with clusters of multiplicity 2,
+    4, 1 and 2 (the 0.5 one derogatory)."""
+    blocks = ((2.0, 2), (-1 + 0.5j, 3), (3.0, 1), (0.5, 1), (0.5, 1), (-1 + 0.5j, 1))
+    j = np.zeros((9, 9), dtype=np.complex128)
+    pos = 0
+    for lam, size in blocks:
+        j[pos : pos + size, pos : pos + size] = lam * np.eye(size) + np.eye(size, k=1)
+        pos += size
+    rng = np.random.default_rng(3)
+    t = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    return SuiteCase(matrix=t @ j @ np.linalg.inv(t), blocks=blocks, transform=t)
+
+
 def distinct_case(rng: np.random.Generator, n: int) -> SuiteCase:
     """``n`` simple eigenvalues (magnitudes in ``[0.5, 4]``, at least 0.3
     apart) conjugated by a random unitary matrix."""

@@ -309,8 +309,8 @@ def test_ladder_polishes_each_grouping_once(monkeypatch):
     groupings, polished = [], []
     cluster_at_radius, polish = annihilator._cluster_at_radius, annihilator._polish
 
-    def recording_cluster(roots, radius):
-        groups = cluster_at_radius(roots, radius)
+    def recording_cluster(*args):
+        groups = cluster_at_radius(*args)
         groupings.append(tuple(sorted(len(g) for g in groups)))
         return groups
 
@@ -325,6 +325,111 @@ def test_ladder_polishes_each_grouping_once(monkeypatch):
     assert sorted(c.multiplicity for c in s.clusters) == [1, 3]
     assert len(groupings) > len(set(groupings))  # the ladder revisits a grouping
     assert sorted(polished) == sorted(set(groupings))
+
+
+def _former_cluster_at_radius(roots, radius):
+    """The grouping loop before the candidate pairs: every pair tested in Python."""
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if abs(roots[i] - roots[j]) <= radius:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, root in enumerate(roots):
+        groups.setdefault(find(i), []).append(root)
+    return list(groups.values())
+
+
+def _former_grouping(roots, tol=DEFAULT_TOL):
+    """``(centroid, multiplicity)`` of the no-polynomial ladder as it was: one
+    NumPy test per rung and ``np.mean`` per group, centroids snapped onto the
+    real axis and ordered as :func:`cluster_roots` orders its clusters."""
+    roots = np.asarray(roots, dtype=np.complex128)
+    scale = 1.0 + float(np.max(np.abs(roots)))
+    base_radius = max(tol.cluster_tol, annihilator._CLUSTER_FLOOR * scale)
+    radii = [base_radius]
+    while radii[-1] < 0.05 * scale:
+        radii.append(4.0 * radii[-1])
+    values = roots.tolist()
+    groups = _former_cluster_at_radius(values, base_radius)
+    distances = np.abs(roots[:, None] - roots[None, :])
+    for narrow, radius in zip(radii, radii[1:]):
+        if not np.any((distances > narrow) & (distances <= radius)):
+            continue
+        wider = _former_cluster_at_radius(values, radius)
+        spreads = [(np.max(np.abs(np.subtract(g, np.mean(g)))), len(g)) for g in wider]
+        if any(r > (1e4 * annihilator._EPS) ** (1 / m) * scale for r, m in spreads):
+            break
+        groups = wider
+    out = []
+    for g in groups:
+        c = complex(np.mean(g))
+        if abs(c.imag) <= 1e3 * tol.root_tol * (1.0 + abs(c)):
+            c = complex(c.real, 0.0)
+        out.append((c, len(g)))
+    return sorted(out, key=lambda cm: (-abs(cm[0]), np.angle(cm[0])))
+
+
+def _root_sets(seed, count):
+    """Root lists of scattered 2- to 5-fold roots, near pairs and simple roots,
+    at magnitudes within a decade of 1 or, for every third list, spread over
+    1e-3 to 1e3; each with the exact roots it scatters from."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        spread = 3.0 if k % 3 == 2 else 1.0
+        exact, roots = [], []
+        for _ in range(rng.integers(2, 6)):
+            c = 10.0 ** rng.uniform(-spread, spread) * np.exp(2j * np.pi * rng.uniform())
+            kind = rng.integers(3)
+            if kind == 0:  # an m-fold root, scattered like (eps cond)^(1/m)
+                m = int(rng.integers(2, 6))
+                radius = abs(c) * (10.0 ** rng.uniform(-15, -9)) ** (1 / m)
+                phase = 2 * np.pi * (np.arange(m) / m + rng.uniform())
+                exact += [c] * m
+                roots += list(c + radius * np.exp(1j * phase))
+            elif kind == 1:  # a near pair
+                other = c * (1 + 10.0 ** rng.uniform(-9, -1.5) * np.exp(2j * np.pi * rng.uniform()))
+                exact += [c, other]
+                roots += [c, other]
+            else:
+                exact.append(c)
+                roots.append(c)
+        yield np.array(exact), np.array(roots)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schur_grouping_matches_the_former_loops(seed):
+    # without a polynomial the groups come from one distance matrix, the
+    # ladder is skipped when no distance lies between its rungs, and the
+    # centroids are Python sums: the same groups as the former loops
+    for _, roots in _root_sets(seed, 60):
+        spectrum = cluster_roots(roots, zero=DEFAULT_TOL.rank_tol)
+        former = _former_grouping(roots)
+        assert [c.multiplicity for c in spectrum.clusters] == [m for _, m in former]
+        for cluster, (centroid, _) in zip(spectrum.clusters, former):
+            assert abs(cluster.value - centroid) <= 1e-15 * abs(centroid)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_relation_grouping_is_unchanged(seed, monkeypatch):
+    # with a polynomial the candidate pairs give the former groupings, so
+    # polishing and the rebuild residual see the same input, bit for bit
+    spectra = []
+    for exact, _ in _root_sets(seed, 30):
+        q = AnnihilatorPolynomial.from_roots(exact)
+        spectra.append((q, find_roots(q), cluster_roots(find_roots(q), polynomial=q)))
+    monkeypatch.setattr(
+        annihilator, "_cluster_at_radius", lambda roots, _, radius: _former_cluster_at_radius(roots, radius)
+    )
+    for q, roots, spectrum in spectra:
+        assert cluster_roots(roots, polynomial=q) == spectrum
 
 
 def _by_gram_schmidt(a, tol=DEFAULT_TOL):

@@ -836,7 +836,10 @@ class TestLapackLoader:
             select = np.arange(8) < 3
             ts, qs, *_ = module.ztrsen(select, t, q, job="N")
             x, scale, _ = module.ztrsyl(ts[:3, :3], ts[3:, 3:], -ts[:3, 3:], isgn=-1)
-            outputs.append([ba, d, t, w, q, ts, qs, x, np.array(scale)])
+            r = np.eye(8, dtype=np.complex128)
+            r[:3, 3:] = x / scale
+            inverse_r, _ = module.ztrtri(r, unitdiag=1)
+            outputs.append([ba, d, t, w, q, ts, qs, x, np.array(scale), inverse_r])
         for mine, theirs in zip(*outputs):
             assert mine.tobytes() == theirs.tobytes()
 

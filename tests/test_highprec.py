@@ -27,7 +27,7 @@ from cflow import (
     schur_covariants,
 )
 
-from conftest import defective_case, distinct_case, rel_err
+from conftest import defective_case, distinct_case, rel_err, several_multiple_case
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +245,7 @@ def test_schur_keeps_the_principal_branch_of_a_real_negative_eigenvalue():
     assert rel_err(value, jordan_oracle(blocks, t, 0.5)) < 1e-12
 
 
-@pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
+@pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl", "ztrtri"])
 def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
     lapack = flow._lapack()
     original = getattr(lapack, routine)
@@ -259,6 +259,49 @@ def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
         schur_covariants(case.matrix)
     with pytest.raises(NonConvergence):
         build_flow(case.matrix)
+
+
+def _counting_lapack(monkeypatch):
+    """The number of calls of each reordering and solve routine made through
+    ``flow._lapack()`` from now on."""
+    lapack, calls = flow._lapack(), {"ztrsen": 0, "ztrsyl": 0, "ztrtri": 0}
+    for name in calls:
+        original = getattr(lapack, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, name, counted)
+    return calls
+
+
+def test_reordering_runs_only_for_multiple_eigenvalues(tier_case, monkeypatch):
+    # a simple eigenvalue is a block of its own wherever it lies: no
+    # reordering, and one Sylvester solve per block left of the last
+    case = distinct_case(np.random.default_rng(0), 8)
+    calls = _counting_lapack(monkeypatch)
+    basis, _ = schur_covariants(case.matrix)
+    assert len(basis.spectrum.clusters) == 8
+    assert calls == {"ztrsen": 0, "ztrsyl": 7, "ztrtri": 1}
+    # the defective n=12 matrix has one multiple eigenvalue
+    calls.update(ztrsen=0, ztrsyl=0, ztrtri=0)
+    basis, _ = schur_covariants(tier_case[0].matrix)
+    assert calls["ztrsen"] == 1
+    assert calls["ztrsyl"] <= len(basis.spectrum.clusters) and calls["ztrtri"] == 1
+
+
+def test_several_multiple_eigenvalues(monkeypatch):
+    # each multiple cluster is reordered to the top in turn, and the others
+    # keep their order, so every cluster stays contiguous
+    case = several_multiple_case()
+    calls = _counting_lapack(monkeypatch)
+    rep = build_flow(case.matrix)
+    assert calls["ztrsen"] == 3
+    assert sorted(c.multiplicity for c in rep.basis.spectrum.clusters) == [1, 2, 2, 4]
+    for z in (0.5 + 0.3j, -1.7, 2.5j):
+        value = evaluate_flow(rep, z)
+        assert rel_err(value, jordan_oracle(case.blocks, case.transform, z)) < 1e-12
 
 
 def _conjugated(blocks, seed):
