@@ -14,6 +14,7 @@ from .annihilator import (
     characteristic_polynomial,
     cluster_roots,
     find_roots,
+    group_roots,
     minimal_polynomial,
     validate_relation,
 )

@@ -11,6 +11,7 @@ polished once against the extended coefficients.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,6 +30,7 @@ __all__ = [
     "companion_matrix",
     "find_roots",
     "cluster_roots",
+    "group_roots",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -363,7 +365,7 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
     centers = np.array([np.mean(g) for g in groups], dtype=np.complex128)
     mults = np.array([len(g) for g in groups])
     asc = poly.monic_coefficients_extended()
-    for m in np.unique(mults):
+    for m in sorted(set(mults.tolist())):  # np.unique would import numpy.ma
         sel = mults == m
         d = asc
         for _ in range(m - 1):
@@ -389,7 +391,8 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
 
 
 def _cluster_at_radius(roots: list, pairs: list, radius: float) -> list:
-    """Single-linkage grouping of the root list at one radius, over ``(distance, i, j)`` pairs."""
+    """Single-linkage grouping of the root list at one radius, over ``(distance,
+    i, j)`` pairs: each group's indices into ``roots``, ascending."""
     parent = list(range(len(roots)))
 
     def find(i):
@@ -403,8 +406,8 @@ def _cluster_at_radius(roots: list, pairs: list, radius: float) -> list:
             parent[find(i)] = find(j)
 
     groups = {}
-    for i, root in enumerate(roots):
-        groups.setdefault(find(i), []).append(root)
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
@@ -419,26 +422,90 @@ def _rebuild_residual(poly: AnnihilatorPolynomial, clusters: list) -> float:
     return float(np.max(np.abs(asc - target))) / max(1.0, float(np.max(np.abs(target))))
 
 
+def group_roots(
+    roots,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    polynomial: AnnihilatorPolynomial | None = None,
+    zero: float | None = None,
+) -> list:
+    """The groups of :func:`cluster_roots`, in its order, as ``(centre,
+    indices)``: the members' ascending indices into ``roots`` and their mean,
+    polished against ``polynomial`` when one is given.  Single linkage on a
+    ladder of radii from ``cluster_tol`` (widened by a floor for the scatter
+    of multiple roots): without ``polynomial`` it widens while each group of
+    ``m`` lies within ``(1e4 eps)^(1/m) scale`` of its centroid, where its
+    ``m`` Taylor terms truncate at about ``1e4 eps``; with it, the grouping
+    whose polished centres best rebuild the coefficients wins (a multiple
+    root scatters far beyond the floor, and merging distinct roots ruins the
+    rebuilt coefficients).  Raises as :func:`cluster_roots` does."""
+    values = np.asarray(roots, dtype=np.complex128).ravel().tolist()
+    if not values:
+        raise ValueError("root list is empty")
+    zero = tol.cluster_tol if zero is None else zero
+    if min(map(abs, values)) <= zero:
+        raise ZeroEigenvalue("a root lies at or near zero; the matrix is not invertible")
+    scale = 1.0 + max(map(abs, values))
+    radii = [max(tol.cluster_tol, _CLUSTER_FLOOR * scale)]
+    while radii[-1] < 0.05 * scale:
+        radii.append(4.0 * radii[-1])
+    # a rung joining a pair beyond reach ends the ladder, so pairs past 4 reach go unused
+    reach = 2.0 * (1e4 * _EPS) ** (1 / len(values)) * scale
+    limit = radii[-1] if polynomial is not None else min(radii[-1], max(radii[0], 4.0 * reach))
+    pairs = itertools.combinations(range(len(values)), 2)
+    pairs = [(r, i, j) for i, j in pairs if (r := abs(values[i] - values[j])) <= limit]
+    if polynomial is None:
+        groups = _cluster_at_radius(values, pairs, radii[0])
+        wide = [r for r, _, _ in pairs if r > radii[0]]
+        for narrow, radius in zip(radii, radii[1:]) if wide else ():
+            joined = [r for r in wide if narrow < r <= radius]
+            if not joined:
+                continue  # the same groups
+            if max(joined) > reach:
+                break  # a group joining that pair spreads beyond (1e4 eps)^(1/n) scale
+            wider = _cluster_at_radius(values, pairs, radius)
+            centroids = [sum(values[i] for i in g) / len(g) for g in wider]
+            spreads = [(max(abs(values[i] - c) for i in g), len(g)) for c, g in zip(centroids, wider)]
+            if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
+                break
+            groups = wider
+        centred = [(sum(values[i] for i in g) / len(g), g) for g in groups]
+    else:
+        centred, seen = None, set()
+        for radius in radii:
+            groups = _cluster_at_radius(values, pairs, radius)
+            # groupings nest in the radius: their sorted sizes name them, each polished once
+            signature = tuple(sorted(map(len, groups)))
+            if signature in seen:
+                continue
+            seen.add(signature)
+            trust = max(10 * _CLUSTER_FLOOR, 2.0 * radius / scale)
+            polished = _polish(polynomial, [[values[i] for i in g] for g in groups], trust)
+            res = _rebuild_residual(polynomial, polished)
+            if centred is None or res < best_res:
+                centred, best_res = [(c, g) for (c, _), g in zip(polished, groups)], res
+    out = []
+    for center, g in centred:
+        if abs(center) <= zero and polynomial is None:  # a nilpotent block's scatter
+            raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
+        if abs(center) <= zero:
+            raise NonConvergence(
+                f"polishing a root cluster drove its centre to magnitude {abs(center):.3e}, "
+                f"although every root lies above {zero:.1e} in magnitude"
+            )
+        if abs(center.imag) <= 1e3 * tol.root_tol * (1.0 + abs(center)):
+            center = complex(center.real, 0.0)  # deterministic branch on the real axis
+        out.append((center, g))
+    return sorted(out, key=lambda cg: (-abs(cg[0]), cmath.phase(cg[0])))
+
+
 def cluster_roots(
     roots,
     tol: ToleranceConfig = DEFAULT_TOL,
     polynomial: AnnihilatorPolynomial | None = None,
     zero: float | None = None,
 ) -> Spectrum:
-    """Merge a root list into a :class:`Spectrum` with multiplicities.
-
-    Transitive (single-linkage) clustering.  The merge radius starts at
-    ``cluster_tol`` widened by a floor covering the scatter of multiple roots
-    in double precision; when ``polynomial`` is supplied, a ladder of wider
-    radii is also tried and the clustering that best reproduces the
-    polynomial's coefficients wins.  (A multiple root of a badly conditioned
-    polynomial can scatter far beyond the static floor; merging genuinely
-    distinct roots, on the other hand, ruins the rebuilt coefficients, so
-    the rebuild residual separates the two cases.)  Without it, the ladder
-    widens while each group of ``m`` roots is an ``m``-fold root's scatter.
-    Representatives are cluster centroids, polished against ``polynomial``,
-    with branch logarithms on the principal branch.  Clusters are ordered by
-    descending magnitude, then ascending argument.
+    """The :class:`Spectrum` of :func:`group_roots`: each group's centre and
+    size, with the centre's principal logarithm as its branch.
 
     Raises
     ------
@@ -450,70 +517,5 @@ def cluster_roots(
         If polishing drives a cluster centre to ``zero`` or below although
         no root lies there.
     """
-    roots = np.asarray(roots, dtype=np.complex128)
-    if roots.size == 0:
-        raise ValueError("root list is empty")
-    zero = tol.cluster_tol if zero is None else zero
-    if np.abs(roots).min() <= zero:
-        raise ZeroEigenvalue("a root lies at or near zero; the matrix is not invertible")
-    scale = 1.0 + float(np.abs(roots).max())
-    base_radius = max(tol.cluster_tol, _CLUSTER_FLOOR * scale)
-
-    radii = [base_radius]
-    while radii[-1] < 0.05 * scale:
-        radii.append(4.0 * radii[-1])
-
-    values = roots.tolist()  # groups and centroids are Python complex numbers
-    distances = np.abs(roots[:, None] - roots[None, :])
-    distances.flat[:: len(values) + 1] = np.inf  # no root is its own neighbour
-    near = np.nonzero(distances <= radii[-1])  # every pair any rung can join
-    pairs = list(zip(distances[near].tolist(), *(k.tolist() for k in near)))
-    groups = _cluster_at_radius(values, pairs, base_radius)
-    if polynomial is None:
-        # Widen while every group of m roots lies within (1e4 eps)^(1/m) of its
-        # centroid, where its m Taylor terms truncate at about 1e4 eps.  Only a
-        # rung that some distance falls into changes the groups.
-        between = [r for r, _, _ in pairs if r > base_radius]
-        for narrow, radius in zip(radii, radii[1:]) if between else ():
-            if not any(narrow < r <= radius for r in between):
-                continue  # the same groups
-            wider = _cluster_at_radius(values, pairs, radius)
-            centroids = [sum(g) / len(g) for g in wider]
-            spreads = [(max(abs(v - c) for v in g), len(g)) for c, g in zip(centroids, wider)]
-            if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
-                break
-            groups = wider
-        best = [(sum(g) / len(g), len(g)) for g in groups]
-    else:
-        best = _polish(polynomial, groups, max(10 * _CLUSTER_FLOOR, 2.0 * base_radius / scale))
-        # Single-linkage groupings are nested in the radius, so the sorted
-        # multiplicity signature identifies a grouping uniquely: a grouping
-        # seen at a smaller radius is skipped before it is polished.
-        best_res = _rebuild_residual(polynomial, best)
-        seen = {tuple(sorted(m for _, m in best))}
-        for radius in radii[1:]:
-            groups = _cluster_at_radius(values, pairs, radius)
-            signature = tuple(sorted(len(g) for g in groups))
-            if signature in seen:
-                continue
-            seen.add(signature)
-            candidate = _polish(polynomial, groups, max(10 * _CLUSTER_FLOOR, 2.0 * radius / scale))
-            res = _rebuild_residual(polynomial, candidate)
-            if res < best_res:
-                best, best_res = candidate, res
-
-    clusters = []
-    for center, m in best:
-        if abs(center) <= zero and polynomial is None:  # a nilpotent block's scatter
-            raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
-        if abs(center) <= zero:
-            raise NonConvergence(
-                f"polishing a root cluster drove its centre to magnitude {abs(center):.3e}, "
-                f"although every root lies above {zero:.1e} in magnitude"
-            )
-        if abs(center.imag) <= 1e3 * tol.root_tol * (1.0 + abs(center)):
-            center = complex(center.real, 0.0)  # deterministic branch on the real axis
-        clusters.append((center, m))
-
-    clusters.sort(key=lambda cm: (-abs(cm[0]), cmath.phase(cm[0])))
-    return Spectrum(tuple(Cluster(c, m, cmath.log(c)) for c, m in clusters))
+    groups = group_roots(roots, tol, polynomial, zero)
+    return Spectrum(tuple(Cluster(c, len(g), cmath.log(c)) for c, g in groups))

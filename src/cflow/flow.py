@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import importlib.util
+import itertools
 import math
 import sys
 import warnings
@@ -34,6 +35,7 @@ from .annihilator import (
     cluster_roots,
     companion_matrix,
     find_roots,
+    group_roots,
     minimal_polynomial,
     validate_relation,
 )
@@ -319,43 +321,38 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     LAPACK ``zgebal`` (scaling only; Parlett and Reinsch, *Numer. Math.* 13,
     1969) and ``s = 2^floor(log2 max|B|)``: powers of two, so every threshold
     is relative to ``A``'s scale and the map back is exact, ``lam = s mu``
-    and ``M_j = s^j D N_j D^{-1}``.  The diagonal of ``T`` is grouped by
-    :func:`cluster_roots`; each multiple cluster is reordered to the top in
-    turn (``ztrsen`` keeps the order of the rest), so every cluster is one
-    block ``b = [lo, hi)``.  ``T_bb X - X T[hi:, hi:] = T[lo:hi, hi:]``
-    (``ztrsyl``) gives its rows ``[0 I X]`` of the unit upper-triangular
-    ``R`` with ``R T R^{-1}`` block diagonal (Bavely and Stewart 1979), and
-    ``L = R^{-1}`` (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, the
-    covariants of ``B`` are ``N_j = (Q L)[:, b] (T_bb - mu I)^j (R Q*)[b, :]``
-    for ``j < m``: the confluent Sylvester form of Higham, *Functions of
-    Matrices* (2008), section 1.2.  Returns the basis of ``A``'s spectrum,
-    on the principal branch, and the ``(n, n, n)`` stack in its term order.
+    and ``M_j = s^j D N_j D^{-1}``.  :func:`group_roots` groups the diagonal
+    of ``T`` by index; each multiple group is reordered to the top in turn
+    (``ztrsen`` keeps the order of the rest), so each group is one block ``b
+    = [lo, hi)``.  ``T_bb X - X T[hi:, hi:] = T[lo:hi, hi:]`` (``ztrsyl``)
+    gives its rows ``[0 I X]`` of the unit upper-triangular ``R`` with ``R T
+    R^{-1}`` block diagonal (Bavely and Stewart 1979), and ``L = R^{-1}``
+    (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, ``B``'s covariants
+    are ``N_j = (Q L)[:, b] (T_bb - mu I)^j (R Q*)[b, :]``, ``j < m`` (Higham,
+    *Functions of Matrices*, 2008, section 1.2): one batched outer product
+    for all simple eigenvalues, one product per multiple one.  Returns the
+    basis of ``A``'s spectrum (principal branch) and the ``(n, n, n)`` stack.
 
     An eigenvalue of ``B`` at or below ``rank_tol`` (``max|B|`` lies in
-    ``[1, 2)``), or a cluster centred there, raises :class:`ZeroEigenvalue`;
+    ``[1, 2)``), or a group centred there, raises :class:`ZeroEigenvalue`;
     a failed Schur iteration, reordering, Sylvester solve or triangular
     inverse raises :class:`NonConvergence`.
     """
-    lapack = _lapack()
-    a = as_matrix(a)
+    lapack, a = _lapack(), as_matrix(a)
     n = a.shape[0]
     b, _, _, d, _ = lapack.zgebal(a, scale=1)
     s = math.ldexp(1.0, math.frexp(max_norm(b))[1] - 1)
     t, _, _, q, _, info = lapack.zgees(lambda _: None, b / s)
     if info != 0:
         raise NonConvergence(f"Schur form did not converge (zgees info {info})")
-    diag = np.diag(t)
-    spectrum = cluster_roots(diag, tol, zero=tol.rank_tol)
-    centers = np.array([c.value for c in spectrum.clusters])
-    owner = np.argmin(np.abs(diag[:, None] - centers[None, :]), axis=1)
-    counts = np.bincount(owner, minlength=len(centers)).tolist()
-    for ci in [ci for ci, m in enumerate(counts) if m > 1]:
-        select = owner == ci
-        t, q, *_, info = lapack.ztrsen(select, t, q, job="N")
+    groups = group_roots(np.diag(t), tol, zero=tol.rank_tol)
+    # owner[i]: the group of diagonal position i, kept in step with the reordering
+    owner = [ci for _, ci in sorted((i, ci) for ci, (_, g) in enumerate(groups) for i in g)]
+    for ci in [ci for ci, (_, g) in enumerate(groups) if len(g) > 1]:
+        t, q, *_, info = lapack.ztrsen([o == ci for o in owner], t, q, job="N")
         if info != 0:
             raise NonConvergence(f"Schur reordering failed (ztrsen info {info})")
-        owner = np.concatenate([owner[select], owner[~select]])
-    owner = owner.tolist()
+        owner = [o for o in owner if o == ci] + [o for o in owner if o != ci]
     starts = [0] + [i for i in range(1, n) if owner[i] != owner[i - 1]]
     blocks = list(zip(starts, starts[1:] + [n]))
     r = np.eye(n, dtype=np.complex128)
@@ -372,18 +369,18 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     # covariant); a multiple cluster's terms are then replaced.
     order = sorted(range(n), key=owner.__getitem__)
     out = left.T[order, :, None] @ right[order, None, :]
-    diag, mus = np.diag(t).tolist(), [0j] * len(counts)
+    diag, clusters = np.diag(t).tolist(), [None] * len(groups)
     for lo, hi in blocks:
         ci, m = owner[lo], hi - lo
-        mu = mus[ci] = sum(diag[lo:hi]) / m
-        if spectrum.clusters[ci].value.imag == 0.0:  # cluster_roots put it on the real axis
-            mu = mus[ci] = complex(mu.real, 0.0)
-        if m > 1:
-            nil, power = (t[lo:hi, lo:hi] - mu * np.eye(m)) * s, np.eye(m)
-            for j in range(order.index(lo), order.index(lo) + m):
-                out[j] = left[:, lo:hi] @ power @ right[lo:hi]
-                power = power @ nil
-    clusters = [Cluster(s * mu, m, cmath.log(s * mu)) for mu, m in zip(mus, counts)]
+        mu = sum(diag[lo:hi]) / m
+        if groups[ci][0].imag == 0.0:  # group_roots put it on the real axis
+            mu = complex(mu.real, 0.0)
+        clusters[ci] = Cluster(s * mu, m, cmath.log(s * mu))
+        if m > 1:  # its m terms in one product over the stacked I, N, ..., N^(m-1)
+            nil = (t[lo:hi, lo:hi] - mu * np.eye(m)) * s
+            powers = np.array(list(itertools.accumulate([np.eye(m)] + [nil] * (m - 1), np.matmul)))
+            j = order.index(lo)
+            out[j : j + m] = (left[:, lo:hi] @ powers) @ right[lo:hi]
     return build_basis(Spectrum(tuple(clusters))), out
 
 

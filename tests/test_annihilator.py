@@ -1,5 +1,7 @@
 """Unit tests for relations, root finding and clustering."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cflow import (
     evaluate_flow,
     find_roots,
     minimal_polynomial,
+    schur_covariants,
     spectral_table,
     validate_relation,
 )
@@ -328,7 +331,8 @@ def test_ladder_polishes_each_grouping_once(monkeypatch):
 
 
 def _former_cluster_at_radius(roots, radius):
-    """The grouping loop before the candidate pairs: every pair tested in Python."""
+    """The grouping loop before the candidate pairs: every pair tested in Python.
+    Each group is a list of indices into ``roots``."""
     parent = list(range(len(roots)))
 
     def find(i):
@@ -342,8 +346,8 @@ def _former_cluster_at_radius(roots, radius):
             if abs(roots[i] - roots[j]) <= radius:
                 parent[find(i)] = find(j)
     groups = {}
-    for i, root in enumerate(roots):
-        groups.setdefault(find(i), []).append(root)
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
@@ -358,12 +362,12 @@ def _former_grouping(roots, tol=DEFAULT_TOL):
     while radii[-1] < 0.05 * scale:
         radii.append(4.0 * radii[-1])
     values = roots.tolist()
-    groups = _former_cluster_at_radius(values, base_radius)
+    groups = [[values[i] for i in g] for g in _former_cluster_at_radius(values, base_radius)]
     distances = np.abs(roots[:, None] - roots[None, :])
     for narrow, radius in zip(radii, radii[1:]):
         if not np.any((distances > narrow) & (distances <= radius)):
             continue
-        wider = _former_cluster_at_radius(values, radius)
+        wider = [[values[i] for i in g] for g in _former_cluster_at_radius(values, radius)]
         spreads = [(np.max(np.abs(np.subtract(g, np.mean(g)))), len(g)) for g in wider]
         if any(r > (1e4 * annihilator._EPS) ** (1 / m) * scale for r, m in spreads):
             break
@@ -415,6 +419,19 @@ def test_schur_grouping_matches_the_former_loops(seed):
         assert [c.multiplicity for c in spectrum.clusters] == [m for _, m in former]
         for cluster, (centroid, _) in zip(spectrum.clusters, former):
             assert abs(cluster.value - centroid) <= 1e-15 * abs(centroid)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schur_covariants_group_like_the_former_loops(seed):
+    # the Schur path end to end, owner and blocks included: a diagonal
+    # matrix is its own Schur form, scaled by the power of two s
+    for _, roots in _root_sets(seed, 60):
+        s = 2.0 ** math.floor(math.log2(np.max(np.abs(roots))))
+        basis, _ = schur_covariants(np.diag(roots))
+        former = _former_grouping(roots / s)
+        assert [c.multiplicity for c in basis.spectrum.clusters] == [m for _, m in former]
+        for cluster, (centroid, _) in zip(basis.spectrum.clusters, former):
+            assert abs(cluster.value - centroid * s) <= 1e-15 * abs(centroid * s)
 
 
 @pytest.mark.parametrize("seed", range(2))

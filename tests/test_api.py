@@ -1,15 +1,18 @@
 """The package namespace re-exports the public names of its modules, and
-nothing it runs loads ``scipy.linalg``."""
+nothing it runs loads ``scipy.linalg``; outside the mpmath tier, no command
+loads ``numpy.ma`` or ``numpy.random``."""
 
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cflow
 from cflow import annihilator, basis, flow, numeric
+from cflow.matfile import write_matrix
 
 
 @pytest.mark.parametrize("module", [annihilator, basis, flow, numeric], ids=lambda m: m.__name__)
@@ -79,3 +82,40 @@ def test_scipy_linalg_loads_only_in_the_tier(tmp_path):
     assert not seen["tier_module"] and not seen["tier"]
     assert seen["tier_dps"] >= 35
     assert seen["tier_error"] < 1e-9
+
+
+# Run in a fresh interpreter: the commands on a matrix file (a double
+# eigenvalue and a simple one, outside the mpmath tier), then which of the
+# two numpy submodules are loaded.
+_COLD = """
+import contextlib, io, json, sys
+from cflow.cli import main
+
+path = sys.argv[1]
+commands = (
+    ["pow", path, "--z", "0.5"],
+    ["pow", path, "--z", "0.5", "--method", "companion"],
+    ["verify", path, "--json"],
+    ["analyze", path, "--json"],
+    ["formula", path, "--json"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+print(json.dumps([codes, [m for m in ("numpy.ma", "numpy.random") if m in sys.modules]]))
+"""
+
+
+def test_commands_load_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # np.unique imports numpy.ma on first call, and numpy.random is only
+    # needed for verify's exponents, which stdlib random draws
+    path = tmp_path / "a.json"
+    with open(path, "w") as fh:
+        write_matrix(np.array([[2, 1, 0], [0, 2, 0.5], [0, 0, -3 + 1j]], dtype=complex), fh)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD, str(path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0]
+    assert loaded == []

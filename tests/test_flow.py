@@ -6,6 +6,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -52,6 +53,7 @@ from conftest import (
     overflowing_builds,
     overflowing_oracle,
     rel_err,
+    several_multiple_case,
     triangular_flow,
 )
 
@@ -816,6 +818,36 @@ def test_evaluated_form_runs_no_relation(suite, monkeypatch):
     assert calls == []
     assert reps[-1].relation.degree == 12
     assert calls == ["minimal_polynomial", "spectral_table", "_negative_powers_extended"]
+
+
+def test_build_groups_without_cluster_roots(suite, monkeypatch):
+    # schur_covariants groups its diagonal by index (group_roots); the
+    # spectrum of cluster_roots serves only the paper's form
+    def fail(*args, **kwargs):
+        raise AssertionError("a build called cluster_roots")
+
+    monkeypatch.setattr(flow, "cluster_roots", fail)
+    z = 0.5 + 0.25j
+    for case in suite[:10] + [several_multiple_case()]:
+        rep = build_flow(case.matrix)
+        assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-11
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the Schur grouping merges the pair 2 ± 1e-4 into one double "
+    "eigenvalue at its floor radius (ROADMAP item 3, step 3)",
+)
+def test_near_pair_is_two_eigenvalues():
+    # [[2, 1], [e, 2]] = 2 I + K with K^2 = e I: eigenvalues 2 ± sqrt(e) and
+    # A^z = s I + (d / sqrt(e)) K, s, d = ((2 + sqrt(e))^z ± (2 - sqrt(e))^z) / 2
+    e, z = 1e-8, 0.5 + 0.25j
+    with mp.workdps(50):
+        root = mp.sqrt(mp.mpf(e))
+        plus, minus = (2 + root) ** mp.mpc(z), (2 - root) ** mp.mpc(z)
+        s, d = (plus + minus) / 2, (plus - minus) / 2
+        truth = np.array([[s, d / root], [d * root, s]], dtype=complex)
+    assert rel_err(evaluate_flow(build_flow(np.array([[2.0, 1.0], [e, 2.0]])), z), truth) <= 1e-12
 
 
 class TestLapackLoader:
