@@ -393,6 +393,8 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
 def _cluster_at_radius(roots: list, pairs: list, radius: float) -> list:
     """Single-linkage grouping of the root list at one radius, over ``(distance,
     i, j)`` pairs: each group's indices into ``roots``, ascending."""
+    if not pairs:  # each root is its own group
+        return [[i] for i in range(len(roots))]
     parent = list(range(len(roots)))
 
     def find(i):

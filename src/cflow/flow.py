@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import importlib.util
-import itertools
 import math
 import sys
 import warnings
@@ -109,8 +108,8 @@ def _lapack():
 
 
 class PaperForm:
-    """The paper's form ``A^z = sum_i mu_i(z) A^{-i}`` of one matrix, built on
-    first read of any attribute, or by :meth:`mu` or :meth:`power`.
+    """The paper's form ``A^z = sum_i mu_i(z) A^{-i}`` of its own checked
+    matrix ``a``, built on first read of any attribute, or by :meth:`mu` or :meth:`power`.
 
     A supplied relation ``q`` is validated at once.  Otherwise the minimal
     polynomial is discovered, or, when its rank is ambiguous, the
@@ -124,7 +123,7 @@ class PaperForm:
     """
 
     def __init__(self, a, q=None, tol: ToleranceConfig = DEFAULT_TOL, branch=None):
-        self._a, self._q, self._tol, self._branch = as_matrix(a), q, tol, branch
+        self._a, self._q, self._tol, self._branch = a, q, tol, branch
         self._residual = None if q is None else check_relation(self._a, q, tol)
 
     relation = property(lambda self: self._form.relation)
@@ -338,16 +337,23 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     a failed Schur iteration, reordering, Sylvester solve or triangular
     inverse raises :class:`NonConvergence`.
     """
-    lapack, a = _lapack(), as_matrix(a)
-    n = a.shape[0]
+    return _schur_covariants(as_matrix(a), tol)
+
+
+def _schur_covariants(a: np.ndarray, tol: ToleranceConfig) -> tuple[BasisDescriptor, np.ndarray]:
+    """:func:`schur_covariants` of a matrix already checked by :func:`as_matrix`."""
+    lapack, n = _lapack(), a.shape[0]
     b, _, _, d, _ = lapack.zgebal(a, scale=1)
     s = math.ldexp(1.0, math.frexp(max_norm(b))[1] - 1)
     t, _, _, q, _, info = lapack.zgees(lambda _: None, b / s)
     if info != 0:
         raise NonConvergence(f"Schur form did not converge (zgees info {info})")
-    groups = group_roots(np.diag(t), tol, zero=tol.rank_tol)
+    groups = group_roots(t.diagonal(), tol, zero=tol.rank_tol)
     # owner[i]: the group of diagonal position i, kept in step with the reordering
-    owner = [ci for _, ci in sorted((i, ci) for ci, (_, g) in enumerate(groups) for i in g)]
+    owner = [0] * n
+    for ci, (_, g) in enumerate(groups):
+        for i in g:
+            owner[i] = ci
     for ci in [ci for ci, (_, g) in enumerate(groups) if len(g) > 1]:
         t, q, *_, info = lapack.ztrsen([o == ci for o in owner], t, q, job="N")
         if info != 0:
@@ -360,7 +366,7 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
         x, scale, info = lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], t[lo:hi, hi:], isgn=-1)
         if info != 0:
             raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
-        r[lo:hi, hi:] = x / scale
+        r[lo:hi, hi:] = x if scale == 1.0 else x / scale
     l, info = lapack.ztrtri(r, unitdiag=1)
     if info != 0:
         raise NonConvergence(f"inverting the block diagonalization failed (ztrtri info {info})")
@@ -369,18 +375,19 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     # covariant); a multiple cluster's terms are then replaced.
     order = sorted(range(n), key=owner.__getitem__)
     out = left.T[order, :, None] @ right[order, None, :]
-    diag, clusters = np.diag(t).tolist(), [None] * len(groups)
+    clusters = [None] * len(groups)
     for lo, hi in blocks:
         ci, m = owner[lo], hi - lo
-        mu = sum(diag[lo:hi]) / m
-        if groups[ci][0].imag == 0.0:  # group_roots put it on the real axis
-            mu = complex(mu.real, 0.0)
+        mu = groups[ci][0]  # diag(T_bb)'s mean: ztrsen swaps diagonal entries exactly, in order
         clusters[ci] = Cluster(s * mu, m, cmath.log(s * mu))
         if m > 1:  # its m terms in one product over the stacked I, N, ..., N^(m-1)
-            nil = (t[lo:hi, lo:hi] - mu * np.eye(m)) * s
-            powers = np.array(list(itertools.accumulate([np.eye(m)] + [nil] * (m - 1), np.matmul)))
+            powers = np.empty((m, m, m), dtype=np.complex128)
+            powers[0] = np.eye(m)
+            nil = (t[lo:hi, lo:hi] - mu * powers[0]) * s
+            for k in range(1, m):
+                np.matmul(powers[k - 1], nil, out=powers[k])
             j = order.index(lo)
-            out[j : j + m] = (left[:, lo:hi] @ powers) @ right[lo:hi]
+            np.matmul(left[:, lo:hi] @ powers, right[lo:hi], out=out[j : j + m])
     return build_basis(Spectrum(tuple(clusters))), out
 
 
@@ -410,10 +417,11 @@ def build_flow(
     log (each choice yields a different, equally valid flow), and the paper's
     form carries the choice over to its nearest clusters.
     """
-    basis, covariants = schur_covariants(a, tol)  # which validates a
+    a = as_matrix(a)  # the one check; the paper's form reads a private copy
+    basis, covariants = _schur_covariants(a, tol)
     if branch_offsets:
         basis = build_basis(basis.spectrum.with_branch_offsets(branch_offsets))
-    return FlowRepresentation(basis, covariants, PaperForm(a, q, tol, basis.spectrum))
+    return FlowRepresentation(basis, covariants, PaperForm(a.copy(), q, tol, basis.spectrum))
 
 
 def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
@@ -473,7 +481,7 @@ class CompanionFlow:
         # matrix's relation to the last bit.
         scale = np.ldexp(1.0, round(math.log2(abs(q.coeffs[0])) / p) * np.arange(p))
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self.representation = PaperForm(balanced, q, tol, branch_offsets)
+        self.representation = PaperForm(as_matrix(balanced), q, tol, branch_offsets)
 
     def mu(self, z: complex) -> np.ndarray:
         return self.representation.mu(z)

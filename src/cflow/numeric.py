@@ -71,14 +71,14 @@ def as_matrix(a) -> np.ndarray:
     m = np.ascontiguousarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m.view(np.float64)).all():
         raise NonFiniteEntry("matrix contains NaN or infinite entries")
     return m
 
 
 def max_norm(a) -> float:
     """Maximum entry magnitude; the norm used for every relative comparison."""
-    return float(np.max(np.abs(np.asarray(a, dtype=np.complex128))))
+    return float(np.abs(np.asarray(a, dtype=np.complex128)).max())
 
 
 def _singular(pivot: float) -> SingularMatrix:

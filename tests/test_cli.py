@@ -324,6 +324,12 @@ class TestPow:
         expected = np.array([[r2, 1e100 * (r3 - r2)], [0.0, r3]])
         assert rel_err(_matrix_out(capsys), expected) < 1e-12
 
+    def test_graded_entry_below_the_verify_limit(self, tmp_path, capsys):
+        # the matrix that verify calls singular (TestVerify)
+        path = _save(tmp_path, "entry1e11", [[2.0, 1e11], [0.0, 3.0]])
+        assert main(["pow", path, "--z", "0.5+0.25i"]) == 0
+        assert rel_err(_matrix_out(capsys), triangular_flow(1e11, 0.5 + 0.25j)) < 1e-14
+
     @pytest.mark.parametrize(
         "command, calls",
         [
@@ -496,6 +502,19 @@ class TestVerify:
                 gaps.append(np.max(np.abs(paper - value)) / max(1.0, np.max(np.abs(value))))
             assert report["residuals"]["cross_agreement"] == max(gaps)
             assert 0.0 < max(gaps) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="power_int's inverse and the paper's form threshold pivots on "
+        "max|A|, so verify calls a graded matrix singular (ROADMAP item 1)",
+    )
+    @pytest.mark.parametrize("method", [[], ["--method", "vandermonde"]], ids=["both", "vandermonde"])
+    def test_graded_entry_passes(self, tmp_path, capsys, method):
+        # pow gets this flow right (TestPow); verify exits 3 with "pivot
+        # 2.000e+00 at or below rank tolerance".  At 1e8 it passes.
+        path = _save(tmp_path, "entry1e11", [[2.0, 1e11], [0.0, 3.0]])
+        assert main(["verify", path, "--json", *method]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_negative_samples_exit_2(self, fixtures, capsys):
         assert main(["verify", fixtures["diag23"], "--samples", "-3"]) == 2

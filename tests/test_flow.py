@@ -15,6 +15,7 @@ from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
     ConditioningWarning,
+    DimensionMismatch,
     NonConvergence,
     NonFiniteEntry,
     NotJordanForm,
@@ -831,6 +832,45 @@ def test_build_groups_without_cluster_roots(suite, monkeypatch):
     for case in suite[:10] + [several_multiple_case()]:
         rep = build_flow(case.matrix)
         assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-11
+
+
+def test_build_checks_its_input_once(suite, monkeypatch):
+    # the Schur form and the paper's form read the array of one as_matrix
+    calls = []
+    original = flow.as_matrix
+    monkeypatch.setattr(flow, "as_matrix", lambda a: calls.append(a) or original(a))
+    build_flow(suite[0].matrix)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "a, error",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], NonFiniteEntry),
+        ([[1.0, 0.0], [complex(0.0, np.inf), 1.0]], NonFiniteEntry),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], DimensionMismatch),
+    ],
+    ids=["nan", "inf", "non-square"],
+)
+def test_bad_input_raises_before_lapack(a, error, monkeypatch):
+    def fail():
+        raise AssertionError("LAPACK was reached")
+
+    monkeypatch.setattr(flow, "_lapack", fail)
+    for build in (build_flow, flow.schur_covariants):
+        with pytest.raises(error):
+            build(a)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_paper_form_reads_a_private_copy(dtype):
+    # the paper's form is built on first read; a caller scaling its array in
+    # place after the build changed the relation of a complex128 input
+    a = np.array([[4.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 0.25, 2.0]], dtype=dtype)
+    expected = build_flow(a.copy()).relation.coeffs
+    rep = build_flow(a)
+    a *= 2
+    assert np.array_equal(rep.relation.coeffs, expected)
 
 
 @pytest.mark.xfail(

@@ -188,6 +188,58 @@ class TestMaxNorm:
         assert max_norm(np.array([[3.0, -4.0j], [0.0, 0.0]])) == pytest.approx(4.0)
 
 
+def _former_max_norm(a):
+    return float(np.max(np.abs(np.asarray(a, dtype=np.complex128))))
+
+
+def _former_as_matrix(a):
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    m = np.ascontiguousarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.view(np.float64))):
+        raise NonFiniteEntry("matrix contains NaN or infinite entries")
+    return m
+
+
+def _reduction_inputs():
+    rng = np.random.default_rng(5)
+    inputs = [
+        [[1, -2], [3, 4]],
+        [[0.5]],
+        2.5,
+        np.asarray(-3.0),
+        np.asfortranarray(rng.standard_normal((3, 3))),
+        np.array([[-0.0, 0.0], [0.0, -0.0]]),
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [complex(0.0, -np.inf), 1.0]]),
+        np.array([[np.nan, 1.0], [0.0, 1.0]]),
+        np.array([[1.0, complex(np.nan, 0.0)], [0.0, 1.0]]),
+        [[1.0, 2.0, 3.0]],
+    ]
+    for n in (1, 2, 5, 8):
+        inputs.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return inputs
+
+
+@pytest.mark.parametrize("a", _reduction_inputs())
+def test_reductions_return_the_former_values(a):
+    # max_norm and as_matrix reduce with ndarray methods, not np.max/np.all
+    former = _former_max_norm(a)
+    assert max_norm(a) == former or (np.isnan(former) and np.isnan(max_norm(a)))
+    try:
+        expected = _former_as_matrix(a)
+    except (DimensionMismatch, NonFiniteEntry) as error:
+        with pytest.raises(type(error)):
+            as_matrix(a)
+    else:
+        got = as_matrix(a)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
+
+
 class TestToleranceConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
