@@ -83,17 +83,19 @@ def _attach_dash_values(argv: list) -> list:
     return out
 
 
+# Each --tol-* option: the ToleranceConfig field it sets, and its help.
+_TOL_OPTIONS = (
+    ("--tol-rank", "rank_tol", "rank decision tolerance"),
+    ("--tol-root", "root_tol", "eigenvalues with relative imaginary part below 1e3*TOL are made real"),
+    ("--tol-cluster", "cluster_tol", "root clustering radius"),
+    ("--tol-residual", "residual_tol", "matrix residual tolerance"),
+    ("--tol-cond-warn", "cond_warn", "condition warning level"),
+)
+
+
 def _add_common(sub):
-    sub.add_argument("--tol-rank", type=float, default=None, help="rank decision tolerance")
-    sub.add_argument(
-        "--tol-root",
-        type=float,
-        default=None,
-        help="eigenvalues with relative imaginary part below 1e3*TOL are made real",
-    )
-    sub.add_argument("--tol-cluster", type=float, default=None, help="root clustering radius")
-    sub.add_argument("--tol-residual", type=float, default=None, help="matrix residual tolerance")
-    sub.add_argument("--tol-cond-warn", type=float, default=None, help="condition warning level")
+    for option, field, text in _TOL_OPTIONS:
+        sub.add_argument(option, dest=field, type=_positive, default=None, metavar="TOL", help=text)
     sub.add_argument(
         "--branch-offset",
         action="append",
@@ -111,18 +113,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    if not (value := float(text)) > 0.0:  # inf stays: cond_warn=inf never warns
+        raise argparse.ArgumentTypeError(f"must be strictly positive, got {text}")
+    return value
+
+
 def _tolerances(args) -> ToleranceConfig:
-    kw = {}
-    for field, attr in [
-        ("rank_tol", "tol_rank"),
-        ("root_tol", "tol_root"),
-        ("cluster_tol", "tol_cluster"),
-        ("residual_tol", "tol_residual"),
-        ("cond_warn", "tol_cond_warn"),
-    ]:
-        value = getattr(args, attr)
-        if value is not None:
-            kw[field] = value
+    kw = {f: getattr(args, f) for _, f, _ in _TOL_OPTIONS if getattr(args, f) is not None}
     return ToleranceConfig(**kw) if kw else DEFAULT_TOL
 
 

@@ -22,8 +22,8 @@ class ZeroEigenvalue(CFlowError):
 
 
 class NonConvergence(CFlowError):
-    """A LAPACK eigenvalue iteration, Schur reordering, Sylvester solve or
-    triangular inverse failed."""
+    """A LAPACK eigenvalue iteration, Schur reordering, left-eigenvector
+    solve (``zgeev``), Sylvester solve or triangular inverse failed."""
 
 
 class RelationInvalid(CFlowError):

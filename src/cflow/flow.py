@@ -323,9 +323,11 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     and ``M_j = s^j D N_j D^{-1}``.  :func:`group_roots` groups the diagonal
     of ``T`` by index; each multiple group is reordered to the top in turn
     (``ztrsen`` keeps the order of the rest), so each group is one block ``b
-    = [lo, hi)``.  ``T_bb X - X T[hi:, hi:] = T[lo:hi, hi:]`` (``ztrsyl``)
-    gives its rows ``[0 I X]`` of the unit upper-triangular ``R`` with ``R T
-    R^{-1}`` block diagonal (Bavely and Stewart 1979), and ``L = R^{-1}``
+    = [lo, hi)``.  ``R`` is upper triangular with ``R T R^{-1}`` block
+    diagonal (Bavely and Stewart 1979): a simple position's row is a left
+    eigenvector of ``T``, all from one ``zgeev`` (``ztrevc3``), and a
+    multiple block's rows are ``[0 I X]``, ``T_bb X - X T[hi:, hi:] =
+    T[lo:hi, hi:]`` (``ztrsyl``, for multiple blocks only); ``L = R^{-1}``
     (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, ``B``'s covariants
     are ``N_j = (Q L)[:, b] (T_bb - mu I)^j (R Q*)[b, :]``, ``j < m`` (Higham,
     *Functions of Matrices*, 2008, section 1.2): one batched outer product
@@ -334,8 +336,8 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
 
     An eigenvalue of ``B`` at or below ``rank_tol`` (``max|B|`` lies in
     ``[1, 2)``), or a group centred there, raises :class:`ZeroEigenvalue`;
-    a failed Schur iteration, reordering, Sylvester solve or triangular
-    inverse raises :class:`NonConvergence`.
+    a failed Schur iteration, reordering, ``zgeev``, Sylvester solve or
+    triangular inverse raises :class:`NonConvergence`.
     """
     return _schur_covariants(as_matrix(a), tol)
 
@@ -362,12 +364,19 @@ def _schur_covariants(a: np.ndarray, tol: ToleranceConfig) -> tuple[BasisDescrip
     starts = [0] + [i for i in range(1, n) if owner[i] != owner[i - 1]]
     blocks = list(zip(starts, starts[1:] + [n]))
     r = np.eye(n, dtype=np.complex128)
-    for lo, hi in blocks[:-1]:  # the last block has nothing to its right
-        x, scale, info = lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], t[lo:hi, hi:], isgn=-1)
+    if len(blocks) > 1:  # a simple position's row: a left eigenvector of t (ztrevc3)
+        _, vl, _, info = lapack.zgeev(t, compute_vl=1, compute_vr=0)
         if info != 0:
-            raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
-        r[lo:hi, hi:] = x if scale == 1.0 else x / scale
-    l, info = lapack.ztrtri(r, unitdiag=1)
+            raise NonConvergence(f"left eigenvectors failed (zgeev info {info})")
+        r = vl.T.conj()
+    for lo, hi in [(lo, hi) for lo, hi in blocks if hi - lo > 1]:  # rows [0 I X]
+        r[lo:hi] = np.eye(hi - lo, n, lo)
+        if hi < n:
+            x, scale, info = lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], t[lo:hi, hi:], isgn=-1)
+            if info != 0:
+                raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
+            r[lo:hi, hi:] = x if scale == 1.0 else x / scale
+    l, info = lapack.ztrtri(r)
     if info != 0:
         raise NonConvergence(f"inverting the block diagonalization failed (ztrtri info {info})")
     left, right = (d[:, None] * q) @ l, (r @ q.conj().T) / d

@@ -408,6 +408,24 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert err.startswith("error: bad --branch-offset") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan"), ("--tol-root", "-1")],
+    )
+    def test_non_positive_tolerance_exit_2(self, fixtures, capsys, command, option, value):
+        # ToleranceConfig's ValueError escaped: a traceback and exit 1
+        source = {"pow": [fixtures["diag23"], "--z", "0.5"], "formula": ["--relation", "5,-6"]}
+        argv = [command, *source.get(command, [fixtures["diag23"]]), f"{option}={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and option in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_infinite_condition_level_never_warns(self, fixtures, capsys):
+        assert main(["pow", fixtures["diag23"], "--z", "0.5", "--tol-cond-warn", "inf"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestAnalyze:
     def test_json_report(self, fixtures, capsys):

@@ -3,6 +3,7 @@ extended precision, so its paper's form is kept at arbitrary precision; the
 tier's set-up run directly; and the Schur covariants themselves."""
 
 import dataclasses
+import math
 
 import mpmath as mp
 import numpy as np
@@ -27,7 +28,14 @@ from cflow import (
     schur_covariants,
 )
 
-from conftest import defective_case, distinct_case, rel_err, several_multiple_case
+from conftest import (
+    defective_case,
+    distinct_case,
+    jordan_block_case,
+    random_suite_case,
+    rel_err,
+    several_multiple_case,
+)
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +253,7 @@ def test_schur_keeps_the_principal_branch_of_a_real_negative_eigenvalue():
     assert rel_err(value, jordan_oracle(blocks, t, 0.5)) < 1e-12
 
 
-@pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl", "ztrtri"])
+@pytest.mark.parametrize("routine", ["ztrsen", "zgeev", "ztrsyl", "ztrtri"])
 def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
     lapack = flow._lapack()
     original = getattr(lapack, routine)
@@ -264,7 +272,7 @@ def test_schur_failure_raises_non_convergence(tier_case, monkeypatch, routine):
 def _counting_lapack(monkeypatch):
     """The number of calls of each reordering and solve routine made through
     ``flow._lapack()`` from now on."""
-    lapack, calls = flow._lapack(), {"ztrsen": 0, "ztrsyl": 0, "ztrtri": 0}
+    lapack, calls = flow._lapack(), {"ztrsen": 0, "zgeev": 0, "ztrsyl": 0, "ztrtri": 0}
     for name in calls:
         original = getattr(lapack, name)
 
@@ -278,17 +286,23 @@ def _counting_lapack(monkeypatch):
 
 def test_reordering_runs_only_for_multiple_eigenvalues(tier_case, monkeypatch):
     # a simple eigenvalue is a block of its own wherever it lies: no
-    # reordering, and one Sylvester solve per block left of the last
+    # reordering, and every simple row of R from one zgeev call
     case = distinct_case(np.random.default_rng(0), 8)
     calls = _counting_lapack(monkeypatch)
     basis, _ = schur_covariants(case.matrix)
     assert len(basis.spectrum.clusters) == 8
-    assert calls == {"ztrsen": 0, "ztrsyl": 7, "ztrtri": 1}
-    # the defective n=12 matrix has one multiple eigenvalue
-    calls.update(ztrsen=0, ztrsyl=0, ztrtri=0)
+    assert calls == {"ztrsen": 0, "zgeev": 1, "ztrsyl": 0, "ztrtri": 1}
+    # the defective n=12 matrix has one multiple eigenvalue, reordered to the
+    # top: one Sylvester solve gives its block's rows
+    calls.update(ztrsen=0, zgeev=0, ztrsyl=0, ztrtri=0)
     basis, _ = schur_covariants(tier_case[0].matrix)
-    assert calls["ztrsen"] == 1
-    assert calls["ztrsyl"] <= len(basis.spectrum.clusters) and calls["ztrtri"] == 1
+    assert sum(c.multiplicity > 1 for c in basis.spectrum.clusters) == 1
+    assert calls == {"ztrsen": 1, "zgeev": 1, "ztrsyl": 1, "ztrtri": 1}
+    # one cluster is one block, with nothing to its right
+    calls.update(ztrsen=0, zgeev=0, ztrsyl=0, ztrtri=0)
+    basis, _ = schur_covariants(jordan_block_case(np.random.default_rng(0), 2.0, 4).matrix)
+    assert len(basis.spectrum.clusters) == 1
+    assert calls == {"ztrsen": 1, "zgeev": 0, "ztrsyl": 0, "ztrtri": 1}
 
 
 def test_several_multiple_eigenvalues(monkeypatch):
@@ -302,6 +316,77 @@ def test_several_multiple_eigenvalues(monkeypatch):
     for z in (0.5 + 0.3j, -1.7, 2.5j):
         value = evaluate_flow(rep, z)
         assert rel_err(value, jordan_oracle(case.blocks, case.transform, z)) < 1e-12
+
+
+def _kahan(n: int, theta: float = 1.2) -> np.ndarray:
+    s, c = math.sin(theta), math.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def _grcar(n: int, k: int = 3) -> np.ndarray:
+    return -np.eye(n, k=-1) + sum(np.eye(n, k=j) for j in range(k + 1))
+
+
+def _row_inputs() -> dict:
+    """Suite seeds 0-3; ``bench/inputs.ladder_cases(0)``, whose distinct
+    matrices are conjugated by ``T`` and ``inv(T)``; several multiple
+    clusters; Jordan blocks; a near pair; Kahan and Grcar."""
+    inputs = {}
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        inputs[f"suite{seed}"] = [random_suite_case(rng).matrix for _ in range(50)]
+    rng, inputs["ladder0"] = np.random.default_rng(0), []
+    for n in (12, 16, 20, 24):
+        case = distinct_case(rng, n)
+        lam = np.diag([lam for lam, _ in case.blocks])
+        inputs["ladder0"] += [case.transform @ lam @ np.linalg.inv(case.transform)]
+        inputs["ladder0"] += [defective_case(rng, n).matrix]
+    inputs["several_multiple"] = [several_multiple_case().matrix]
+    rng = np.random.default_rng(0)
+    inputs["jordan45"] = [jordan_block_case(rng, 2.0, size).matrix for size in (4, 5)]
+    inputs["near_pair"] = [np.array([[2.0, 1.0], [1e-6, 2.0]])]
+    inputs["kahan8"], inputs["grcar8"] = [_kahan(8)], [_grcar(8)]
+    return inputs
+
+
+_ROW_INPUTS = _row_inputs()
+
+
+def _former_zgeev(t, compute_vl=1, compute_vr=0):
+    """zgeev's outputs with R as the former build formed it: one ztrsyl per
+    diagonal position left of the last, a row ``[0 1 x]`` (at a multiple
+    position the build overwrites it with its block's rows)."""
+    lapack, n = flow._lapack(), t.shape[0]
+    r = np.eye(n, dtype=np.complex128)
+    for lo, hi in zip(range(n - 1), range(1, n)):
+        x, scale, _ = lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], t[lo:hi, hi:], isgn=-1)
+        r[lo:hi, hi:] = x if scale == 1.0 else x / scale
+    return t.diagonal().copy(), r.conj().T, None, 0
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_INPUTS))
+def test_simple_rows_agree_with_the_former_sylvester_loop(name, monkeypatch):
+    lapack, seen = flow._lapack(), []
+    zgeev = lapack.zgeev
+
+    def watched(t, **kwargs):
+        w, vl, vr, info = zgeev(t, **kwargs)
+        seen.append((t.diagonal().copy(), w, vl))
+        return w, vl, vr, info
+
+    for a in _ROW_INPUTS[name]:
+        monkeypatch.setattr(lapack, "zgeev", watched)
+        _, covariants = schur_covariants(a)
+        monkeypatch.setattr(lapack, "zgeev", _former_zgeev)
+        _, former = schur_covariants(a)
+        scale = np.abs(former).max()
+        assert np.abs(covariants - former).max() <= 1e-14 * scale
+    # what the build relies on: zgeev keeps the order of diag(T), and vl is
+    # lower triangular, so its conjugate transpose R is upper triangular
+    assert seen or name == "jordan45"  # one cluster: no zgeev
+    for diagonal, w, vl in seen:
+        assert np.array_equal(w, diagonal)
+        assert not np.triu(vl, 1).any()
 
 
 def _conjugated(blocks, seed):
