@@ -424,100 +424,101 @@ def _rebuild_residual(poly: AnnihilatorPolynomial, clusters: list) -> float:
     return float(np.max(np.abs(asc - target))) / max(1.0, float(np.max(np.abs(target))))
 
 
-def group_roots(
-    roots,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    polynomial: AnnihilatorPolynomial | None = None,
-    zero: float | None = None,
-) -> list:
-    """The groups of :func:`cluster_roots`, in its order, as ``(centre,
-    indices)``: the members' ascending indices into ``roots`` and their mean,
-    polished against ``polynomial`` when one is given.  Single linkage on a
-    ladder of radii from ``cluster_tol`` (widened by a floor for the scatter
-    of multiple roots): without ``polynomial`` it widens while each group of
-    ``m`` lies within ``(1e4 eps)^(1/m) scale`` of its centroid, where its
-    ``m`` Taylor terms truncate at about ``1e4 eps``; with it, the grouping
-    whose polished centres best rebuild the coefficients wins (a multiple
-    root scatters far beyond the floor, and merging distinct roots ruins the
-    rebuilt coefficients).  Raises as :func:`cluster_roots` does."""
+def _ladder(roots, zero: float, tol: ToleranceConfig) -> tuple:
+    """The roots as Python complex values, none at or below ``zero`` in magnitude,
+    ``scale = 1 + max |root|``, and the merge radii from ``cluster_tol`` (widened by
+    a floor for the scatter of multiple roots) by factors of 4 to ``0.05 scale``."""
     values = np.asarray(roots, dtype=np.complex128).ravel().tolist()
     if not values:
         raise ValueError("root list is empty")
-    zero = tol.cluster_tol if zero is None else zero
     if min(map(abs, values)) <= zero:
         raise ZeroEigenvalue("a root lies at or near zero; the matrix is not invertible")
     scale = 1.0 + max(map(abs, values))
     radii = [max(tol.cluster_tol, _CLUSTER_FLOOR * scale)]
     while radii[-1] < 0.05 * scale:
         radii.append(4.0 * radii[-1])
+    return values, scale, radii
+
+
+def _pairs(values: list, limit: float) -> list:
+    """``(distance, i, j)`` of every pair ``i < j`` of ``values`` at most ``limit`` apart."""
+    pairs = itertools.combinations(range(len(values)), 2)
+    return [(r, i, j) for i, j in pairs if (r := abs(values[i] - values[j])) <= limit]
+
+
+def _ordered(centred, tol: ToleranceConfig) -> list:
+    """``(centre, x)`` pairs by descending ``|centre|``, then phase, a centre
+    within ``1e3 root_tol`` of the real axis put on it (a deterministic branch)."""
+    snap = 1e3 * tol.root_tol
+    out = [(complex(c.real) if abs(c.imag) <= snap * (1.0 + abs(c)) else c, x) for c, x in centred]
+    return sorted(out, key=lambda cx: (-abs(cx[0]), cmath.phase(cx[0])))
+
+
+def group_roots(roots, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """The eigenvalues of a Schur diagonal ``roots`` as ``(centre, indices)``:
+    each group's ascending indices into ``roots`` and their mean, in spectrum
+    order.  Single linkage on a ladder of radii from ``cluster_tol``, widening
+    while each group of ``m`` lies within ``(1e4 eps)^(1/m) scale`` of its
+    centroid, where its ``m`` Taylor terms truncate at about ``1e4 eps``.
+    A value or a group mean (a nilpotent block's scatter) at or below
+    ``rank_tol`` in magnitude raises :class:`ZeroEigenvalue`."""
+    values, scale, radii = _ladder(roots, tol.rank_tol, tol)
     # a rung joining a pair beyond reach ends the ladder, so pairs past 4 reach go unused
     reach = 2.0 * (1e4 * _EPS) ** (1 / len(values)) * scale
-    limit = radii[-1] if polynomial is not None else min(radii[-1], max(radii[0], 4.0 * reach))
-    pairs = itertools.combinations(range(len(values)), 2)
-    pairs = [(r, i, j) for i, j in pairs if (r := abs(values[i] - values[j])) <= limit]
-    if polynomial is None:
-        groups = _cluster_at_radius(values, pairs, radii[0])
-        wide = [r for r, _, _ in pairs if r > radii[0]]
-        for narrow, radius in zip(radii, radii[1:]) if wide else ():
-            joined = [r for r in wide if narrow < r <= radius]
-            if not joined:
-                continue  # the same groups
-            if max(joined) > reach:
-                break  # a group joining that pair spreads beyond (1e4 eps)^(1/n) scale
-            wider = _cluster_at_radius(values, pairs, radius)
-            centroids = [sum(values[i] for i in g) / len(g) for g in wider]
-            spreads = [(max(abs(values[i] - c) for i in g), len(g)) for c, g in zip(centroids, wider)]
-            if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
-                break
-            groups = wider
-        centred = [(sum(values[i] for i in g) / len(g), g) for g in groups]
-    else:
-        centred, seen = None, set()
-        for radius in radii:
-            groups = _cluster_at_radius(values, pairs, radius)
-            # groupings nest in the radius: their sorted sizes name them, each polished once
-            signature = tuple(sorted(map(len, groups)))
-            if signature in seen:
-                continue
-            seen.add(signature)
-            trust = max(10 * _CLUSTER_FLOOR, 2.0 * radius / scale)
-            polished = _polish(polynomial, [[values[i] for i in g] for g in groups], trust)
-            res = _rebuild_residual(polynomial, polished)
-            if centred is None or res < best_res:
-                centred, best_res = [(c, g) for (c, _), g in zip(polished, groups)], res
-    out = []
-    for center, g in centred:
-        if abs(center) <= zero and polynomial is None:  # a nilpotent block's scatter
-            raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
-        if abs(center) <= zero:
-            raise NonConvergence(
-                f"polishing a root cluster drove its centre to magnitude {abs(center):.3e}, "
-                f"although every root lies above {zero:.1e} in magnitude"
-            )
-        if abs(center.imag) <= 1e3 * tol.root_tol * (1.0 + abs(center)):
-            center = complex(center.real, 0.0)  # deterministic branch on the real axis
-        out.append((center, g))
-    return sorted(out, key=lambda cg: (-abs(cg[0]), cmath.phase(cg[0])))
+    pairs = _pairs(values, min(radii[-1], max(radii[0], 4.0 * reach)))
+    groups = _cluster_at_radius(values, pairs, radii[0])
+    wide = [r for r, _, _ in pairs if r > radii[0]]
+    for narrow, radius in zip(radii, radii[1:]) if wide else ():
+        joined = [r for r in wide if narrow < r <= radius]
+        if not joined:
+            continue  # the same groups
+        if max(joined) > reach:
+            break  # a group joining that pair spreads beyond (1e4 eps)^(1/n) scale
+        wider = _cluster_at_radius(values, pairs, radius)
+        centroids = [sum(values[i] for i in g) / len(g) for g in wider]
+        spreads = [(max(abs(values[i] - c) for i in g), len(g)) for c, g in zip(centroids, wider)]
+        if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
+            break
+        groups = wider
+    centres = [sum(values[i] for i in g) / len(g) for g in groups]
+    if min(map(abs, centres)) <= tol.rank_tol:
+        raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
+    return _ordered(zip(centres, groups), tol)
 
 
-def cluster_roots(
-    roots,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    polynomial: AnnihilatorPolynomial | None = None,
-    zero: float | None = None,
-) -> Spectrum:
-    """The :class:`Spectrum` of :func:`group_roots`: each group's centre and
-    size, with the centre's principal logarithm as its branch.
+def cluster_roots(roots, tol: ToleranceConfig = DEFAULT_TOL, *, polynomial) -> Spectrum:
+    """The :class:`Spectrum` of the roots of ``polynomial``: single linkage on
+    the ladder of :func:`group_roots`, every distinct grouping polished against
+    ``polynomial``, and the one whose centres best rebuild its coefficients
+    kept (a multiple root scatters far beyond the floor, and merging distinct
+    roots ruins the rebuilt coefficients); each centre's principal logarithm
+    is its branch.
 
     Raises
     ------
     ZeroEigenvalue
-        If any root magnitude, or without ``polynomial`` a centroid, is at
-        or below ``zero`` (``cluster_tol`` by default): the matrix is not
-        invertible, so no flow exists.
+        If a root is at or below ``cluster_tol`` in magnitude: the matrix is
+        not invertible, so no flow exists.
     NonConvergence
-        If polishing drives a cluster centre to ``zero`` or below although
-        no root lies there.
+        If polishing drives a cluster centre to ``cluster_tol`` or below.
     """
-    groups = group_roots(roots, tol, polynomial, zero)
-    return Spectrum(tuple(Cluster(c, len(g), cmath.log(c)) for c, g in groups))
+    values, scale, radii = _ladder(roots, tol.cluster_tol, tol)
+    pairs, best, seen = _pairs(values, radii[-1]), None, set()
+    for radius in radii:
+        groups = _cluster_at_radius(values, pairs, radius)
+        # groupings nest in the radius: their sorted sizes name them, each polished once
+        signature = tuple(sorted(map(len, groups)))
+        if signature in seen:
+            continue
+        seen.add(signature)
+        trust = max(10 * _CLUSTER_FLOOR, 2.0 * radius / scale)
+        polished = _polish(polynomial, [[values[i] for i in g] for g in groups], trust)
+        res = _rebuild_residual(polynomial, polished)
+        if best is None or res < best_res:
+            best, best_res = polished, res
+    if low := [abs(c) for c, _ in best if abs(c) <= tol.cluster_tol]:
+        raise NonConvergence(
+            f"polishing a root cluster drove its centre to magnitude {low[0]:.3e}, "
+            f"although every root lies above {tol.cluster_tol:.1e} in magnitude"
+        )
+    return Spectrum(tuple(Cluster(c, m, cmath.log(c)) for c, m in _ordered(best, tol)))

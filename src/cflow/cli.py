@@ -119,6 +119,12 @@ def _positive(text: str) -> float:
     return value
 
 
+def _radius(text: str) -> float:
+    if not 0.0 < (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and strictly positive, got {text}")
+    return value
+
+
 def _tolerances(args) -> ToleranceConfig:
     kw = {f: getattr(args, f) for _, f, _ in _TOL_OPTIONS if getattr(args, f) is not None}
     return ToleranceConfig(**kw) if kw else DEFAULT_TOL
@@ -340,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--samples", type=_count, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--z-radius", type=float, default=3.0)
+    sp.add_argument("--z-radius", type=_radius, default=3.0)
     _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 

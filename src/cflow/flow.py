@@ -157,28 +157,25 @@ class PaperForm:
                 "an intermediate of the build overflows: the amplification estimate "
                 "of the negative-power sum exceeds double precision"
             )
-        hp = None
+        hp, mu = None, lambda z: coeffs.e_extended @ eval_basis_extended(basis, z)
         if amp > 1e8:
             from .highprec import HighPrecisionFlow
 
             hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))), tol)
+            mu = hp.mu
         else:
             coeffs.warn_if_ill_conditioned(tol)
             if discovered:
                 _accepted(residual, tol)
         return SimpleNamespace(
             relation=q, basis=basis, coeffs=coeffs, relation_residual=residual,
-            high_precision=hp, negs=negs_ext, amplification=amp,
+            high_precision=hp, negs=negs_ext, amplification=amp, mu=mu,
         )
 
-    def mu(self, z: complex, extended: bool = False) -> np.ndarray:
-        """The coefficient vector ``mu(z)``, which must be finite; outside the
-        mpmath tier, ``extended`` keeps it in extended precision."""
-        if self.high_precision is not None:
-            return _finite(self.high_precision.mu(z), "mu", z)
+    def mu(self, z: complex) -> np.ndarray:
+        """The coefficient vector ``mu(z)``, which must be finite."""
         with np.errstate(over="ignore", invalid="ignore"):  # rounded, then checked
-            mu = self.coeffs.e_extended @ eval_basis_extended(self.basis, z)
-            return _finite(mu if extended else mu.astype(np.complex128), "mu", z)
+            return _finite(self._form.mu(z).astype(np.complex128), "mu", z)
 
     def power(self, z: complex) -> np.ndarray:
         """The paper's sum ``A^z = sum_i mu_i(z) A^{-i}`` over the extended
@@ -188,8 +185,8 @@ class PaperForm:
             amp = self._form.amplification
             warnings.warn(f"the paper's sum cancels by about {amp:.1e}", ConditioningWarning, 2)
         with np.errstate(over="ignore", invalid="ignore"):  # rounded, then checked
-            out = np.tensordot(self.mu(z, extended=True), self._form.negs, 1)
-            return _finite(out.astype(np.complex128), "A^z", z)
+            mu = _finite(self._form.mu(z), "mu", z)  # extended outside the tier
+            return _finite(np.tensordot(mu, self._form.negs, 1).astype(np.complex128), "A^z", z)
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,7 @@ def _schur_covariants(a: np.ndarray, tol: ToleranceConfig) -> tuple[BasisDescrip
     t, _, _, q, _, info = lapack.zgees(lambda _: None, b / s)
     if info != 0:
         raise NonConvergence(f"Schur form did not converge (zgees info {info})")
-    groups = group_roots(t.diagonal(), tol, zero=tol.rank_tol)
+    groups = group_roots(t.diagonal(), tol)
     # owner[i]: the group of diagonal position i, kept in step with the reordering
     owner = [0] * n
     for ci, (_, g) in enumerate(groups):

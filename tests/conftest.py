@@ -10,12 +10,13 @@ error per multiple cluster, so stacking several multiplies it).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from cflow import build_flow, jordan_oracle
+from cflow import DEFAULT_TOL, Cluster, Spectrum, build_flow, group_roots, jordan_oracle
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,12 @@ def suite():
 def suite_reps(suite):
     """Flow representations for the suite, built once and shared."""
     return [build_flow(case.matrix) for case in suite]
+
+
+def grouped_spectrum(values, tol=DEFAULT_TOL) -> Spectrum:
+    """The :class:`Spectrum` of :func:`cflow.group_roots` on a value list: each
+    group's mean and size, with the mean's principal logarithm as its branch."""
+    return Spectrum(tuple(Cluster(c, len(g), cmath.log(c)) for c, g in group_roots(values, tol)))
 
 
 def rel_err(x: np.ndarray, ref: np.ndarray) -> float:

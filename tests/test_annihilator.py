@@ -11,12 +11,14 @@ from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
     NonConvergence,
+    ToleranceConfig,
     ZeroEigenvalue,
     build_flow,
     characteristic_polynomial,
     cluster_roots,
     evaluate_flow,
     find_roots,
+    group_roots,
     minimal_polynomial,
     schur_covariants,
     spectral_table,
@@ -29,6 +31,7 @@ from conftest import (
     defective_case,
     distinct_case,
     first_suite8_case,
+    grouped_spectrum,
     overflowing_builds,
     random_suite_case,
 )
@@ -220,37 +223,45 @@ class TestFindRoots:
 
 class TestClusterRoots:
     def test_single(self):
-        s = cluster_roots([5.0])
+        s = grouped_spectrum([5.0])
         assert s.degree == 1
         assert s.clusters[0].value == pytest.approx(5.0)
         assert s.clusters[0].multiplicity == 1
 
     def test_near_pair_merges(self):
-        s = cluster_roots([1 + 1e-9, 1 - 1e-9])
+        s = grouped_spectrum([1 + 1e-9, 1 - 1e-9])
         assert len(s.clusters) == 1
         assert s.clusters[0].multiplicity == 2
         assert s.clusters[0].value == pytest.approx(1.0)
 
     def test_distinct_stay_separate(self):
-        s = cluster_roots([2.0, 3.0])
+        s = grouped_spectrum([2.0, 3.0])
         assert [c.multiplicity for c in s.clusters] == [1, 1]
 
     def test_ordering_descending_magnitude(self):
-        s = cluster_roots([1.0, -2.0, 3.0])
+        s = grouped_spectrum([1.0, -2.0, 3.0])
         assert [abs(c.value) for c in s.clusters] == pytest.approx([3.0, 2.0, 1.0])
 
     def test_zero_root_rejected(self):
         with pytest.raises(ZeroEigenvalue):
-            cluster_roots([1.0, 0.0])
+            grouped_spectrum([1.0, 0.0])
 
     def test_zero_centroid_is_a_zero_eigenvalue(self):
-        # a nilpotent block's Schur diagonal: every value lies above ``zero``,
-        # their centroid at 0; nothing was polished, so the matrix is singular
+        # a nilpotent block's Schur diagonal: every value lies above
+        # ``rank_tol``, their centroid at 0, so the matrix is singular
         scatter = 6e-6 * np.exp(2j * np.pi * np.arange(3) / 3)
         with pytest.raises(ZeroEigenvalue, match="centred at zero"):
-            cluster_roots(scatter, zero=1e-10)
+            grouped_spectrum(scatter)  # rank_tol is 1e-10
         with pytest.raises(ZeroEigenvalue, match="at or near zero"):
-            cluster_roots(scatter, zero=1e-5)  # each value lies below it
+            grouped_spectrum(scatter, ToleranceConfig(rank_tol=1e-5))  # each value lies below it
+
+    def test_zero_threshold_of_each_rule(self):
+        # the relation's roots are zero at cluster_tol (1e-7), the Schur
+        # diagonal's at rank_tol (1e-10), relative to max|B| in [1, 2)
+        q = AnnihilatorPolynomial.from_roots([1e-8, 2.0])
+        with pytest.raises(ZeroEigenvalue, match="at or near zero"):
+            cluster_roots(find_roots(q), polynomial=q)
+        assert [g for _, g in group_roots([1e-8, 2.0])] == [[1], [0]]
 
     def test_adaptive_radius_recovers_scattered_triple(self):
         # roots of (X - 2)^3 (X - 1) scatter far beyond the base merge
@@ -278,11 +289,11 @@ class TestClusterRoots:
         assert [c.multiplicity for c in s.clusters] == [1, 1]
 
     def test_branch_logs_are_principal(self):
-        s = cluster_roots([-2.0])
+        s = grouped_spectrum([-2.0])
         assert s.clusters[0].log.imag == pytest.approx(np.pi)
 
     def test_with_branch_offsets(self):
-        s = cluster_roots([2.0]).with_branch_offsets({0: 1})
+        s = grouped_spectrum([2.0]).with_branch_offsets({0: 1})
         assert s.clusters[0].log.imag == pytest.approx(2 * np.pi)
 
 
@@ -410,11 +421,11 @@ def _root_sets(seed, count):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_schur_grouping_matches_the_former_loops(seed):
-    # without a polynomial the groups come from one distance matrix, the
-    # ladder is skipped when no distance lies between its rungs, and the
-    # centroids are Python sums: the same groups as the former loops
+    # group_roots' groups come from the candidate pairs, the ladder is
+    # skipped when no distance lies between its rungs, and the centroids are
+    # Python sums: the same groups as the former loops
     for _, roots in _root_sets(seed, 60):
-        spectrum = cluster_roots(roots, zero=DEFAULT_TOL.rank_tol)
+        spectrum = grouped_spectrum(roots)
         former = _former_grouping(roots)
         assert [c.multiplicity for c in spectrum.clusters] == [m for _, m in former]
         for cluster, (centroid, _) in zip(spectrum.clusters, former):

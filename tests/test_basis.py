@@ -25,6 +25,8 @@ from cflow import (
 )
 from cflow.basis import eval_basis_extended
 
+from conftest import grouped_spectrum
+
 
 class TestGeneralizedBinomial:
     def test_shift_zero_is_one(self):
@@ -152,7 +154,7 @@ class TestVandermonde:
 
         # two close simple roots push the condition estimate over a lowered
         # warning threshold
-        basis = build_basis(cluster_roots([2.0, 2.01]))
+        basis = build_basis(grouped_spectrum([2.0, 2.01]))
         with pytest.warns(ConditioningWarning):
             invert_vandermonde(
                 vandermonde_matrix(basis).T, ToleranceConfig(cond_warn=100.0)

@@ -524,7 +524,7 @@ class TestVerify:
     @pytest.mark.xfail(
         strict=True,
         reason="power_int's inverse and the paper's form threshold pivots on "
-        "max|A|, so verify calls a graded matrix singular (ROADMAP item 1)",
+        "max|A|, so verify calls a graded matrix singular (ROADMAP item 2)",
     )
     @pytest.mark.parametrize("method", [[], ["--method", "vandermonde"]], ids=["both", "vandermonde"])
     def test_graded_entry_passes(self, tmp_path, capsys, method):
@@ -537,6 +537,16 @@ class TestVerify:
     def test_negative_samples_exit_2(self, fixtures, capsys):
         assert main(["verify", fixtures["diag23"], "--samples", "-3"]) == 2
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf", "1e400"])
+    def test_bad_z_radius_exit_2(self, fixtures, capsys, radius):
+        # 0 and -1 passed on exponents drawn from a point or a reflected
+        # square; nan, inf and 1e400 drew non-finite exponents and exited 6
+        assert main(["verify", fixtures["diag23"], f"--z-radius={radius}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--z-radius" in errors[0]
 
     def test_single_method(self, fixtures, capsys):
         assert main(["verify", fixtures["diag23"], "--method", "vandermonde", "--json"]) == 0

@@ -26,7 +26,6 @@ from cflow import (
     check_flow_axioms,
     characteristic_polynomial,
     check_relation,
-    cluster_roots,
     companion_action_check,
     companion_flow_mu,
     companion_matrix,
@@ -50,6 +49,7 @@ from conftest import (
     eigen_oracle,
     first_suite_case,
     first_suite8_case,
+    grouped_spectrum,
     jordan_block_case,
     overflowing_builds,
     overflowing_oracle,
@@ -372,7 +372,7 @@ class TestJordanOracle:
 
 class TestExtendMatrix:
     def _spectrum(self, values):
-        return cluster_roots(values)
+        return grouped_spectrum(values)
 
     def test_new_simple_root_appends_diagonal(self):
         a = np.array([[2.0]])
@@ -719,7 +719,7 @@ _GATE_ZS = (0.5 + 0.25j, -1.7, 3j)
 
 class TestScaleInvariance:
     """The Schur form is built on ``D^{-1} A D / s``, every factor a power of
-    two, so no threshold depends on ``A``'s scale (ROADMAP item 1)."""
+    two, so no threshold depends on ``A``'s scale."""
 
     def test_scaled_suite(self, suite):
         # before the balanced Schur form, 1e-5 gave 8 silent wrong answers and
@@ -876,7 +876,7 @@ def test_paper_form_reads_a_private_copy(dtype):
 @pytest.mark.xfail(
     strict=True,
     reason="the Schur grouping merges the pair 2 ± 1e-4 into one double "
-    "eigenvalue at its floor radius (ROADMAP item 3, step 3)",
+    "eigenvalue at its floor radius (ROADMAP item 1)",
 )
 def test_near_pair_is_two_eigenvalues():
     # [[2, 1], [e, 2]] = 2 I + K with K^2 = e I: eigenvalues 2 ± sqrt(e) and
@@ -888,6 +888,43 @@ def test_near_pair_is_two_eigenvalues():
         s, d = (plus + minus) / 2, (plus - minus) / 2
         truth = np.array([[s, d / root], [d * root, s]], dtype=complex)
     assert rel_err(evaluate_flow(build_flow(np.array([[2.0, 1.0], [e, 2.0]])), z), truth) <= 1e-12
+
+
+def _principal_diagonal(values, z):
+    return np.diag([complex(v) ** z for v in values])
+
+
+# A = -I + 1e-4 J, J = [[0, -1], [1, 0]], has A^(1/2) = p I + q J, p + iq = (-1 + 1e-4 i)^(1/2)
+_ROOT = (-1 + 1e-4j) ** 0.5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the Schur grouping measures distances against max|B|, not |lambda|, and a "
+    "merged group takes one branch log, even across the cut (ROADMAP item 1)",
+)
+@pytest.mark.parametrize(
+    "a, z, expected",
+    [
+        (np.diag([1e-6, 2e-6, 1.0]), 3j, _principal_diagonal([1e-6, 2e-6, 1.0], 3j)),
+        (np.diag([2.0, 2.0 + 3e-4]), 3j, _principal_diagonal([2.0, 2.0 + 3e-4], 3j)),
+        (np.diag([-1 + 1e-9j, -1 - 1e-9j]), 0.5, _principal_diagonal([-1 + 1e-9j, -1 - 1e-9j], 0.5)),
+        (
+            np.array([[-1.0, -1e-4], [1e-4, -1.0]]),
+            0.5,
+            np.array([[_ROOT.real, -_ROOT.imag], [_ROOT.imag, _ROOT.real]]),
+        ),
+    ],
+    ids=["small-pair", "near-pair", "cut-pair", "real-cut-pair"],
+)
+def test_schur_grouping_gives_the_principal_power(a, z, expected):
+    # pow's errors when these were added: 0.66 (1e-6 and 2e-6 merged), 2.7e-8
+    # (merged at the floor radius), 2.0 and 1.0 (each pair merged across the
+    # cut, with one log), each silent
+    out = evaluate_flow(build_flow(a), z)
+    assert rel_err(out, expected) <= 1e-10
+    if not np.iscomplexobj(expected):  # a real matrix's principal power is real
+        assert np.max(np.abs(out.imag)) <= 1e-13 * np.max(np.abs(out))
 
 
 class TestLapackLoader:
