@@ -24,7 +24,6 @@ from .basis import (
     basis_values,
     branch_log,
     build_basis,
-    eval_basis,
     generalized_binomial,
     invert_vandermonde,
     scalar_flow,

@@ -37,7 +37,6 @@ __all__ = [
     "CoefficientTable",
     "build_basis",
     "basis_values",
-    "eval_basis",
     "vandermonde_matrix",
     "invert_vandermonde",
 ]
@@ -103,8 +102,8 @@ class BasisDescriptor:
 class CoefficientTable:
     """Verified inverse of a generalized Vandermonde matrix.
 
-    ``e_extended`` keeps the extended-precision working copy used internally
-    by flow evaluation; ``e`` is its double-precision rounding.
+    ``e_extended``, the extended-precision working copy, gives the paper's
+    ``mu`` outside the mpmath tier; ``e`` is its double-precision rounding.
     """
 
     e: np.ndarray
@@ -147,11 +146,12 @@ def term_values(table, z, exp=cmath.exp) -> list:
     """The basis values ``g_j(z) exp((z - j) log)`` of a term table
     (:attr:`BasisDescriptor.term_table`) at a finite ``z``, unchecked:
     ``generalized_binomial(j, z)`` times the power, inlined in the same order
-    of operations.  ``z``, the logs and ``exp`` share one arithmetic: Python
-    complex numbers with ``cmath.exp``, or ``mpc`` with ``mpmath.exp`` (which
+    of operations.  ``z`` and ``exp`` choose one of three arithmetics: double
+    precision (Python complex, ``cmath.exp``), extended (``np.clongdouble``,
+    ``np.exp``) or working precision (``mpc``, ``mpmath.exp``, which
     ``cmath.exp`` would round to double precision).
 
-    Raises ``OverflowError`` when a power overflows double precision.
+    Raises ``OverflowError`` when a power overflows under ``cmath.exp``.
     """
     values = []
     for j, log, factorial in table:
@@ -163,6 +163,12 @@ def term_values(table, z, exp=cmath.exp) -> list:
                 acc *= z - i
             values.append(acc / factorial * exp((z - j) * log))
     return values
+
+
+def _extended_values(basis: BasisDescriptor, z) -> list:
+    if not cmath.isfinite(complex(z)):
+        raise NonFiniteEntry(f"exponent {z} is not finite")
+    return term_values(basis.term_table, np.clongdouble(z), np.exp)
 
 
 def basis_values(basis: BasisDescriptor, z: complex) -> list:
@@ -180,37 +186,13 @@ def basis_values(basis: BasisDescriptor, z: complex) -> list:
         ) from exc
 
 
-def eval_basis(basis: BasisDescriptor, z: complex) -> np.ndarray:
-    """:func:`basis_values` as a double-precision vector."""
-    return np.array(basis_values(basis, z), dtype=np.complex128)
-
-
-def eval_basis_extended(basis: BasisDescriptor, z) -> np.ndarray:
-    """Extended-precision values of every basis function at ``z``: a vector
-    for a scalar ``z``, one row per exponent for an array of them."""
-    zs = np.asarray(z, dtype=np.complex128)
-    if not np.isfinite(zs).all():
-        raise NonFiniteEntry(f"exponent {z} is not finite")
-    zs = zs.astype(np.clongdouble)[..., None]
-    shifts = np.array([j for j, _, _ in basis.term_table])
-    logs = np.array([log for _, log, _ in basis.term_table], dtype=np.clongdouble)
-    values = np.exp((zs - shifts) * logs)
-    top = int(shifts.max())
-    if top:  # the binomial factors g_j(z) of multiple eigenvalues
-        binomial = np.ones_like(values)
-        for i in range(top):
-            binomial *= np.where(i < shifts, zs - i, 1)
-        values *= binomial / np.array([f for _, _, f in basis.term_table], dtype=np.clongdouble)
-    return values
-
-
 def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
     """The ``p x p`` matrix with row ``i``, column ``j`` entry ``f_j(-i)``
     (``i, j`` counted from 1).
 
     Raises :class:`NonFiniteEntry` when an entry exceeds double precision.
     """
-    values = eval_basis_extended(basis, -np.arange(1, basis.size + 1))
+    values = np.array([_extended_values(basis, -i) for i in range(1, basis.size + 1)])
     with np.errstate(over="ignore"):
         b = values.astype(np.complex128)
     if not np.isfinite(b).all():

@@ -106,23 +106,23 @@ def _add_common(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _rule(rule: str, convert, accept):
+    """An option type: ``convert`` the text and ``accept`` the value, or a
+    usage error stating ``rule`` (argparse names the type on a ValueError)."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+
+    return parse
 
 
-def _positive(text: str) -> float:
-    if not (value := float(text)) > 0.0:  # inf stays: cond_warn=inf never warns
-        raise argparse.ArgumentTypeError(f"must be strictly positive, got {text}")
-    return value
-
-
-def _radius(text: str) -> float:
-    if not 0.0 < (value := float(text)) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and strictly positive, got {text}")
-    return value
+_count = _rule("an integer of at least 1", int, lambda v: v >= 1)
+_positive = _rule("strictly positive", float, lambda v: v > 0.0)  # inf: cond_warn=inf never warns
+_radius = _rule("finite and strictly positive", float, lambda v: 0.0 < v < math.inf)
 
 
 def _tolerances(args) -> ToleranceConfig:

@@ -41,10 +41,10 @@ from .annihilator import (
 from .basis import (
     BasisDescriptor,
     CoefficientTable,
+    _extended_values,
     _finite_exponent,
     basis_values,
     build_basis,
-    eval_basis_extended,
     generalized_binomial,
     invert_vandermonde,
     scalar_flow,
@@ -149,7 +149,7 @@ class PaperForm:
         negs_ext = np.stack(_negative_powers_extended(a, q.degree, tol))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
-            f = eval_basis_extended(basis, np.array([1.0, 5.0, -3.0]))
+            f = np.array([_extended_values(basis, z) for z in (1.0, 5.0, -3.0)])
             mu_probe = np.abs(f @ coeffs.e_extended.T).astype(np.float64)
             amp = float(np.max(mu_probe @ neg_scales)) / max(1.0, max_norm(a))
         if not math.isfinite(amp):
@@ -157,7 +157,7 @@ class PaperForm:
                 "an intermediate of the build overflows: the amplification estimate "
                 "of the negative-power sum exceeds double precision"
             )
-        hp, mu = None, lambda z: coeffs.e_extended @ eval_basis_extended(basis, z)
+        hp, mu = None, lambda z: coeffs.e_extended @ _extended_values(basis, z)
         if amp > 1e8:
             from .highprec import HighPrecisionFlow
 

@@ -109,8 +109,8 @@ class HighPrecisionFlow:
     relation from ``minimal_polynomial`` is solved for afresh and any other
     refined (:func:`_krylov_relation`), and the spectrum (clusters, polished
     eigenvalues, branch logs) and coefficient table are those of the result.
-    ``relation`` is that relation and ``coeffs`` its table, both rounded to
-    extended precision; ``relation_residual`` is the relation's
+    ``relation`` is that relation rounded to extended precision, ``coeffs``
+    its table rounded to double; ``relation_residual`` is the relation's
     :func:`validate_relation` measure, ``basis`` carries their spectrum, and
     ``mu_mp`` the coefficient functions at working precision.
     """
@@ -162,7 +162,6 @@ class HighPrecisionFlow:
             table = CoefficientTable(
                 e=e.astype(np.complex128),
                 condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,
-                e_extended=extended_matrix(e),
             )
         residual = validate_relation(self._a, q, tol)
         return SimpleNamespace(

@@ -15,15 +15,16 @@ from cflow import (
     ZeroEigenvalue,
     branch_log,
     build_basis,
+    basis_values,
     cluster_roots,
-    eval_basis,
     find_roots,
     generalized_binomial,
     invert_vandermonde,
+    mu_functions,
     scalar_flow,
     vandermonde_matrix,
 )
-from cflow.basis import eval_basis_extended
+from cflow.basis import term_values
 
 from conftest import grouped_spectrum
 
@@ -97,11 +98,11 @@ class TestBasisLayout:
 
     def test_eval_at_one_gives_eigenvalues(self):
         basis = _basis_for((-6, 5))
-        assert np.allclose(eval_basis(basis, 1.0), [3.0, 2.0])
+        assert np.allclose(np.array(basis_values(basis, 1.0)), [3.0, 2.0])
 
 
 def _extended_values_by_loop(basis, z):
-    """The per-term, per-exponent loop the array evaluator replaced."""
+    """Extended-precision basis values by a per-term loop."""
     z = np.clongdouble(complex(z))
     out = np.empty(basis.size, dtype=np.clongdouble)
     for k, (ci, j) in enumerate(basis.terms):
@@ -113,17 +114,31 @@ def _extended_values_by_loop(basis, z):
     return out
 
 
+def _extended_values_by_array(basis, zs):
+    """Extended-precision basis values, one row per exponent, by the array
+    loop the paper's form used before it called ``term_values``."""
+    zs = np.asarray(zs, dtype=np.complex128).astype(np.clongdouble)[..., None]
+    shifts, logs, factorials = (np.array(c) for c in zip(*basis.term_table))
+    values = np.exp((zs - shifts) * logs.astype(np.clongdouble))
+    binomial = np.ones_like(values)
+    for i in range(int(shifts.max())):
+        binomial *= np.where(i < shifts, zs - i, 1)
+    return values * (binomial / factorials.astype(np.clongdouble))
+
+
 def test_extended_values_over_an_array_of_z(suite_reps):
-    # the same arithmetic per value, so equal to the bit
+    # term_values in clongdouble runs the same arithmetic per value as both
+    # loops, so it is equal to the bit
     zs = np.array([0.5 + 0.3j, -1.7, 2.0, -4.0, 3.1 - 2.2j])
     for rep in suite_reps:
-        rows = eval_basis_extended(rep.basis, zs)
-        assert rows.shape == (len(zs), rep.basis.size)
+        rows = _extended_values_by_array(rep.basis, zs)
         for z, row in zip(zs, rows):
-            assert np.array_equal(row, _extended_values_by_loop(rep.basis, z))
-            assert np.array_equal(eval_basis_extended(rep.basis, z), row)
-    with pytest.raises(NonFiniteEntry):
-        eval_basis_extended(suite_reps[0].basis, np.array([1.0, np.inf]))
+            values = np.array(term_values(rep.basis.term_table, np.clongdouble(z), np.exp))
+            assert values.dtype == np.clongdouble
+            assert np.array_equal(values, _extended_values_by_loop(rep.basis, z))
+            assert np.array_equal(values, row)
+    with pytest.raises(NonFiniteEntry, match="exponent nan is not finite"):
+        mu_functions(suite_reps[0], float("nan"))
 
 
 class TestVandermonde:

@@ -535,8 +535,19 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_negative_samples_exit_2(self, fixtures, capsys):
-        assert main(["verify", fixtures["diag23"], "--samples", "-3"]) == 2
-        assert "--samples" in capsys.readouterr().err
+        # at 0, verify passed without checking the group law
+        for samples in ("0", "-3"):
+            assert main(["verify", fixtures["diag23"], "--samples", samples]) == 2
+            assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--samples", "--z-radius", "--tol-rank"])
+    def test_malformed_number_exit_2(self, fixtures, capsys, option):
+        # argparse named the private parser: "invalid _count value: 'abc'"
+        assert main(["verify", fixtures["diag23"], option, "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"{option}: must be" in errors[0]
 
     @pytest.mark.parametrize("radius", ["0", "-1", "nan", "inf", "1e400"])
     def test_bad_z_radius_exit_2(self, fixtures, capsys, radius):
