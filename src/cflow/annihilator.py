@@ -350,28 +350,28 @@ def find_roots(q: AnnihilatorPolynomial) -> np.ndarray:
         raise NonConvergence(f"companion eigenvalues did not converge: {exc}") from exc
 
 
-def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
-    """``(center, multiplicity)`` of each group of one grouping, Newton-polished
-    against ``poly`` in extended precision.
+def _polish(asc, groups: list, trust: float, tiny: float = 1e-18) -> list:
+    """``(centre, multiplicity)`` of each group of one grouping, Newton-polished
+    against the monic polynomial of ascending coefficients ``asc``, in their
+    arithmetic: ``clongdouble`` in :func:`cluster_roots` (the double rounding
+    of a relation's coefficients alone would move a root by more than the
+    flow's accuracy), and ``mpc`` (an object array) in the mpmath tier.
 
     An m-fold root is polished as a simple root of the (m-1)-th derivative,
     every cluster of one multiplicity in one vectorized iteration started at
-    the group centroids.  Iteration runs on the extended coefficient copy:
-    for discovered relations the double rounding of the coefficients alone
-    would already move a root by more than the accuracy the flow needs.  A
+    the group centroids, until every step is within ``tiny * (1 + |x|)``.  A
     polished value is kept only if it stays within ``trust * (1 + |x0|)`` of
     its centroid.
     """
-    centers = np.array([np.mean(g) for g in groups], dtype=np.complex128)
+    # asc is monic: its leading 1 carries the arithmetic to the centroids
+    centers = np.array([np.mean(g) for g in groups], dtype=np.complex128) * asc[-1]
     mults = np.array([len(g) for g in groups])
-    asc = poly.monic_coefficients_extended()
     for m in sorted(set(mults.tolist())):  # np.unique would import numpy.ma
         sel = mults == m
         d = asc
         for _ in range(m - 1):
             d = d[1:] * np.arange(1, len(d))
-        x0 = centers[sel]
-        x = x0.astype(np.clongdouble)
+        x = x0 = centers[sel]
         last = np.inf
         for _ in range(50):
             pv, dv = _horner(d, x)
@@ -379,12 +379,11 @@ def _polish(poly: AnnihilatorPolynomial, groups: list, trust: float) -> list:
             step = np.where(flat, 0.0, pv / np.where(flat, 1.0, dv))
             x = x - step
             # stop at convergence, or once the steps stop shrinking: they
-            # are then rounding noise of the extended evaluation
+            # are then rounding noise of the evaluation
             largest = float(np.max(np.abs(step) / (1.0 + np.abs(x))))
-            if largest <= 1e-18 or largest >= last:
+            if largest <= tiny or largest >= last:
                 break
             last = largest
-        x = x.astype(np.complex128)
         keep = np.abs(x - x0) <= trust * (1.0 + np.abs(x0))
         centers[sel] = np.where(keep, x, x0)  # a value that wandered off keeps its centroid
     return list(zip(centers.tolist(), mults.tolist()))
@@ -503,6 +502,7 @@ def cluster_roots(roots, tol: ToleranceConfig = DEFAULT_TOL, *, polynomial) -> S
         If polishing drives a cluster centre to ``cluster_tol`` or below.
     """
     values, scale, radii = _ladder(roots, tol.cluster_tol, tol)
+    asc = polynomial.monic_coefficients_extended()
     pairs, best, seen = _pairs(values, radii[-1]), None, set()
     for radius in radii:
         groups = _cluster_at_radius(values, pairs, radius)
@@ -512,7 +512,8 @@ def cluster_roots(roots, tol: ToleranceConfig = DEFAULT_TOL, *, polynomial) -> S
             continue
         seen.add(signature)
         trust = max(10 * _CLUSTER_FLOOR, 2.0 * radius / scale)
-        polished = _polish(polynomial, [[values[i] for i in g] for g in groups], trust)
+        centred = _polish(asc, [[values[i] for i in g] for g in groups], trust)
+        polished = [(complex(c), m) for c, m in centred]
         res = _rebuild_residual(polynomial, polished)
         if best is None or res < best_res:
             best, best_res = polished, res

@@ -326,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("matrix", help="matrix file (JSON document)")
     sp.add_argument("--z", required=True, help="exponent, a complex literal")
     sp.add_argument("--relation", default=None, help="coefficients c_{p-1},...,c_0")
-    sp.add_argument(
-        "--method", choices=["vandermonde", "companion", "both"], default="vandermonde"
-    )
+    sp.add_argument("--method", choices=["vandermonde", "companion"], default="vandermonde")
     _add_common(sp)
     sp.set_defaults(func=cmd_pow)
 
@@ -341,9 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("verify", help="check the flow axioms and integer powers")
     sp.add_argument("matrix")
     sp.add_argument("--relation", default=None)
-    sp.add_argument(
-        "--method", choices=["vandermonde", "companion", "both"], default="both"
-    )
+    sp.add_argument("--method", choices=["vandermonde", "both"], default="both")
     sp.add_argument("--samples", type=_count, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--z-radius", type=_radius, default=3.0)

@@ -13,9 +13,11 @@ from the Schur covariants (:func:`cflow.flow.schur_covariants`).
 
 The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
 random vector, in mpmath: solved for when it comes from
-``minimal_polynomial``, and refined from its start otherwise.  Scalar work
-(root polish, logarithms, the basis values) uses mpmath too, and the table is
-inverted by mpmath's LU at the working precision.
+``minimal_polynomial``, and refined from its start otherwise.  Its roots are
+polished by the extended-precision form's Newton iteration
+(``annihilator._polish``) run at working precision; the logarithms and basis
+values are taken in mpmath too, and the table is inverted by mpmath's LU at
+the working precision.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .annihilator import (
     AnnihilatorPolynomial,
     Cluster,
     Spectrum,
-    _horner,
+    _polish,
     cluster_roots,
     find_roots,
     validate_relation,
@@ -107,8 +109,9 @@ class HighPrecisionFlow:
     Built from the double-precision representation's relation and branch
     choices.  Nothing is computed until the form is first read: then a
     relation from ``minimal_polynomial`` is solved for afresh and any other
-    refined (:func:`_krylov_relation`), and the spectrum (clusters, polished
-    eigenvalues, branch logs) and coefficient table are those of the result.
+    refined (:func:`_krylov_relation`), and the spectrum (clusters, their
+    eigenvalues polished at once by ``annihilator._polish`` at working
+    precision, branch logs) and coefficient table are those of the result.
     ``relation`` is that relation rounded to extended precision, ``coeffs``
     its table rounded to double; ``relation_residual`` is the relation's
     :func:`validate_relation` measure, ``basis`` carries their spectrum, and
@@ -140,15 +143,14 @@ class HighPrecisionFlow:
             q = AnnihilatorPolynomial(
                 tuple(coeffs.astype(np.complex128)), coeffs_extended=tuple(extended_matrix(coeffs))
             )
-            logs = []
-            clusters = []
-            tol = self._tol
-            for cluster in cluster_roots(find_roots(q), tol, polynomial=q).clusters:
-                center = self._polish_root(asc, cluster.value, cluster.multiplicity)
-                winding = self._given.spectrum.winding_near(cluster.value)
-                log = mp.log(center) + 2j * mp.pi * winding
-                logs.append(log)
-                clusters.append(Cluster(complex(center), cluster.multiplicity, complex(log)))
+            found = cluster_roots(find_roots(q), self._tol, polynomial=q).clusters
+            groups = [[c.value] * c.multiplicity for c in found]
+            centres = _polish(np.array(asc, dtype=object), groups, math.inf, 10.0 ** (5 - self.dps))
+            logs = [
+                mp.log(x) + 2j * mp.pi * self._given.spectrum.winding_near(c.value)
+                for c, (x, _) in zip(found, centres)
+            ]
+            clusters = [Cluster(complex(x), m, complex(log)) for (x, m), log in zip(centres, logs)]
             basis = build_basis(Spectrum(tuple(clusters)))
             terms = tuple((j, logs[ci], math.factorial(j)) for ci, j in basis.terms)
             b = np.array(
@@ -163,7 +165,7 @@ class HighPrecisionFlow:
                 e=e.astype(np.complex128),
                 condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,
             )
-        residual = validate_relation(self._a, q, tol)
+        residual = validate_relation(self._a, q, self._tol)
         return SimpleNamespace(
             relation=q, coeffs=table, basis=basis, terms=terms, e=e, relation_residual=residual
         )
@@ -172,23 +174,6 @@ class HighPrecisionFlow:
     coeffs = property(lambda self: self._form.coeffs)
     basis = property(lambda self: self._form.basis)
     relation_residual = property(lambda self: self._form.relation_residual)
-
-    @staticmethod
-    def _polish_root(asc: list, x0: complex, multiplicity: int) -> mp.mpc:
-        """Newton on the (m-1)-th derivative, where the m-fold root is simple."""
-        d = asc
-        for _ in range(multiplicity - 1):
-            d = [d[i] * i for i in range(1, len(d))]
-        x = mp.mpc(x0)
-        for _ in range(100):
-            value, slope = _horner(d, x)
-            if abs(slope) == 0:
-                break
-            step = value / slope
-            x -= step
-            if abs(step) <= mp.mpf(10) ** (-mp.mp.dps + 5) * (1 + abs(x)):
-                break
-        return x
 
     def mu_mp(self, z: complex) -> list:
         """The coefficient vector as a list of ``mpc`` values."""

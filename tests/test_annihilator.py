@@ -24,7 +24,7 @@ from cflow import (
     spectral_table,
     validate_relation,
 )
-from cflow import annihilator
+from cflow import annihilator, highprec
 from cflow.highprec import _mpc_from_extended
 
 from conftest import (
@@ -328,9 +328,9 @@ def test_ladder_polishes_each_grouping_once(monkeypatch):
         groupings.append(tuple(sorted(len(g) for g in groups)))
         return groups
 
-    def counting_polish(poly, groups, trust):
+    def counting_polish(asc, groups, trust):
         polished.append(tuple(sorted(len(g) for g in groups)))
-        return polish(poly, groups, trust)
+        return polish(asc, groups, trust)
 
     monkeypatch.setattr(annihilator, "_cluster_at_radius", recording_cluster)
     monkeypatch.setattr(annihilator, "_polish", counting_polish)
@@ -339,6 +339,69 @@ def test_ladder_polishes_each_grouping_once(monkeypatch):
     assert sorted(c.multiplicity for c in s.clusters) == [1, 3]
     assert len(groupings) > len(set(groupings))  # the ladder revisits a grouping
     assert sorted(polished) == sorted(set(groupings))
+
+
+# (X - 2)^3 (X - 1/3), ascending, as fractions, and its roots scattered
+# about as the eigenvalues of a relation's companion matrix are
+_TRIPLE_AND_THIRD = ((8, 3), (-12, 1), (14, 1), (-19, 3), (1, 1))
+_SCATTERED = [[2 + 3e-6, 2 - 1.5e-6 + 2.6e-6j, 2 - 1.5e-6 - 2.6e-6j], [1 / 3 + 1e-9j]]
+
+
+def test_polish_in_extended_precision():
+    asc = np.array([np.longdouble(a) / b for a, b in _TRIPLE_AND_THIRD], dtype=np.clongdouble)
+    centres = annihilator._polish(asc, _SCATTERED, 1e-3)
+    assert [m for _, m in centres] == [3, 1]
+    for (x, _), root in zip(centres, (2.0, 1 / 3)):
+        assert isinstance(x, np.clongdouble)
+        assert abs(complex(x) - root) <= 1e-15 * root
+
+
+def test_polish_at_working_precision():
+    with mp.workdps(50):
+        asc = np.array([mp.mpc(a) / b for a, b in _TRIPLE_AND_THIRD], dtype=object)
+        centres = annihilator._polish(asc, _SCATTERED, math.inf, 1e-45)
+        assert [m for _, m in centres] == [3, 1]
+        for (x, _), root in zip(centres, (mp.mpf(2), mp.mpf(1) / 3)):
+            assert isinstance(x, mp.mpc)
+            assert abs(x - root) <= 1e-45 * root
+
+
+def _former_polish_root(asc: list, x0: complex, multiplicity: int) -> mp.mpc:
+    """The tier's root polish before it ran ``_polish``: Newton on the
+    (m-1)-th derivative, one root at a time, at the current mpmath precision."""
+    d = asc
+    for _ in range(multiplicity - 1):
+        d = [d[i] * i for i in range(1, len(d))]
+    x = mp.mpc(x0)
+    for _ in range(100):
+        value, slope = annihilator._horner(d, x)
+        if abs(slope) == 0:
+            break
+        step = value / slope
+        x -= step
+        if abs(step) <= mp.mpf(10) ** (-mp.mp.dps + 5) * (1 + abs(x)):
+            break
+    return x
+
+
+def test_tier_polish_is_the_former_root_polish(monkeypatch):
+    # the tier's fixture: one triple and nine simple roots, polished at once
+    calls = []
+
+    def recording_polish(asc, groups, trust, tiny):
+        centres = annihilator._polish(asc, groups, trust, tiny)
+        calls.append((asc, groups, centres))
+        return centres
+
+    monkeypatch.setattr(highprec, "_polish", recording_polish)
+    hp = build_flow(defective_case(np.random.default_rng(0), 12).matrix).high_precision
+    assert sorted(c.multiplicity for c in hp.basis.spectrum.clusters) == [1] * 9 + [3]
+    [(asc, groups, centres)] = calls
+    with mp.workdps(hp.dps):
+        for group, (x, m) in zip(groups, centres):
+            former = _former_polish_root(list(asc), group[0], len(group))
+            assert m == len(group)
+            assert abs(x - former) <= mp.mpf(10) ** (5 - hp.dps) * abs(former)
 
 
 def _former_cluster_at_radius(roots, radius):

@@ -422,6 +422,20 @@ class TestInputChecks:
         assert "Traceback" not in err and option in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
+    @pytest.mark.parametrize(
+        "command, method", [("pow", "both"), ("verify", "companion")], ids=["pow", "verify"]
+    )
+    def test_method_without_a_computation_of_its_own_exit_2(
+        self, fixtures, capsys, command, method
+    ):
+        # pow --method both ran what --method vandermonde runs, and verify
+        # --method companion the same
+        z = ["--z", "0.5"] if command == "pow" else []
+        assert main([command, fixtures["diag23"], *z, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"--method: invalid choice: '{method}'" in captured.err
+
     def test_infinite_condition_level_never_warns(self, fixtures, capsys):
         assert main(["pow", fixtures["diag23"], "--z", "0.5", "--tol-cond-warn", "inf"]) == 0
         assert capsys.readouterr().err == ""
@@ -534,6 +548,21 @@ class TestVerify:
         assert main(["verify", path, "--json", *method]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="flow_axioms normalizes by the paper's negative-power chain, so "
+        "verify builds the paper's form on A and exits with its errors (ROADMAP item 2)",
+    )
+    @pytest.mark.parametrize("scale", [1e-12, CENTRE_AT_ZERO_SCALE, 1e6])
+    def test_scaled_suite_case_passes(self, tmp_path, capsys, scale):
+        # pow --z 0.5 exits 0 at each scale; verify --method vandermonde,
+        # which evaluates no mu, exits 3, 4 and 3
+        path = _save(tmp_path, "scaled", first_suite_case().matrix * scale)
+        assert main(["pow", path, "--z", "0.5"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert main(["verify", path, "--method", "vandermonde", "--json"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_negative_samples_exit_2(self, fixtures, capsys):
         # at 0, verify passed without checking the group law
         for samples in ("0", "-3"):
@@ -564,7 +593,7 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert "cross_agreement" not in report["residuals"]
 
-    @pytest.mark.parametrize("method", ["companion", "both"])
+    @pytest.mark.parametrize("method", ["vandermonde", "both"])
     def test_companion_in_the_tier(self, tmp_path, capsys, method):
         # The companion route is the tier's representation; contracting its
         # mu against the double-precision powers gave flow_axioms 1.9e-8 here.
