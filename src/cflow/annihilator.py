@@ -425,8 +425,8 @@ def _rebuild_residual(poly: AnnihilatorPolynomial, clusters: list) -> float:
 
 def _ladder(roots, zero: float, tol: ToleranceConfig) -> tuple:
     """The roots as Python complex values, none at or below ``zero`` in magnitude,
-    ``scale = 1 + max |root|``, and the merge radii from ``cluster_tol`` (widened by
-    a floor for the scatter of multiple roots) by factors of 4 to ``0.05 scale``."""
+    ``scale = 1 + max |root|``, and the merge radii from ``max(cluster_tol, 1.3e-4
+    scale)`` (the floor: a threefold root's scatter) by factors of 4 to ``0.05 scale``."""
     values = np.asarray(roots, dtype=np.complex128).ravel().tolist()
     if not values:
         raise ValueError("root list is empty")
@@ -456,7 +456,7 @@ def _ordered(centred, tol: ToleranceConfig) -> list:
 def group_roots(roots, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """The eigenvalues of a Schur diagonal ``roots`` as ``(centre, indices)``:
     each group's ascending indices into ``roots`` and their mean, in spectrum
-    order.  Single linkage on a ladder of radii from ``cluster_tol``, widening
+    order.  Single linkage on the ladder of radii of :func:`_ladder`, widening
     while each group of ``m`` lies within ``(1e4 eps)^(1/m) scale`` of its
     centroid, where its ``m`` Taylor terms truncate at about ``1e4 eps``.
     A value or a group mean (a nilpotent block's scatter) at or below

@@ -57,9 +57,9 @@ def format_complex(x: complex) -> str:
 def parse_relation(text: str) -> AnnihilatorPolynomial:
     """Parse comma-separated coefficients ``c_{p-1}, ..., c_0`` of the monic
     relation ``X^p - c_{p-1} X^{p-1} - ... - c_0``."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise MatrixParseError("relation is empty")
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise MatrixParseError(f"relation {text!r} has an empty field")
     values = [parse_complex(p) for p in parts]
     return AnnihilatorPolynomial(tuple(values[::-1]))
 
@@ -75,7 +75,7 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixParseError(f"{path}: expected an object with 'n' and 'entries'")
     n = doc["n"]
     rows = doc["entries"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true is a Python int too
         raise MatrixParseError(f"{path}: 'n' must be a positive integer")
     if not isinstance(rows, list) or len(rows) != n:
         raise MatrixParseError(f"{path}: expected {n} rows")
@@ -87,7 +87,7 @@ def read_matrix(path) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(type(v) in (int, float) for v in pair)  # not bool
             ):
                 raise MatrixParseError(f"{path}: entry ({i},{j}) is not a [re, im] pair")
             out[i, j] = complex(pair[0], pair[1])

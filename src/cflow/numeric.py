@@ -40,7 +40,8 @@ class ToleranceConfig:
         real axis.  The root finder (companion-matrix eigenvalues) takes no
         tolerance.
     cluster_tol : float
-        Radius used when merging nearby polynomial roots into one eigenvalue.
+        Zero test of relation roots and centres, equality of Jordan-form
+        eigenvalues; a merge radius only above ``1.3e-4 (1 + max|root|)``.
     residual_tol : float
         Relative residual accepted for matrix equations (annihilating
         relations, inverse checks).

@@ -14,6 +14,8 @@ import cflow
 from cflow import annihilator, basis, flow, numeric
 from cflow.matfile import write_matrix
 
+from conftest import defective_case, distinct_case
+
 
 @pytest.mark.parametrize("module", [annihilator, basis, flow, numeric], ids=lambda m: m.__name__)
 def test_package_reexports_module_api(module):
@@ -119,3 +121,40 @@ def test_commands_load_neither_numpy_ma_nor_numpy_random(tmp_path):
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0]
     assert loaded == []
+
+
+# Run in a fresh interpreter: verify --method vandermonde, then whether mpmath
+# is loaded.
+_VERIFY_SCHUR = """
+import contextlib, io, json, sys
+from cflow.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["verify", sys.argv[1], "--method", "vandermonde", "--json"])
+print(json.dumps([code, json.loads(out.getvalue())["pass"], "mpmath" in sys.modules]))
+"""
+
+
+@pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+@pytest.mark.parametrize("kind", ["distinct", "defective"])
+def test_verify_vandermonde_loads_no_mpmath_in_the_tier(tmp_path, kind):
+    # flow_axioms was normalized by the paper's negative-power chain, so it
+    # set up the paper's form, at working precision on these matrices
+    rng = np.random.default_rng(0)  # the n = 12 draws of bench/inputs.ladder_cases(0)
+    case = distinct_case(rng, 12)
+    t, lam = case.transform, np.diag([lam for lam, _ in case.blocks])
+    a = t @ lam @ np.linalg.inv(t) if kind == "distinct" else defective_case(rng, 12).matrix
+    assert cflow.build_flow(a).high_precision is not None
+    path = tmp_path / "a.json"
+    with open(path, "w") as fh:
+        write_matrix(a, fh)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_SCHUR, str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, True, False]

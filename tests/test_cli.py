@@ -393,14 +393,31 @@ class TestInputChecks:
             ({"entries": [[[1, 0]]]}, "expected an object with 'n' and 'entries'"),
             ({"n": 0, "entries": []}, "'n' must be a positive integer"),
             ({"n": 2, "entries": [[[1, 0], [0, 0]], [[1, 0]]]}, "row 1 does not have 2 entries"),
+            # a JSON boolean is a Python int: "n": true ended in a TypeError
+            # traceback (exit 1), and [2, false] was read as 2+0j
+            ({"n": True, "entries": [[[1, 0]]]}, "'n' must be a positive integer"),
+            ({"n": 1, "entries": [[[True, 0]]]}, "entry (0,0) is not a [re, im] pair"),
+            ({"n": 1, "entries": [[[2, False]]]}, "entry (0,0) is not a [re, im] pair"),
         ],
     )
     def test_malformed_matrix_document(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["pow", str(path), "--z", "0.5"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err and "Traceback" not in err
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and len(errors) == 1 and message in errors[0]
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("relation", [",5,-6", "5,,-6", "5, ,-6", "5,-6,", ""])
+    def test_empty_relation_field(self, fixtures, capsys, relation):
+        # an empty field was dropped: "5,,-6" was read as the relation 5,-6,
+        # and an empty --relation as none, so the relation was discovered
+        assert main(["pow", fixtures["diag23"], "--z", "0.5", f"--relation={relation}"]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert captured.out == "" and len(errors) == 1 and "empty field" in errors[0]
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("offset", ["1", "a:b", "0:1:2"])
     def test_malformed_branch_offset(self, fixtures, capsys, offset):
@@ -535,12 +552,21 @@ class TestVerify:
             assert report["residuals"]["cross_agreement"] == max(gaps)
             assert 0.0 < max(gaps) <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="power_int's inverse and the paper's form threshold pivots on "
-        "max|A|, so verify calls a graded matrix singular (ROADMAP item 2)",
+    @pytest.mark.parametrize(
+        "method",
+        [
+            pytest.param([], id="both", marks=pytest.mark.xfail(
+                strict=True,
+                reason="power_int's inverse and the paper's form threshold pivots on "
+                "max|A|, so verify calls a graded matrix singular (ROADMAP item 2)",
+            )),
+            pytest.param(["--method", "vandermonde"], id="vandermonde", marks=pytest.mark.xfail(
+                strict=True,
+                reason="power_int's inverse thresholds pivots on max|A|, so verify's "
+                "integer powers call a graded matrix singular (ROADMAP item 2)",
+            )),
+        ],
     )
-    @pytest.mark.parametrize("method", [[], ["--method", "vandermonde"]], ids=["both", "vandermonde"])
     def test_graded_entry_passes(self, tmp_path, capsys, method):
         # pow gets this flow right (TestPow); verify exits 3 with "pivot
         # 2.000e+00 at or below rank tolerance".  At 1e8 it passes.
@@ -548,20 +574,23 @@ class TestVerify:
         assert main(["verify", path, "--json", *method]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="flow_axioms normalizes by the paper's negative-power chain, so "
-        "verify builds the paper's form on A and exits with its errors (ROADMAP item 2)",
-    )
     @pytest.mark.parametrize("scale", [1e-12, CENTRE_AT_ZERO_SCALE, 1e6])
     def test_scaled_suite_case_passes(self, tmp_path, capsys, scale):
-        # pow --z 0.5 exits 0 at each scale; verify --method vandermonde,
-        # which evaluates no mu, exits 3, 4 and 3
+        # the paper's form of each raises (exit 3, 4 and 3); verify --method
+        # vandermonde, which builds no paper's form, checks the Schur flow alone
         path = _save(tmp_path, "scaled", first_suite_case().matrix * scale)
         assert main(["pow", path, "--z", "0.5"]) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert main(["verify", path, "--method", "vandermonde", "--json"]) == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [distinct_case, defective_case], ids=["distinct", "defective"])
+    def test_vandermonde_passes_at_n48(self, tmp_path, capsys, make):
+        # the paper's form of each is beyond double precision (exit 5), and
+        # flow_axioms read that form's negative-power chain
+        path = _save(tmp_path, "n48", make(np.random.default_rng(48), 48).matrix)
+        assert main(["verify", path, "--method", "vandermonde", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_negative_samples_exit_2(self, fixtures, capsys):
         # at 0, verify passed without checking the group law

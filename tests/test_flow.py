@@ -458,6 +458,15 @@ class TestCheckFlowAxioms:
         assert report.generator_residual < 1e-12
         assert report.group_residual < 1e-12
 
+    def test_builds_no_paper_form(self, suite):
+        # the endpoint checks were normalized by the paper's negative-power
+        # chain, so the Schur flow's own check built the relation, the table,
+        # the chain and the probe
+        for case in suite:
+            rep = build_flow(case.matrix)
+            check_flow_axioms(rep, case.matrix, [(0.5, 0.25), (1.0 + 1.0j, -2.0)])
+            assert "_form" not in vars(rep.paper)
+
 
 def _evaluated_by_loop(rep, z):
     """``A^z``, the basis values and the evaluation condition by the per-term
