@@ -214,8 +214,8 @@ def _singular_vandermonde(where: str, cause: Exception) -> SingularMatrix:
 
 
 def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTable:
-    """Invert a generalized Vandermonde matrix by extended-precision
-    Gauss-Jordan elimination, with two Newton steps.
+    """Invert a generalized Vandermonde matrix by one :func:`extended_inverse`,
+    whose pivot test is the singularity check, and two Newton steps.
 
     The exact matrix is provably nonsingular for distinct eigenvalue
     clusters, so a pivot failure here points at the clustering upstream.
@@ -224,22 +224,15 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
     """
     b = as_matrix(b)
     p = b.shape[0]
-    # Row magnitudes vary like |lambda|^(-i); the pivot check eliminates an
-    # equilibrated copy so bad scaling is not mistaken for singularity, and
-    # discards its inverse.
-    row_scale = np.max(np.abs(b), axis=1)
-    col_scale = np.max(np.abs(b) / row_scale[:, None], axis=0)
-    # High-degree relations give legitimately ill-conditioned (but provably
-    # nonsingular) matrices, which extended precision below absorbs; reject
-    # only pivots at rounding level rather than at the generic rank_tol.
+    # Ill-conditioned (but provably nonsingular) tables of high-degree
+    # relations: reject only pivots at rounding level, not at rank_tol.
     pivot_tol = replace(tol, rank_tol=1e3 * float(np.finfo(np.float64).eps))
     try:
-        extended_inverse(as_matrix(b / row_scale[:, None] / col_scale[None, :]), pivot_tol)
+        e_ext = extended_inverse(b, pivot_tol)
     except SingularMatrix as exc:
         raise _singular_vandermonde("", exc) from exc
     b_ext = b.astype(np.clongdouble)
     eye = np.eye(p, dtype=np.clongdouble)
-    e_ext = extended_inverse(b)
     for _ in range(2):  # Newton steps square the inverse residual
         e_ext = e_ext @ (2.0 * eye - b_ext @ e_ext)
     e = e_ext.astype(np.complex128)

@@ -30,10 +30,11 @@ __all__ = [
 def parse_complex(text: str) -> complex:
     """Parse a complex literal such as ``1.5-2i``, ``3``, ``2i`` or ``-i``.
 
-    Delegates to the built-in ``complex()`` parser after mapping ``i`` to
-    ``j``, rejecting parenthesized forms and non-finite values.
+    Delegates to the built-in ``complex()`` parser after mapping a trailing
+    ``i`` to ``j``, rejecting parenthesized forms and non-finite values.
     """
-    s = text.strip().replace("i", "j").replace("I", "J")
+    s = text.strip()
+    s = s[:-1] + "j" if s[-1:] in ("i", "I") else s
     if not s or "(" in s or ")" in s:
         raise MatrixParseError(f"cannot parse complex literal {text!r}")
     try:

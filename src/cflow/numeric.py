@@ -2,8 +2,8 @@
 
 All matrices are square ``numpy.ndarray`` values of dtype complex128.  Every
 operation is a pure function over immutable inputs; nothing here keeps state.
-The one elimination is :func:`extended_inverse`, in numpy, checking its own
-pivots.
+The one elimination is :func:`extended_inverse`, in numpy, on a copy
+equilibrated by powers of two, checking its own pivots.
 """
 
 from __future__ import annotations
@@ -82,41 +82,46 @@ def max_norm(a) -> float:
     return float(np.abs(np.asarray(a, dtype=np.complex128)).max())
 
 
-def _singular(pivot: float) -> SingularMatrix:
-    return SingularMatrix(
-        f"pivot {pivot:.3e} at or below rank tolerance; matrix is numerically singular"
-    )
-
-
 def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """:func:`extended_inverse` of ``a`` rounded to complex128."""
+    """:func:`extended_inverse` of ``a``, its pivot test included, rounded to complex128."""
     return extended_inverse(as_matrix(a), tol).astype(np.complex128)
 
 
-def extended_inverse(a, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """Gauss-Jordan inverse in extended precision (``clongdouble`` result).
+def _equilibrated(a):
+    """``(r, w, c)``, ``w = diag(r) a diag(c)`` in ``clongdouble`` (no modulus
+    overflows): powers of two bring each row's, then column's, largest modulus
+    into ``[1/2, 1)``."""
+    w = np.asarray(a).astype(np.clongdouble)
+    r = np.ldexp(np.longdouble(1), -np.frexp(np.abs(w).max(1))[1])
+    w *= r[:, None]
+    c = np.ldexp(np.longdouble(1), -np.frexp(np.abs(w).max(0))[1])
+    w *= c
+    return r, w, c
 
-    Used where inversion error would otherwise be amplified by heavy
-    cancellation downstream (Vandermonde coefficients, negative-power
-    chains); matrices stay small, so the cost is negligible.  With ``tol``
-    given, a partial pivot at or below ``rank_tol * max_norm(a)`` raises
-    :class:`SingularMatrix` before it is divided by; without it, callers
-    check singularity themselves.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    threshold = None if tol is None else tol.rank_tol * max(max_norm(a), 1e-300)
-    work = np.hstack([a.astype(np.clongdouble), np.eye(n, dtype=np.clongdouble)])
+
+def extended_inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Gauss-Jordan inverse in extended precision (``clongdouble`` result), for
+    callers whose cancellation downstream amplifies its error (Vandermonde
+    coefficients, negative-power chains).  It eliminates the :func:`_equilibrated`
+    copy, so graded entries are not mistaken for singularity: a partial pivot at
+    or below ``rank_tol`` times the copy's largest magnitude raises
+    :class:`SingularMatrix`, and the inverse is unscaled exactly."""
+    r, work, c = _equilibrated(a)
+    n = work.shape[0]
+    threshold = tol.rank_tol * float(np.abs(work).max())
+    work = np.hstack([work, np.eye(n, dtype=np.clongdouble)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(work[col:, col])))
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
-        if threshold is not None and abs(work[col, col]) <= threshold:
-            raise _singular(float(abs(work[col, col])))
+        if (pivot := float(abs(work[col, col]))) <= threshold:
+            raise SingularMatrix(
+                f"pivot {pivot:.3e} at or below rank tolerance; matrix is numerically singular"
+            )
         pivot_row = work[col] / work[col, col]
         work -= work[:, col, None] * pivot_row
         work[col] = pivot_row
-    return work[:, n:]
+    return c[:, None] * work[:, n:] * r
 
 
 def power_int(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

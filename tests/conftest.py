@@ -16,7 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cflow import DEFAULT_TOL, Cluster, Spectrum, build_flow, group_roots, jordan_oracle
+from cflow import (
+    DEFAULT_TOL,
+    AnnihilatorPolynomial,
+    Cluster,
+    Spectrum,
+    build_flow,
+    flow,
+    group_roots,
+    jordan_oracle,
+    validate_relation,
+)
 
 
 @dataclass(frozen=True)
@@ -202,6 +212,21 @@ def suite():
 def suite_reps(suite):
     """Flow representations for the suite, built once and shared."""
     return [build_flow(case.matrix) for case in suite]
+
+
+@pytest.fixture()
+def wrong_discovered_relation(monkeypatch):
+    """``minimal_polynomial`` returns its relation with ``c_0`` moved by a
+    relative 1e-6, carrying that relation's own residual: a wrong discovered
+    relation, outside the mpmath tier on small matrices."""
+    found = flow.minimal_polynomial
+
+    def perturbed(a, tol):
+        coeffs = found(a, tol).coeffs
+        q = AnnihilatorPolynomial((coeffs[0] * (1 + 1e-6),) + coeffs[1:])
+        return AnnihilatorPolynomial(q.coeffs, residual=validate_relation(a, q, tol))
+
+    monkeypatch.setattr(flow, "minimal_polynomial", perturbed)
 
 
 def grouped_spectrum(values, tol=DEFAULT_TOL) -> Spectrum:

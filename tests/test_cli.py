@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -114,8 +115,19 @@ class TestPow:
     def test_bad_relation_exit_5(self, fixtures):
         assert main(["pow", fixtures["diag23"], "--z", "1", "--relation", "1,1"]) == 5
 
-    def test_bad_literal_exit_2(self, fixtures):
-        assert main(["pow", fixtures["diag23"], "--z", "nope"]) == 2
+    def test_bad_literal_exit_2(self, fixtures, capsys):
+        # every i was mapped to j, so inf, -inf and infinity could not be parsed
+        for z, message in [
+            ("nope", "cannot parse"),
+            ("inf", "is not finite"),
+            ("-inf", "is not finite"),
+            ("infinity", "is not finite"),
+            ("nan", "is not finite"),
+            ("1e400", "is not finite"),
+        ]:
+            assert main(["pow", fixtures["diag23"], f"--z={z}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and message in captured.err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["pow", str(tmp_path / "absent.json"), "--z", "1"]) == 2
@@ -175,20 +187,15 @@ class TestPow:
         expected = jordan_oracle(case.blocks, case.transform, 0.5 + 0.25j)
         assert rel_err(_matrix_out(capsys), expected) <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
-    def test_wrong_discovered_relation_exit_5(self, tmp_path, capsys):
-        # the paper's form keeps this matrix outside the tier although its
-        # double-precision relation has residual 17, and its sum is off by a
-        # relative 5e3; the relation is checked like a supplied one, and pow
-        # evaluates the Schur flow
-        case = defective_case(np.random.default_rng(2), 24)
-        p = _save(tmp_path, "defective24", case.matrix)
-        assert main(["analyze", p]) == 5
+    def test_wrong_discovered_relation_exit_5(self, fixtures, capsys, wrong_discovered_relation):
+        # outside the tier, a discovered relation is checked like a supplied
+        # one, and pow evaluates the Schur flow
+        assert main(["analyze", fixtures["random4"]]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: relation residual")
-        assert main(["pow", p, "--z", "0.5+0.25i"]) == 0
-        expected = jordan_oracle(case.blocks, case.transform, 0.5 + 0.25j)
+        assert main(["pow", fixtures["random4"], "--z", "0.5+0.25i"]) == 0
+        expected = eigen_oracle(read_matrix(fixtures["random4"]), 0.5 + 0.25j)
         assert rel_err(_matrix_out(capsys), expected) < 1e-12
 
     def test_characteristic_fallback_failure_exit_5(self, tmp_path, capsys):
@@ -553,26 +560,25 @@ class TestVerify:
             assert 0.0 < max(gaps) <= 1e-12
 
     @pytest.mark.parametrize(
-        "method",
-        [
-            pytest.param([], id="both", marks=pytest.mark.xfail(
-                strict=True,
-                reason="power_int's inverse and the paper's form threshold pivots on "
-                "max|A|, so verify calls a graded matrix singular (ROADMAP item 2)",
-            )),
-            pytest.param(["--method", "vandermonde"], id="vandermonde", marks=pytest.mark.xfail(
-                strict=True,
-                reason="power_int's inverse thresholds pivots on max|A|, so verify's "
-                "integer powers call a graded matrix singular (ROADMAP item 2)",
-            )),
-        ],
+        "method", [[], ["--method", "vandermonde"]], ids=["both", "vandermonde"]
     )
     def test_graded_entry_passes(self, tmp_path, capsys, method):
-        # pow gets this flow right (TestPow); verify exits 3 with "pivot
-        # 2.000e+00 at or below rank tolerance".  At 1e8 it passes.
+        # verify exited 3 with "pivot 2.000e+00 at or below rank tolerance"
+        # while the inverse thresholded pivots on max|A|; pow got it right
         path = _save(tmp_path, "entry1e11", [[2.0, 1e11], [0.0, 3.0]])
         assert main(["verify", path, "--json", *method]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_overflowing_paper_form_passes_vandermonde(self, tmp_path, capsys):
+        # power_int's inverse called this matrix singular (exit 3); the
+        # paper's form overflows, so the default verify and analyze exit 6
+        path = _save(tmp_path, "overflowing", [[2.0, 1e160], [0.0, 3.0]])
+        assert main(["verify", path, "--method", "vandermonde", "--json"]) == 0
+        residuals = json.loads(capsys.readouterr().out)["residuals"]
+        assert residuals["flow_axioms"] <= 1e-14 and residuals["integer_consistency"] <= 1e-14
+        assert main(["verify", path]) == 6
+        assert main(["analyze", path]) == 6
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", [1e-12, CENTRE_AT_ZERO_SCALE, 1e6])
     def test_scaled_suite_case_passes(self, tmp_path, capsys, scale):
@@ -720,12 +726,8 @@ class TestFormula:
         for key in ("relation", "spectrum", "basis", "coefficients", "condition_estimate"):
             assert formula[key] == analyze[key]
 
-    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
-    def test_wrong_discovered_relation_exit_5(self, tmp_path, capsys):
-        p = tmp_path / "defective24.json"
-        with open(p, "w") as fh:
-            write_matrix(defective_case(np.random.default_rng(2), 24).matrix, fh)
-        assert main(["formula", str(p), "--json"]) == 5
+    def test_wrong_discovered_relation_exit_5(self, fixtures, capsys, wrong_discovered_relation):
+        assert main(["formula", fixtures["random4"], "--json"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: relation residual")
@@ -761,14 +763,49 @@ class TestFormula:
         assert captured.out == ""
         assert captured.err.startswith("error: mu is not finite")
 
+    @staticmethod
+    def _relation_at_1e_6(m: int) -> str:
+        q = AnnihilatorPolynomial.from_roots([1e-6] * m)
+        return ",".join(format_complex(c) for c in q.coeffs[::-1])
+
     def test_relation_singular_tier_table_exit_3(self, capsys):
-        q = AnnihilatorPolynomial.from_roots([1e-6] * 20)
-        relation = ",".join(format_complex(c) for c in q.coeffs[::-1])
+        relation = self._relation_at_1e_6(18)
         assert main(["formula", f"--relation={relation}", "--at", "0.5", "--json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: generalized Vandermonde matrix is numerically")
         assert "at working precision" in captured.err
+
+    def test_relation_singular_extended_table_exit_3(self, capsys):
+        # at multiplicity 20 the extended-precision table's pivot test raises
+        relation = self._relation_at_1e_6(20)
+        assert main(["formula", f"--relation={relation}", "--at", "0.5", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: generalized Vandermonde matrix is numerically singular;")
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the tier inverts its unequilibrated table, and mpmath's LU tolerance "
+        "is relative to the table's norm, so it calls this table singular (ROADMAP item 3)",
+    )
+    def test_relation_at_a_sixfold_small_root(self, capsys):
+        # (X - 1e-6)^6: x^z = sum_i mu_i x^(-i) near x = 1e-6, so with
+        # y = 1/x, sum_i mu_i y^(i-1) is the Taylor polynomial of y^(-z-1)
+        # about 1e6, expanded at 80 digits
+        relation = self._relation_at_1e_6(6)
+        assert main(["formula", f"--relation={relation}", "--at", "0.5", "--json"]) == 0
+        values = json.loads(capsys.readouterr().out)["mu_at"]["values"]
+        with mp.workdps(80):
+            y0, e = mp.mpf(10) ** 6, mp.mpf(-1.5)
+            ref = [mp.mpf(0)] * 6
+            for k in range(6):
+                ck = mp.binomial(e, k) * y0 ** (e - k)
+                for t in range(k + 1):
+                    ref[t] += ck * mp.binomial(k, t) * (-y0) ** (k - t)
+            ref = np.array([complex(v) for v in ref])
+        got = np.array([complex(*v) for v in values])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
 
     @pytest.mark.parametrize("name", ["unipotent", "jordan2", "diag23", "random4"])
     def test_same_table_as_analyze(self, fixtures, capsys, name):

@@ -122,17 +122,31 @@ class TestBuildFlow:
         rep = build_flow(a)
         assert rep.relation_residual == rep.relation.residual < 1e-15
 
-    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
-    def test_wrong_discovered_relation_raises(self):
-        # outside the tier, this matrix's double-precision relation has
-        # residual 16.9, and its flow was off by a relative 8e3; the paper's
-        # form raises, and the Schur flow is right
-        case = defective_case(np.random.default_rng(2), 24)
+    def test_wrong_discovered_relation_raises(self, suite, wrong_discovered_relation):
+        # outside the tier, a discovered relation is validated like a
+        # supplied one: the paper's form raises, and the Schur flow is right
+        case = next(c for c in suite if c.matrix.shape[0] >= 4)
         rep = build_flow(case.matrix)
-        with pytest.raises(RelationInvalid, match="relation residual 1.694e"):
+        assert rep.high_precision is None
+        with pytest.raises(RelationInvalid, match="relation residual"):
             rep.relation
         for z in (0.5 + 0.25j, -1.7):
             truth = jordan_oracle(case.blocks, case.transform, z)
+            assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
+    def test_defective_n24_enters_the_tier(self):
+        # the unequilibrated inverse of this matrix underestimated the sum's
+        # amplification, which kept it outside the tier, where its
+        # double-precision relation (residual 16.9) was rejected
+        case = defective_case(np.random.default_rng(2), 24)
+        rep = build_flow(case.matrix)
+        assert rep.high_precision is not None
+        assert 1e11 < rep.paper._form.amplification < 1e12
+        assert rep.high_precision.relation_residual < 1e-10
+        for z in (0.5 + 0.25j, -1.7):
+            truth = jordan_oracle(case.blocks, case.transform, z)
+            assert rel_err(rep.paper.power(z), truth) < 1e-7
             assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
 
     def test_ambiguous_rank_falls_back_to_characteristic_polynomial(self, suite, monkeypatch):

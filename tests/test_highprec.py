@@ -215,8 +215,16 @@ def test_n24_defective_ladder_matrix(seed):
 
 def test_singular_table_at_working_precision_is_typed():
     # mpmath's ZeroDivisionError escaped the inverse of the tier's table
-    q = AnnihilatorPolynomial.from_roots([1e-6] * 20)
+    q = AnnihilatorPolynomial.from_roots([1e-6] * 18)
     with pytest.raises(SingularMatrix, match="at working precision"):
+        companion_flow_mu(q, 0.5)
+
+
+def test_singular_extended_table_is_typed():
+    # at multiplicity 20 the extended-precision table's pivot test raises
+    # before the tier is decided
+    q = AnnihilatorPolynomial.from_roots([1e-6] * 20)
+    with pytest.raises(SingularMatrix, match="numerically singular;"):
         companion_flow_mu(q, 0.5)
 
 

@@ -20,6 +20,7 @@ from cflow import (
     power_int,
     vandermonde_matrix,
 )
+from cflow.numeric import _equilibrated
 
 
 class TestAsMatrix:
@@ -52,16 +53,13 @@ class TestLU:
 
 
 def _lu_cases(suite, suite_reps):
-    """``(matrix, tolerance)`` pairs: the suite matrices, the equilibrated
-    Vandermonde tables of their relations with ``invert_vandermonde``'s pivot
-    tolerance, and rank-deficient matrices."""
+    """``(matrix, tolerance)`` pairs: the suite matrices, the Vandermonde
+    tables of their relations with ``invert_vandermonde``'s pivot tolerance,
+    and rank-deficient matrices."""
     cases = [(case.matrix, DEFAULT_TOL) for case in suite]
     pivot_tol = replace(DEFAULT_TOL, rank_tol=1e3 * float(np.finfo(np.float64).eps))
     for rep in suite_reps:
-        b = vandermonde_matrix(rep.basis).T
-        row_scale = np.max(np.abs(b), axis=1)
-        col_scale = np.max(np.abs(b) / row_scale[:, None], axis=0)
-        cases.append((b / row_scale[:, None] / col_scale[None, :], pivot_tol))
+        cases.append((vandermonde_matrix(rep.basis).T, pivot_tol))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     rank_one = np.outer(x[:, 0], x[:, 1].conj())
@@ -76,7 +74,7 @@ def _lu_cases(suite, suite_reps):
         x @ x.T,
         zero_col,
         repeated_row,
-        np.diag([1.0, 1e-12, 2.0]),
+        np.diag([1.0, 1e-12, 2.0]),  # graded, not singular
         np.diag([1.0, 1e-9, 2.0]),
     ):
         cases.append((as_matrix(a), DEFAULT_TOL))
@@ -84,12 +82,14 @@ def _lu_cases(suite, suite_reps):
 
 
 def _getrf_singular(a, tol):
-    """The pivot test on LAPACK's ``getrf`` factors: a pivot at or below
-    ``rank_tol * max_norm(a)``."""
+    """The pivot test on LAPACK's ``getrf`` factors of the power-of-two
+    equilibrated copy: a pivot at or below ``rank_tol`` times its largest
+    magnitude."""
+    w = _equilibrated(a)[1].astype(np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, _ = scipy.linalg.lu_factor(a)
-    return np.min(np.abs(np.diag(lu))) <= tol.rank_tol * max(max_norm(a), 1e-300)
+        lu, _ = scipy.linalg.lu_factor(w)
+    return np.min(np.abs(np.diag(lu))) <= tol.rank_tol * max_norm(w)
 
 
 class TestNumpyLU:
@@ -106,24 +106,25 @@ class TestNumpyLU:
                 raised = True
             assert raised == expected
             singular += raised
-        assert singular == 7
+        assert singular == 6
 
 
 def _loop_extended_inverse(a):
     """The row-by-row Gauss-Jordan elimination that ``extended_inverse``
-    does with one rank-1 update per column; the reference it must equal."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    work = np.hstack([a.astype(np.clongdouble), np.eye(n, dtype=np.clongdouble)])
+    does with one rank-1 update per column, on the same power-of-two
+    equilibrated copy; the reference it must equal."""
+    r, w, c = _equilibrated(a)
+    n = w.shape[0]
+    work = np.hstack([w, np.eye(n, dtype=np.clongdouble)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(work[col:, col])))
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
         work[col] = work[col] / work[col, col]
-        for r in range(n):
-            if r != col:
-                work[r] = work[r] - work[r, col] * work[col]
-    return work[:, n:]
+        for i in range(n):
+            if i != col:
+                work[i] = work[i] - work[i, col] * work[col]
+    return c[:, None] * work[:, n:] * r
 
 
 def _bitwise_equal(x, y):
@@ -146,6 +147,43 @@ class TestExtendedInverse:
     def test_singular_raises_with_tolerance(self):
         with pytest.raises(SingularMatrix):
             extended_inverse(np.ones((3, 3)), DEFAULT_TOL)
+
+    def test_row_scaling_by_powers_of_two_is_exact(self):
+        # the rows of D1 a equilibrate to the same copy as those of a
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            d1 = np.ldexp(1.0, rng.integers(-60, 61, n))
+            expected = extended_inverse(a, DEFAULT_TOL) * (1.0 / d1)
+            assert _bitwise_equal(extended_inverse(d1[:, None] * a, DEFAULT_TOL), expected)
+
+    def test_scaling_by_powers_of_two_keeps_the_decision(self):
+        # a column scaling D2 can change the row scales of the copy, and so
+        # its partial pivots: the inverses then agree to rounding, not bitwise
+        rng = np.random.default_rng(32)
+        mats = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in range(1, 9)]
+        x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        zero_row = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        zero_row[2] = 0.0
+        mats += [np.ones((3, 3)), x @ x.T, np.outer(x[:, 0], x[:, 1]), zero_row]
+        for a in mats * 10:
+            n = a.shape[0]
+            d1, d2 = (np.ldexp(1.0, rng.integers(-60, 61, n)) for _ in range(2))
+            try:
+                expected = extended_inverse(a, DEFAULT_TOL)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    extended_inverse(d1[:, None] * a * d2, DEFAULT_TOL)
+                continue
+            got = d2[:, None] * extended_inverse(d1[:, None] * a * d2, DEFAULT_TOL) * d1
+            assert np.abs(got - expected).max() <= 1e-16 * np.abs(expected).max()
+
+    def test_zero_row_raises(self):
+        a = np.diag([1e-200, 1.0, 1e200]).astype(np.complex128)
+        a[1] = 0.0
+        with pytest.raises(SingularMatrix, match="pivot 0.000e"):
+            extended_inverse(a, DEFAULT_TOL)
 
     def test_inverse_is_the_extended_inverse_rounded(self):
         rng = np.random.default_rng(4)
