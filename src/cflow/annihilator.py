@@ -39,6 +39,12 @@ _EPS = float(np.finfo(np.float64).eps)
 # the clustering radius keeps a floor wide enough for multiplicity <= 3.
 _CLUSTER_FLOOR = (1e4 * _EPS) ** (1.0 / 3.0)
 
+# A relation root or polished centre at or below this magnitude is zero.
+_ZERO_ROOT = 1e-7
+
+# A centre within this of the real axis, relative to 1 + |centre|, is made real.
+_SNAP = 1e-9
+
 
 def _horner(asc, x):
     """Value and slope at ``x`` of the polynomial with ascending coefficients
@@ -171,7 +177,8 @@ class Spectrum:
 
         ``offsets`` maps a cluster index (0-based, in this spectrum's order)
         to an integer winding number, or is a spectrum whose nearest cluster's
-        branch choice each cluster takes over (:meth:`winding_near`).
+        branch choice each cluster takes over (:meth:`winding_near`).  An
+        integer beyond double range raises :class:`NonFiniteEntry`.
         """
         if isinstance(offsets, Spectrum):
             offsets = {i: offsets.winding_near(c.value) for i, c in enumerate(self.clusters)}
@@ -182,7 +189,10 @@ class Spectrum:
                     f"no cluster with index {idx}; the spectrum has {len(new)}"
                 )
             c = new[idx]
-            new[idx] = replace(c, log=c.log + 2j * math.pi * int(k))
+            try:
+                new[idx] = replace(c, log=c.log + 2j * math.pi * int(k))
+            except OverflowError as exc:
+                raise NonFiniteEntry(f"the winding number of cluster {idx} overflows") from exc
         return Spectrum(tuple(new))
 
     def winding_near(self, value: complex) -> int:
@@ -314,7 +324,7 @@ def _relative_residual(res: float, a: np.ndarray, p: int) -> float:
         ) from exc
 
 
-def validate_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def validate_relation(a, q: AnnihilatorPolynomial) -> float:
     """Relative residual ``|Q(A)| / max(1, |A|^p)`` (pure measurement)."""
     a = as_matrix(a)
     return _relative_residual(max_norm(q.evaluate_matrix(a)), a, q.degree)
@@ -423,17 +433,17 @@ def _rebuild_residual(poly: AnnihilatorPolynomial, clusters: list) -> float:
     return float(np.max(np.abs(asc - target))) / max(1.0, float(np.max(np.abs(target))))
 
 
-def _ladder(roots, zero: float, tol: ToleranceConfig) -> tuple:
+def _ladder(roots, zero: float) -> tuple:
     """The roots as Python complex values, none at or below ``zero`` in magnitude,
-    ``scale = 1 + max |root|``, and the merge radii from ``max(cluster_tol, 1.3e-4
-    scale)`` (the floor: a threefold root's scatter) by factors of 4 to ``0.05 scale``."""
+    ``scale = 1 + max |root|``, and the merge radii from ``1.3e-4 scale`` (the
+    floor: a threefold root's scatter) by factors of 4 to ``0.05 scale``."""
     values = np.asarray(roots, dtype=np.complex128).ravel().tolist()
     if not values:
         raise ValueError("root list is empty")
     if min(map(abs, values)) <= zero:
         raise ZeroEigenvalue("a root lies at or near zero; the matrix is not invertible")
     scale = 1.0 + max(map(abs, values))
-    radii = [max(tol.cluster_tol, _CLUSTER_FLOOR * scale)]
+    radii = [_CLUSTER_FLOOR * scale]
     while radii[-1] < 0.05 * scale:
         radii.append(4.0 * radii[-1])
     return values, scale, radii
@@ -445,11 +455,10 @@ def _pairs(values: list, limit: float) -> list:
     return [(r, i, j) for i, j in pairs if (r := abs(values[i] - values[j])) <= limit]
 
 
-def _ordered(centred, tol: ToleranceConfig) -> list:
+def _ordered(centred) -> list:
     """``(centre, x)`` pairs by descending ``|centre|``, then phase, a centre
-    within ``1e3 root_tol`` of the real axis put on it (a deterministic branch)."""
-    snap = 1e3 * tol.root_tol
-    out = [(complex(c.real) if abs(c.imag) <= snap * (1.0 + abs(c)) else c, x) for c, x in centred]
+    within ``_SNAP (1 + |centre|)`` of the real axis put on it (a deterministic branch)."""
+    out = [(complex(c.real) if abs(c.imag) <= _SNAP * (1.0 + abs(c)) else c, x) for c, x in centred]
     return sorted(out, key=lambda cx: (-abs(cx[0]), cmath.phase(cx[0])))
 
 
@@ -461,7 +470,7 @@ def group_roots(roots, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     centroid, where its ``m`` Taylor terms truncate at about ``1e4 eps``.
     A value or a group mean (a nilpotent block's scatter) at or below
     ``rank_tol`` in magnitude raises :class:`ZeroEigenvalue`."""
-    values, scale, radii = _ladder(roots, tol.rank_tol, tol)
+    values, scale, radii = _ladder(roots, tol.rank_tol)
     # a rung joining a pair beyond reach ends the ladder, so pairs past 4 reach go unused
     reach = 2.0 * (1e4 * _EPS) ** (1 / len(values)) * scale
     pairs = _pairs(values, min(radii[-1], max(radii[0], 4.0 * reach)))
@@ -482,10 +491,10 @@ def group_roots(roots, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     centres = [sum(values[i] for i in g) / len(g) for g in groups]
     if min(map(abs, centres)) <= tol.rank_tol:
         raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
-    return _ordered(zip(centres, groups), tol)
+    return _ordered(zip(centres, groups))
 
 
-def cluster_roots(roots, tol: ToleranceConfig = DEFAULT_TOL, *, polynomial) -> Spectrum:
+def cluster_roots(roots, *, polynomial) -> Spectrum:
     """The :class:`Spectrum` of the roots of ``polynomial``: single linkage on
     the ladder of :func:`group_roots`, every distinct grouping polished against
     ``polynomial``, and the one whose centres best rebuild its coefficients
@@ -496,12 +505,12 @@ def cluster_roots(roots, tol: ToleranceConfig = DEFAULT_TOL, *, polynomial) -> S
     Raises
     ------
     ZeroEigenvalue
-        If a root is at or below ``cluster_tol`` in magnitude: the matrix is
-        not invertible, so no flow exists.
+        If a root is at or below ``_ZERO_ROOT`` (1e-7) in magnitude: the
+        matrix is not invertible, so no flow exists.
     NonConvergence
-        If polishing drives a cluster centre to ``cluster_tol`` or below.
+        If polishing drives a cluster centre to ``_ZERO_ROOT`` or below.
     """
-    values, scale, radii = _ladder(roots, tol.cluster_tol, tol)
+    values, scale, radii = _ladder(roots, _ZERO_ROOT)
     asc = polynomial.monic_coefficients_extended()
     pairs, best, seen = _pairs(values, radii[-1]), None, set()
     for radius in radii:
@@ -517,9 +526,9 @@ def cluster_roots(roots, tol: ToleranceConfig = DEFAULT_TOL, *, polynomial) -> S
         res = _rebuild_residual(polynomial, polished)
         if best is None or res < best_res:
             best, best_res = polished, res
-    if low := [abs(c) for c, _ in best if abs(c) <= tol.cluster_tol]:
+    if low := [abs(c) for c, _ in best if abs(c) <= _ZERO_ROOT]:
         raise NonConvergence(
             f"polishing a root cluster drove its centre to magnitude {low[0]:.3e}, "
-            f"although every root lies above {tol.cluster_tol:.1e} in magnitude"
+            f"although every root lies above {_ZERO_ROOT:.1e} in magnitude"
         )
-    return Spectrum(tuple(Cluster(c, m, cmath.log(c)) for c, m in _ordered(best, tol)))
+    return Spectrum(tuple(Cluster(c, m, cmath.log(c)) for c, m in _ordered(best)))

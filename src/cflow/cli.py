@@ -85,10 +85,7 @@ def _attach_dash_values(argv: list) -> list:
 
 # Each --tol-* option: the ToleranceConfig field it sets, and its help.
 _TOL_OPTIONS = (
-    ("--tol-rank", "rank_tol", "rank decision tolerance"),
-    ("--tol-root", "root_tol", "eigenvalues with relative imaginary part below 1e3*TOL are made real"),
-    ("--tol-cluster", "cluster_tol", "zero test of roots; merges only above 1.3e-4*(1+max|root|)"),
-    ("--tol-residual", "residual_tol", "matrix residual tolerance"),
+    ("--tol-rank", "rank_tol", "Krylov dependence, pivot and Schur zero-eigenvalue tolerance"),
     ("--tol-cond-warn", "cond_warn", "condition warning level"),
 )
 
@@ -134,9 +131,10 @@ def _branch_offsets(args) -> dict:
     offsets = {}
     for item in args.branch_offset:
         try:
-            idx, k = item.split(":")
-            offsets[int(idx)] = int(k)
-        except ValueError as exc:
+            idx, k = map(int, item.split(":"))
+            offsets[idx] = k
+            float(k)  # OverflowError: no winding number beyond double range
+        except (ValueError, OverflowError) as exc:
             raise MatrixParseError(f"bad --branch-offset {item!r}, expected IDX:K") from exc
     return offsets
 
@@ -203,33 +201,21 @@ def _print_report(report: dict, as_json: bool, out) -> None:
         print(f"mu({report['mu_at']['z']}) = ({values})", file=out)
 
 
-def _representation_report(q, basis, coeffs, skip_zero=False, residual=None) -> dict:
-    spectrum = basis.spectrum
-    report = {
-        "degree": q.degree,
-        "relation": [format_complex(c) for c in q.coeffs[::-1]],
+def _representation_report(form) -> dict:
+    """A paper's form's relation, spectrum, basis and coefficient table."""
+    spectrum = form.basis.spectrum
+    return {
+        "degree": form.relation.degree,
+        "relation": [format_complex(c) for c in form.relation.coeffs[::-1]],
         "spectrum": _spectrum_rows(spectrum),
         "basis": [
-            _term_text(spectrum.clusters[ci].value, j) for ci, j in basis.terms
+            _term_text(spectrum.clusters[ci].value, j) for ci, j in form.basis.terms
         ],
         "coefficients": [
-            [[v.real, v.imag] for v in row] for row in np.asarray(coeffs.e)
+            [[v.real, v.imag] for v in row] for row in np.asarray(form.coeffs.e)
         ],
-        "condition_estimate": coeffs.condition_estimate,
+        "condition_estimate": form.coeffs.condition_estimate,
     }
-    if residual is not None:
-        report["relation_residual"] = residual
-    terms = []
-    for i in range(q.degree):
-        row = []
-        for k, (ci, j) in enumerate(basis.terms):
-            e = complex(coeffs.e[i, k])
-            if skip_zero and e == 0:
-                continue
-            row.append(f"({format_complex(e)})*" + _term_text(spectrum.clusters[ci].value, j))
-        terms.append(row or ["0"])
-    report["mu_terms"] = terms
-    return report
 
 
 def cmd_pow(args) -> int:
@@ -252,10 +238,8 @@ def cmd_pow(args) -> int:
 def cmd_analyze(args) -> int:
     paper = _build(args, read_matrix(args.matrix), _tolerances(args)).paper
     form = paper.high_precision or paper
-    report = _representation_report(
-        form.relation, form.basis, form.coeffs, residual=form.relation_residual
-    )
-    del report["mu_terms"]
+    report = _representation_report(form)
+    report["relation_residual"] = form.relation_residual
     _print_report(report, args.json, sys.stdout)
     return 0
 
@@ -270,9 +254,12 @@ def cmd_formula(args) -> int:
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
     form = paper.high_precision or paper
-    report = _representation_report(
-        form.relation, form.basis, form.coeffs, skip_zero=args.skip_zero
-    )
+    report = _representation_report(form)
+    report["mu_terms"] = []
+    for row in np.asarray(form.coeffs.e):  # mu_i(z) = sum_j e_ij f_j(z)
+        terms = zip(row, report["basis"])
+        text = [f"({format_complex(e)})*{f}" for e, f in terms if e or not args.skip_zero]
+        report["mu_terms"].append(text or ["0"])
     if args.at is not None:
         mu = paper.mu(parse_complex(args.at))
         report["mu_at"] = {"z": args.at, "values": [[v.real, v.imag] for v in mu]}

@@ -92,6 +92,9 @@ __all__ = [
     "check_flow_axioms",
 ]
 
+_RELATION_TOL = 1e-9  # the relative residual at which a relation is accepted
+_SAME_EIGENVALUE = 1e-7  # Jordan-form eigenvalues this close are one eigenvalue
+
 
 @cache
 def _lapack():
@@ -124,7 +127,7 @@ class PaperForm:
 
     def __init__(self, a, q=None, tol: ToleranceConfig = DEFAULT_TOL, branch=None):
         self._a, self._q, self._tol, self._branch = a, q, tol, branch
-        self._residual = None if q is None else check_relation(self._a, q, tol)
+        self._residual = None if q is None else check_relation(self._a, q)
 
     relation = property(lambda self: self._form.relation)
     basis = property(lambda self: self._form.basis)
@@ -143,7 +146,7 @@ class PaperForm:
             except AmbiguousRank:
                 q, discovered = characteristic_polynomial(a), False
                 source = "characteristic polynomial (minimal polynomial rank ambiguous): "
-                residual = _accepted(validate_relation(a, q, tol), tol, source)
+                residual = _accepted(validate_relation(a, q), source)
         # The table's conditioning is reported once the tier is decided.
         basis, coeffs = spectral_table(q, replace(tol, cond_warn=math.inf), self._branch)
         negs_ext = np.stack(_negative_powers_extended(a, q.degree, tol))
@@ -161,12 +164,12 @@ class PaperForm:
         if amp > 1e8:
             from .highprec import HighPrecisionFlow
 
-            hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))), tol)
+            hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))))
             mu = hp.mu
         else:
             coeffs.warn_if_ill_conditioned(tol)
             if discovered:
-                _accepted(residual, tol)
+                _accepted(residual)
         return SimpleNamespace(
             relation=q, basis=basis, coeffs=coeffs, relation_residual=residual,
             high_precision=hp, negs=negs_ext, amplification=amp, mu=mu,
@@ -300,7 +303,7 @@ def spectral_table(
 
     These depend on the relation alone, not on a matrix it annihilates.
     """
-    spectrum = cluster_roots(find_roots(q), tol, polynomial=q)
+    spectrum = cluster_roots(find_roots(q), polynomial=q)
     if branch_offsets:
         spectrum = spectrum.with_branch_offsets(branch_offsets)
     basis = build_basis(spectrum)
@@ -397,17 +400,17 @@ def _schur_covariants(a: np.ndarray, tol: ToleranceConfig) -> tuple[BasisDescrip
     return build_basis(Spectrum(tuple(clusters))), out
 
 
-def _accepted(residual: float, tol: ToleranceConfig, source: str = "") -> float:
-    if residual > tol.residual_tol:
+def _accepted(residual: float, source: str = "") -> float:
+    if residual > _RELATION_TOL:
         raise RelationInvalid(
-            f"{source}relation residual {residual:.3e} exceeds {tol.residual_tol:.1e}"
+            f"{source}relation residual {residual:.3e} exceeds {_RELATION_TOL:.1e}"
         )
     return residual
 
 
-def check_relation(a, q: AnnihilatorPolynomial, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """:func:`validate_relation`, raising :class:`RelationInvalid` above ``residual_tol``."""
-    return _accepted(validate_relation(a, q, tol), tol)
+def check_relation(a, q: AnnihilatorPolynomial) -> float:
+    """:func:`validate_relation`, raising :class:`RelationInvalid` above 1e-9."""
+    return _accepted(validate_relation(a, q))
 
 
 def build_flow(
@@ -562,7 +565,7 @@ def _parse_jordan_blocks(a, tol: ToleranceConfig):
     for i in range(n - 1):
         s = a[i, i + 1]
         if abs(s - 1.0) <= tol.rank_tol * scale:
-            if abs(a[i, i] - a[i + 1, i + 1]) > tol.cluster_tol * scale:
+            if abs(a[i, i] - a[i + 1, i + 1]) > _SAME_EIGENVALUE * scale:
                 raise NotJordanForm("superdiagonal one joins two different eigenvalues")
             continue
         if abs(s) <= tol.rank_tol * scale:
@@ -597,11 +600,11 @@ def extend_matrix(
     out = np.zeros((n + 1, n + 1), dtype=np.complex128)
     out[:n, :n] = a
     out[n, n] = new_root
-    if any(abs(out[n, n] - c.value) <= tol.cluster_tol for c in spectrum_of_a.clusters):
+    if any(abs(out[n, n] - c.value) <= _SAME_EIGENVALUE for c in spectrum_of_a.clusters):
         blocks = _parse_jordan_blocks(a, tol)
         last_rows = np.cumsum([size for _, size in blocks]) - 1
         candidates = [
-            k for k, (lam, _) in enumerate(blocks) if abs(lam - out[n, n]) <= tol.cluster_tol
+            k for k, (lam, _) in enumerate(blocks) if abs(lam - out[n, n]) <= _SAME_EIGENVALUE
         ]
         target = max(candidates, key=lambda k: blocks[k][1])
         out[last_rows[target], n] = 1.0

@@ -39,7 +39,6 @@ from .annihilator import (
     validate_relation,
 )
 from .basis import CoefficientTable, _singular_vandermonde, build_basis, term_values
-from .numeric import DEFAULT_TOL, ToleranceConfig
 
 __all__ = ["HighPrecisionFlow", "extended_matrix"]
 
@@ -118,19 +117,11 @@ class HighPrecisionFlow:
     ``mu_mp`` the coefficient functions at working precision.
     """
 
-    def __init__(
-        self,
-        a: np.ndarray,
-        relation,
-        basis,
-        dps: int = 50,
-        tol: ToleranceConfig = DEFAULT_TOL,
-    ):
+    def __init__(self, a: np.ndarray, relation, basis, dps: int = 50):
         self.dps = dps
         self._a = np.asarray(a, dtype=np.complex128)
         self._start = relation
         self._given = basis
-        self._tol = tol
 
     @functools.cached_property
     def _form(self) -> SimpleNamespace:
@@ -143,7 +134,7 @@ class HighPrecisionFlow:
             q = AnnihilatorPolynomial(
                 tuple(coeffs.astype(np.complex128)), coeffs_extended=tuple(extended_matrix(coeffs))
             )
-            found = cluster_roots(find_roots(q), self._tol, polynomial=q).clusters
+            found = cluster_roots(find_roots(q), polynomial=q).clusters
             groups = [[c.value] * c.multiplicity for c in found]
             centres = _polish(np.array(asc, dtype=object), groups, math.inf, 10.0 ** (5 - self.dps))
             logs = [
@@ -165,7 +156,7 @@ class HighPrecisionFlow:
                 e=e.astype(np.complex128),
                 condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,
             )
-        residual = validate_relation(self._a, q, self._tol)
+        residual = validate_relation(self._a, q)
         return SimpleNamespace(
             relation=q, coeffs=table, basis=basis, terms=terms, e=e, relation_residual=residual
         )

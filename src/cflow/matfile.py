@@ -91,7 +91,10 @@ def read_matrix(path) -> np.ndarray:
                 or not all(type(v) in (int, float) for v in pair)  # not bool
             ):
                 raise MatrixParseError(f"{path}: entry ({i},{j}) is not a [re, im] pair")
-            out[i, j] = complex(pair[0], pair[1])
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError as exc:  # an integer beyond double range
+                raise MatrixParseError(f"{path}: entry ({i},{j}) exceeds double range") from exc
     if not np.all(np.isfinite(out.view(np.float64))):
         raise MatrixParseError(f"{path}: non-finite entry")
     return out

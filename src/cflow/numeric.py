@@ -27,36 +27,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds used throughout the package.
+    """The numerical thresholds a caller may set.
 
     Parameters
     ----------
     rank_tol : float
-        Relative threshold for rank / pivot decisions, and for a zero
-        eigenvalue of the balanced Schur form.
-    root_tol : float
-        An eigenvalue (cluster centre) whose imaginary part is at most
-        ``1e3 * root_tol`` relative to its magnitude is snapped onto the
-        real axis.  The root finder (companion-matrix eigenvalues) takes no
-        tolerance.
-    cluster_tol : float
-        Zero test of relation roots and centres, equality of Jordan-form
-        eigenvalues; a merge radius only above ``1.3e-4 (1 + max|root|)``.
-    residual_tol : float
-        Relative residual accepted for matrix equations (annihilating
-        relations, inverse checks).
+        Relative threshold of the Krylov dependence test, of the pivot test
+        of :func:`extended_inverse` (the Vandermonde table's sets its own),
+        and of a zero eigenvalue of the balanced Schur form.
     cond_warn : float
         Condition-estimate level above which a warning is emitted.
     """
 
     rank_tol: float = 1e-10
-    root_tol: float = 1e-12
-    cluster_tol: float = 1e-7
-    residual_tol: float = 1e-9
     cond_warn: float = 1e12
 
     def __post_init__(self):
-        for name in ("rank_tol", "root_tol", "cluster_tol", "residual_tol", "cond_warn"):
+        for name in ("rank_tol", "cond_warn"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 

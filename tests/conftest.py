@@ -224,7 +224,7 @@ def wrong_discovered_relation(monkeypatch):
     def perturbed(a, tol):
         coeffs = found(a, tol).coeffs
         q = AnnihilatorPolynomial((coeffs[0] * (1 + 1e-6),) + coeffs[1:])
-        return AnnihilatorPolynomial(q.coeffs, residual=validate_relation(a, q, tol))
+        return AnnihilatorPolynomial(q.coeffs, residual=validate_relation(a, q))
 
     monkeypatch.setattr(flow, "minimal_polynomial", perturbed)
 

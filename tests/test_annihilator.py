@@ -11,6 +11,7 @@ from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
     NonConvergence,
+    NonFiniteEntry,
     ToleranceConfig,
     ZeroEigenvalue,
     build_flow,
@@ -256,7 +257,7 @@ class TestClusterRoots:
             grouped_spectrum(scatter, ToleranceConfig(rank_tol=1e-5))  # each value lies below it
 
     def test_zero_threshold_of_each_rule(self):
-        # the relation's roots are zero at cluster_tol (1e-7), the Schur
+        # the relation's roots are zero at _ZERO_ROOT (1e-7), the Schur
         # diagonal's at rank_tol (1e-10), relative to max|B| in [1, 2)
         q = AnnihilatorPolynomial.from_roots([1e-8, 2.0])
         with pytest.raises(ZeroEigenvalue, match="at or near zero"):
@@ -295,6 +296,11 @@ class TestClusterRoots:
     def test_with_branch_offsets(self):
         s = grouped_spectrum([2.0]).with_branch_offsets({0: 1})
         assert s.clusters[0].log.imag == pytest.approx(2 * np.pi)
+
+    def test_winding_number_beyond_double_range(self):
+        # 2*pi*i*K raised OverflowError, not an error of cflow's
+        with pytest.raises(NonFiniteEntry, match="winding number of cluster 0"):
+            grouped_spectrum([2.0]).with_branch_offsets({0: 10**400})
 
 
 def test_simple_roots_are_polished(suite):
@@ -425,13 +431,13 @@ def _former_cluster_at_radius(roots, radius):
     return list(groups.values())
 
 
-def _former_grouping(roots, tol=DEFAULT_TOL):
+def _former_grouping(roots):
     """``(centroid, multiplicity)`` of the no-polynomial ladder as it was: one
     NumPy test per rung and ``np.mean`` per group, centroids snapped onto the
     real axis and ordered as :func:`cluster_roots` orders its clusters."""
     roots = np.asarray(roots, dtype=np.complex128)
     scale = 1.0 + float(np.max(np.abs(roots)))
-    base_radius = max(tol.cluster_tol, annihilator._CLUSTER_FLOOR * scale)
+    base_radius = annihilator._CLUSTER_FLOOR * scale
     radii = [base_radius]
     while radii[-1] < 0.05 * scale:
         radii.append(4.0 * radii[-1])
@@ -449,7 +455,7 @@ def _former_grouping(roots, tol=DEFAULT_TOL):
     out = []
     for g in groups:
         c = complex(np.mean(g))
-        if abs(c.imag) <= 1e3 * tol.root_tol * (1.0 + abs(c)):
+        if abs(c.imag) <= annihilator._SNAP * (1.0 + abs(c)):
             c = complex(c.real, 0.0)
         out.append((c, len(g)))
     return sorted(out, key=lambda cm: (-abs(cm[0]), np.angle(cm[0])))

@@ -323,7 +323,7 @@ class TestPow:
 
     def test_large_entry_is_not_singular(self, tmp_path, capsys):
         # eigenvalues 2 and 3: the discovered relation has roots {0, 5}, and
-        # its residual 6.0e-200 passes residual_tol because validate_relation
+        # its residual 6.0e-200 passes 1e-9 because validate_relation
         # divides by |A|^p, so pow exits 3 as "not invertible"
         path = _save(tmp_path, "entry1e100", [[2.0, 1e100], [0.0, 3.0]])
         assert main(["pow", path, "--z", "0.5"]) == 0
@@ -405,6 +405,8 @@ class TestInputChecks:
             ({"n": True, "entries": [[[1, 0]]]}, "'n' must be a positive integer"),
             ({"n": 1, "entries": [[[True, 0]]]}, "entry (0,0) is not a [re, im] pair"),
             ({"n": 1, "entries": [[[2, False]]]}, "entry (0,0) is not a [re, im] pair"),
+            # complex() of an integer beyond double range raised OverflowError
+            ({"n": 1, "entries": [[[10**400, 0]]]}, "entry (0,0) exceeds double range"),
         ],
     )
     def test_malformed_matrix_document(self, tmp_path, capsys, doc, message):
@@ -426,7 +428,10 @@ class TestInputChecks:
         assert captured.out == "" and len(errors) == 1 and "empty field" in errors[0]
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("offset", ["1", "a:b", "0:1:2"])
+    # a K beyond double range: 2*pi*i*K raised OverflowError, a traceback and exit 1
+    @pytest.mark.parametrize(
+        "offset", ["1", "a:b", "0:1:2", "0:1" + "0" * 400], ids=["1", "a:b", "0:1:2", "0:1e400"]
+    )
     def test_malformed_branch_offset(self, fixtures, capsys, offset):
         assert main(["pow", fixtures["diag23"], "--z", "0.5", "--branch-offset", offset]) == 2
         err = capsys.readouterr().err
@@ -435,7 +440,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
     @pytest.mark.parametrize(
         "option, value",
-        [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan"), ("--tol-root", "-1")],
+        [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan")],
     )
     def test_non_positive_tolerance_exit_2(self, fixtures, capsys, command, option, value):
         # ToleranceConfig's ValueError escaped: a traceback and exit 1
@@ -445,6 +450,16 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert "Traceback" not in err and option in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
+    @pytest.mark.parametrize("option", ["--tol-root", "--tol-cluster", "--tol-residual"])
+    def test_removed_tolerance_exit_2(self, fixtures, capsys, command, option):
+        # the real-axis snap, the zero test of relation roots and the relation
+        # acceptance are constants: no option sets them
+        source = {"pow": [fixtures["diag23"], "--z", "0.5"], "formula": ["--relation", "5,-6"]}
+        assert main([command, *source.get(command, [fixtures["diag23"]]), option, "1e-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err and option in captured.err
 
     @pytest.mark.parametrize(
         "command, method", [("pow", "both"), ("verify", "companion")], ids=["pow", "verify"]

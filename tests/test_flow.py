@@ -775,7 +775,7 @@ class TestScaleInvariance:
     )
     def test_wide_spectrum_is_not_singular(self, lams, conjugated, tol):
         # the small eigenvalue lies 1e-8 below max|B| and above rank_tol: a
-        # zero test at cluster_tol on B raised ZeroEigenvalue.  Under T the
+        # zero test at 1e-7 on B raised ZeroEigenvalue.  Under T the
         # eigenvalue 1 is known to about eps*1e8: numpy.linalg.eig's A^z
         # misses by 1.6e-8 too.
         t = np.random.default_rng(0).standard_normal((2, 2)) if conjugated else np.eye(2)
