@@ -63,14 +63,6 @@ from .flow import (
     schur_covariants,
     spectral_table,
 )
-from .numeric import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    extended_inverse,
-    inverse,
-    max_norm,
-    power_int,
-)
+from .numeric import as_matrix, extended_inverse, inverse, max_norm, power_int
 
 __version__ = "0.1.0"

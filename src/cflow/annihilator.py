@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AmbiguousRank, NonConvergence, NonFiniteEntry, UnknownCluster, ZeroEigenvalue
-from .numeric import DEFAULT_TOL, ToleranceConfig, as_matrix, max_norm
+from .numeric import _RANK_TOL, as_matrix, max_norm
 
 __all__ = [
     "AnnihilatorPolynomial",
@@ -258,12 +258,12 @@ def _dependence_residuals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return krylov, residuals
 
 
-def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPolynomial:
+def minimal_polynomial(a) -> AnnihilatorPolynomial:
     """Monic annihilating polynomial of least degree.
 
     Flattens ``I, A, ..., A^n`` into the columns of a Krylov matrix and takes
     the degree at the first linear dependence: the first ``q`` whose QR
-    residual ``|R[q, q]| / ||vec(A^q)||`` falls to ``rank_tol``.  The
+    residual ``|R[q, q]| / ||vec(A^q)||`` falls to ``1e-10``.  The
     coefficients solve the least-squares system on the first ``q`` columns
     and are refined in extended precision.  The result's ``residual`` is read
     off that refinement, which forms ``vec(Q(A))``; it is the
@@ -272,7 +272,7 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
     Raises
     ------
     AmbiguousRank
-        If the dependence decision lands within a factor 10 of ``rank_tol``,
+        If the dependence decision lands within a factor 10 of ``1e-10``,
         so the reported degree would be unreliable.
     """
     a = as_matrix(a)
@@ -280,7 +280,7 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
     krylov, residuals = _dependence_residuals(a)
     for q in range(1, n + 1):
         rel = residuals[q]
-        if rel <= tol.rank_tol:
+        if rel <= _RANK_TOL:
             coef, *_ = np.linalg.lstsq(krylov[:, :q], krylov[:, q], rcond=None)
             coef_ext, res = _refine_relation_coefficients(a, coef)
             return AnnihilatorPolynomial(
@@ -288,11 +288,11 @@ def minimal_polynomial(a, tol: ToleranceConfig = DEFAULT_TOL) -> AnnihilatorPoly
                 coeffs_extended=tuple(coef_ext),
                 residual=_relative_residual(res, a, q),
             )
-        if rel <= 10.0 * tol.rank_tol or q == n:
+        if rel <= 10.0 * _RANK_TOL or q == n:
             # Cayley-Hamilton forces dependence by q = n, so reaching q = n
             # without one is itself a marginal-rank symptom.
             raise AmbiguousRank(
-                f"dependence residual {rel:.3e} too close to rank_tol at degree {q}"
+                f"dependence residual {rel:.3e} too close to the rank tolerance at degree {q}"
             )
     raise AssertionError("unreachable")
 
@@ -462,15 +462,15 @@ def _ordered(centred) -> list:
     return sorted(out, key=lambda cx: (-abs(cx[0]), cmath.phase(cx[0])))
 
 
-def group_roots(roots, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def group_roots(roots) -> list:
     """The eigenvalues of a Schur diagonal ``roots`` as ``(centre, indices)``:
     each group's ascending indices into ``roots`` and their mean, in spectrum
     order.  Single linkage on the ladder of radii of :func:`_ladder`, widening
     while each group of ``m`` lies within ``(1e4 eps)^(1/m) scale`` of its
     centroid, where its ``m`` Taylor terms truncate at about ``1e4 eps``.
     A value or a group mean (a nilpotent block's scatter) at or below
-    ``rank_tol`` in magnitude raises :class:`ZeroEigenvalue`."""
-    values, scale, radii = _ladder(roots, tol.rank_tol)
+    ``1e-10`` in magnitude raises :class:`ZeroEigenvalue`."""
+    values, scale, radii = _ladder(roots, _RANK_TOL)
     # a rung joining a pair beyond reach ends the ladder, so pairs past 4 reach go unused
     reach = 2.0 * (1e4 * _EPS) ** (1 / len(values)) * scale
     pairs = _pairs(values, min(radii[-1], max(radii[0], 4.0 * reach)))
@@ -489,7 +489,7 @@ def group_roots(roots, tol: ToleranceConfig = DEFAULT_TOL) -> list:
             break
         groups = wider
     centres = [sum(values[i] for i in g) / len(g) for g in groups]
-    if min(map(abs, centres)) <= tol.rank_tol:
+    if min(map(abs, centres)) <= _RANK_TOL:
         raise ZeroEigenvalue("a root cluster is centred at zero; the matrix is not invertible")
     return _ordered(zip(centres, groups))
 

@@ -14,20 +14,14 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .annihilator import Spectrum
 from .errors import ConditioningWarning, NonFiniteEntry, SingularMatrix, ZeroEigenvalue
-from .numeric import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    extended_inverse,
-    max_norm,
-)
+from .numeric import _COND_WARN, as_matrix, extended_inverse, max_norm
 
 __all__ = [
     "generalized_binomial",
@@ -110,17 +104,17 @@ class CoefficientTable:
     condition_estimate: float
     e_extended: np.ndarray | None = None
 
-    def warn_if_ill_conditioned(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    def warn_if_ill_conditioned(self) -> None:
         """Emit a :class:`ConditioningWarning` (never an error) when the
-        condition estimate exceeds ``cond_warn``, attributed to the first
-        caller outside cflow (and the ``functools`` of its cached forms)."""
-        if self.condition_estimate > tol.cond_warn:
+        condition estimate exceeds ``1e12``, attributed to the first caller
+        outside cflow (and the ``functools`` of its cached forms)."""
+        if self.condition_estimate > _COND_WARN:
             frame, level = sys._getframe(), 1
             while frame.f_back and frame.f_globals["__name__"].startswith(("cflow.", "functools")):
                 frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"generalized Vandermonde condition estimate {self.condition_estimate:.3e} "
-                f"exceeds {tol.cond_warn:.1e}; coefficients may be inaccurate",
+                f"exceeds {_COND_WARN:.1e}; coefficients may be inaccurate",
                 ConditioningWarning,
                 stacklevel=level,
             )
@@ -151,7 +145,8 @@ def term_values(table, z, exp=cmath.exp) -> list:
     ``np.exp``) or working precision (``mpc``, ``mpmath.exp``, which
     ``cmath.exp`` would round to double precision).
 
-    Raises ``OverflowError`` when a power overflows under ``cmath.exp``.
+    Under ``cmath.exp`` raises ``OverflowError`` when a power overflows, and
+    ``ValueError`` when its phase ``(z - j) log`` has an infinite imaginary part.
     """
     values = []
     for j, log, factorial in table:
@@ -174,8 +169,8 @@ def _extended_values(basis: BasisDescriptor, z) -> list:
 def basis_values(basis: BasisDescriptor, z: complex) -> list:
     """Values of every basis function at ``z``, as Python complex numbers.
 
-    Raises :class:`NonFiniteEntry` when ``z`` is not finite or a value
-    overflows.
+    Raises :class:`NonFiniteEntry` when ``z`` is not finite, a value
+    overflows or its phase does.
     """
     z = _finite_exponent(z)
     try:
@@ -184,6 +179,16 @@ def basis_values(basis: BasisDescriptor, z: complex) -> list:
         raise NonFiniteEntry(
             f"A^z overflows: a basis value exceeds double precision at z={z}"
         ) from exc
+    except ValueError as exc:
+        raise _infinite_phase(z) from exc
+
+
+def _infinite_phase(z: complex) -> NonFiniteEntry:
+    """The error of a basis value whose phase exceeds double precision
+    (``cmath.exp``'s ``ValueError``)."""
+    return NonFiniteEntry(
+        f"A^z is not finite: the phase of a basis value exceeds double precision at z={z}"
+    )
 
 
 def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
@@ -203,6 +208,11 @@ def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
     return b
 
 
+# Ill-conditioned (but provably nonsingular) tables of high-degree relations:
+# reject only pivots at rounding level, not at the default 1e-10.
+_VANDERMONDE_PIVOT = 1e3 * float(np.finfo(np.float64).eps)
+
+
 def _singular_vandermonde(where: str, cause: Exception) -> SingularMatrix:
     """The error of a pivot failure ``where`` (empty in double precision)."""
     return SingularMatrix(
@@ -213,22 +223,19 @@ def _singular_vandermonde(where: str, cause: Exception) -> SingularMatrix:
     )
 
 
-def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTable:
+def invert_vandermonde(b) -> CoefficientTable:
     """Invert a generalized Vandermonde matrix by one :func:`extended_inverse`,
     whose pivot test is the singularity check, and two Newton steps.
 
     The exact matrix is provably nonsingular for distinct eigenvalue
     clusters, so a pivot failure here points at the clustering upstream.
-    Emits a :class:`ConditioningWarning` (never an error) when the condition
-    estimate exceeds ``cond_warn``.
+    It never warns: the paper's form reports the table's
+    :meth:`CoefficientTable.warn_if_ill_conditioned` once its tier is decided.
     """
     b = as_matrix(b)
     p = b.shape[0]
-    # Ill-conditioned (but provably nonsingular) tables of high-degree
-    # relations: reject only pivots at rounding level, not at rank_tol.
-    pivot_tol = replace(tol, rank_tol=1e3 * float(np.finfo(np.float64).eps))
     try:
-        e_ext = extended_inverse(b, pivot_tol)
+        e_ext = extended_inverse(b, _VANDERMONDE_PIVOT)
     except SingularMatrix as exc:
         raise _singular_vandermonde("", exc) from exc
     b_ext = b.astype(np.clongdouble)
@@ -237,6 +244,4 @@ def invert_vandermonde(b, tol: ToleranceConfig = DEFAULT_TOL) -> CoefficientTabl
         e_ext = e_ext @ (2.0 * eye - b_ext @ e_ext)
     e = e_ext.astype(np.complex128)
     cond = max_norm(b) * max_norm(e) * p
-    table = CoefficientTable(e=e, condition_estimate=cond, e_extended=e_ext)
-    table.warn_if_ill_conditioned(tol)
-    return table
+    return CoefficientTable(e=e, condition_estimate=cond, e_extended=e_ext)

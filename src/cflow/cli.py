@@ -14,8 +14,9 @@ Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
 eigenvalue, 4 root finding failed (the Schur form, or the paper's eigenvalue
 iteration on the companion matrix), 5 relation invalid, 6 result not finite
-(``A^z`` overflows at the requested exponent).  cflow's warnings are printed to
-standard error as ``warning:`` lines; numpy's own are not shown.
+(``A^z`` overflows at the requested exponent, or a phase ``Im(z log lambda)``
+does).  cflow's warnings are printed to standard error as ``warning:`` lines;
+numpy's own are not shown.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .matfile import (
     parse_relation,
     read_matrix,
 )
-from .numeric import DEFAULT_TOL, ToleranceConfig, max_norm, power_int
+from .numeric import _COND_WARN, max_norm, power_int
 
 RESIDUAL_LIMIT = 1e-8  # shared pass/fail threshold for all verify categories
 _CROSS_ZS = (0.5, -1.5 + 1j, 2.5j)  # where verify --method both compares the constructions
@@ -83,16 +84,7 @@ def _attach_dash_values(argv: list) -> list:
     return out
 
 
-# Each --tol-* option: the ToleranceConfig field it sets, and its help.
-_TOL_OPTIONS = (
-    ("--tol-rank", "rank_tol", "Krylov dependence, pivot and Schur zero-eigenvalue tolerance"),
-    ("--tol-cond-warn", "cond_warn", "condition warning level"),
-)
-
-
 def _add_common(sub):
-    for option, field, text in _TOL_OPTIONS:
-        sub.add_argument(option, dest=field, type=_positive, default=None, metavar="TOL", help=text)
     sub.add_argument(
         "--branch-offset",
         action="append",
@@ -118,13 +110,7 @@ def _rule(rule: str, convert, accept):
 
 
 _count = _rule("an integer of at least 1", int, lambda v: v >= 1)
-_positive = _rule("strictly positive", float, lambda v: v > 0.0)  # inf: cond_warn=inf never warns
 _radius = _rule("finite and strictly positive", float, lambda v: 0.0 < v < math.inf)
-
-
-def _tolerances(args) -> ToleranceConfig:
-    kw = {f: getattr(args, f) for _, f, _ in _TOL_OPTIONS if getattr(args, f) is not None}
-    return ToleranceConfig(**kw) if kw else DEFAULT_TOL
 
 
 def _branch_offsets(args) -> dict:
@@ -139,10 +125,10 @@ def _branch_offsets(args) -> dict:
     return offsets
 
 
-def _build(args, a, tol: ToleranceConfig) -> FlowRepresentation:
+def _build(args, a) -> FlowRepresentation:
     """:func:`build_flow` of ``a`` with the ``--relation`` given, if any."""
     q = parse_relation(args.relation) if args.relation is not None else None
-    return build_flow(a, q, tol, _branch_offsets(args))
+    return build_flow(a, q, _branch_offsets(args))
 
 
 def _term_text(lam: complex, j: int) -> str:
@@ -219,16 +205,15 @@ def _representation_report(form) -> dict:
 
 
 def cmd_pow(args) -> int:
-    tol = _tolerances(args)
     a = read_matrix(args.matrix)
     z = parse_complex(args.z)
-    rep = _build(args, a, tol)
+    rep = _build(args, a)
     if args.method == "companion":
         result = rep.paper.power(z)
     else:
         result = evaluate_flow(rep, z)
         cond = rep.evaluation_condition(z)
-        if cond > tol.cond_warn:
+        if cond > _COND_WARN:
             print(f"warning: evaluation condition estimate {cond:.3e}", file=sys.stderr)
     json.dump(matrix_document(result), sys.stdout)
     sys.stdout.write("\n")
@@ -236,7 +221,7 @@ def cmd_pow(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    paper = _build(args, read_matrix(args.matrix), _tolerances(args)).paper
+    paper = _build(args, read_matrix(args.matrix)).paper
     form = paper.high_precision or paper
     report = _representation_report(form)
     report["relation_residual"] = form.relation_residual
@@ -245,12 +230,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    tol = _tolerances(args)
     if args.matrix:
-        paper = _build(args, read_matrix(args.matrix), tol).paper
+        paper = _build(args, read_matrix(args.matrix)).paper
     elif args.relation is not None:
         q = parse_relation(args.relation)
-        paper = CompanionFlow(q, tol, _branch_offsets(args)).representation
+        paper = CompanionFlow(q, _branch_offsets(args)).representation
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
     form = paper.high_precision or paper
@@ -268,9 +252,8 @@ def cmd_formula(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerances(args)
     a = read_matrix(args.matrix)
-    rep = _build(args, a, tol)
+    rep = _build(args, a)
 
     # exponents uniform on the square inscribed in |z| <= z_radius
     rng, half = random.Random(args.seed), args.z_radius / math.sqrt(2)
@@ -283,7 +266,7 @@ def cmd_verify(args) -> int:
     results = {"flow_axioms": check_flow_axioms(rep, a, pairs).max_residual}
     integer_max = 0.0
     for k in range(-3, 6):
-        target = power_int(a, k, tol)
+        target = power_int(a, k)
         denom = max(1.0, max_norm(target))
         integer_max = max(integer_max, max_norm(evaluate_flow(rep, k) - target) / denom)
     results["integer_consistency"] = integer_max

@@ -18,7 +18,7 @@ import importlib.util
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,6 +43,7 @@ from .basis import (
     CoefficientTable,
     _extended_values,
     _finite_exponent,
+    _infinite_phase,
     basis_values,
     build_basis,
     generalized_binomial,
@@ -62,14 +63,7 @@ from .errors import (
     RelationInvalid,
     ZeroEigenvalue,
 )
-from .numeric import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    extended_inverse,
-    inverse,
-    max_norm,
-)
+from .numeric import _RANK_TOL, as_matrix, extended_inverse, inverse, max_norm
 
 __all__ = [
     "FlowRepresentation",
@@ -125,8 +119,8 @@ class PaperForm:
     discovered relation is validated too, and an ill-conditioned table warns.
     """
 
-    def __init__(self, a, q=None, tol: ToleranceConfig = DEFAULT_TOL, branch=None):
-        self._a, self._q, self._tol, self._branch = a, q, tol, branch
+    def __init__(self, a, q=None, branch=None):
+        self._a, self._q, self._branch = a, q, branch
         self._residual = None if q is None else check_relation(self._a, q)
 
     relation = property(lambda self: self._form.relation)
@@ -138,18 +132,17 @@ class PaperForm:
 
     @cached_property
     def _form(self) -> SimpleNamespace:
-        a, q, tol, residual = self._a, self._q, self._tol, self._residual
+        a, q, residual = self._a, self._q, self._residual
         if discovered := q is None:
             try:
-                q = minimal_polynomial(a, tol)
+                q = minimal_polynomial(a)
                 residual = q.residual
             except AmbiguousRank:
                 q, discovered = characteristic_polynomial(a), False
                 source = "characteristic polynomial (minimal polynomial rank ambiguous): "
                 residual = _accepted(validate_relation(a, q), source)
-        # The table's conditioning is reported once the tier is decided.
-        basis, coeffs = spectral_table(q, replace(tol, cond_warn=math.inf), self._branch)
-        negs_ext = np.stack(_negative_powers_extended(a, q.degree, tol))
+        basis, coeffs = spectral_table(q, self._branch)
+        negs_ext = np.stack(_negative_powers_extended(a, q.degree))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
             f = np.array([_extended_values(basis, z) for z in (1.0, 5.0, -3.0)])
@@ -166,8 +159,8 @@ class PaperForm:
 
             hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))))
             mu = hp.mu
-        else:
-            coeffs.warn_if_ill_conditioned(tol)
+        else:  # the table's conditioning is reported once the tier is decided
+            coeffs.warn_if_ill_conditioned()
             if discovered:
                 _accepted(residual)
         return SimpleNamespace(
@@ -240,7 +233,11 @@ class FlowRepresentation:
         # Every power is divided by e^c, the largest modulus among them: the
         # ratio is unchanged, and no modulus overflows or all underflow.
         c = max(((z - j) * log).real for j, log, _ in table)
-        f = np.array(term_values(table, z, lambda w: cmath.exp(w - c)), dtype=np.complex128)
+        try:
+            values = term_values(table, z, lambda w: cmath.exp(w - c))
+        except ValueError as exc:
+            raise _infinite_phase(z) from exc
+        f = np.array(values, dtype=np.complex128)
         return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
 
 
@@ -271,31 +268,29 @@ def _finite_radius(basis: BasisDescriptor, top: float) -> float:
     return min(s - shift, sys.float_info.max)
 
 
-def negative_powers(a, p: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def negative_powers(a, p: int) -> list:
     """``[A^{-1}, ..., A^{-p}]`` by inverting once and multiplying repeatedly.
 
     The chain is carried in extended precision: its rounding error is later
     amplified by the cancellation in ``sum mu_i A^{-i}``.  Singularity is
     still detected from the inverse's partial pivots.
     """
-    return [m.astype(np.complex128) for m in _negative_powers_extended(a, p, tol)]
+    return [m.astype(np.complex128) for m in _negative_powers_extended(a, p)]
 
 
-def _negative_powers_extended(a, p: int, tol: ToleranceConfig) -> list:
+def _negative_powers_extended(a, p: int) -> list:
     """The negative-power chain kept in extended precision."""
     a = as_matrix(a)
     if p < 1:
         raise ValueError("need at least one negative power")
-    out = [extended_inverse(a, tol)]
+    out = [extended_inverse(a)]
     for _ in range(p - 1):
         out.append(out[-1] @ out[0])
     return out
 
 
 def spectral_table(
-    q: AnnihilatorPolynomial,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    branch_offsets: dict | Spectrum | None = None,
+    q: AnnihilatorPolynomial, branch_offsets: dict | Spectrum | None = None
 ) -> tuple[BasisDescriptor, CoefficientTable]:
     """The basis and coefficient table of a relation: its roots, clustered
     into eigenvalues with branch logs (:meth:`Spectrum.with_branch_offsets`),
@@ -309,10 +304,10 @@ def spectral_table(
     basis = build_basis(spectrum)
     # mu_i = sum_j e_ij f_j requires the inverse of (f_i(-j)), the transpose
     # of the row-per-evaluation-point layout returned by vandermonde_matrix.
-    return basis, invert_vandermonde(vandermonde_matrix(basis).T, tol)
+    return basis, invert_vandermonde(vandermonde_matrix(basis).T)
 
 
-def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescriptor, np.ndarray]:
+def schur_covariants(a) -> tuple[BasisDescriptor, np.ndarray]:
     """The spectrum of ``a`` and its covariants ``M_(lam, j) = P_lam (A - lam I)^j``
     from one complex Schur form, with no relation and no negative powers.
 
@@ -334,15 +329,15 @@ def schur_covariants(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[BasisDescri
     for all simple eigenvalues, one product per multiple one.  Returns the
     basis of ``A``'s spectrum (principal branch) and the ``(n, n, n)`` stack.
 
-    An eigenvalue of ``B`` at or below ``rank_tol`` (``max|B|`` lies in
+    An eigenvalue of ``B`` at or below ``1e-10`` (``max|B|`` lies in
     ``[1, 2)``), or a group centred there, raises :class:`ZeroEigenvalue`;
     a failed Schur iteration, reordering, ``zgeev``, Sylvester solve or
     triangular inverse raises :class:`NonConvergence`.
     """
-    return _schur_covariants(as_matrix(a), tol)
+    return _schur_covariants(as_matrix(a))
 
 
-def _schur_covariants(a: np.ndarray, tol: ToleranceConfig) -> tuple[BasisDescriptor, np.ndarray]:
+def _schur_covariants(a: np.ndarray) -> tuple[BasisDescriptor, np.ndarray]:
     """:func:`schur_covariants` of a matrix already checked by :func:`as_matrix`."""
     lapack, n = _lapack(), a.shape[0]
     b, _, _, d, _ = lapack.zgebal(a, scale=1)
@@ -350,7 +345,7 @@ def _schur_covariants(a: np.ndarray, tol: ToleranceConfig) -> tuple[BasisDescrip
     t, _, _, q, _, info = lapack.zgees(lambda _: None, b / s)
     if info != 0:
         raise NonConvergence(f"Schur form did not converge (zgees info {info})")
-    groups = group_roots(t.diagonal(), tol)
+    groups = group_roots(t.diagonal())
     # owner[i]: the group of diagonal position i, kept in step with the reordering
     owner = [0] * n
     for ci, (_, g) in enumerate(groups):
@@ -414,10 +409,7 @@ def check_relation(a, q: AnnihilatorPolynomial) -> float:
 
 
 def build_flow(
-    a,
-    q: AnnihilatorPolynomial | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    branch_offsets: dict | None = None,
+    a, q: AnnihilatorPolynomial | None = None, branch_offsets: dict | None = None
 ) -> FlowRepresentation:
     """The flow representation of ``a``: its :func:`schur_covariants`, and
     its :class:`PaperForm` with ``q`` validated now, or discovered on first
@@ -427,10 +419,10 @@ def build_flow(
     form carries the choice over to its nearest clusters.
     """
     a = as_matrix(a)  # the one check; the paper's form reads a private copy
-    basis, covariants = _schur_covariants(a, tol)
+    basis, covariants = _schur_covariants(a)
     if branch_offsets:
         basis = build_basis(basis.spectrum.with_branch_offsets(branch_offsets))
-    return FlowRepresentation(basis, covariants, PaperForm(a.copy(), q, tol, basis.spectrum))
+    return FlowRepresentation(basis, covariants, PaperForm(a.copy(), q, basis.spectrum))
 
 
 def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
@@ -475,12 +467,7 @@ class CompanionFlow:
     high-degree relations meaningful.
     """
 
-    def __init__(
-        self,
-        q: AnnihilatorPolynomial,
-        tol: ToleranceConfig = DEFAULT_TOL,
-        branch_offsets: dict | None = None,
-    ):
+    def __init__(self, q: AnnihilatorPolynomial, branch_offsets: dict | None = None):
         if abs(q.coeffs[0]) == 0.0:
             raise ZeroEigenvalue(
                 "constant coefficient is zero; zero is a root of the relation"
@@ -490,33 +477,26 @@ class CompanionFlow:
         # matrix's relation to the last bit.
         scale = np.ldexp(1.0, round(math.log2(abs(q.coeffs[0])) / p) * np.arange(p))
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self.representation = PaperForm(as_matrix(balanced), q, tol, branch_offsets)
+        self.representation = PaperForm(as_matrix(balanced), q, branch_offsets)
 
     def mu(self, z: complex) -> np.ndarray:
         return self.representation.mu(z)
 
 
 def companion_flow_mu(
-    q: AnnihilatorPolynomial,
-    z: complex,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    branch_offsets: dict | None = None,
+    q: AnnihilatorPolynomial, z: complex, branch_offsets: dict | None = None
 ) -> np.ndarray:
     """``mu(z) = C^z c`` for the companion matrix ``C`` of the relation."""
-    return CompanionFlow(q, tol, branch_offsets).mu(z)
+    return CompanionFlow(q, branch_offsets).mu(z)
 
 
 def evaluate_companion_flow(
-    a,
-    q: AnnihilatorPolynomial,
-    z: complex,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    branch_offsets: dict | None = None,
+    a, q: AnnihilatorPolynomial, z: complex, branch_offsets: dict | None = None
 ) -> np.ndarray:
     """``A^z`` of ``a`` with the relation ``q`` validated: :func:`evaluate_flow`
     of its representation, from the covariants.  The paper's sum with ``mu =
     C^z c`` is :meth:`PaperForm.power` of ``build_flow(a, q).paper``."""
-    return evaluate_flow(build_flow(a, q, tol, branch_offsets), z)
+    return evaluate_flow(build_flow(a, q, branch_offsets), z)
 
 
 def jordan_block_flow(lam: complex, size: int, z: complex) -> np.ndarray:
@@ -534,7 +514,7 @@ def jordan_block_flow(lam: complex, size: int, z: complex) -> np.ndarray:
     return out
 
 
-def jordan_oracle(blocks, t, z: complex, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def jordan_oracle(blocks, t, z: complex) -> np.ndarray:
     """Ground-truth flow ``T J^z T^{-1}`` for a synthetic Jordan structure.
 
     ``blocks`` is a list of ``(eigenvalue, size)`` pairs whose sizes must sum
@@ -549,26 +529,26 @@ def jordan_oracle(blocks, t, z: complex, tol: ToleranceConfig = DEFAULT_TOL) -> 
     for lam, size in blocks:
         jz[pos : pos + size, pos : pos + size] = jordan_block_flow(lam, size, z)
         pos += size
-    return t @ jz @ inverse(t, tol)
+    return t @ jz @ inverse(t)
 
 
-def _parse_jordan_blocks(a, tol: ToleranceConfig):
+def _parse_jordan_blocks(a):
     """Split a Jordan-form matrix into (eigenvalue, size) blocks, or raise."""
     a = as_matrix(a)
     n = a.shape[0]
     off = np.abs(a - np.diag(np.diag(a)) - np.diag(np.diag(a, 1), 1))
     scale = max(1.0, max_norm(a))
-    if np.max(off, initial=0.0) > tol.rank_tol * scale:
+    if np.max(off, initial=0.0) > _RANK_TOL * scale:
         raise NotJordanForm("matrix has entries outside the diagonal and superdiagonal")
     blocks = []
     start = 0
     for i in range(n - 1):
         s = a[i, i + 1]
-        if abs(s - 1.0) <= tol.rank_tol * scale:
+        if abs(s - 1.0) <= _RANK_TOL * scale:
             if abs(a[i, i] - a[i + 1, i + 1]) > _SAME_EIGENVALUE * scale:
                 raise NotJordanForm("superdiagonal one joins two different eigenvalues")
             continue
-        if abs(s) <= tol.rank_tol * scale:
+        if abs(s) <= _RANK_TOL * scale:
             blocks.append((complex(a[start, start]), i + 1 - start))
             start = i + 1
         else:
@@ -577,12 +557,7 @@ def _parse_jordan_blocks(a, tol: ToleranceConfig):
     return blocks
 
 
-def extend_matrix(
-    a,
-    new_root: complex,
-    spectrum_of_a: Spectrum,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
+def extend_matrix(a, new_root: complex, spectrum_of_a: Spectrum) -> np.ndarray:
     """Enlarge ``a`` by a last row and column so that its minimal polynomial
     gains the factor ``(X - new_root)``, while the top-left ``n x n`` block of
     any flow of the result is the flow of ``a``.
@@ -601,7 +576,7 @@ def extend_matrix(
     out[:n, :n] = a
     out[n, n] = new_root
     if any(abs(out[n, n] - c.value) <= _SAME_EIGENVALUE for c in spectrum_of_a.clusters):
-        blocks = _parse_jordan_blocks(a, tol)
+        blocks = _parse_jordan_blocks(a)
         last_rows = np.cumsum([size for _, size in blocks]) - 1
         candidates = [
             k for k, (lam, _) in enumerate(blocks) if abs(lam - out[n, n]) <= _SAME_EIGENVALUE
@@ -612,12 +587,7 @@ def extend_matrix(
     return out
 
 
-def companion_action_check(
-    a,
-    q: AnnihilatorPolynomial,
-    coeff_vec,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def companion_action_check(a, q: AnnihilatorPolynomial, coeff_vec) -> float:
     """Residual of the identity ``A * <v, powers> = <C v, powers>`` over the
     negative-power basis, normalized by the magnitude of the two sides.
 
@@ -630,7 +600,7 @@ def companion_action_check(
     p = q.degree
     if v.shape != (p,):
         raise DimensionMismatch(f"coefficient vector must have length {p}")
-    negs = negative_powers(a, p, tol)
+    negs = negative_powers(a, p)
     lhs = a @ sum(vi * m for vi, m in zip(v, negs))
     w = companion_matrix(q) @ v
     rhs = sum(wi * m for wi, m in zip(w, negs))

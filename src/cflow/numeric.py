@@ -1,4 +1,4 @@
-"""Dense complex matrix arithmetic, the inverse and the tolerance policy.
+"""Dense complex matrix arithmetic, the inverse and the two shared thresholds.
 
 All matrices are square ``numpy.ndarray`` values of dtype complex128.  Every
 operation is a pure function over immutable inputs; nothing here keeps state.
@@ -8,15 +8,11 @@ equilibrated by powers of two, checking its own pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteEntry, SingularMatrix
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "as_matrix",
     "max_norm",
     "inverse",
@@ -25,30 +21,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The numerical thresholds a caller may set.
-
-    Parameters
-    ----------
-    rank_tol : float
-        Relative threshold of the Krylov dependence test, of the pivot test
-        of :func:`extended_inverse` (the Vandermonde table's sets its own),
-        and of a zero eigenvalue of the balanced Schur form.
-    cond_warn : float
-        Condition-estimate level above which a warning is emitted.
-    """
-
-    rank_tol: float = 1e-10
-    cond_warn: float = 1e12
-
-    def __post_init__(self):
-        for name in ("rank_tol", "cond_warn"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# Relative threshold of the Krylov dependence test, of the default pivot test
+# of extended_inverse and of a zero eigenvalue of the balanced Schur form.
+_RANK_TOL = 1e-10
+# Condition estimate above which the Vandermonde table and pow's sum warn.
+_COND_WARN = 1e12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -69,9 +46,9 @@ def max_norm(a) -> float:
     return float(np.abs(np.asarray(a, dtype=np.complex128)).max())
 
 
-def inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def inverse(a) -> np.ndarray:
     """:func:`extended_inverse` of ``a``, its pivot test included, rounded to complex128."""
-    return extended_inverse(as_matrix(a), tol).astype(np.complex128)
+    return extended_inverse(as_matrix(a)).astype(np.complex128)
 
 
 def _equilibrated(a):
@@ -86,16 +63,16 @@ def _equilibrated(a):
     return r, w, c
 
 
-def extended_inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def extended_inverse(a, pivot_tol: float = _RANK_TOL) -> np.ndarray:
     """Gauss-Jordan inverse in extended precision (``clongdouble`` result), for
     callers whose cancellation downstream amplifies its error (Vandermonde
     coefficients, negative-power chains).  It eliminates the :func:`_equilibrated`
     copy, so graded entries are not mistaken for singularity: a partial pivot at
-    or below ``rank_tol`` times the copy's largest magnitude raises
+    or below ``pivot_tol`` times the copy's largest magnitude raises
     :class:`SingularMatrix`, and the inverse is unscaled exactly."""
     r, work, c = _equilibrated(a)
     n = work.shape[0]
-    threshold = tol.rank_tol * float(np.abs(work).max())
+    threshold = pivot_tol * float(np.abs(work).max())
     work = np.hstack([work, np.eye(n, dtype=np.clongdouble)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(work[col:, col])))
@@ -111,7 +88,7 @@ def extended_inverse(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return c[:, None] * work[:, n:] * r
 
 
-def power_int(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def power_int(a, k: int) -> np.ndarray:
     """Integer matrix power by square-and-multiply; ``k = 0`` gives the identity.
 
     Negative ``k`` requires an invertible matrix and raises
@@ -120,7 +97,7 @@ def power_int(a, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     a = as_matrix(a)
     k = int(k)
     if k < 0:
-        a = inverse(a, tol)
+        a = inverse(a)
         k = -k
     result = np.eye(a.shape[0], dtype=np.complex128)
     base = a

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from cflow import (
-    DEFAULT_TOL,
     AnnihilatorPolynomial,
     Cluster,
     Spectrum,
@@ -221,18 +220,18 @@ def wrong_discovered_relation(monkeypatch):
     relation, outside the mpmath tier on small matrices."""
     found = flow.minimal_polynomial
 
-    def perturbed(a, tol):
-        coeffs = found(a, tol).coeffs
+    def perturbed(a):
+        coeffs = found(a).coeffs
         q = AnnihilatorPolynomial((coeffs[0] * (1 + 1e-6),) + coeffs[1:])
         return AnnihilatorPolynomial(q.coeffs, residual=validate_relation(a, q))
 
     monkeypatch.setattr(flow, "minimal_polynomial", perturbed)
 
 
-def grouped_spectrum(values, tol=DEFAULT_TOL) -> Spectrum:
+def grouped_spectrum(values) -> Spectrum:
     """The :class:`Spectrum` of :func:`cflow.group_roots` on a value list: each
     group's mean and size, with the mean's principal logarithm as its branch."""
-    return Spectrum(tuple(Cluster(c, len(g), cmath.log(c)) for c, g in group_roots(values, tol)))
+    return Spectrum(tuple(Cluster(c, len(g), cmath.log(c)) for c, g in group_roots(values)))
 
 
 def rel_err(x: np.ndarray, ref: np.ndarray) -> float:

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from cflow import (
-    DEFAULT_TOL,
     AmbiguousRank,
     AnnihilatorPolynomial,
     NonConvergence,
     NonFiniteEntry,
-    ToleranceConfig,
     ZeroEigenvalue,
     build_flow,
     characteristic_polynomial,
@@ -25,7 +23,7 @@ from cflow import (
     spectral_table,
     validate_relation,
 )
-from cflow import annihilator, highprec
+from cflow import annihilator, highprec, numeric
 from cflow.highprec import _mpc_from_extended
 
 from conftest import (
@@ -248,17 +246,17 @@ class TestClusterRoots:
             grouped_spectrum([1.0, 0.0])
 
     def test_zero_centroid_is_a_zero_eigenvalue(self):
-        # a nilpotent block's Schur diagonal: every value lies above
-        # ``rank_tol``, their centroid at 0, so the matrix is singular
+        # a nilpotent block's Schur diagonal: every value lies above the
+        # zero threshold 1e-10, their centroid at 0, so the matrix is singular
         scatter = 6e-6 * np.exp(2j * np.pi * np.arange(3) / 3)
         with pytest.raises(ZeroEigenvalue, match="centred at zero"):
-            grouped_spectrum(scatter)  # rank_tol is 1e-10
+            grouped_spectrum(scatter)
         with pytest.raises(ZeroEigenvalue, match="at or near zero"):
-            grouped_spectrum(scatter, ToleranceConfig(rank_tol=1e-5))  # each value lies below it
+            grouped_spectrum(1e-5 * scatter)  # each value lies below it
 
     def test_zero_threshold_of_each_rule(self):
         # the relation's roots are zero at _ZERO_ROOT (1e-7), the Schur
-        # diagonal's at rank_tol (1e-10), relative to max|B| in [1, 2)
+        # diagonal's at numeric._RANK_TOL (1e-10), relative to max|B| in [1, 2)
         q = AnnihilatorPolynomial.from_roots([1e-8, 2.0])
         with pytest.raises(ZeroEigenvalue, match="at or near zero"):
             cluster_roots(find_roots(q), polynomial=q)
@@ -529,7 +527,7 @@ def test_relation_grouping_is_unchanged(seed, monkeypatch):
         assert cluster_roots(roots, polynomial=q) == spectrum
 
 
-def _by_gram_schmidt(a, tol=DEFAULT_TOL):
+def _by_gram_schmidt(a):
     """The degree decision as ``minimal_polynomial`` made it before its QR:
     each power orthogonalized twice against the running span by modified
     Gram-Schmidt.  Returns the residual of every degree looked at, and the
@@ -550,7 +548,7 @@ def _by_gram_schmidt(a, tol=DEFAULT_TOL):
                     r = r - (np.conj(u) @ r) * u
             rel = np.linalg.norm(r) / scale
             residuals.append(rel)
-            if rel <= tol.rank_tol:
+            if rel <= numeric._RANK_TOL:
                 k = np.column_stack([m.reshape(-1) for m in powers[:q]])
                 coef, *_ = np.linalg.lstsq(k, v, rcond=None)
                 coef_ext, res = annihilator._refine_relation_coefficients(a, coef)
@@ -559,9 +557,9 @@ def _by_gram_schmidt(a, tol=DEFAULT_TOL):
                     coeffs_extended=tuple(coef_ext),
                     residual=annihilator._relative_residual(res, a, q),
                 )
-            if rel <= 10.0 * tol.rank_tol or q == n:
+            if rel <= 10.0 * numeric._RANK_TOL or q == n:
                 return residuals, AmbiguousRank(
-                    f"dependence residual {rel:.3e} too close to rank_tol at degree {q}"
+                    f"dependence residual {rel:.3e} too close to the rank tolerance at degree {q}"
                 )
             basis.append(r / np.linalg.norm(r))
 

@@ -2,6 +2,7 @@
 nothing it runs loads ``scipy.linalg``; outside the mpmath tier, no command
 loads ``numpy.ma`` or ``numpy.random``."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -21,6 +22,28 @@ from conftest import defective_case, distinct_case
 def test_package_reexports_module_api(module):
     missing = [name for name in module.__all__ if not hasattr(cflow, name)]
     assert missing == []
+
+
+def test_no_tolerance_object():
+    # every threshold is a module constant where its decision is made
+    assert not hasattr(cflow, "ToleranceConfig") and not hasattr(cflow, "DEFAULT_TOL")
+
+
+@pytest.mark.parametrize("module", [annihilator, basis, flow, numeric], ids=lambda m: m.__name__)
+def test_no_tol_parameter(module):
+    found = []
+    for name in module.__all__:
+        obj = getattr(module, name)
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [
+                (f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                if inspect.isfunction(f) and not attr.startswith("_")
+            ]
+        for label, f in members:
+            if callable(f) and "tol" in inspect.signature(f).parameters:
+                found.append(label)
+    assert found == []
 
 
 # Run in a fresh interpreter: prints whether scipy.linalg is loaded after each

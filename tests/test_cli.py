@@ -9,7 +9,9 @@ import pytest
 import cflow
 from cflow import (
     AnnihilatorPolynomial,
+    basis,
     build_flow,
+    cli,
     evaluate_flow,
     flow,
     highprec,
@@ -139,6 +141,20 @@ class TestPow:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "a",
+        [[[-1.0]], [[-1.0, 1.0], [0.0, -1.0]], -np.eye(2)],
+        ids=["minus-one", "minus-one-jordan", "minus-identity"],
+    )
+    @pytest.mark.parametrize("z", ["1e308", "-1e308", "6e307"])
+    def test_infinite_phase_exit_6(self, tmp_path, capsys, a, z):
+        # z * log(-1) has an infinite imaginary part: cmath.exp's ValueError
+        # was a traceback and exit 1
+        assert main(["pow", _save(tmp_path, "negative", a), f"--z={z}"]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+
     def test_modulus_beyond_the_largest_double_exit_0(self, fixtures, capsys):
         # 3^z is finite here; forming the bound of the sum raised OverflowError
         assert main(["pow", fixtures["diag23"], "--z", "646.2227+0.7149i"]) == 0
@@ -147,10 +163,10 @@ class TestPow:
         re, im = json.loads(captured.out)["entries"][1][1]
         assert 1e308 < re < np.inf and 1e308 < im < np.inf
 
-    def test_condition_warning_beyond_the_largest_double(self, fixtures, capsys):
+    def test_condition_warning_beyond_the_largest_double(self, fixtures, capsys, monkeypatch):
         # the condition estimate was NaN there, so no level could warn
-        argv = ["pow", fixtures["diag23"], "--z", "646.2227+0.7149i", "--tol-cond-warn", "0.5"]
-        assert main(argv) == 0
+        monkeypatch.setattr(cli, "_COND_WARN", 0.5)
+        assert main(["pow", fixtures["diag23"], "--z", "646.2227+0.7149i"]) == 0
         assert "warning: evaluation condition estimate" in capsys.readouterr().err
 
     def test_subnormal_result_exit_0(self, fixtures, capsys):
@@ -242,15 +258,17 @@ class TestPow:
         assert captured.out == ""
         assert captured.err.startswith("error: Schur reordering failed")
 
-    def test_conditioning_warning_is_a_warning_line(self, fixtures, capsys):
+    def test_conditioning_warning_is_a_warning_line(self, fixtures, capsys, monkeypatch):
         # the default display printed the library's source path and line; the
         # Vandermonde table is the paper's form's, which pow does not build
-        assert main(["analyze", fixtures["random4"], "--tol-cond-warn", "1"]) == 0
+        monkeypatch.setattr(basis, "_COND_WARN", 1.0)
+        monkeypatch.setattr(cli, "_COND_WARN", 1.0)
+        assert main(["analyze", fixtures["random4"]]) == 0
         err = capsys.readouterr().err
         assert err.startswith("warning: generalized Vandermonde condition estimate")
         assert all(line.startswith("warning: ") for line in err.splitlines())
         assert ".py" not in err
-        assert main(["pow", fixtures["random4"], "--z", "0.5", "--tol-cond-warn", "1"]) == 0
+        assert main(["pow", fixtures["random4"], "--z", "0.5"]) == 0
         captured = capsys.readouterr()
         assert "Vandermonde" not in captured.err
         expected = eigen_oracle(read_matrix(fixtures["random4"]), 0.5)
@@ -364,7 +382,7 @@ class TestPow:
         assert len(counted) == calls
 
     @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
-    def test_evaluation_warning_measures_the_evaluated_sum(self, tmp_path, capsys):
+    def test_evaluation_warning_measures_the_evaluated_sum(self, tmp_path, capsys, monkeypatch):
         # the paper's table times the Schur basis values read 2.6e12 here,
         # for a result within 5e-15 of the oracle
         case = distinct_case(np.random.default_rng(0), 20)
@@ -375,7 +393,8 @@ class TestPow:
         doc = json.loads(captured.out)
         result = np.array([[complex(*v) for v in row] for row in doc["entries"]])
         assert rel_err(result, jordan_oracle(case.blocks, case.transform, 3j)) <= 1e-12
-        assert main(["pow", p, "--z", "3i", "--tol-cond-warn", "1e-3"]) == 0
+        monkeypatch.setattr(cli, "_COND_WARN", 1e-3)
+        assert main(["pow", p, "--z", "3i"]) == 0
         assert "warning: evaluation condition estimate" in capsys.readouterr().err
 
     def test_unknown_cluster_offset_exit_2(self, fixtures, capsys):
@@ -439,27 +458,15 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
     @pytest.mark.parametrize(
-        "option, value",
-        [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan")],
+        "option", ["--tol-root", "--tol-cluster", "--tol-residual", "--tol-rank", "--tol-cond-warn"]
     )
-    def test_non_positive_tolerance_exit_2(self, fixtures, capsys, command, option, value):
-        # ToleranceConfig's ValueError escaped: a traceback and exit 1
-        source = {"pow": [fixtures["diag23"], "--z", "0.5"], "formula": ["--relation", "5,-6"]}
-        argv = [command, *source.get(command, [fixtures["diag23"]]), f"{option}={value}"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err and option in err
-        assert len([line for line in err.splitlines() if "error:" in line]) == 1
-
-    @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
-    @pytest.mark.parametrize("option", ["--tol-root", "--tol-cluster", "--tol-residual"])
     def test_removed_tolerance_exit_2(self, fixtures, capsys, command, option):
-        # the real-axis snap, the zero test of relation roots and the relation
-        # acceptance are constants: no option sets them
+        # every threshold is a constant: no option sets one
         source = {"pow": [fixtures["diag23"], "--z", "0.5"], "formula": ["--relation", "5,-6"]}
         assert main([command, *source.get(command, [fixtures["diag23"]]), option, "1e-3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err and option in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
     @pytest.mark.parametrize(
         "command, method", [("pow", "both"), ("verify", "companion")], ids=["pow", "verify"]
@@ -474,10 +481,6 @@ class TestInputChecks:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert f"--method: invalid choice: '{method}'" in captured.err
-
-    def test_infinite_condition_level_never_warns(self, fixtures, capsys):
-        assert main(["pow", fixtures["diag23"], "--z", "0.5", "--tol-cond-warn", "inf"]) == 0
-        assert capsys.readouterr().err == ""
 
 
 class TestAnalyze:
@@ -619,7 +622,7 @@ class TestVerify:
             assert main(["verify", fixtures["diag23"], "--samples", samples]) == 2
             assert "--samples" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("option", ["--samples", "--z-radius", "--tol-rank"])
+    @pytest.mark.parametrize("option", ["--samples", "--z-radius"])
     def test_malformed_number_exit_2(self, fixtures, capsys, option):
         # argparse named the private parser: "invalid _count value: 'abc'"
         assert main(["verify", fixtures["diag23"], option, "abc"]) == 2

@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cflow import flow
+from cflow import basis, flow
 from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
@@ -20,7 +20,6 @@ from cflow import (
     NonFiniteEntry,
     NotJordanForm,
     RelationInvalid,
-    ToleranceConfig,
     ZeroEigenvalue,
     basis_values,
     build_flow,
@@ -150,7 +149,7 @@ class TestBuildFlow:
             assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
 
     def test_ambiguous_rank_falls_back_to_characteristic_polynomial(self, suite, monkeypatch):
-        def ambiguous(a, tol):
+        def ambiguous(a):
             raise AmbiguousRank("forced")
 
         monkeypatch.setattr(flow, "minimal_polynomial", ambiguous)
@@ -265,13 +264,14 @@ class TestBuildFlow:
         z = 0.5 + 0.25j
         assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-12
 
-    def test_folded_table_warns_at_the_caller(self):
+    def test_folded_table_warns_at_the_caller(self, monkeypatch):
         # the paper's table is built, and reported, on first read
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        monkeypatch.setattr(basis, "_COND_WARN", 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConditioningWarning)
-            rep = build_flow(a, tol=ToleranceConfig(cond_warn=1.0))
+            rep = build_flow(a)
             z = 0.5 + 0.25j
             assert rel_err(evaluate_flow(rep, z), eigen_oracle(a, z)) < 1e-13
         with pytest.warns(ConditioningWarning, match="generalized Vandermonde") as caught:
@@ -559,6 +559,23 @@ class TestEvaluateFlow:
         with pytest.raises(NonFiniteEntry, match="overflows"):
             evaluate_flow(rep, 650.0)
 
+    @pytest.mark.parametrize(
+        "a",
+        [[[-1.0]], [[-1.0, 1.0], [0.0, -1.0]], -np.eye(2)],
+        ids=["minus-one", "minus-one-jordan", "minus-identity"],
+    )
+    @pytest.mark.parametrize("z", [1e308, -1e308, 6e307])
+    def test_infinite_phase_raises(self, a, z):
+        # z * log(-1) = z * pi * i has an infinite imaginary part: cmath.exp
+        # raised ValueError ("math domain error")
+        rep = build_flow(np.array(a))
+        with pytest.raises(NonFiniteEntry, match="phase"):
+            basis_values(rep.basis, z)
+        with pytest.raises(NonFiniteEntry, match="phase"):
+            evaluate_flow(rep, z)
+        with pytest.raises(NonFiniteEntry, match="phase"):
+            rep.evaluation_condition(z)
+
     def test_nan_exponent_raises(self, suite_reps):
         with pytest.raises(NonFiniteEntry, match="exponent"):
             evaluate_flow(suite_reps[0], complex(float("nan"), 0.0))
@@ -774,7 +791,7 @@ class TestScaleInvariance:
         [((1e8, 1.0), False, 1e-14), ((1e3, 1e-5), False, 1e-14), ((1e8, 1.0), True, 1e-7)],
     )
     def test_wide_spectrum_is_not_singular(self, lams, conjugated, tol):
-        # the small eigenvalue lies 1e-8 below max|B| and above rank_tol: a
+        # the small eigenvalue lies 1e-8 below max|B| and above 1e-10: a
         # zero test at 1e-7 on B raised ZeroEigenvalue.  Under T the
         # eigenvalue 1 is known to about eps*1e8: numpy.linalg.eig's A^z
         # misses by 1.6e-8 too.

@@ -1,19 +1,15 @@
 """Unit tests for the dense matrix arithmetic layer."""
 
 import warnings
-import dataclasses
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cflow import (
-    DEFAULT_TOL,
     DimensionMismatch,
     NonFiniteEntry,
     SingularMatrix,
-    ToleranceConfig,
     as_matrix,
     extended_inverse,
     inverse,
@@ -21,7 +17,8 @@ from cflow import (
     power_int,
     vandermonde_matrix,
 )
-from cflow.numeric import _equilibrated
+from cflow.basis import _VANDERMONDE_PIVOT
+from cflow.numeric import _RANK_TOL, _equilibrated
 
 
 class TestAsMatrix:
@@ -54,13 +51,12 @@ class TestLU:
 
 
 def _lu_cases(suite, suite_reps):
-    """``(matrix, tolerance)`` pairs: the suite matrices, the Vandermonde
+    """``(matrix, pivot tolerance)`` pairs: the suite matrices, the Vandermonde
     tables of their relations with ``invert_vandermonde``'s pivot tolerance,
     and rank-deficient matrices."""
-    cases = [(case.matrix, DEFAULT_TOL) for case in suite]
-    pivot_tol = replace(DEFAULT_TOL, rank_tol=1e3 * float(np.finfo(np.float64).eps))
+    cases = [(case.matrix, _RANK_TOL) for case in suite]
     for rep in suite_reps:
-        cases.append((vandermonde_matrix(rep.basis).T, pivot_tol))
+        cases.append((vandermonde_matrix(rep.basis).T, _VANDERMONDE_PIVOT))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     rank_one = np.outer(x[:, 0], x[:, 1].conj())
@@ -78,19 +74,19 @@ def _lu_cases(suite, suite_reps):
         np.diag([1.0, 1e-12, 2.0]),  # graded, not singular
         np.diag([1.0, 1e-9, 2.0]),
     ):
-        cases.append((as_matrix(a), DEFAULT_TOL))
+        cases.append((as_matrix(a), _RANK_TOL))
     return cases
 
 
-def _getrf_singular(a, tol):
+def _getrf_singular(a, pivot_tol):
     """The pivot test on LAPACK's ``getrf`` factors of the power-of-two
-    equilibrated copy: a pivot at or below ``rank_tol`` times its largest
+    equilibrated copy: a pivot at or below ``pivot_tol`` times its largest
     magnitude."""
     w = _equilibrated(a)[1].astype(np.complex128)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, _ = scipy.linalg.lu_factor(w)
-    return np.min(np.abs(np.diag(lu))) <= tol.rank_tol * max_norm(w)
+    return np.min(np.abs(np.diag(lu))) <= pivot_tol * max_norm(w)
 
 
 class TestNumpyLU:
@@ -98,10 +94,10 @@ class TestNumpyLU:
 
     def test_extended_inverse_raises_where_lu_factor_does(self, suite, suite_reps):
         singular = 0
-        for a, tol in _lu_cases(suite, suite_reps):
-            expected = _getrf_singular(a, tol)
+        for a, pivot_tol in _lu_cases(suite, suite_reps):
+            expected = _getrf_singular(a, pivot_tol)
             try:
-                extended_inverse(a, tol)
+                extended_inverse(a, pivot_tol)
                 raised = False
             except SingularMatrix:
                 raised = True
@@ -147,7 +143,7 @@ class TestExtendedInverse:
 
     def test_singular_raises_with_tolerance(self):
         with pytest.raises(SingularMatrix):
-            extended_inverse(np.ones((3, 3)), DEFAULT_TOL)
+            extended_inverse(np.ones((3, 3)))
 
     def test_row_scaling_by_powers_of_two_is_exact(self):
         # the rows of D1 a equilibrate to the same copy as those of a
@@ -156,8 +152,8 @@ class TestExtendedInverse:
             n = int(rng.integers(1, 9))
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             d1 = np.ldexp(1.0, rng.integers(-60, 61, n))
-            expected = extended_inverse(a, DEFAULT_TOL) * (1.0 / d1)
-            assert _bitwise_equal(extended_inverse(d1[:, None] * a, DEFAULT_TOL), expected)
+            expected = extended_inverse(a) * (1.0 / d1)
+            assert _bitwise_equal(extended_inverse(d1[:, None] * a), expected)
 
     def test_scaling_by_powers_of_two_keeps_the_decision(self):
         # a column scaling D2 can change the row scales of the copy, and so
@@ -172,19 +168,19 @@ class TestExtendedInverse:
             n = a.shape[0]
             d1, d2 = (np.ldexp(1.0, rng.integers(-60, 61, n)) for _ in range(2))
             try:
-                expected = extended_inverse(a, DEFAULT_TOL)
+                expected = extended_inverse(a)
             except SingularMatrix:
                 with pytest.raises(SingularMatrix):
-                    extended_inverse(d1[:, None] * a * d2, DEFAULT_TOL)
+                    extended_inverse(d1[:, None] * a * d2)
                 continue
-            got = d2[:, None] * extended_inverse(d1[:, None] * a * d2, DEFAULT_TOL) * d1
+            got = d2[:, None] * extended_inverse(d1[:, None] * a * d2) * d1
             assert np.abs(got - expected).max() <= 1e-16 * np.abs(expected).max()
 
     def test_zero_row_raises(self):
         a = np.diag([1e-200, 1.0, 1e200]).astype(np.complex128)
         a[1] = 0.0
         with pytest.raises(SingularMatrix, match="pivot 0.000e"):
-            extended_inverse(a, DEFAULT_TOL)
+            extended_inverse(a)
 
     def test_inverse_is_the_extended_inverse_rounded(self):
         rng = np.random.default_rng(4)
@@ -277,15 +273,3 @@ def test_reductions_return_the_former_values(a):
         got = as_matrix(a)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
-
-
-class TestToleranceConfig:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(rank_tol=0.0)
-
-    def test_defaults(self):
-        t = ToleranceConfig()
-        assert [f.name for f in dataclasses.fields(t)] == ["rank_tol", "cond_warn"]
-        assert t.rank_tol == 1e-10
-        assert t.cond_warn == 1e12
