@@ -468,6 +468,20 @@ class TestInputChecks:
         assert captured.out == "" and "Traceback" not in captured.err and option in captured.err
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
+    @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
+    @pytest.mark.parametrize(
+        "option, value", [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan")]
+    )
+    def test_non_positive_tolerance_exit_2(self, fixtures, capsys, command, option, value):
+        # a value the removed options rejected, given in the --option=value
+        # form, is still a usage error and not a traceback
+        source = {"pow": [fixtures["diag23"], "--z", "0.5"], "formula": ["--relation", "5,-6"]}
+        argv = [command, *source.get(command, [fixtures["diag23"]]), f"{option}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err and option in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
     @pytest.mark.parametrize(
         "command, method", [("pow", "both"), ("verify", "companion")], ids=["pow", "verify"]
     )
