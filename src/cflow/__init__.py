@@ -13,6 +13,7 @@ from .annihilator import (
     Spectrum,
     characteristic_polynomial,
     cluster_roots,
+    companion_matrix,
     find_roots,
     group_roots,
     minimal_polynomial,
@@ -37,7 +38,6 @@ from .errors import (
     MatrixParseError,
     NonConvergence,
     NonFiniteEntry,
-    NotJordanForm,
     RelationInvalid,
     SingularMatrix,
     UnknownCluster,
@@ -50,16 +50,10 @@ from .flow import (
     build_flow,
     check_flow_axioms,
     check_relation,
-    companion_action_check,
-    companion_flow_mu,
-    companion_matrix,
     evaluate_companion_flow,
     evaluate_flow,
-    extend_matrix,
     jordan_block_flow,
     jordan_oracle,
-    mu_functions,
-    negative_powers,
     schur_covariants,
     spectral_table,
 )

@@ -121,17 +121,6 @@ class AnnihilatorPolynomial:
             asc = np.convolve(asc, np.array([-complex(r), 1.0 + 0.0j]))
         return cls.from_monic_coefficients(asc)
 
-    def times_linear(self, root: complex) -> "AnnihilatorPolynomial":
-        """Return this polynomial multiplied by ``(X - root)``."""
-        asc = np.convolve(self.monic_coefficients(), np.array([-complex(root), 1.0 + 0.0j]))
-        asc_ext = np.convolve(
-            self.monic_coefficients_extended(),
-            np.array([-np.clongdouble(complex(root)), np.clongdouble(1.0)]),
-        )
-        return AnnihilatorPolynomial(
-            tuple(-asc[:-1]), coeffs_extended=tuple(-asc_ext[:-1])
-        )
-
     def __call__(self, x: complex) -> complex:
         return _horner(self.monic_coefficients(), x)[0]
 
@@ -160,6 +149,11 @@ class Cluster:
     value: complex
     multiplicity: int
     log: complex
+
+    @property
+    def winding(self) -> int:
+        """The integer ``k`` with ``log = principal log + 2 pi i k``."""
+        return round((self.log - cmath.log(self.value)).imag / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -196,11 +190,10 @@ class Spectrum:
         return Spectrum(tuple(new))
 
     def winding_near(self, value: complex) -> int:
-        """The branch offset of the cluster nearest ``value``: the integer
-        ``k`` with ``log = principal log + 2 pi i k``.  A spectrum derived
-        from this one carries its branch choice over by this number."""
-        near = min(self.clusters, key=lambda c: abs(c.value - value))
-        return round((near.log - cmath.log(near.value)).imag / (2.0 * math.pi))
+        """The branch offset (:attr:`Cluster.winding`) of the cluster nearest
+        ``value``.  A spectrum derived from this one carries its branch
+        choice over by this number."""
+        return min(self.clusters, key=lambda c: abs(c.value - value)).winding
 
 
 def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> tuple:

@@ -131,11 +131,13 @@ def _build(args, a) -> FlowRepresentation:
     return build_flow(a, q, _branch_offsets(args))
 
 
-def _term_text(lam: complex, j: int) -> str:
-    base = f"({format_complex(lam)})"
-    if j == 0:
-        return f"{base}^z"
-    return f"g_{j}(z)*{base}^(z-{j})"
+def _term_text(cluster, j: int) -> str:
+    """``g_j(z) lambda^(z-j)``, or ``g_j(z) exp((z-j) log)`` off the principal branch."""
+    exponent = "z" if j == 0 else f"(z-{j})"
+    power = f"({format_complex(cluster.value)})^{exponent}"
+    if cluster.winding:
+        power = f"exp({exponent}*({format_complex(cluster.log)}))"
+    return power if j == 0 else f"g_{j}(z)*{power}"
 
 
 def _spectrum_rows(spectrum):
@@ -194,9 +196,7 @@ def _representation_report(form) -> dict:
         "degree": form.relation.degree,
         "relation": [format_complex(c) for c in form.relation.coeffs[::-1]],
         "spectrum": _spectrum_rows(spectrum),
-        "basis": [
-            _term_text(spectrum.clusters[ci].value, j) for ci, j in form.basis.terms
-        ],
+        "basis": [_term_text(spectrum.clusters[ci], j) for ci, j in form.basis.terms],
         "coefficients": [
             [[v.real, v.imag] for v in row] for row in np.asarray(form.coeffs.e)
         ],

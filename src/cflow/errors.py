@@ -38,10 +38,6 @@ class UnknownCluster(CFlowError, IndexError):
     """A branch offset names a cluster index the spectrum does not have."""
 
 
-class NotJordanForm(CFlowError):
-    """A block-diagonal Jordan-form input was required but not supplied."""
-
-
 class MatrixParseError(CFlowError):
     """A matrix file or a complex/relation literal could not be parsed."""
 

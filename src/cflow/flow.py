@@ -59,35 +59,27 @@ from .errors import (
     DimensionMismatch,
     NonConvergence,
     NonFiniteEntry,
-    NotJordanForm,
     RelationInvalid,
     ZeroEigenvalue,
 )
-from .numeric import _RANK_TOL, as_matrix, extended_inverse, inverse, max_norm
+from .numeric import as_matrix, extended_inverse, inverse, max_norm
 
 __all__ = [
     "FlowRepresentation",
     "FlowAxiomReport",
-    "negative_powers",
     "spectral_table",
     "schur_covariants",
     "check_relation",
     "build_flow",
     "evaluate_flow",
-    "mu_functions",
-    "companion_matrix",
     "CompanionFlow",
-    "companion_flow_mu",
     "evaluate_companion_flow",
     "jordan_block_flow",
     "jordan_oracle",
-    "extend_matrix",
-    "companion_action_check",
     "check_flow_axioms",
 ]
 
 _RELATION_TOL = 1e-9  # the relative residual at which a relation is accepted
-_SAME_EIGENVALUE = 1e-7  # Jordan-form eigenvalues this close are one eigenvalue
 
 
 @cache
@@ -188,10 +180,10 @@ class PaperForm:
 @dataclass(frozen=True)
 class FlowRepresentation:
     """Everything needed to evaluate ``A^z = sum_k f_k(z) M_k`` at any ``z``:
-    ``basis`` and ``covariants`` are :func:`schur_covariants`.  ``relation``,
-    ``coeffs``, ``relation_residual`` and ``degree`` are those of ``paper``,
-    the matrix's :class:`PaperForm`, and raise its errors; ``high_precision``
-    is None where that form fails as well as outside the mpmath tier.
+    ``basis`` and ``covariants`` are :func:`schur_covariants`.  ``relation``
+    is that of ``paper``, the matrix's :class:`PaperForm`, and raises its
+    errors; ``high_precision`` is None where that form fails as well as
+    outside the mpmath tier.
     """
 
     basis: BasisDescriptor
@@ -199,9 +191,6 @@ class FlowRepresentation:
     paper: PaperForm = field(compare=False, repr=False)
 
     relation = property(lambda self: self.paper.relation)
-    coeffs = property(lambda self: self.paper.coeffs)
-    relation_residual = property(lambda self: self.paper.relation_residual)
-    degree = property(lambda self: self.paper.degree)
 
     @cached_property  # a failed form is not built again on every read
     def high_precision(self):
@@ -268,18 +257,9 @@ def _finite_radius(basis: BasisDescriptor, top: float) -> float:
     return min(s - shift, sys.float_info.max)
 
 
-def negative_powers(a, p: int) -> list:
-    """``[A^{-1}, ..., A^{-p}]`` by inverting once and multiplying repeatedly.
-
-    The chain is carried in extended precision: its rounding error is later
-    amplified by the cancellation in ``sum mu_i A^{-i}``.  Singularity is
-    still detected from the inverse's partial pivots.
-    """
-    return [m.astype(np.complex128) for m in _negative_powers_extended(a, p)]
-
-
 def _negative_powers_extended(a, p: int) -> list:
-    """The negative-power chain kept in extended precision."""
+    """``[A^{-1}, ..., A^{-p}]`` in extended precision: the chain's rounding
+    error is amplified by the cancellation in ``sum mu_i A^{-i}``."""
     a = as_matrix(a)
     if p < 1:
         raise ValueError("need at least one negative power")
@@ -431,11 +411,6 @@ def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
     return x
 
 
-def mu_functions(rep: FlowRepresentation, z: complex) -> np.ndarray:
-    """The coefficient vector ``mu(z)`` with ``A^z = sum mu_i(z) A^{-i}``."""
-    return rep.paper.mu(z)
-
-
 def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     """Evaluate ``A^z = sum_k f_k(z) M_k`` from a representation.
 
@@ -483,13 +458,6 @@ class CompanionFlow:
         return self.representation.mu(z)
 
 
-def companion_flow_mu(
-    q: AnnihilatorPolynomial, z: complex, branch_offsets: dict | None = None
-) -> np.ndarray:
-    """``mu(z) = C^z c`` for the companion matrix ``C`` of the relation."""
-    return CompanionFlow(q, branch_offsets).mu(z)
-
-
 def evaluate_companion_flow(
     a, q: AnnihilatorPolynomial, z: complex, branch_offsets: dict | None = None
 ) -> np.ndarray:
@@ -530,82 +498,6 @@ def jordan_oracle(blocks, t, z: complex) -> np.ndarray:
         jz[pos : pos + size, pos : pos + size] = jordan_block_flow(lam, size, z)
         pos += size
     return t @ jz @ inverse(t)
-
-
-def _parse_jordan_blocks(a):
-    """Split a Jordan-form matrix into (eigenvalue, size) blocks, or raise."""
-    a = as_matrix(a)
-    n = a.shape[0]
-    off = np.abs(a - np.diag(np.diag(a)) - np.diag(np.diag(a, 1), 1))
-    scale = max(1.0, max_norm(a))
-    if np.max(off, initial=0.0) > _RANK_TOL * scale:
-        raise NotJordanForm("matrix has entries outside the diagonal and superdiagonal")
-    blocks = []
-    start = 0
-    for i in range(n - 1):
-        s = a[i, i + 1]
-        if abs(s - 1.0) <= _RANK_TOL * scale:
-            if abs(a[i, i] - a[i + 1, i + 1]) > _SAME_EIGENVALUE * scale:
-                raise NotJordanForm("superdiagonal one joins two different eigenvalues")
-            continue
-        if abs(s) <= _RANK_TOL * scale:
-            blocks.append((complex(a[start, start]), i + 1 - start))
-            start = i + 1
-        else:
-            raise NotJordanForm("superdiagonal entries must be exactly zero or one")
-    blocks.append((complex(a[start, start]), n - start))
-    return blocks
-
-
-def extend_matrix(a, new_root: complex, spectrum_of_a: Spectrum) -> np.ndarray:
-    """Enlarge ``a`` by a last row and column so that its minimal polynomial
-    gains the factor ``(X - new_root)``, while the top-left ``n x n`` block of
-    any flow of the result is the flow of ``a``.
-
-    ``a`` is the result's top-left block.  A root away from the existing
-    spectrum is the new diagonal entry, alone.  A repeated root requires ``a``
-    in Jordan (block-diagonal) form: the largest block with that eigenvalue
-    grows by one, its eigenvalue on the new diagonal entry and a one in the
-    new column on that block's last row.  The result is that Jordan matrix
-    with the grown block's new row and column moved last, a permutation
-    similarity that keeps the flow of ``a`` on the other rows and columns.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    out = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    out[:n, :n] = a
-    out[n, n] = new_root
-    if any(abs(out[n, n] - c.value) <= _SAME_EIGENVALUE for c in spectrum_of_a.clusters):
-        blocks = _parse_jordan_blocks(a)
-        last_rows = np.cumsum([size for _, size in blocks]) - 1
-        candidates = [
-            k for k, (lam, _) in enumerate(blocks) if abs(lam - out[n, n]) <= _SAME_EIGENVALUE
-        ]
-        target = max(candidates, key=lambda k: blocks[k][1])
-        out[last_rows[target], n] = 1.0
-        out[n, n] = blocks[target][0]
-    return out
-
-
-def companion_action_check(a, q: AnnihilatorPolynomial, coeff_vec) -> float:
-    """Residual of the identity ``A * <v, powers> = <C v, powers>`` over the
-    negative-power basis, normalized by the magnitude of the two sides.
-
-    This pins down the companion-matrix orientation: it vanishes exactly
-    when the relation coefficients run down the first column with ones on
-    the superdiagonal.
-    """
-    a = as_matrix(a)
-    v = np.asarray(coeff_vec, dtype=np.complex128)
-    p = q.degree
-    if v.shape != (p,):
-        raise DimensionMismatch(f"coefficient vector must have length {p}")
-    negs = negative_powers(a, p)
-    lhs = a @ sum(vi * m for vi, m in zip(v, negs))
-    w = companion_matrix(q) @ v
-    rhs = sum(wi * m for wi, m in zip(w, negs))
-    scale = max(1.0, max_norm(lhs), max_norm(rhs))
-    return max_norm(lhs - rhs) / scale
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .annihilator import (
 )
 from .basis import CoefficientTable, _singular_vandermonde, build_basis, term_values
 
-__all__ = ["HighPrecisionFlow", "extended_matrix"]
+__all__ = ["HighPrecisionFlow"]
 
 
 def _mpc_from_extended(x) -> mp.mpc:
@@ -51,7 +51,7 @@ def _mpc_from_extended(x) -> mp.mpc:
     return mp.mpc(hi) + mp.mpc(lo)
 
 
-def extended_matrix(m: np.ndarray) -> np.ndarray:
+def _extended_matrix(m: np.ndarray) -> np.ndarray:
     """An array of mpmath numbers rounded to ``clongdouble`` (high/low split)."""
     hi = m.astype(np.complex128)
     lo = (m - hi).astype(np.complex128)
@@ -132,7 +132,7 @@ class HighPrecisionFlow:
             # the spectrum of the relation at working precision, rounded
             coeffs = -np.array(asc[:-1], dtype=object)
             q = AnnihilatorPolynomial(
-                tuple(coeffs.astype(np.complex128)), coeffs_extended=tuple(extended_matrix(coeffs))
+                tuple(coeffs.astype(np.complex128)), coeffs_extended=tuple(_extended_matrix(coeffs))
             )
             found = cluster_roots(find_roots(q), polynomial=q).clusters
             groups = [[c.value] * c.multiplicity for c in found]

@@ -19,13 +19,11 @@ from cflow import (
     build_flow,
     check_flow_axioms,
     cluster_roots,
-    companion_action_check,
     evaluate_flow,
     find_roots,
     generalized_binomial,
     invert_vandermonde,
     jordan_oracle,
-    negative_powers,
     power_int,
     vandermonde_matrix,
 )
@@ -33,6 +31,7 @@ from cflow.cli import main
 from cflow.matfile import write_matrix
 
 from conftest import rel_err
+from lemmas import companion_action_check, negative_powers, times_linear
 
 
 def _report(name: str, worst: float, limit: float) -> None:
@@ -120,7 +119,7 @@ def test_criterion_4_cross_agreement(suite, suite_reps):
     worst = 0.0
     for case, rep in zip(suite, suite_reps):
         q = rep.relation
-        padded = q.times_linear(_pad_root(rng, rep.basis.spectrum))
+        padded = times_linear(q, _pad_root(rng, rep.basis.spectrum))
         zs = [complex(*(rng.uniform(-1, 1, 2) * 2)) for _ in range(5)]
         for relation in (q, padded):
             companion = _companion_evaluator(case.matrix, relation)
@@ -138,7 +137,7 @@ def test_criterion_5_companion_orientation(suite, suite_reps):
     rng = np.random.default_rng(105)
     worst = 0.0
     for case, rep in zip(suite[:10], suite_reps[:10]):
-        p = rep.degree
+        p = rep.paper.degree
         for _ in range(50):
             v = rng.standard_normal(p) + 1j * rng.standard_normal(p)
             worst = max(worst, companion_action_check(case.matrix, rep.relation, v))

@@ -34,6 +34,7 @@ from conftest import (
     overflowing_builds,
     random_suite_case,
 )
+from lemmas import times_linear
 
 
 def _coeffs(q):
@@ -77,12 +78,12 @@ class TestPolynomial:
 
     def test_times_linear(self):
         q = AnnihilatorPolynomial((2,))  # X - 2
-        q2 = q.times_linear(3)
+        q2 = times_linear(q, 3)
         assert np.allclose(q2.monic_coefficients(), [6, -5, 1])
 
     def test_times_linear_keeps_extended(self):
         q = AnnihilatorPolynomial((2,), coeffs_extended=(np.clongdouble(2),))
-        assert q.times_linear(3).coeffs_extended is not None
+        assert times_linear(q, 3).coeffs_extended is not None
 
     def test_evaluate_matrix_annihilates(self):
         q = AnnihilatorPolynomial((-6, 5))

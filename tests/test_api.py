@@ -1,18 +1,21 @@
-"""The package namespace re-exports the public names of its modules, and
-nothing it runs loads ``scipy.linalg``; outside the mpmath tier, no command
-loads ``numpy.ma`` or ``numpy.random``."""
+"""The package namespace re-exports the public names of its modules, the
+names the benchmark reads exist, and nothing it runs loads ``scipy.linalg``;
+outside the mpmath tier, no command loads ``numpy.ma`` or ``numpy.random``."""
 
+import ast
+import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cflow
-from cflow import annihilator, basis, flow, numeric
+from cflow import annihilator, basis, flow, highprec, numeric
 from cflow.matfile import write_matrix
 
 from conftest import defective_case, distinct_case
@@ -27,6 +30,73 @@ def test_package_reexports_module_api(module):
 def test_no_tolerance_object():
     # every threshold is a module constant where its decision is made
     assert not hasattr(cflow, "ToleranceConfig") and not hasattr(cflow, "DEFAULT_TOL")
+
+
+def test_removed_names_stay_removed():
+    # one name per computation: the paper's form is read through rep.paper,
+    # the companion coefficients through CompanionFlow(q).mu, and the lemma
+    # checks are the tests' own (tests/lemmas.py)
+    removed = (
+        "mu_functions",
+        "companion_flow_mu",
+        "negative_powers",
+        "extend_matrix",
+        "companion_action_check",
+        "NotJordanForm",
+    )
+    assert [name for name in removed if hasattr(cflow, name) or hasattr(flow, name)] == []
+    proxies = ("coeffs", "degree", "relation_residual")
+    assert [name for name in proxies if hasattr(cflow.FlowRepresentation, name)] == []
+    assert highprec.__all__ == ["HighPrecisionFlow"]
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _dotted(node) -> list:
+    """``["cflow", "cli", "main"]`` for the expression ``cflow.cli.main``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+
+def _resolves(parts: list, obj) -> bool:
+    for part in parts[1:]:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_benchmark_reads_exist():
+    # the benchmark runs against this package, and only its separate CI job
+    # saw a name that a change to the package removed
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    for node in [n for n in ast.walk(tree) if isinstance(n, ast.Import)]:
+        for alias in [a for a in node.names if a.name.startswith("cflow")]:
+            importlib.import_module(alias.name)  # such as cflow.cli
+    chains = {tuple(_dotted(n)) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    reads = {c for c in chains if c and c[0] in ("cflow", "rep")}
+    assert {c[1] for c in reads if c[0] == "rep"} == {"high_precision", "relation"}
+    tier = cflow.build_flow(defective_case(np.random.default_rng(0), 12).matrix)
+    assert tier.high_precision is not None
+    roots = {"cflow": cflow, "rep": tier}
+    assert [".".join(c) for c in reads if not _resolves(list(c), roots[c[0]])] == []
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    for node in [n for n in imports if n.module.startswith("cflow")]:
+        module = importlib.import_module(node.module)
+        assert [a.name for a in node.names if not hasattr(module, a.name)] == []
+    spans = ast.parse((BENCH / "spans.py").read_text())
+    constants = {
+        t.id: ast.literal_eval(n.value)
+        for n in spans.body if isinstance(n, ast.Assign)
+        for t in n.targets if isinstance(t, ast.Name) and t.id in ("LAYERS", "TRACED_CLASSES")
+    }
+    layers = {name: importlib.import_module(f"cflow.{name}") for name in constants["LAYERS"]}
+    for layer, classes in constants["TRACED_CLASSES"].items():
+        assert all(inspect.isclass(getattr(layers[layer], c, None)) for c in classes)
 
 
 @pytest.mark.parametrize("module", [annihilator, basis, flow, numeric], ids=lambda m: m.__name__)
@@ -83,7 +153,7 @@ z = 0.5 + 0.25j
 truth = cflow.jordan_oracle(tier.blocks, tier.transform, z)
 seen["tier_error"] = rel_err(cflow.evaluate_flow(rep, z), truth)
 seen["tier_dps"] = rep.high_precision.dps
-cflow.mu_functions(rep, z)
+rep.paper.mu(z)
 seen["tier"] = loaded()
 print(json.dumps(seen))
 """

@@ -21,7 +21,6 @@ from cflow import (
     find_roots,
     generalized_binomial,
     invert_vandermonde,
-    mu_functions,
     scalar_flow,
     vandermonde_matrix,
 )
@@ -139,7 +138,7 @@ def test_extended_values_over_an_array_of_z(suite_reps):
             assert np.array_equal(values, _extended_values_by_loop(rep.basis, z))
             assert np.array_equal(values, row)
     with pytest.raises(NonFiniteEntry, match="exponent nan is not finite"):
-        mu_functions(suite_reps[0], float("nan"))
+        suite_reps[0].paper.mu(float("nan"))
 
 
 class TestVandermonde:

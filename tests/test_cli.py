@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface (via ``main(argv)``)."""
 
+import cmath
 import json
+import re
 
 import mpmath as mp
 import numpy as np
@@ -16,8 +18,6 @@ from cflow import (
     flow,
     highprec,
     jordan_oracle,
-    mu_functions,
-    negative_powers,
 )
 from cflow.cli import main
 from cflow.matfile import format_complex, parse_complex, parse_relation, read_matrix, write_matrix
@@ -33,6 +33,7 @@ from conftest import (
     rel_err,
     triangular_flow,
 )
+from lemmas import negative_powers
 
 
 def _save(tmp_path, name, a) -> str:
@@ -104,7 +105,7 @@ class TestPow:
         rep = build_flow(a)
         assert np.array_equal(comp, rep.paper.power(0.5))
         # the same sum in double precision
-        paper = np.tensordot(mu_functions(rep, 0.5), np.array(negative_powers(a, rep.degree)), 1)
+        paper = np.tensordot(rep.paper.mu(0.5), np.array(negative_powers(a, rep.paper.degree)), 1)
         assert rel_err(comp, paper) < 1e-12
 
     def test_explicit_relation(self, fixtures, capsys):
@@ -581,12 +582,12 @@ class TestVerify:
             # fixed exponents
             a = read_matrix(fixtures[name])
             rep = build_flow(a)
-            negs = np.array(negative_powers(a, rep.degree))
+            negs = np.array(negative_powers(a, rep.paper.degree))
             gaps = []
             for z in (0.5, -1.5 + 1j, 2.5j):
                 value = evaluate_flow(rep, z)
                 paper = rep.paper.power(z)
-                assert rel_err(paper, np.tensordot(mu_functions(rep, z), negs, 1)) < 1e-12
+                assert rel_err(paper, np.tensordot(rep.paper.mu(z), negs, 1)) < 1e-12
                 gaps.append(np.max(np.abs(paper - value)) / max(1.0, np.max(np.abs(value))))
             assert report["residuals"]["cross_agreement"] == max(gaps)
             assert 0.0 < max(gaps) <= 1e-12
@@ -716,8 +717,28 @@ class TestFormula:
         assert main(["formula", "--relation", "5,-6", "--at", "-0.5-1i", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["mu_at"]["z"] == "-0.5-1i"
-        mu = mu_functions(build_flow(np.diag([2.0, 3.0]), parse_relation("5,-6")), -0.5 - 1j)
+        mu = build_flow(np.diag([2.0, 3.0]), parse_relation("5,-6")).paper.mu(-0.5 - 1j)
         assert [complex(*v) for v in report["mu_at"]["values"]] == list(mu)
+
+    @pytest.mark.parametrize(
+        "relation, offset", [("5,-6", "0:1"), ("5,-6", "1:-2"), ("4,-4", "0:1")]
+    )
+    def test_printed_terms_are_the_mu_at_values_under_a_branch_offset(
+        self, capsys, relation, offset
+    ):
+        # a shifted cluster's term printed its principal power "(3.0)^z":
+        # evaluated at 0.5, the printed mu_1 read 9.93, and mu(0.5) -21.25
+        argv = ["formula", "--relation", relation, "--branch-offset", offset, "--at", "0.5"]
+        assert main([*argv, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = {"exp": cmath.exp, "g_1": lambda z: z, "z": 0.5}
+        printed = [
+            sum(eval(re.sub(r"(\d)i\b", r"\1j", t).replace("^", "**"), names) for t in terms)
+            for terms in report["mu_terms"]
+        ]
+        mu = [complex(*v) for v in report["mu_at"]["values"]]
+        assert printed == pytest.approx(mu, rel=1e-12)
+        assert any("exp(" in text for text in report["basis"])
 
     @pytest.mark.filterwarnings("ignore::cflow.ConditioningWarning")
     def test_relation_in_the_tier_is_reported_as_given(self, tmp_path, capsys):
@@ -772,7 +793,7 @@ class TestFormula:
         for path in (fixtures["random4"], _tier_file(tmp_path)):
             assert main(["formula", path, "--at", at, "--json"]) == 0
             values = json.loads(capsys.readouterr().out)["mu_at"]["values"]
-            mu = mu_functions(build_flow(read_matrix(path)), parse_complex(at))
+            mu = build_flow(read_matrix(path)).paper.mu(parse_complex(at))
             assert [complex(*v) for v in values] == list(mu)
 
     @pytest.mark.parametrize("at", ["0.5+0.3i", "-1.7"])
@@ -785,7 +806,7 @@ class TestFormula:
         relation = ",".join(format_complex(c) for c in coeffs[::-1])
         assert main(["formula", f"--relation={relation}", "--at", at, "--json"]) == 0
         values = json.loads(capsys.readouterr().out)["mu_at"]["values"]
-        mu = mu_functions(build_flow(a, parse_relation(relation)), parse_complex(at))
+        mu = build_flow(a, parse_relation(relation)).paper.mu(parse_complex(at))
         assert [complex(*v) for v in values] == list(mu)
 
     def test_relation_overflowing_mu_exit_6(self, capsys):

@@ -14,11 +14,11 @@ from cflow import basis, flow
 from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
+    CompanionFlow,
     ConditioningWarning,
     DimensionMismatch,
     NonConvergence,
     NonFiniteEntry,
-    NotJordanForm,
     RelationInvalid,
     ZeroEigenvalue,
     basis_values,
@@ -26,18 +26,13 @@ from cflow import (
     check_flow_axioms,
     characteristic_polynomial,
     check_relation,
-    companion_action_check,
-    companion_flow_mu,
     companion_matrix,
     evaluate_companion_flow,
     evaluate_flow,
-    extend_matrix,
     generalized_binomial,
     jordan_block_flow,
     jordan_oracle,
     max_norm,
-    mu_functions,
-    negative_powers,
     validate_relation,
 )
 
@@ -55,6 +50,13 @@ from conftest import (
     rel_err,
     several_multiple_case,
     triangular_flow,
+)
+from lemmas import (
+    NotJordanForm,
+    companion_action_check,
+    extend_matrix,
+    negative_powers,
+    times_linear,
 )
 
 
@@ -116,10 +118,10 @@ class TestBuildFlow:
 
     def test_relation_residual_recorded(self):
         a = np.diag([2.0, 3.0])
-        supplied = AnnihilatorPolynomial((-6, 5)).times_linear(1.5)
-        assert build_flow(a, supplied).relation_residual == validate_relation(a, supplied)
+        supplied = times_linear(AnnihilatorPolynomial((-6, 5)), 1.5)
+        assert build_flow(a, supplied).paper.relation_residual == validate_relation(a, supplied)
         rep = build_flow(a)
-        assert rep.relation_residual == rep.relation.residual < 1e-15
+        assert rep.paper.relation_residual == rep.relation.residual < 1e-15
 
     def test_wrong_discovered_relation_raises(self, suite, wrong_discovered_relation):
         # outside the tier, a discovered relation is validated like a
@@ -156,16 +158,16 @@ class TestBuildFlow:
         case = next(c for c in suite if c.matrix.shape[0] >= 4)
         rep = build_flow(case.matrix)
         assert rep.relation == characteristic_polynomial(case.matrix)
-        assert rep.relation_residual == validate_relation(case.matrix, rep.relation)
+        assert rep.paper.relation_residual == validate_relation(case.matrix, rep.relation)
         for z in (0.5 + 0.3j, -1.7, 2.0):
             expected = jordan_oracle(case.blocks, case.transform, z)
             assert rel_err(evaluate_flow(rep, z), expected) < 1e-12
 
     def test_padded_relation_accepted(self):
         a = np.diag([2.0, 3.0])
-        q = AnnihilatorPolynomial((-6, 5)).times_linear(1.5)
+        q = times_linear(AnnihilatorPolynomial((-6, 5)), 1.5)
         rep = build_flow(a, q)
-        assert rep.degree == 3
+        assert rep.paper.degree == 3
         assert rel_err(evaluate_flow(rep, 0.5), np.diag([2.0**0.5, 3.0**0.5])) < 1e-12
 
     def test_singular_matrix_rejected(self):
@@ -186,13 +188,13 @@ class TestBuildFlow:
         with pytest.raises(NonFiniteEntry):
             evaluate_flow(rep, z)
         with pytest.raises(NonFiniteEntry):
-            mu_functions(rep, z)
+            rep.paper.mu(z)
 
     def test_non_finite_companion_raises(self):
         a = np.diag([2.0, 3.0])
         q = AnnihilatorPolynomial((-6, 5))
         with pytest.raises(NonFiniteEntry):
-            companion_flow_mu(q, float("nan"))
+            CompanionFlow(q).mu(float("nan"))
         with pytest.raises(NonFiniteEntry):
             evaluate_companion_flow(a, q, 2000.0)
 
@@ -203,7 +205,7 @@ class TestBuildFlow:
         # is the scaled one
         rep = build_flow(overflowing_builds()[name])
         with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
-            rep.coeffs
+            rep.paper.coeffs
         for z in (0.5 + 0.25j, -1.7):
             assert rel_err(evaluate_flow(rep, z), overflowing_oracle(name, z)) < 1e-13
 
@@ -246,9 +248,9 @@ class TestBuildFlow:
             warnings.simplefilter("error", RuntimeWarning)
             rep = build_flow(np.array([[1e-6]]), q)
             with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
-                rep.coeffs
+                rep.paper.coeffs
             with pytest.raises(NonFiniteEntry, match="intermediate of the build overflows"):
-                companion_flow_mu(q, 0.5)
+                CompanionFlow(q).mu(0.5)
         assert evaluate_flow(rep, 0.5)[0, 0] == pytest.approx(1e-3, rel=1e-15)
 
     def test_tier_does_not_warn_about_the_table_it_discards(self):
@@ -259,7 +261,7 @@ class TestBuildFlow:
             warnings.simplefilter("always")
             rep = build_flow(case.matrix)
             assert rep.high_precision is not None
-        assert rep.coeffs.condition_estimate > 1e12
+        assert rep.paper.coeffs.condition_estimate > 1e12
         assert [w for w in caught if issubclass(w.category, ConditioningWarning)] == []
         z = 0.5 + 0.25j
         assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) < 1e-12
@@ -275,7 +277,7 @@ class TestBuildFlow:
             z = 0.5 + 0.25j
             assert rel_err(evaluate_flow(rep, z), eigen_oracle(a, z)) < 1e-13
         with pytest.warns(ConditioningWarning, match="generalized Vandermonde") as caught:
-            rep.coeffs
+            rep.paper.coeffs
         assert len(caught) == 1
         assert caught[0].filename == __file__
 
@@ -284,8 +286,9 @@ class TestBuildFlow:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rep = build_flow(a)
-        folded = np.einsum("ik,inm->knm", rep.coeffs.e, np.array(negative_powers(a, rep.degree)))
-        assert rep.covariants.shape == (rep.degree, 4, 4)
+        negs = np.array(negative_powers(a, rep.paper.degree))
+        folded = np.einsum("ik,inm->knm", rep.paper.coeffs.e, negs)
+        assert rep.covariants.shape == (rep.paper.degree, 4, 4)
         assert rel_err(rep.covariants, folded) < 1e-10
 
     def test_mu_at_integers(self):
@@ -293,9 +296,9 @@ class TestBuildFlow:
         # evaluate_flow at every z
         a = np.diag([2.0, 3.0])
         rep = build_flow(a)
-        negs = negative_powers(a, rep.degree)
+        negs = negative_powers(a, rep.paper.degree)
         for z in (0.0, 1.0, 2.0, 0.5):
-            mu = mu_functions(rep, z)
+            mu = rep.paper.mu(z)
             recon = sum(m * p for m, p in zip(mu, negs))
             assert rel_err(recon, evaluate_flow(rep, z)) < 1e-12
 
@@ -315,8 +318,8 @@ class TestCompanionConstruction:
     def test_mu_zero_and_one(self):
         q = AnnihilatorPolynomial((-6, 5))
         c = np.array([-6.0, 5.0])[::-1]  # (c_1, c_0) = (5, -6)
-        mu0 = companion_flow_mu(q, 0.0)
-        mu1 = companion_flow_mu(q, 1.0)
+        mu0 = CompanionFlow(q).mu(0.0)
+        mu1 = CompanionFlow(q).mu(1.0)
         # C^0 c = c and C^1 c = C c
         assert np.allclose(mu0, c, atol=1e-12)
         assert np.allclose(mu1, companion_matrix(q) @ c, atol=1e-12)
@@ -324,7 +327,7 @@ class TestCompanionConstruction:
     def test_known_formula_value(self):
         # for A^2 = 5A - 6I, mu(1) = (19, -30)
         q = AnnihilatorPolynomial((-6, 5))
-        assert np.allclose(companion_flow_mu(q, 1.0), [19.0, -30.0], atol=1e-12)
+        assert np.allclose(CompanionFlow(q).mu(1.0), [19.0, -30.0], atol=1e-12)
 
     def test_agrees_with_direct(self):
         rng = np.random.default_rng(31)
@@ -337,7 +340,7 @@ class TestCompanionConstruction:
 
     def test_zero_constant_coefficient_rejected(self):
         with pytest.raises(ZeroEigenvalue):
-            companion_flow_mu(AnnihilatorPolynomial((0, 1)), 0.5)
+            CompanionFlow(AnnihilatorPolynomial((0, 1))).mu(0.5)
 
     def test_companion_coefficients_are_the_direct_table(self):
         # C^{-j} c = e_j, so C^z c interpolates the same values mu(-j) = e_j
@@ -348,7 +351,7 @@ class TestCompanionConstruction:
         for j in range(1, q.degree + 1):
             unit = np.eye(q.degree)[j - 1]
             assert np.allclose(np.linalg.matrix_power(inv, j) @ c, unit, atol=1e-12)
-            assert np.allclose(companion_flow_mu(q, -j), unit, atol=1e-12)
+            assert np.allclose(CompanionFlow(q).mu(-j), unit, atol=1e-12)
 
 
 class TestJordanOracle:
@@ -414,7 +417,7 @@ class TestExtendMatrix:
         big = extend_matrix(a, root, self._spectrum([2.0, 2.0, 3.0, 3.0]))
         assert np.array_equal(big[:4, :4], a)
         rep = build_flow(big)
-        assert rep.degree == 5
+        assert rep.paper.degree == 5
         for z in (0.5, -1.0, 0.7 + 0.2j):
             truth = jordan_oracle([(2.0, 2), (3.0, 2)], np.eye(4), z)
             assert rel_err(evaluate_flow(rep, z)[:4, :4], truth) < 1e-11

@@ -18,12 +18,10 @@ from cflow import (
     build_basis,
     build_flow,
     cluster_roots,
-    companion_flow_mu,
     evaluate_companion_flow,
     evaluate_flow,
     find_roots,
     jordan_oracle,
-    mu_functions,
     power_int,
     schur_covariants,
 )
@@ -48,7 +46,7 @@ def test_enters_the_tier(tier_case):
     _, rep = tier_case
     assert rep.high_precision is not None
     assert rep.high_precision.dps >= 35
-    assert rep.covariants.shape == (rep.degree, 12, 12)
+    assert rep.covariants.shape == (rep.paper.degree, 12, 12)
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, 0.5 + 0.3j, -1.7])
@@ -65,8 +63,8 @@ def test_integer_powers(tier_case):
 
 def test_mu_is_finite(tier_case):
     _, rep = tier_case
-    mu = mu_functions(rep, 0.5)
-    assert mu.shape == (rep.degree,) and np.all(np.isfinite(mu))
+    mu = rep.paper.mu(0.5)
+    assert mu.shape == (rep.paper.degree,) and np.all(np.isfinite(mu))
 
 
 def test_branch_offset_carried_into_the_tier(tier_case):
@@ -141,7 +139,7 @@ def test_tier_set_up_reproduces_the_flow(blocks, discovered):
     rep = build_flow(a)
     relation = rep.relation if discovered else dataclasses.replace(rep.relation, residual=None)
     hp = highprec.HighPrecisionFlow(a, relation, rep.basis, dps=40)
-    assert len(hp.basis.terms) == rep.degree
+    assert len(hp.basis.terms) == rep.paper.degree
     for z in (0.5 + 0.3j, -1.7):
         assert rel_err(_paper_sum(hp, a, z), jordan_oracle(blocks, t, z)) < 1e-10
 
@@ -178,8 +176,8 @@ def test_paper_form_is_set_up_on_first_use(monkeypatch):
     assert rep.high_precision is not None
     evaluate_flow(rep, 0.5 + 0.3j)
     assert len(calls) == 0
-    mu_functions(rep, 0.5)
-    mu_functions(rep, -1.5)
+    rep.paper.mu(0.5)
+    rep.paper.mu(-1.5)
     assert len(calls) == 1
 
 
@@ -217,7 +215,7 @@ def test_singular_table_at_working_precision_is_typed():
     # mpmath's ZeroDivisionError escaped the inverse of the tier's table
     q = AnnihilatorPolynomial.from_roots([1e-6] * 18)
     with pytest.raises(SingularMatrix, match="at working precision"):
-        companion_flow_mu(q, 0.5)
+        CompanionFlow(q).mu(0.5)
 
 
 def test_singular_extended_table_is_typed():
@@ -225,7 +223,7 @@ def test_singular_extended_table_is_typed():
     # before the tier is decided
     q = AnnihilatorPolynomial.from_roots([1e-6] * 20)
     with pytest.raises(SingularMatrix, match="numerically singular;"):
-        companion_flow_mu(q, 0.5)
+        CompanionFlow(q).mu(0.5)
 
 
 def test_tier_matrix_with_wide_transform():

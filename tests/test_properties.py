@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cflow import build_flow, evaluate_flow, max_norm, mu_functions, negative_powers, power_int
+from cflow import build_flow, evaluate_flow, max_norm, power_int
 
 from conftest import defective_case, random_suite_case, rel_err
 
@@ -44,11 +44,9 @@ def test_mu_form_matches_covariant_sum(seed, z):
     # The double-precision sum over the negative powers rounds at the scale
     # of its terms, sum |mu_i| |A^{-i}|, so that is the yardstick.
     a, rep = _flow(seed)
-    mu = mu_functions(rep, z)
-    negs = negative_powers(a, rep.degree)
-    terms = sum(abs(m) * max_norm(p) for m, p in zip(mu, negs))
-    paper = sum(m * p for m, p in zip(mu, negs))
-    assert max_norm(paper - evaluate_flow(rep, z)) <= 1e-12 * max(1.0, terms)
+    mu = rep.paper.mu(z)
+    terms = sum(abs(m) * max_norm(power_int(a, -i)) for i, m in enumerate(mu, 1))
+    assert max_norm(rep.paper.power(z) - evaluate_flow(rep, z)) <= 1e-12 * max(1.0, terms)
 
 
 # A winding number per cluster, in cluster order; a suite matrix has at most
