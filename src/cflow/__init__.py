@@ -20,11 +20,9 @@ from .annihilator import (
     validate_relation,
 )
 from .basis import (
-    BasisDescriptor,
     CoefficientTable,
     basis_values,
     branch_log,
-    build_basis,
     generalized_binomial,
     invert_vandermonde,
     scalar_flow,

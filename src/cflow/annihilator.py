@@ -14,6 +14,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -144,7 +145,8 @@ class AnnihilatorPolynomial:
 
 @dataclass(frozen=True)
 class Cluster:
-    """One eigenvalue of the relation: representative, multiplicity, branch log."""
+    """One eigenvalue of the relation: representative, multiplicity, branch
+    log (an ``mpc`` at working precision in the mpmath tier)."""
 
     value: complex
     multiplicity: int
@@ -158,13 +160,25 @@ class Cluster:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Clustered roots of an annihilating polynomial, deterministically ordered."""
+    """Clustered roots of an annihilating polynomial, deterministically ordered
+    (descending magnitude, ascending argument).  ``terms``, a ``(cluster index,
+    shift)`` per basis function ``g_shift(z) lambda^(z - shift)`` with shifts
+    ascending in each cluster, is the term order of the coefficient table."""
 
     clusters: tuple
 
     @property
     def degree(self) -> int:
         return sum(c.multiplicity for c in self.clusters)
+
+    @cached_property
+    def terms(self) -> tuple:
+        return tuple((ci, j) for ci, c in enumerate(self.clusters) for j in range(c.multiplicity))
+
+    @cached_property
+    def term_table(self) -> tuple:
+        """``(shift, branch log, shift!)`` of every term, in term order."""
+        return tuple((j, self.clusters[ci].log, math.factorial(j)) for ci, j in self.terms)
 
     def with_branch_offsets(self, offsets) -> "Spectrum":
         """Shift chosen branch logs by integer multiples of ``2 pi i``.

@@ -1,11 +1,14 @@
 """Analytic ingredients of a flow: scalar powers, binomial polynomials,
-the ordered basis functions, and the generalized Vandermonde system.
+the values of the basis functions, and the generalized Vandermonde system.
 
 Each basis function has the shape ``g_j(z) * lambda^(z-j)`` for an eigenvalue
 ``lambda`` of the relation and a shift ``j`` below its multiplicity, where
-``g_j`` is the polynomial continuation of the binomial coefficient.  The power
+``g_j`` is the polynomial continuation of the binomial coefficient; their
+order is the spectrum's (:attr:`cflow.annihilator.Spectrum.terms`).  The power
 is always computed as ``exp((z - j) * log(lambda))`` in a single step with the
 fixed branch log, so all shifts of one eigenvalue share a coherent branch.
+Outside the mpmath tier a phase ``Im((z - j) log)`` of ``2^45`` or more keeps
+no digit, and is refused (:func:`_checked_exponent`).
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ __all__ = [
     "generalized_binomial",
     "branch_log",
     "scalar_flow",
-    "BasisDescriptor",
     "CoefficientTable",
-    "build_basis",
     "basis_values",
     "vandermonde_matrix",
     "invert_vandermonde",
@@ -68,41 +69,20 @@ def scalar_flow(lam: complex, z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class BasisDescriptor:
-    """The ordered analytic basis of a flow.
-
-    ``terms`` is a tuple of ``(cluster_index, shift)`` pairs; term ``k``
-    denotes the function ``g_shift(z) * lambda^(z - shift)`` for the
-    eigenvalue of that cluster.  The order follows the spectrum's cluster
-    order (descending magnitude, ascending argument) with shifts ascending
-    inside each cluster, and is part of the coefficient-table contract.
-    """
-
-    terms: tuple
-    spectrum: Spectrum
-
-    @property
-    def size(self) -> int:
-        return len(self.terms)
-
-    @cached_property
-    def term_table(self) -> tuple:
-        """``(shift, branch log, shift!)`` of every term, in term order."""
-        clusters = self.spectrum.clusters
-        return tuple((j, clusters[ci].log, math.factorial(j)) for ci, j in self.terms)
-
-
-@dataclass(frozen=True)
 class CoefficientTable:
     """Verified inverse of a generalized Vandermonde matrix.
 
-    ``e_extended``, the extended-precision working copy, gives the paper's
-    ``mu`` outside the mpmath tier; ``e`` is its double-precision rounding.
+    ``work``, the inverse in the arithmetic of its form's ``mu`` (``clongdouble``
+    outside the mpmath tier, an object array of ``mpc`` in it), gives the
+    paper's ``mu(z) = work f(z)``; ``e`` is its double-precision rounding.
     """
 
-    e: np.ndarray
+    work: np.ndarray
     condition_estimate: float
-    e_extended: np.ndarray | None = None
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        return self.work.astype(np.complex128)
 
     def warn_if_ill_conditioned(self) -> None:
         """Emit a :class:`ConditioningWarning` (never an error) when the
@@ -120,25 +100,30 @@ class CoefficientTable:
             )
 
 
-def build_basis(spectrum: Spectrum) -> BasisDescriptor:
-    """Lay out the ``p`` basis functions for a spectrum."""
-    terms = []
-    for ci, cluster in enumerate(spectrum.clusters):
-        for j in range(cluster.multiplicity):
-            terms.append((ci, j))
-    return BasisDescriptor(terms=tuple(terms), spectrum=spectrum)
+# A phase Im((z - j) log) at or beyond this keeps no digit: its rounding
+# error, about eps |z log lambda|, reaches 2^45 eps (about 1e-2 rad).
+_PHASE_LIMIT = 2.0**45
 
 
-def _finite_exponent(z: complex) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
+def _checked_exponent(spectrum: Spectrum, z) -> complex:
+    """``z`` as a Python complex once it is finite and every phase ``Im((z -
+    j) log)`` of the spectrum's terms lies below ``2^45`` in magnitude.
+
+    Raises :class:`NonFiniteEntry` otherwise, for an infinite phase too.
+    """
+    w = complex(z)
+    if not cmath.isfinite(w):
         raise NonFiniteEntry(f"exponent {z} is not finite")
-    return z
+    if not all(abs(((w - j) * log).imag) < _PHASE_LIMIT for j, log, _ in spectrum.term_table):
+        raise NonFiniteEntry(
+            f"A^z keeps no digit: the phase of a basis value reaches 2^45 rad at z={z}"
+        )
+    return w
 
 
 def term_values(table, z, exp=cmath.exp) -> list:
     """The basis values ``g_j(z) exp((z - j) log)`` of a term table
-    (:attr:`BasisDescriptor.term_table`) at a finite ``z``, unchecked:
+    (:attr:`Spectrum.term_table`) at a finite ``z``, unchecked:
     ``generalized_binomial(j, z)`` times the power, inlined in the same order
     of operations.  ``z`` and ``exp`` choose one of three arithmetics: double
     precision (Python complex, ``cmath.exp``), extended (``np.clongdouble``,
@@ -146,7 +131,8 @@ def term_values(table, z, exp=cmath.exp) -> list:
     ``cmath.exp`` would round to double precision).
 
     Under ``cmath.exp`` raises ``OverflowError`` when a power overflows, and
-    ``ValueError`` when its phase ``(z - j) log`` has an infinite imaginary part.
+    ``ValueError`` when its phase ``(z - j) log`` has an infinite imaginary
+    part, which :func:`_checked_exponent` rules out.
     """
     values = []
     for j, log, factorial in table:
@@ -160,44 +146,33 @@ def term_values(table, z, exp=cmath.exp) -> list:
     return values
 
 
-def _extended_values(basis: BasisDescriptor, z) -> list:
-    if not cmath.isfinite(complex(z)):
-        raise NonFiniteEntry(f"exponent {z} is not finite")
-    return term_values(basis.term_table, np.clongdouble(z), np.exp)
+def _extended_values(spectrum: Spectrum, z) -> list:
+    _checked_exponent(spectrum, z)
+    return term_values(spectrum.term_table, np.clongdouble(z), np.exp)
 
 
-def basis_values(basis: BasisDescriptor, z: complex) -> list:
+def basis_values(spectrum: Spectrum, z: complex) -> list:
     """Values of every basis function at ``z``, as Python complex numbers.
 
     Raises :class:`NonFiniteEntry` when ``z`` is not finite, a value
-    overflows or its phase does.
+    overflows or its phase reaches ``2^45`` (:func:`_checked_exponent`).
     """
-    z = _finite_exponent(z)
+    z = _checked_exponent(spectrum, z)
     try:
-        return term_values(basis.term_table, z)
+        return term_values(spectrum.term_table, z)
     except OverflowError as exc:
         raise NonFiniteEntry(
             f"A^z overflows: a basis value exceeds double precision at z={z}"
         ) from exc
-    except ValueError as exc:
-        raise _infinite_phase(z) from exc
 
 
-def _infinite_phase(z: complex) -> NonFiniteEntry:
-    """The error of a basis value whose phase exceeds double precision
-    (``cmath.exp``'s ``ValueError``)."""
-    return NonFiniteEntry(
-        f"A^z is not finite: the phase of a basis value exceeds double precision at z={z}"
-    )
-
-
-def vandermonde_matrix(basis: BasisDescriptor) -> np.ndarray:
+def vandermonde_matrix(spectrum: Spectrum) -> np.ndarray:
     """The ``p x p`` matrix with row ``i``, column ``j`` entry ``f_j(-i)``
     (``i, j`` counted from 1).
 
     Raises :class:`NonFiniteEntry` when an entry exceeds double precision.
     """
-    values = np.array([_extended_values(basis, -i) for i in range(1, basis.size + 1)])
+    values = np.array([_extended_values(spectrum, -i) for i in range(1, spectrum.degree + 1)])
     with np.errstate(over="ignore"):
         b = values.astype(np.complex128)
     if not np.isfinite(b).all():
@@ -242,6 +217,4 @@ def invert_vandermonde(b) -> CoefficientTable:
     eye = np.eye(p, dtype=np.clongdouble)
     for _ in range(2):  # Newton steps square the inverse residual
         e_ext = e_ext @ (2.0 * eye - b_ext @ e_ext)
-    e = e_ext.astype(np.complex128)
-    cond = max_norm(b) * max_norm(e) * p
-    return CoefficientTable(e=e, condition_estimate=cond, e_extended=e_ext)
+    return CoefficientTable(e_ext, max_norm(b) * max_norm(e_ext.astype(np.complex128)) * p)

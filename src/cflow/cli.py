@@ -14,9 +14,9 @@ Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
 branch offset for a cluster that does not exist), 3 singular matrix or zero
 eigenvalue, 4 root finding failed (the Schur form, or the paper's eigenvalue
 iteration on the companion matrix), 5 relation invalid, 6 result not finite
-(``A^z`` overflows at the requested exponent, or a phase ``Im(z log lambda)``
-does).  cflow's warnings are printed to standard error as ``warning:`` lines;
-numpy's own are not shown.
+(``A^z`` overflows at the requested exponent) or without a digit (a phase
+``Im((z-j) log lambda)`` reaches ``2^45``).  cflow's warnings are printed to
+standard error as ``warning:`` lines; numpy's own are not shown.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def _spectrum_rows(spectrum):
             "index": i,
             "lambda": [c.value.real, c.value.imag],
             "multiplicity": c.multiplicity,
-            "log": [c.log.real, c.log.imag],
+            "log": [(log := complex(c.log)).real, log.imag],  # an mpc in the mpmath tier
         }
         for i, c in enumerate(spectrum.clusters)
     ]
@@ -191,12 +191,12 @@ def _print_report(report: dict, as_json: bool, out) -> None:
 
 def _representation_report(form) -> dict:
     """A paper's form's relation, spectrum, basis and coefficient table."""
-    spectrum = form.basis.spectrum
+    spectrum = form.spectrum
     return {
         "degree": form.relation.degree,
         "relation": [format_complex(c) for c in form.relation.coeffs[::-1]],
         "spectrum": _spectrum_rows(spectrum),
-        "basis": [_term_text(spectrum.clusters[ci], j) for ci, j in form.basis.terms],
+        "basis": [_term_text(spectrum.clusters[ci], j) for ci, j in spectrum.terms],
         "coefficients": [
             [[v.real, v.imag] for v in row] for row in np.asarray(form.coeffs.e)
         ],

@@ -10,7 +10,8 @@ class DimensionMismatch(CFlowError):
 
 
 class NonFiniteEntry(CFlowError):
-    """A NaN or infinity entered or left a public operation."""
+    """A NaN or infinity entered or left a public operation, or a phase
+    ``Im((z - j) log lambda)`` reached ``2^45``, where it keeps no digit."""
 
 
 class SingularMatrix(CFlowError):

@@ -39,13 +39,10 @@ from .annihilator import (
     validate_relation,
 )
 from .basis import (
-    BasisDescriptor,
     CoefficientTable,
+    _checked_exponent,
     _extended_values,
-    _finite_exponent,
-    _infinite_phase,
     basis_values,
-    build_basis,
     generalized_binomial,
     invert_vandermonde,
     scalar_flow,
@@ -103,7 +100,7 @@ class PaperForm:
     A supplied relation ``q`` is validated at once.  Otherwise the minimal
     polynomial is discovered, or, when its rank is ambiguous, the
     characteristic polynomial is validated like a supplied relation.
-    ``basis`` and ``coeffs`` are its :func:`spectral_table`, branch logs
+    ``spectrum`` and ``coeffs`` are its :func:`spectral_table`, branch logs
     shifted by ``branch``.  Where the sum's cancellation (``sum |mu_i(z)|
     |A^{-i}|`` against ``|A^z|`` over a working range of ``z``) is beyond
     extended precision, ``high_precision`` is the form at working precision
@@ -116,7 +113,7 @@ class PaperForm:
         self._residual = None if q is None else check_relation(self._a, q)
 
     relation = property(lambda self: self._form.relation)
-    basis = property(lambda self: self._form.basis)
+    spectrum = property(lambda self: self._form.spectrum)
     coeffs = property(lambda self: self._form.coeffs)
     relation_residual = property(lambda self: self._form.relation_residual)
     high_precision = property(lambda self: self._form.high_precision)
@@ -133,30 +130,30 @@ class PaperForm:
                 q, discovered = characteristic_polynomial(a), False
                 source = "characteristic polynomial (minimal polynomial rank ambiguous): "
                 residual = _accepted(validate_relation(a, q), source)
-        basis, coeffs = spectral_table(q, self._branch)
+        spectrum, coeffs = spectral_table(q, self._branch)
         negs_ext = np.stack(_negative_powers_extended(a, q.degree))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             neg_scales = np.max(np.abs(negs_ext), axis=(1, 2)).astype(np.float64)
-            f = np.array([_extended_values(basis, z) for z in (1.0, 5.0, -3.0)])
-            mu_probe = np.abs(f @ coeffs.e_extended.T).astype(np.float64)
+            f = np.array([_extended_values(spectrum, z) for z in (1.0, 5.0, -3.0)])
+            mu_probe = np.abs(f @ coeffs.work.T).astype(np.float64)
             amp = float(np.max(mu_probe @ neg_scales)) / max(1.0, max_norm(a))
         if not math.isfinite(amp):
             raise NonFiniteEntry(
                 "an intermediate of the build overflows: the amplification estimate "
                 "of the negative-power sum exceeds double precision"
             )
-        hp, mu = None, lambda z: coeffs.e_extended @ _extended_values(basis, z)
+        hp, mu = None, lambda z: coeffs.work @ _extended_values(spectrum, z)
         if amp > 1e8:
             from .highprec import HighPrecisionFlow
 
-            hp = HighPrecisionFlow(a, q, basis, min(60, 35 + int(np.log10(amp))))
+            hp = HighPrecisionFlow(a, q, spectrum, min(60, 35 + int(np.log10(amp))))
             mu = hp.mu
         else:  # the table's conditioning is reported once the tier is decided
             coeffs.warn_if_ill_conditioned()
             if discovered:
                 _accepted(residual)
         return SimpleNamespace(
-            relation=q, basis=basis, coeffs=coeffs, relation_residual=residual,
+            relation=q, spectrum=spectrum, coeffs=coeffs, relation_residual=residual,
             high_precision=hp, negs=negs_ext, amplification=amp, mu=mu,
         )
 
@@ -180,13 +177,13 @@ class PaperForm:
 @dataclass(frozen=True)
 class FlowRepresentation:
     """Everything needed to evaluate ``A^z = sum_k f_k(z) M_k`` at any ``z``:
-    ``basis`` and ``covariants`` are :func:`schur_covariants`.  ``relation``
+    ``spectrum`` and ``covariants`` are :func:`schur_covariants`.  ``relation``
     is that of ``paper``, the matrix's :class:`PaperForm`, and raises its
     errors; ``high_precision`` is None where that form fails as well as
     outside the mpmath tier.
     """
 
-    basis: BasisDescriptor
+    spectrum: Spectrum
     covariants: np.ndarray = field(compare=False, repr=False)
     paper: PaperForm = field(compare=False, repr=False)
 
@@ -207,30 +204,27 @@ class FlowRepresentation:
         p, n, _ = self.covariants.shape
         flat = np.ascontiguousarray(self.covariants.reshape(p, n * n))
         scales = np.max(np.abs(flat), axis=1)
-        return flat, scales, n, _finite_radius(self.basis, float(np.max(scales)))
+        return flat, scales, n, _finite_radius(self.spectrum, float(np.max(scales)))
 
     def evaluation_condition(self, z: complex) -> float:
         """Condition of the sum :func:`evaluate_flow` computes at ``z``:
         ``sum_k |f_k(z)| |M_k| / |A^z|`` in the max norm.
 
         At least 1 up to rounding, by the triangle inequality; the rounding
-        errors of the double-precision sum are amplified by this ratio.
+        errors of the double-precision sum are amplified by this ratio.  Raises
+        :class:`NonFiniteEntry` where :func:`basis_values` refuses ``z``.
         """
         flat, scales, *_ = self._contraction
-        z = _finite_exponent(z)
-        table = self.basis.term_table
+        z = _checked_exponent(self.spectrum, z)
+        table = self.spectrum.term_table
         # Every power is divided by e^c, the largest modulus among them: the
         # ratio is unchanged, and no modulus overflows or all underflow.
         c = max(((z - j) * log).real for j, log, _ in table)
-        try:
-            values = term_values(table, z, lambda w: cmath.exp(w - c))
-        except ValueError as exc:
-            raise _infinite_phase(z) from exc
-        f = np.array(values, dtype=np.complex128)
+        f = np.array(term_values(table, z, lambda w: cmath.exp(w - c)), dtype=np.complex128)
         return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
 
 
-def _finite_radius(basis: BasisDescriptor, top: float) -> float:
+def _finite_radius(spectrum: Spectrum, top: float) -> float:
     """A radius ``R`` such that every ``|z| <= R`` gives finite basis values
     and ``sum_k |f_k(z)| max|M| <= 1e300``, which proves ``A^z`` finite with
     room for rounding; -1 when a covariant is not finite.
@@ -242,12 +236,14 @@ def _finite_radius(basis: BasisDescriptor, top: float) -> float:
     logarithm, so it is at least the largest such ``s``, and ``s1 = (B - J
     log s0) / L`` satisfies the bound when ``s0 > 1``: a closed form, not an
     iteration.  ``R = s1 - J`` is finite, so an infinite ``z`` lies outside.
+    Inside, every phase ``|(z - j) log lam| <= sL <= B < 691`` lies far below
+    the ``2^45`` that :func:`_checked_exponent` refuses.
     """
     if not math.isfinite(top):
         return -1.0
-    shift = max(j for j, _, _ in basis.term_table)
-    spread = max(abs(log) for _, log, _ in basis.term_table)
-    budget = math.log(1e300 / max(basis.size * top, 1.0))
+    shift = max(j for j, _, _ in spectrum.term_table)
+    spread = max(abs(log) for _, log, _ in spectrum.term_table)
+    budget = math.log(1e300 / max(spectrum.degree * top, 1.0))
     if spread == 0.0:  # every eigenvalue is 1 on the principal branch
         s = math.exp(budget / shift) if shift else math.inf
     else:
@@ -271,23 +267,22 @@ def _negative_powers_extended(a, p: int) -> list:
 
 def spectral_table(
     q: AnnihilatorPolynomial, branch_offsets: dict | Spectrum | None = None
-) -> tuple[BasisDescriptor, CoefficientTable]:
-    """The basis and coefficient table of a relation: its roots, clustered
+) -> tuple[Spectrum, CoefficientTable]:
+    """The spectrum and coefficient table of a relation: its roots, clustered
     into eigenvalues with branch logs (:meth:`Spectrum.with_branch_offsets`),
-    the basis functions, and the inverse of the generalized Vandermonde system.
+    and the inverse of the generalized Vandermonde system of their terms.
 
     These depend on the relation alone, not on a matrix it annihilates.
     """
     spectrum = cluster_roots(find_roots(q), polynomial=q)
     if branch_offsets:
         spectrum = spectrum.with_branch_offsets(branch_offsets)
-    basis = build_basis(spectrum)
     # mu_i = sum_j e_ij f_j requires the inverse of (f_i(-j)), the transpose
     # of the row-per-evaluation-point layout returned by vandermonde_matrix.
-    return basis, invert_vandermonde(vandermonde_matrix(basis).T)
+    return spectrum, invert_vandermonde(vandermonde_matrix(spectrum).T)
 
 
-def schur_covariants(a) -> tuple[BasisDescriptor, np.ndarray]:
+def schur_covariants(a) -> tuple[Spectrum, np.ndarray]:
     """The spectrum of ``a`` and its covariants ``M_(lam, j) = P_lam (A - lam I)^j``
     from one complex Schur form, with no relation and no negative powers.
 
@@ -306,8 +301,8 @@ def schur_covariants(a) -> tuple[BasisDescriptor, np.ndarray]:
     (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, ``B``'s covariants
     are ``N_j = (Q L)[:, b] (T_bb - mu I)^j (R Q*)[b, :]``, ``j < m`` (Higham,
     *Functions of Matrices*, 2008, section 1.2): one batched outer product
-    for all simple eigenvalues, one product per multiple one.  Returns the
-    basis of ``A``'s spectrum (principal branch) and the ``(n, n, n)`` stack.
+    for all simple eigenvalues, one product per multiple one.  Returns ``A``'s
+    spectrum (principal branch) and the ``(n, n, n)`` stack in its term order.
 
     An eigenvalue of ``B`` at or below ``1e-10`` (``max|B|`` lies in
     ``[1, 2)``), or a group centred there, raises :class:`ZeroEigenvalue`;
@@ -317,7 +312,7 @@ def schur_covariants(a) -> tuple[BasisDescriptor, np.ndarray]:
     return _schur_covariants(as_matrix(a))
 
 
-def _schur_covariants(a: np.ndarray) -> tuple[BasisDescriptor, np.ndarray]:
+def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     """:func:`schur_covariants` of a matrix already checked by :func:`as_matrix`."""
     lapack, n = _lapack(), a.shape[0]
     b, _, _, d, _ = lapack.zgebal(a, scale=1)
@@ -372,7 +367,7 @@ def _schur_covariants(a: np.ndarray) -> tuple[BasisDescriptor, np.ndarray]:
                 np.matmul(powers[k - 1], nil, out=powers[k])
             j = order.index(lo)
             np.matmul(left[:, lo:hi] @ powers, right[lo:hi], out=out[j : j + m])
-    return build_basis(Spectrum(tuple(clusters))), out
+    return Spectrum(tuple(clusters)), out
 
 
 def _accepted(residual: float, source: str = "") -> float:
@@ -399,10 +394,10 @@ def build_flow(
     form carries the choice over to its nearest clusters.
     """
     a = as_matrix(a)  # the one check; the paper's form reads a private copy
-    basis, covariants = _schur_covariants(a)
+    spectrum, covariants = _schur_covariants(a)
     if branch_offsets:
-        basis = build_basis(basis.spectrum.with_branch_offsets(branch_offsets))
-    return FlowRepresentation(basis, covariants, PaperForm(a.copy(), q, basis.spectrum))
+        spectrum = spectrum.with_branch_offsets(branch_offsets)
+    return FlowRepresentation(spectrum, covariants, PaperForm(a.copy(), q, spectrum))
 
 
 def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
@@ -414,7 +409,8 @@ def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
 def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     """Evaluate ``A^z = sum_k f_k(z) M_k`` from a representation.
 
-    Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite.
+    Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite, or
+    a phase keeps no digit (:func:`basis_values`).
     """
     flat, _, n, radius = rep._contraction
     z = complex(z)
@@ -422,10 +418,10 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     # nothing is checked; a NaN or infinite z fails the comparison.  (abs()
     # can raise OverflowError on a NaN, from a stale errno.)
     if math.hypot(z.real, z.imag) <= radius:
-        values = term_values(rep.basis.term_table, z)
+        values = term_values(rep.spectrum.term_table, z)
         return np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
     # Beyond it, the entries are checked.
-    values = basis_values(rep.basis, z)
+    values = basis_values(rep.spectrum, z)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
     return _finite(out, "A^z", z)

@@ -38,7 +38,7 @@ from .annihilator import (
     find_roots,
     validate_relation,
 )
-from .basis import CoefficientTable, _singular_vandermonde, build_basis, term_values
+from .basis import CoefficientTable, _singular_vandermonde, term_values
 
 __all__ = ["HighPrecisionFlow"]
 
@@ -112,20 +112,21 @@ class HighPrecisionFlow:
     eigenvalues polished at once by ``annihilator._polish`` at working
     precision, branch logs) and coefficient table are those of the result.
     ``relation`` is that relation rounded to extended precision, ``coeffs``
-    its table rounded to double; ``relation_residual`` is the relation's
-    :func:`validate_relation` measure, ``basis`` carries their spectrum, and
-    ``mu_mp`` the coefficient functions at working precision.
+    its table (``work`` at working precision), ``spectrum`` its spectrum (``mpc``
+    logs on the branches of the ``spectrum`` given); ``relation_residual`` is the
+    relation's :func:`validate_relation` measure, and ``mu_mp`` the coefficient
+    functions at working precision.
     """
 
-    def __init__(self, a: np.ndarray, relation, basis, dps: int = 50):
+    def __init__(self, a: np.ndarray, relation, spectrum, dps: int = 50):
         self.dps = dps
         self._a = np.asarray(a, dtype=np.complex128)
         self._start = relation
-        self._given = basis
+        self._given = spectrum
 
     @functools.cached_property
     def _form(self) -> SimpleNamespace:
-        """The relation, table, basis and term table at working precision."""
+        """The relation, spectrum and table at working precision."""
         p = self._start.degree
         with mp.workdps(self.dps):
             asc = _krylov_relation(self._a, self._start)
@@ -137,41 +138,36 @@ class HighPrecisionFlow:
             found = cluster_roots(find_roots(q), polynomial=q).clusters
             groups = [[c.value] * c.multiplicity for c in found]
             centres = _polish(np.array(asc, dtype=object), groups, math.inf, 10.0 ** (5 - self.dps))
-            logs = [
-                mp.log(x) + 2j * mp.pi * self._given.spectrum.winding_near(c.value)
-                for c, (x, _) in zip(found, centres)
-            ]
-            clusters = [Cluster(complex(x), m, complex(log)) for (x, m), log in zip(centres, logs)]
-            basis = build_basis(Spectrum(tuple(clusters)))
-            terms = tuple((j, logs[ci], math.factorial(j)) for ci, j in basis.terms)
+            winding = [self._given.winding_near(c.value) for c in found]
+            logs = [mp.log(x) + 2j * mp.pi * k for (x, _), k in zip(centres, winding)]
+            clusters = [Cluster(complex(x), m, log) for (x, m), log in zip(centres, logs)]
+            spectrum = Spectrum(tuple(clusters))
             b = np.array(
-                [term_values(terms, mp.mpc(-(i + 1)), mp.exp) for i in range(p)], dtype=object
+                [term_values(spectrum.term_table, mp.mpc(-(i + 1)), mp.exp) for i in range(p)],
+                dtype=object,
             )
             try:
                 inv = mp.matrix(b.T.tolist()) ** -1
             except ZeroDivisionError as exc:  # mpmath's report of a numerically singular matrix
                 raise _singular_vandermonde(" at working precision", exc) from exc
             e = np.array(inv.tolist(), dtype=object)
-            table = CoefficientTable(
-                e=e.astype(np.complex128),
-                condition_estimate=float(np.max(np.abs(b)) * np.max(np.abs(e))) * p,
-            )
+            table = CoefficientTable(e, float(np.max(np.abs(b)) * np.max(np.abs(e))) * p)
         residual = validate_relation(self._a, q)
         return SimpleNamespace(
-            relation=q, coeffs=table, basis=basis, terms=terms, e=e, relation_residual=residual
+            relation=q, coeffs=table, spectrum=spectrum, relation_residual=residual
         )
 
     relation = property(lambda self: self._form.relation)
     coeffs = property(lambda self: self._form.coeffs)
-    basis = property(lambda self: self._form.basis)
+    spectrum = property(lambda self: self._form.spectrum)
     relation_residual = property(lambda self: self._form.relation_residual)
 
     def mu_mp(self, z: complex) -> list:
         """The coefficient vector as a list of ``mpc`` values."""
         form = self._form
         with mp.workdps(self.dps):
-            values = term_values(form.terms, mp.mpc(complex(z)), mp.exp)
-            return list(form.e @ np.array(values, dtype=object))
+            values = term_values(form.spectrum.term_table, mp.mpc(complex(z)), mp.exp)
+            return list(form.coeffs.work @ np.array(values, dtype=object))
 
     def mu(self, z: complex) -> np.ndarray:
         return np.array([complex(v) for v in self.mu_mp(z)], dtype=np.complex128)

@@ -308,14 +308,14 @@ def test_simple_roots_are_polished(suite):
     worst = 0.0
     for case in suite:
         q = minimal_polynomial(case.matrix)
-        basis, _ = spectral_table(q)
+        spectrum, _ = spectral_table(q)
         with mp.workdps(50):
             exact = mp.polyroots(
                 [_mpc_from_extended(c) for c in q.monic_coefficients_extended()[::-1]],
                 maxsteps=200,
                 extraprec=200,
             )
-            for c in basis.spectrum.clusters:
+            for c in spectrum.clusters:
                 if c.multiplicity == 1:
                     err = min(abs(c.value - r) for r in exact) / abs(c.value)
                     worst = max(worst, float(err))
@@ -400,7 +400,7 @@ def test_tier_polish_is_the_former_root_polish(monkeypatch):
 
     monkeypatch.setattr(highprec, "_polish", recording_polish)
     hp = build_flow(defective_case(np.random.default_rng(0), 12).matrix).high_precision
-    assert sorted(c.multiplicity for c in hp.basis.spectrum.clusters) == [1] * 9 + [3]
+    assert sorted(c.multiplicity for c in hp.spectrum.clusters) == [1] * 9 + [3]
     [(asc, groups, centres)] = calls
     with mp.workdps(hp.dps):
         for group, (x, m) in zip(groups, centres):
@@ -506,10 +506,10 @@ def test_schur_covariants_group_like_the_former_loops(seed):
     # matrix is its own Schur form, scaled by the power of two s
     for _, roots in _root_sets(seed, 60):
         s = 2.0 ** math.floor(math.log2(np.max(np.abs(roots))))
-        basis, _ = schur_covariants(np.diag(roots))
+        spectrum, _ = schur_covariants(np.diag(roots))
         former = _former_grouping(roots / s)
-        assert [c.multiplicity for c in basis.spectrum.clusters] == [m for _, m in former]
-        for cluster, (centroid, _) in zip(basis.spectrum.clusters, former):
+        assert [c.multiplicity for c in spectrum.clusters] == [m for _, m in former]
+        for cluster, (centroid, _) in zip(spectrum.clusters, former):
             assert abs(cluster.value - centroid * s) <= 1e-15 * abs(centroid * s)
 
 

@@ -48,6 +48,13 @@ def test_removed_names_stay_removed():
     proxies = ("coeffs", "degree", "relation_residual")
     assert [name for name in proxies if hasattr(cflow.FlowRepresentation, name)] == []
     assert highprec.__all__ == ["HighPrecisionFlow"]
+    # the spectrum carries the ordered basis, and a table keeps one inverse
+    assert [name for name in ("BasisDescriptor", "build_basis") if hasattr(cflow, name)] == []
+    assert [name for name in ("BasisDescriptor", "build_basis") if hasattr(basis, name)] == []
+    rep = cflow.build_flow(np.diag([2.0, 3.0]))
+    holders = (rep, rep.paper, highprec.HighPrecisionFlow)
+    assert [obj for obj in holders if hasattr(obj, "basis")] == []
+    assert not hasattr(rep.paper.coeffs, "e_extended")
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

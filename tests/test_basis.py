@@ -15,7 +15,6 @@ from cflow import (
     Spectrum,
     ZeroEigenvalue,
     branch_log,
-    build_basis,
     basis_values,
     cluster_roots,
     find_roots,
@@ -81,32 +80,32 @@ class TestScalarFlow:
         )
 
 
-def _basis_for(coeffs):
+def _spectrum_for(coeffs):
     q = AnnihilatorPolynomial(coeffs)
-    return build_basis(cluster_roots(find_roots(q), polynomial=q))
+    return cluster_roots(find_roots(q), polynomial=q)
 
 
 class TestBasisLayout:
     def test_simple_spectrum(self):
-        basis = _basis_for((-6, 5))  # roots 3, 2 (descending magnitude)
-        assert basis.terms == ((0, 0), (1, 0))
-        assert basis.spectrum.clusters[0].value == pytest.approx(3.0)
+        spectrum = _spectrum_for((-6, 5))  # roots 3, 2 (descending magnitude)
+        assert spectrum.terms == ((0, 0), (1, 0))
+        assert spectrum.clusters[0].value == pytest.approx(3.0)
 
     def test_double_root_shifts(self):
-        basis = _basis_for((-25, 10))  # (X - 5)^2
-        assert basis.terms == ((0, 0), (0, 1))
+        spectrum = _spectrum_for((-25, 10))  # (X - 5)^2
+        assert spectrum.terms == ((0, 0), (0, 1))
 
     def test_eval_at_one_gives_eigenvalues(self):
-        basis = _basis_for((-6, 5))
-        assert np.allclose(np.array(basis_values(basis, 1.0)), [3.0, 2.0])
+        spectrum = _spectrum_for((-6, 5))
+        assert np.allclose(np.array(basis_values(spectrum, 1.0)), [3.0, 2.0])
 
 
-def _extended_values_by_loop(basis, z):
+def _extended_values_by_loop(spectrum, z):
     """Extended-precision basis values by a per-term loop."""
     z = np.clongdouble(complex(z))
-    out = np.empty(basis.size, dtype=np.clongdouble)
-    for k, (ci, j) in enumerate(basis.terms):
-        log = np.clongdouble(basis.spectrum.clusters[ci].log)
+    out = np.empty(spectrum.degree, dtype=np.clongdouble)
+    for k, (ci, j) in enumerate(spectrum.terms):
+        log = np.clongdouble(spectrum.clusters[ci].log)
         acc = np.clongdouble(1.0)
         for i in range(j):
             acc *= z - i
@@ -114,11 +113,11 @@ def _extended_values_by_loop(basis, z):
     return out
 
 
-def _extended_values_by_array(basis, zs):
+def _extended_values_by_array(spectrum, zs):
     """Extended-precision basis values, one row per exponent, by the array
     loop the paper's form used before it called ``term_values``."""
     zs = np.asarray(zs, dtype=np.complex128).astype(np.clongdouble)[..., None]
-    shifts, logs, factorials = (np.array(c) for c in zip(*basis.term_table))
+    shifts, logs, factorials = (np.array(c) for c in zip(*spectrum.term_table))
     values = np.exp((zs - shifts) * logs.astype(np.clongdouble))
     binomial = np.ones_like(values)
     for i in range(int(shifts.max())):
@@ -131,11 +130,11 @@ def test_extended_values_over_an_array_of_z(suite_reps):
     # loops, so it is equal to the bit
     zs = np.array([0.5 + 0.3j, -1.7, 2.0, -4.0, 3.1 - 2.2j])
     for rep in suite_reps:
-        rows = _extended_values_by_array(rep.basis, zs)
+        rows = _extended_values_by_array(rep.spectrum, zs)
         for z, row in zip(zs, rows):
-            values = np.array(term_values(rep.basis.term_table, np.clongdouble(z), np.exp))
+            values = np.array(term_values(rep.spectrum.term_table, np.clongdouble(z), np.exp))
             assert values.dtype == np.clongdouble
-            assert np.array_equal(values, _extended_values_by_loop(rep.basis, z))
+            assert np.array_equal(values, _extended_values_by_loop(rep.spectrum, z))
             assert np.array_equal(values, row)
     with pytest.raises(NonFiniteEntry, match="exponent nan is not finite"):
         suite_reps[0].paper.mu(float("nan"))
@@ -143,14 +142,14 @@ def test_extended_values_over_an_array_of_z(suite_reps):
 
 class TestVandermonde:
     def test_plus_minus_one(self):
-        basis = _basis_for((1, 0))  # X^2 - 1, roots 1 and -1
-        b = vandermonde_matrix(basis)
+        spectrum = _spectrum_for((1, 0))  # X^2 - 1, roots 1 and -1
+        b = vandermonde_matrix(spectrum)
         assert np.allclose(b, [[1, -1], [1, 1]])
 
     def test_coefficient_table_two_three(self):
         # for X^2 - 5X + 6 the inverse of (f_i(-j)) is [[9, -4], [-18, 12]]
-        basis = _basis_for((-6, 5))
-        table = invert_vandermonde(vandermonde_matrix(basis).T)
+        spectrum = _spectrum_for((-6, 5))
+        table = invert_vandermonde(vandermonde_matrix(spectrum).T)
         assert np.allclose(table.e, [[9, -4], [-18, 12]], atol=1e-12)
 
     def test_inverse_identity_residual(self):
@@ -159,23 +158,21 @@ class TestVandermonde:
             p = int(rng.integers(1, 9))
             roots = rng.uniform(0.5, 4, p) * np.exp(1j * rng.uniform(-np.pi, np.pi, p))
             q = AnnihilatorPolynomial.from_roots(roots)
-            basis = build_basis(cluster_roots(find_roots(q), polynomial=q))
-            b = vandermonde_matrix(basis).T
+            b = vandermonde_matrix(cluster_roots(find_roots(q), polynomial=q)).T
             table = invert_vandermonde(b)
             assert np.max(np.abs(b @ table.e - np.eye(p))) < 1e-10
 
     def test_condition_warning(self):
         # two close simple roots give an estimate above 100; the table does
         # not warn, the paper's form reports it once its tier is decided
-        basis = build_basis(grouped_spectrum([2.0, 2.01]))
+        spectrum = grouped_spectrum([2.0, 2.01])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = invert_vandermonde(vandermonde_matrix(basis).T)
+            table = invert_vandermonde(vandermonde_matrix(spectrum).T)
         assert table.condition_estimate > 100.0
 
     def test_equal_clusters_are_singular(self):
         # two clusters at one eigenvalue give two equal columns
         cluster = Cluster(2.0 + 0j, 1, math.log(2.0) + 0j)
-        basis = build_basis(Spectrum((cluster, cluster)))
         with pytest.raises(SingularMatrix, match="numerically singular"):
-            invert_vandermonde(vandermonde_matrix(basis).T)
+            invert_vandermonde(vandermonde_matrix(Spectrum((cluster, cluster))).T)

@@ -147,11 +147,24 @@ class TestPow:
         [[[-1.0]], [[-1.0, 1.0], [0.0, -1.0]], -np.eye(2)],
         ids=["minus-one", "minus-one-jordan", "minus-identity"],
     )
-    @pytest.mark.parametrize("z", ["1e308", "-1e308", "6e307"])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            "1e308",
+            "-1e308",
+            "6e307",
+            "1e17",
+            pytest.param("1e17 --method companion", id="1e17-companion"),
+            pytest.param("1e308 --method companion", id="1e308-companion"),
+            pytest.param("0.5 --branch-offset 0:1152921504606846976", id="0.5-winding-2^60"),
+        ],
+    )
     def test_infinite_phase_exit_6(self, tmp_path, capsys, a, z):
         # z * log(-1) has an infinite imaginary part: cmath.exp's ValueError
-        # was a traceback and exit 1
-        assert main(["pow", _save(tmp_path, "negative", a), f"--z={z}"]) == 6
+        # was a traceback and exit 1.  At 1e17, or with the winding number
+        # 2^60, the phase keeps no digit: pow exited 0 with a wrong answer
+        z, *options = z.split()
+        assert main(["pow", _save(tmp_path, "negative", a), f"--z={z}", *options]) == 6
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1

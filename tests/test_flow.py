@@ -309,7 +309,7 @@ def test_jordan_blocks_of_size_four_and_five(lam, size, seed):
     # radius ladder these raise SingularMatrix, or are off by 9e4 and 2e-4
     case = jordan_block_case(np.random.default_rng(seed), lam, size)
     rep = build_flow(case.matrix)
-    assert [c.multiplicity for c in rep.basis.spectrum.clusters] == [size]
+    assert [c.multiplicity for c in rep.spectrum.clusters] == [size]
     for z in (0.5, 0.5 + 0.3j, -1.7):
         assert rel_err(evaluate_flow(rep, z), jordan_oracle(case.blocks, case.transform, z)) <= 1e-10
 
@@ -491,11 +491,11 @@ def _evaluated_by_loop(rep, z):
     contraction replaced.  The condition divides every power by ``e^c``, the
     largest modulus among them."""
     z = complex(z)
-    clusters = rep.basis.spectrum.clusters
-    c = max(((z - j) * clusters[ci].log).real for ci, j in rep.basis.terms)
-    f = np.empty(rep.basis.size, dtype=np.complex128)
-    g = np.empty(rep.basis.size, dtype=np.complex128)
-    for k, (ci, j) in enumerate(rep.basis.terms):
+    clusters = rep.spectrum.clusters
+    c = max(((z - j) * clusters[ci].log).real for ci, j in rep.spectrum.terms)
+    f = np.empty(rep.spectrum.degree, dtype=np.complex128)
+    g = np.empty(rep.spectrum.degree, dtype=np.complex128)
+    for k, (ci, j) in enumerate(rep.spectrum.terms):
         power = cmath.exp((z - j) * clusters[ci].log)
         scaled = cmath.exp((z - j) * clusters[ci].log - c)
         acc = 1.0 + 0.0j
@@ -524,7 +524,7 @@ class TestEvaluateFlow:
         for z in zs:
             out, f, cond = _evaluated_by_loop(rep, z)
             assert evaluate_flow(rep, z).tobytes() == out.tobytes()
-            assert np.array(basis_values(rep.basis, z)).tobytes() == f.tobytes()
+            assert np.array(basis_values(rep.spectrum, z)).tobytes() == f.tobytes()
             assert rep.evaluation_condition(z) == cond
 
     def test_suite(self, suite_reps):
@@ -548,7 +548,7 @@ class TestEvaluateFlow:
     def test_nan_basis_value_raises(self):
         # g_2(1e160) overflows and 0.5^1e160 underflows: their product is NaN
         rep = build_flow(np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]))
-        assert np.isnan(np.array(basis_values(rep.basis, 1e160))).any()
+        assert np.isnan(np.array(basis_values(rep.spectrum, 1e160))).any()
         with pytest.raises(NonFiniteEntry, match="not finite"):
             evaluate_flow(rep, 1e160)
 
@@ -556,7 +556,7 @@ class TestEvaluateFlow:
         # the basis values are finite at z = 640 (3^640 is about 1e305), and
         # the covariants' 1e8 entries take the sum past double precision
         rep = build_flow(np.array([[2.0, 1e8], [0.0, 3.0]]))
-        assert np.isfinite(np.array(basis_values(rep.basis, 640.0))).all()
+        assert np.isfinite(np.array(basis_values(rep.spectrum, 640.0))).all()
         with pytest.raises(NonFiniteEntry, match="A\\^z is not finite"):
             evaluate_flow(rep, 640.0)
         with pytest.raises(NonFiniteEntry, match="overflows"):
@@ -567,17 +567,32 @@ class TestEvaluateFlow:
         [[[-1.0]], [[-1.0, 1.0], [0.0, -1.0]], -np.eye(2)],
         ids=["minus-one", "minus-one-jordan", "minus-identity"],
     )
-    @pytest.mark.parametrize("z", [1e308, -1e308, 6e307])
-    def test_infinite_phase_raises(self, a, z):
+    @pytest.mark.parametrize(
+        "z, offsets",
+        [(1e308, None), (-1e308, None), (6e307, None), (1e17, None), (0.5, {0: 2**60})],
+        ids=["1e+308", "-1e+308", "6e+307", "1e+17", "0.5-winding-2^60"],
+    )
+    def test_infinite_phase_raises(self, a, z, offsets):
         # z * log(-1) = z * pi * i has an infinite imaginary part: cmath.exp
-        # raised ValueError ("math domain error")
-        rep = build_flow(np.array(a))
+        # raised ValueError ("math domain error").  At 1e17, or with the
+        # winding number 2^60, the phase is finite but keeps no digit: both
+        # methods answered with no correct digit
+        rep = build_flow(np.array(a), branch_offsets=offsets)
         with pytest.raises(NonFiniteEntry, match="phase"):
-            basis_values(rep.basis, z)
+            basis_values(rep.spectrum, z)
         with pytest.raises(NonFiniteEntry, match="phase"):
             evaluate_flow(rep, z)
         with pytest.raises(NonFiniteEntry, match="phase"):
             rep.evaluation_condition(z)
+        with pytest.raises(NonFiniteEntry, match="phase"):
+            rep.paper.power(z)
+
+    @pytest.mark.parametrize("method", ["schur", "paper"])
+    def test_phase_below_the_limit_answers(self, method):
+        # pi * 1e13 lies below 2^45, and its rounding error is about 4e-3
+        rep = build_flow(np.array([[-1.0]]))
+        value = evaluate_flow(rep, 1e13) if method == "schur" else rep.paper.power(1e13)
+        assert abs(value[0, 0] - 1.0) < 1e-2
 
     def test_nan_exponent_raises(self, suite_reps):
         with pytest.raises(NonFiniteEntry, match="exponent"):
@@ -593,13 +608,13 @@ def _parent_outcome(rep, z):
         z = complex(z)
         if not cmath.isfinite(z):
             raise NonFiniteEntry(f"exponent {z} is not finite")
-        clusters = rep.basis.spectrum.clusters
+        clusters = rep.spectrum.clusters
         try:
             values = [
                 cmath.exp((z - j) * clusters[ci].log)
                 if j == 0
                 else generalized_binomial(j, z) * cmath.exp((z - j) * clusters[ci].log)
-                for ci, j in rep.basis.terms
+                for ci, j in rep.spectrum.terms
             ]
         except OverflowError as exc:
             raise NonFiniteEntry(
@@ -632,7 +647,7 @@ def _radius(rep) -> float:
 def _steepest(rep) -> complex:
     """The unit direction in which the term with the largest ``|log lam|``
     grows fastest."""
-    log = max((log for _, log, _ in rep.basis.term_table), key=abs)
+    log = max((log for _, log, _ in rep.spectrum.term_table), key=abs)
     return log.conjugate() / abs(log)
 
 
@@ -660,7 +675,7 @@ class TestFiniteRadius:
             assert _outcome(rep, z) == _parent_outcome(rep, z), z
 
     def test_suite(self, suite_reps):
-        assert any(j for rep in suite_reps for _, j in rep.basis.terms)  # shifted terms
+        assert any(j for rep in suite_reps for _, j in rep.spectrum.terms)  # shifted terms
         for rep in suite_reps:
             self._check(rep)
 
@@ -670,9 +685,9 @@ class TestFiniteRadius:
     def test_short_path_is_taken_only_inside(self, suite_reps, tier_rep, monkeypatch):
         calls, term_values = [], flow.term_values
 
-        def spy(basis, z):
+        def spy(table, z):
             calls.append(z)
-            return term_values(basis, z)
+            return term_values(table, z)
 
         monkeypatch.setattr(flow, "term_values", spy)
         for rep in [*suite_reps, tier_rep]:
@@ -736,7 +751,7 @@ class TestFiniteRadius:
         assert rep.evaluation_condition(646.2227 + 0.7149j) == pytest.approx(1.0)
 
     def test_extreme_covariants_keep_their_checks(self, suite_reps, monkeypatch):
-        rep = next(rep for rep in suite_reps if any(j for _, j in rep.basis.terms))
+        rep = next(rep for rep in suite_reps if any(j for _, j in rep.spectrum.terms))
         held = rep.covariants.copy()
         held[0, 0, 0] = np.inf
         held = dataclasses.replace(rep, covariants=held)
@@ -749,7 +764,7 @@ class TestFiniteRadius:
         # finite covariants near overflow: the sum overflows where the basis
         # values are still about 1e150, at about three times the radius
         huge = dataclasses.replace(rep, covariants=rep.covariants * 1e250)
-        log = max((log for _, log, _ in rep.basis.term_table), key=abs)
+        log = max((log for _, log, _ in rep.spectrum.term_table), key=abs)
         window = math.log(1e150) / abs(log) * _steepest(rep)
         assert 2.0 * _radius(huge) < abs(window)
         for z in [*self.ZS, *_radius_points(huge), window]:
@@ -830,6 +845,31 @@ class TestScaleInvariance:
             for z in _GATE_ZS:
                 truth = jordan_oracle(case.blocks, case.transform, z)
                 assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
+
+    @pytest.mark.parametrize("k", [330, -330], ids=lambda k: f"2^{k}")
+    @pytest.mark.parametrize("name", ["J3", "suite-7"])
+    @pytest.mark.parametrize(
+        "z",
+        [
+            pytest.param(
+                -1.7,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="lambda^(z-j) under- or overflows at 2^330 or 2^-330 although its "
+                    "product with the covariant lies in range (ROADMAP item 11)",
+                ),
+            ),
+            0.5 + 0.25j,
+        ],
+    )
+    def test_jordan_terms_over_the_double_range(self, suite, name, k, z):
+        # at -1.7, J3 times 2^330 was off by 1.0 and suite case 7 (n = 5, a
+        # 3-block) by 0.21, with exit 0; times 2^-330 both raised
+        # NonFiniteEntry, although |A^z| is about 1.7e169
+        a = {"J3": np.eye(3) + np.eye(3, k=1), "suite-7": suite[7].matrix}[name]
+        expected = 2.0 ** (k * z) * evaluate_flow(build_flow(a), z)
+        error = np.max(np.abs(evaluate_flow(build_flow(a * 2.0**k), z) - expected))
+        assert error <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_paper_sum_is_taken_in_extended_precision(suite):

@@ -15,7 +15,6 @@ from cflow import (
     NonConvergence,
     SingularMatrix,
     basis_values,
-    build_basis,
     build_flow,
     cluster_roots,
     evaluate_companion_flow,
@@ -138,8 +137,8 @@ def test_tier_set_up_reproduces_the_flow(blocks, discovered):
     a = t @ j @ np.linalg.inv(t)
     rep = build_flow(a)
     relation = rep.relation if discovered else dataclasses.replace(rep.relation, residual=None)
-    hp = highprec.HighPrecisionFlow(a, relation, rep.basis, dps=40)
-    assert len(hp.basis.terms) == rep.paper.degree
+    hp = highprec.HighPrecisionFlow(a, relation, rep.spectrum, dps=40)
+    assert len(hp.spectrum.terms) == rep.paper.degree
     for z in (0.5 + 0.3j, -1.7):
         assert rel_err(_paper_sum(hp, a, z), jordan_oracle(blocks, t, z)) < 1e-10
 
@@ -151,11 +150,11 @@ def test_relation_above_minimal_degree_is_refined():
     # mpmath reports the system singular (ZeroDivisionError from the square
     # solve, ValueError from the tall one)
     q = AnnihilatorPolynomial.from_roots([2.0, 2.0, 3.0])
-    basis = build_basis(cluster_roots(find_roots(q), polynomial=q))
+    spectrum = cluster_roots(find_roots(q), polynomial=q)
     for diagonal in ([2.0, 2.0, 3.0], [2.0, 2.0, 2.0, 3.0]):
         a = np.diag(diagonal).astype(complex)
         for relation in (q, dataclasses.replace(q, residual=0.0)):
-            hp = highprec.HighPrecisionFlow(a, relation, basis, dps=40)
+            hp = highprec.HighPrecisionFlow(a, relation, spectrum, dps=40)
             assert rel_err(_paper_sum(hp, a, 0.5), np.diag(np.sqrt(diagonal))) < 1e-12
             assert hp.relation == q
 
@@ -240,10 +239,10 @@ def test_schur_covariants_on_non_normal_suite_matrices(suite):
     # the ladder's distinct matrices are normal (T12 = 0) and cannot catch
     # a sign error in the projector; the suite's matrices are not normal
     for case in suite[:20]:
-        basis, covariants = schur_covariants(case.matrix)
-        assert covariants.shape == (len(basis.terms),) + case.matrix.shape
+        spectrum, covariants = schur_covariants(case.matrix)
+        assert covariants.shape == (len(spectrum.terms),) + case.matrix.shape
         for z in (0.5 + 0.3j, -1.7):
-            value = np.tensordot(np.array(basis_values(basis, z)), covariants, axes=1)
+            value = np.tensordot(np.array(basis_values(spectrum, z)), covariants, axes=1)
             assert rel_err(value, jordan_oracle(case.blocks, case.transform, z)) < 1e-11
 
 
@@ -254,8 +253,8 @@ def test_schur_keeps_the_principal_branch_of_a_real_negative_eigenvalue():
     t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     blocks = ((-2.0, 1), (3.0, 1), (-0.5, 1))
     a = t @ np.diag([-2.0, 3.0, -0.5]) @ np.linalg.inv(t)
-    basis, covariants = schur_covariants(a)
-    value = np.tensordot(np.array(basis_values(basis, 0.5)), covariants, axes=1)
+    spectrum, covariants = schur_covariants(a)
+    value = np.tensordot(np.array(basis_values(spectrum, 0.5)), covariants, axes=1)
     assert rel_err(value, jordan_oracle(blocks, t, 0.5)) < 1e-12
 
 
@@ -295,19 +294,19 @@ def test_reordering_runs_only_for_multiple_eigenvalues(tier_case, monkeypatch):
     # reordering, and every simple row of R from one zgeev call
     case = distinct_case(np.random.default_rng(0), 8)
     calls = _counting_lapack(monkeypatch)
-    basis, _ = schur_covariants(case.matrix)
-    assert len(basis.spectrum.clusters) == 8
+    spectrum, _ = schur_covariants(case.matrix)
+    assert len(spectrum.clusters) == 8
     assert calls == {"ztrsen": 0, "zgeev": 1, "ztrsyl": 0, "ztrtri": 1}
     # the defective n=12 matrix has one multiple eigenvalue, reordered to the
     # top: one Sylvester solve gives its block's rows
     calls.update(ztrsen=0, zgeev=0, ztrsyl=0, ztrtri=0)
-    basis, _ = schur_covariants(tier_case[0].matrix)
-    assert sum(c.multiplicity > 1 for c in basis.spectrum.clusters) == 1
+    spectrum, _ = schur_covariants(tier_case[0].matrix)
+    assert sum(c.multiplicity > 1 for c in spectrum.clusters) == 1
     assert calls == {"ztrsen": 1, "zgeev": 1, "ztrsyl": 1, "ztrtri": 1}
     # one cluster is one block, with nothing to its right
     calls.update(ztrsen=0, zgeev=0, ztrsyl=0, ztrtri=0)
-    basis, _ = schur_covariants(jordan_block_case(np.random.default_rng(0), 2.0, 4).matrix)
-    assert len(basis.spectrum.clusters) == 1
+    spectrum, _ = schur_covariants(jordan_block_case(np.random.default_rng(0), 2.0, 4).matrix)
+    assert len(spectrum.clusters) == 1
     assert calls == {"ztrsen": 1, "zgeev": 0, "ztrsyl": 0, "ztrtri": 1}
 
 
@@ -318,7 +317,7 @@ def test_several_multiple_eigenvalues(monkeypatch):
     calls = _counting_lapack(monkeypatch)
     rep = build_flow(case.matrix)
     assert calls["ztrsen"] == 3
-    assert sorted(c.multiplicity for c in rep.basis.spectrum.clusters) == [1, 2, 2, 4]
+    assert sorted(c.multiplicity for c in rep.spectrum.clusters) == [1, 2, 2, 4]
     for z in (0.5 + 0.3j, -1.7, 2.5j):
         value = evaluate_flow(rep, z)
         assert rel_err(value, jordan_oracle(case.blocks, case.transform, z)) < 1e-12
@@ -417,8 +416,7 @@ def _conjugated(blocks, seed):
 def test_given_relation_is_kept(blocks, roots):
     a, t = _conjugated(blocks, 1)
     q = AnnihilatorPolynomial.from_roots(roots)
-    basis = build_basis(cluster_roots(find_roots(q), polynomial=q))
-    hp = highprec.HighPrecisionFlow(a, q, basis, dps=40)
+    hp = highprec.HighPrecisionFlow(a, q, cluster_roots(find_roots(q), polynomial=q), dps=40)
     assert np.allclose(hp.relation.coeffs, q.coeffs, rtol=0.0, atol=1e-12)
     for z in (0.5 + 0.3j, -1.7):
         assert rel_err(_paper_sum(hp, a, z), jordan_oracle(blocks, t, z)) < 1e-12

@@ -56,7 +56,7 @@ def _lu_cases(suite, suite_reps):
     and rank-deficient matrices."""
     cases = [(case.matrix, _RANK_TOL) for case in suite]
     for rep in suite_reps:
-        cases.append((vandermonde_matrix(rep.basis).T, _VANDERMONDE_PIVOT))
+        cases.append((vandermonde_matrix(rep.spectrum).T, _VANDERMONDE_PIVOT))
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     rank_one = np.outer(x[:, 0], x[:, 1].conj())

@@ -56,7 +56,7 @@ TIER_MATRIX = defective_case(np.random.default_rng(0), 12).matrix
 
 
 def _check_branch(a, offsets, z, w):
-    count = len(build_flow(a).basis.spectrum.clusters)
+    count = len(build_flow(a).spectrum.clusters)
     rep = build_flow(a, branch_offsets={i: k for i, k in enumerate(offsets[:count]) if k})
     for k in range(-2, 4):  # every branch has the same integer powers
         assert rel_err(evaluate_flow(rep, k), power_int(a, k)) <= 1e-8
