@@ -5,7 +5,8 @@ monic polynomial ``X^p - c_{p-1} X^{p-1} - ... - c_0`` via its coefficient
 vector ``(c_0, ..., c_{p-1})``.  Its roots are the eigenvalues of its
 companion matrix; they are merged into a :class:`Spectrum` carrying
 multiplicities and a fixed branch logarithm per eigenvalue, every cluster
-polished once against the extended coefficients.
+polished once against the relation's extended-precision coefficients, its
+``work``.
 """
 
 from __future__ import annotations
@@ -63,56 +64,37 @@ class AnnihilatorPolynomial:
     """Monic polynomial ``X^p - c_{p-1} X^{p-1} - ... - c_1 X - c_0``.
 
     ``coeffs`` stores ``(c_0, ..., c_{p-1})``, the right-hand side of the
-    matrix relation ``A^p = sum c_i A^i``.  A relation discovered by
-    :func:`minimal_polynomial` carries ``residual``, its
-    :func:`validate_relation` measure against the matrix it came from.
+    matrix relation ``A^p = sum c_i A^i``, in double precision; equality and
+    hashing read it alone.  ``work`` is the read-only ascending array
+    ``[-c_0, ..., -c_{p-1}, 1]`` in extended precision: a relation's own
+    refined coefficients when it comes from :meth:`from_work` (as
+    :func:`minimal_polynomial` discovers it), ``coeffs`` widened otherwise;
+    ``coeffs`` is always its rounding.  A discovered relation carries
+    ``residual``, its :func:`validate_relation` measure against the matrix
+    it came from.
     """
 
     coeffs: tuple
-    coeffs_extended: tuple | None = field(default=None, compare=False, repr=False)
     residual: float | None = field(default=None, compare=False, repr=False)
+    work: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) < 1:
             raise ValueError("degree must be at least 1")
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if self.coeffs_extended is not None:
-            if len(self.coeffs_extended) != len(self.coeffs):
-                raise ValueError("extended coefficients disagree in degree")
-            object.__setattr__(
-                self,
-                "coeffs_extended",
-                tuple(np.clongdouble(c) for c in self.coeffs_extended),
-            )
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
-    def monic_coefficients(self) -> np.ndarray:
-        """Ascending coefficient array ``[-c_0, ..., -c_{p-1}, 1]``."""
-        return np.concatenate([-np.asarray(self.coeffs, dtype=np.complex128), [1.0]])
-
-    def monic_coefficients_extended(self) -> np.ndarray:
-        """Ascending monic coefficients in extended precision.
-
-        Uses the extended working copy when the polynomial was discovered
-        from a matrix (where coefficient rounding would otherwise dominate
-        the accuracy of multiple roots); otherwise just widens ``coeffs``.
-        """
-        if self.coeffs_extended is not None:
-            c = np.array(self.coeffs_extended, dtype=np.clongdouble)
-        else:
-            c = np.asarray(self.coeffs, dtype=np.complex128).astype(np.clongdouble)
-        return np.concatenate([-c, [np.clongdouble(1.0)]])
+        work = np.append(-np.asarray(self.coeffs, dtype=np.clongdouble), 1)
+        work.flags.writeable = False
+        object.__setattr__(self, "work", work)
 
     @classmethod
-    def from_monic_coefficients(cls, ascending) -> "AnnihilatorPolynomial":
-        a = np.asarray(ascending, dtype=np.complex128)
-        lead = a[-1]
-        if abs(lead) == 0.0:
-            raise ValueError("leading coefficient must be nonzero")
-        return cls(tuple(-a[:-1] / lead))
+    def from_work(cls, work, residual: float | None = None) -> "AnnihilatorPolynomial":
+        """The relation of ascending monic coefficients ``work``, kept in
+        extended precision, with ``coeffs`` their double rounding."""
+        work = np.array(work, dtype=np.clongdouble)
+        work.flags.writeable = False
+        q = cls(tuple(-work[:-1].astype(np.complex128)), residual)
+        object.__setattr__(q, "work", work)
+        return q
 
     @classmethod
     def from_roots(cls, roots) -> "AnnihilatorPolynomial":
@@ -120,25 +102,25 @@ class AnnihilatorPolynomial:
         asc = np.array([1.0 + 0.0j])
         for r in roots:
             asc = np.convolve(asc, np.array([-complex(r), 1.0 + 0.0j]))
-        return cls.from_monic_coefficients(asc)
+        return cls(tuple(-asc[:-1] / asc[-1]))
 
-    def __call__(self, x: complex) -> complex:
-        return _horner(self.monic_coefficients(), x)[0]
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs)
 
-    def derivative_value(self, x: complex) -> complex:
-        asc = self.monic_coefficients()
-        return _horner(asc[1:] * np.arange(1, len(asc)), x)[0]
+    def monic_coefficients(self) -> np.ndarray:
+        """Ascending coefficient array ``[-c_0, ..., -c_{p-1}, 1]``: ``work`` rounded."""
+        return self.work.astype(np.complex128)
 
     def evaluate_matrix(self, a) -> np.ndarray:
         """Horner evaluation of the polynomial at a square matrix, run in
-        extended precision on the extended coefficients and rounded to
-        complex128.  (Double-precision Horner leaves rounding noise of order
+        extended precision on ``work`` and rounded to complex128.
+        (Double-precision Horner leaves rounding noise of order
         ``eps |A|^p``: 6.8e-8 relative for a right relation at n = 20.)"""
         a = as_matrix(a).astype(np.clongdouble)
         eye = np.eye(a.shape[0], dtype=np.clongdouble)
-        asc = self.monic_coefficients_extended()
-        acc = asc[-1] * eye
-        for coeff in asc[-2::-1]:
+        acc = self.work[-1] * eye
+        for coeff in self.work[-2::-1]:
             acc = acc @ a + coeff * eye
         return acc.astype(np.complex128)
 
@@ -290,10 +272,8 @@ def minimal_polynomial(a) -> AnnihilatorPolynomial:
         if rel <= _RANK_TOL:
             coef, *_ = np.linalg.lstsq(krylov[:, :q], krylov[:, q], rcond=None)
             coef_ext, res = _refine_relation_coefficients(a, coef)
-            return AnnihilatorPolynomial(
-                tuple(coef_ext.astype(np.complex128)),
-                coeffs_extended=tuple(coef_ext),
-                residual=_relative_residual(res, a, q),
+            return AnnihilatorPolynomial.from_work(
+                np.append(-coef_ext, 1), _relative_residual(res, a, q)
             )
         if rel <= 10.0 * _RANK_TOL or q == n:
             # Cayley-Hamilton forces dependence by q = n, so reaching q = n
@@ -308,16 +288,16 @@ def characteristic_polynomial(a) -> AnnihilatorPolynomial:
     """Degree-``n`` characteristic polynomial via the trace recursion."""
     a = as_matrix(a)
     n = a.shape[0]
-    m = np.eye(n, dtype=np.complex128)
+    m = eye = np.eye(n, dtype=np.complex128)
     # p(X) = X^n + b[1] X^{n-1} + ... + b[n]
     b = np.zeros(n + 1, dtype=np.complex128)
     b[0] = 1.0
     # An overflow leaves inf or NaN coefficients, which validation reports.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
-            if k > 1:
-                m = a @ m + b[k - 1] * np.eye(n, dtype=np.complex128)
-            b[k] = -np.trace(a @ m) / k
+            am = a @ m
+            b[k] = -np.trace(am) / k
+            m = am + b[k] * eye
     coeffs = tuple(-b[n - j] for j in range(n))  # c_j multiplies X^j
     return AnnihilatorPolynomial(coeffs)
 
@@ -370,9 +350,9 @@ def find_roots(q: AnnihilatorPolynomial) -> np.ndarray:
 def _polish(asc, groups: list, trust: float, tiny: float = 1e-18) -> list:
     """``(centre, multiplicity)`` of each group of one grouping, Newton-polished
     against the monic polynomial of ascending coefficients ``asc``, in their
-    arithmetic: ``clongdouble`` in :func:`cluster_roots` (the double rounding
-    of a relation's coefficients alone would move a root by more than the
-    flow's accuracy), and ``mpc`` (an object array) in the mpmath tier.
+    arithmetic: ``clongdouble`` in :func:`cluster_roots`, a relation's ``work``
+    (the double rounding of its coefficients alone would move a root by more
+    than the flow's accuracy), and ``mpc`` (an object array) in the mpmath tier.
 
     An m-fold root is polished as a simple root of the (m-1)-th derivative,
     every cluster of one multiplicity in one vectorized iteration started at
@@ -504,7 +484,7 @@ def group_roots(roots) -> list:
 def cluster_roots(roots, *, polynomial) -> Spectrum:
     """The :class:`Spectrum` of the roots of ``polynomial``: single linkage on
     the ladder of :func:`group_roots`, every distinct grouping polished against
-    ``polynomial``, and the one whose centres best rebuild its coefficients
+    ``polynomial.work``, and the one whose centres best rebuild its coefficients
     kept (a multiple root scatters far beyond the floor, and merging distinct
     roots ruins the rebuilt coefficients); each centre's principal logarithm
     is its branch.
@@ -518,7 +498,7 @@ def cluster_roots(roots, *, polynomial) -> Spectrum:
         If polishing drives a cluster centre to ``_ZERO_ROOT`` or below.
     """
     values, scale, radii = _ladder(roots, _ZERO_ROOT)
-    asc = polynomial.monic_coefficients_extended()
+    asc = polynomial.work
     pairs, best, seen = _pairs(values, radii[-1]), None, set()
     for radius in radii:
         groups = _cluster_at_radius(values, pairs, radius)

@@ -70,7 +70,7 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
     the Krylov basis outgrows double precision (n = 20 to 24), and refining
     it does not converge.  Any other relation, or one whose system mpmath
     reports singular, may lie above the minimal degree, where the system has
-    many solutions; ``start`` is then refined on the same system: residuals
+    many solutions; ``start.work`` is then refined on the same system: residuals
     at working precision, corrections from a double-precision least-squares
     solve.  The entries of ``a`` are taken as exact.
     """
@@ -92,7 +92,7 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
         except (ZeroDivisionError, ValueError):  # mpmath's reports of a singular system
             pass
     k_dbl = np.array(k.tolist(), dtype=np.complex128)
-    c = mp.matrix([-_mpc_from_extended(x) for x in start.monic_coefficients_extended()[:-1]])
+    c = mp.matrix([-_mpc_from_extended(x) for x in start.work[:-1]])
     for _ in range(6):
         r_dbl = np.array((krylov[p] - k * c).tolist(), dtype=np.complex128)[:, 0]
         if np.max(np.abs(r_dbl)) == 0.0:
@@ -111,7 +111,8 @@ class HighPrecisionFlow:
     refined (:func:`_krylov_relation`), and the spectrum (clusters, their
     eigenvalues polished at once by ``annihilator._polish`` at working
     precision, branch logs) and coefficient table are those of the result.
-    ``relation`` is that relation rounded to extended precision, ``coeffs``
+    ``relation`` is that relation rounded to extended precision (its
+    ``work``, through :meth:`AnnihilatorPolynomial.from_work`), ``coeffs``
     its table (``work`` at working precision), ``spectrum`` its spectrum (``mpc``
     logs on the branches of the ``spectrum`` given); ``relation_residual`` is the
     relation's :func:`validate_relation` measure, and ``mu_mp`` the coefficient
@@ -129,15 +130,12 @@ class HighPrecisionFlow:
         """The relation, spectrum and table at working precision."""
         p = self._start.degree
         with mp.workdps(self.dps):
-            asc = _krylov_relation(self._a, self._start)
+            asc = np.array(_krylov_relation(self._a, self._start), dtype=object)
             # the spectrum of the relation at working precision, rounded
-            coeffs = -np.array(asc[:-1], dtype=object)
-            q = AnnihilatorPolynomial(
-                tuple(coeffs.astype(np.complex128)), coeffs_extended=tuple(_extended_matrix(coeffs))
-            )
+            q = AnnihilatorPolynomial.from_work(_extended_matrix(asc))
             found = cluster_roots(find_roots(q), polynomial=q).clusters
             groups = [[c.value] * c.multiplicity for c in found]
-            centres = _polish(np.array(asc, dtype=object), groups, math.inf, 10.0 ** (5 - self.dps))
+            centres = _polish(asc, groups, math.inf, 10.0 ** (5 - self.dps))
             winding = [self._given.winding_near(c.value) for c in found]
             logs = [mp.log(x) + 2j * mp.pi * k for (x, _), k in zip(centres, winding)]
             clusters = [Cluster(complex(x), m, log) for (x, m), log in zip(centres, logs)]

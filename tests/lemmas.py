@@ -24,13 +24,9 @@ def negative_powers(a, p: int) -> list:
 
 
 def times_linear(q: AnnihilatorPolynomial, root: complex) -> AnnihilatorPolynomial:
-    """``q`` multiplied by ``(X - root)``, its extended coefficients too."""
-    asc = np.convolve(q.monic_coefficients(), np.array([-complex(root), 1.0 + 0.0j]))
-    asc_ext = np.convolve(
-        q.monic_coefficients_extended(),
-        np.array([-np.clongdouble(complex(root)), np.clongdouble(1.0)]),
-    )
-    return AnnihilatorPolynomial(tuple(-asc[:-1]), coeffs_extended=tuple(-asc_ext[:-1]))
+    """``q`` multiplied by ``(X - root)`` in extended precision, on its ``work``."""
+    factor = np.array([-np.clongdouble(complex(root)), np.clongdouble(1.0)])
+    return AnnihilatorPolynomial.from_work(np.convolve(q.work, factor))
 
 
 def _parse_jordan_blocks(a):

@@ -55,6 +55,33 @@ def test_removed_names_stay_removed():
     holders = (rep, rep.paper, highprec.HighPrecisionFlow)
     assert [obj for obj in holders if hasattr(obj, "basis")] == []
     assert not hasattr(rep.paper.coeffs, "e_extended")
+    # a relation keeps one coefficient array, work, with coeffs its rounding
+    relation = (
+        "coeffs_extended",
+        "monic_coefficients_extended",
+        "from_monic_coefficients",
+        "__call__",
+        "derivative_value",
+    )
+    assert [name for name in relation if hasattr(rep.relation, name)] == []
+
+
+def test_relation_keeps_one_coefficient_array():
+    # coeffs is the rounding of work, which no one writes, and equality and
+    # hashing read coeffs alone
+    q = cflow.minimal_polynomial(defective_case(np.random.default_rng(0), 12).matrix)
+    assert q.work.dtype == np.clongdouble
+    assert np.array_equal(np.asarray(q.coeffs), (-q.work[:-1]).astype(np.complex128))
+    assert not np.array_equal(q.work[:-1], np.asarray(q.coeffs, dtype=np.clongdouble))
+    with pytest.raises(ValueError, match="read-only"):
+        q.work[0] = 0
+    with pytest.raises(AttributeError):
+        q.work = q.work.copy()
+    with pytest.raises(TypeError):
+        cflow.AnnihilatorPolynomial(q.coeffs, work=q.work)
+    supplied = cflow.AnnihilatorPolynomial(q.coeffs)
+    assert not np.array_equal(supplied.work, q.work)
+    assert supplied == q and hash(supplied) == hash(q)
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -846,7 +846,9 @@ class TestScaleInvariance:
                 truth = jordan_oracle(case.blocks, case.transform, z)
                 assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
 
-    @pytest.mark.parametrize("k", [330, -330], ids=lambda k: f"2^{k}")
+    @pytest.mark.parametrize(
+        "s", [2.0**330, 2.0**-330, 1e100, 1e-100], ids=["2^330", "2^-330", "1e100", "1e-100"]
+    )
     @pytest.mark.parametrize("name", ["J3", "suite-7"])
     @pytest.mark.parametrize(
         "z",
@@ -855,20 +857,21 @@ class TestScaleInvariance:
                 -1.7,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="lambda^(z-j) under- or overflows at 2^330 or 2^-330 although its "
+                    reason="lambda^(z-j) under- or overflows at these scales although its "
                     "product with the covariant lies in range (ROADMAP item 11)",
                 ),
             ),
             0.5 + 0.25j,
         ],
     )
-    def test_jordan_terms_over_the_double_range(self, suite, name, k, z):
+    def test_jordan_terms_over_the_double_range(self, suite, name, s, z):
         # at -1.7, J3 times 2^330 was off by 1.0 and suite case 7 (n = 5, a
         # 3-block) by 0.21, with exit 0; times 2^-330 both raised
-        # NonFiniteEntry, although |A^z| is about 1.7e169
+        # NonFiniteEntry, although |A^z| is about 1.7e169.  Times 1e100 and
+        # 1e-100 they fail the same way.
         a = {"J3": np.eye(3) + np.eye(3, k=1), "suite-7": suite[7].matrix}[name]
-        expected = 2.0 ** (k * z) * evaluate_flow(build_flow(a), z)
-        error = np.max(np.abs(evaluate_flow(build_flow(a * 2.0**k), z) - expected))
+        expected = s**z * evaluate_flow(build_flow(a), z)
+        error = np.max(np.abs(evaluate_flow(build_flow(a * s), z) - expected))
         assert error <= 1e-12 * np.max(np.abs(expected))
 
 
