@@ -192,31 +192,18 @@ class Spectrum:
         return min(self.clusters, key=lambda c: abs(c.value - value)).winding
 
 
-def _refine_relation_coefficients(a: np.ndarray, coef: np.ndarray) -> tuple:
-    """Iteratively refine relation coefficients against an extended-precision
-    Krylov system.
-
-    The double-precision least-squares coefficients carry the rounding of the
-    power chain; a few rounds of mixed-precision refinement (extended
-    residual, double correction) push the coefficient error down to the
-    extended working precision, which the root refinement downstream
-    inherits.  Returns the coefficients and ``max |Q(A)|`` of the result,
-    the largest entry of its extended residual ``vec(A^p) - K c``.
-    """
-    p = coef.shape[0]
-    ae = a.astype(np.clongdouble)
-    powers_ext = [np.eye(a.shape[0], dtype=np.clongdouble)]
-    for _ in range(p):
-        powers_ext.append(powers_ext[-1] @ ae)
-    k_ext = np.column_stack([m.reshape(-1) for m in powers_ext[:p]])
-    v_ext = powers_ext[p].reshape(-1)
-    k_dbl = k_ext.astype(np.complex128)
-    coef = coef.astype(np.clongdouble)
-    for _ in range(3):
-        r = v_ext - k_ext @ coef
+def _refined(k: np.ndarray, v: np.ndarray, c: np.ndarray, rounds: int) -> np.ndarray:
+    """``c`` after ``rounds`` rounds of mixed-precision iterative refinement of
+    the least-squares system ``k c = v`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 12 and 20): each takes the residual ``v - k c``
+    in the arithmetic of the arrays (``clongdouble``, or ``mpc`` in object
+    arrays) and adds to ``c`` its double-precision least-squares correction."""
+    k_dbl = k.astype(np.complex128)
+    for _ in range(rounds):
+        r = v - k @ c
         delta, *_ = np.linalg.lstsq(k_dbl, r.astype(np.complex128), rcond=None)
-        coef = coef + delta.astype(np.clongdouble)
-    return coef, float(np.max(np.abs(v_ext - k_ext @ coef)))
+        c = c + delta
+    return c
 
 
 def _dependence_residuals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,8 +241,9 @@ def minimal_polynomial(a) -> AnnihilatorPolynomial:
     the degree at the first linear dependence: the first ``q`` whose QR
     residual ``|R[q, q]| / ||vec(A^q)||`` falls to ``1e-10``.  The
     coefficients solve the least-squares system on the first ``q`` columns
-    and are refined in extended precision.  The result's ``residual`` is read
-    off that refinement, which forms ``vec(Q(A))``; it is the
+    and are refined (:func:`_refined`, 3 rounds) on the same system formed
+    in extended precision from ``I, A, ..., A^q``.  The result's ``residual``
+    is read off that system's ``max |vec(A^q) - K c| = max |Q(A)|``: the
     :func:`validate_relation` measure without a second evaluation.
 
     Raises
@@ -271,10 +259,12 @@ def minimal_polynomial(a) -> AnnihilatorPolynomial:
         rel = residuals[q]
         if rel <= _RANK_TOL:
             coef, *_ = np.linalg.lstsq(krylov[:, :q], krylov[:, q], rcond=None)
-            coef_ext, res = _refine_relation_coefficients(a, coef)
-            return AnnihilatorPolynomial.from_work(
-                np.append(-coef_ext, 1), _relative_residual(res, a, q)
-            )
+            eye, ae = np.eye(n, dtype=np.clongdouble), a.astype(np.clongdouble)
+            powers = list(itertools.accumulate([ae] * q, np.matmul, initial=eye))
+            k, v = np.stack(powers[:q]).reshape(q, n * n).T, powers[q].reshape(-1)
+            coef = _refined(k, v, coef.astype(np.clongdouble), 3)
+            res = float(np.max(np.abs(v - k @ coef)))
+            return AnnihilatorPolynomial.from_work(np.append(-coef, 1), _relative_residual(res, a, q))
         if rel <= 10.0 * _RANK_TOL or q == n:
             # Cayley-Hamilton forces dependence by q = n, so reaching q = n
             # without one is itself a marginal-rank symptom.

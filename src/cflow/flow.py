@@ -371,7 +371,7 @@ def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray]:
 
 
 def _accepted(residual: float, source: str = "") -> float:
-    if residual > _RELATION_TOL:
+    if not residual <= _RELATION_TOL:  # a NaN residual is refused too
         raise RelationInvalid(
             f"{source}relation residual {residual:.3e} exceeds {_RELATION_TOL:.1e}"
         )
@@ -439,6 +439,8 @@ class CompanionFlow:
     """
 
     def __init__(self, q: AnnihilatorPolynomial, branch_offsets: dict | None = None):
+        if not np.isfinite(q.coeffs).all():
+            raise NonFiniteEntry("a coefficient of the relation is not finite")
         if abs(q.coeffs[0]) == 0.0:
             raise ZeroEigenvalue(
                 "constant coefficient is zero; zero is a root of the relation"

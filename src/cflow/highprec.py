@@ -13,11 +13,11 @@ from the Schur covariants (:func:`cflow.flow.schur_covariants`).
 
 The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
 random vector, in mpmath: solved for when it comes from
-``minimal_polynomial``, and refined from its start otherwise.  Its roots are
-polished by the extended-precision form's Newton iteration
-(``annihilator._polish``) run at working precision; the logarithms and basis
-values are taken in mpmath too, and the table is inverted by mpmath's LU at
-the working precision.
+``minimal_polynomial``, and refined from its start otherwise.  The refinement
+(``annihilator._refined``) and the root polish (``annihilator._polish``) are
+the extended-precision form's, run at working precision; the logarithms and
+basis values are taken in mpmath too, and the table is inverted by mpmath's
+LU at the working precision.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .annihilator import (
     Cluster,
     Spectrum,
     _polish,
+    _refined,
     cluster_roots,
     find_roots,
     validate_relation,
@@ -70,9 +71,9 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
     the Krylov basis outgrows double precision (n = 20 to 24), and refining
     it does not converge.  Any other relation, or one whose system mpmath
     reports singular, may lie above the minimal degree, where the system has
-    many solutions; ``start.work`` is then refined on the same system: residuals
-    at working precision, corrections from a double-precision least-squares
-    solve.  The entries of ``a`` are taken as exact.
+    many solutions; ``start.work`` is then refined on the same system, as
+    object arrays of ``mpc``, by 6 rounds of ``annihilator._refined``.  The
+    entries of ``a`` are taken as exact.
     """
     n, p = a.shape[0], start.degree
     rng = np.random.default_rng(0)
@@ -91,15 +92,9 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
             return [-c[i] for i in range(p)] + [mp.mpc(1)]
         except (ZeroDivisionError, ValueError):  # mpmath's reports of a singular system
             pass
-    k_dbl = np.array(k.tolist(), dtype=np.complex128)
-    c = mp.matrix([-_mpc_from_extended(x) for x in start.work[:-1]])
-    for _ in range(6):
-        r_dbl = np.array((krylov[p] - k * c).tolist(), dtype=np.complex128)[:, 0]
-        if np.max(np.abs(r_dbl)) == 0.0:
-            break
-        delta, *_ = np.linalg.lstsq(k_dbl, r_dbl, rcond=None)
-        c += mp.matrix(delta.tolist())
-    return [-c[i] for i in range(p)] + [mp.mpc(1)]
+    c = np.array([-_mpc_from_extended(x) for x in start.work[:-1]], dtype=object)
+    c = _refined(np.array(k.tolist(), dtype=object), np.array(krylov[p], dtype=object), c, 6)
+    return [-x for x in c] + [mp.mpc(1)]
 
 
 class HighPrecisionFlow:

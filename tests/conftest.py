@@ -237,3 +237,9 @@ def grouped_spectrum(values) -> Spectrum:
 def rel_err(x: np.ndarray, ref: np.ndarray) -> float:
     """Max-norm error relative to ``max(1, |ref|)``."""
     return float(np.max(np.abs(x - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
+def rel_err_to_ref(x: np.ndarray, ref: np.ndarray) -> float:
+    """Max-norm error relative to ``|ref|`` itself: unlike :func:`rel_err`, it
+    reads relative error where ``|ref| << 1`` too."""
+    return float(np.max(np.abs(x - ref))) / float(np.max(np.abs(ref)))

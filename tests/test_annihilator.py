@@ -529,6 +529,27 @@ def test_relation_grouping_is_unchanged(seed, monkeypatch):
         assert cluster_roots(roots, polynomial=q) == spectrum
 
 
+def _refined_by_loop(a, coef):
+    """The extended refinement as ``minimal_polynomial`` ran it before
+    ``annihilator._refined``: three rounds of an extended residual and a
+    double least-squares correction on the Krylov system of ``I, A, ...,
+    A^p``.  Returns the coefficients and ``max |vec(A^p) - K c|``."""
+    p = coef.shape[0]
+    ae = a.astype(np.clongdouble)
+    powers_ext = [np.eye(a.shape[0], dtype=np.clongdouble)]
+    for _ in range(p):
+        powers_ext.append(powers_ext[-1] @ ae)
+    k_ext = np.column_stack([m.reshape(-1) for m in powers_ext[:p]])
+    v_ext = powers_ext[p].reshape(-1)
+    k_dbl = k_ext.astype(np.complex128)
+    coef = coef.astype(np.clongdouble)
+    for _ in range(3):
+        r = v_ext - k_ext @ coef
+        delta, *_ = np.linalg.lstsq(k_dbl, r.astype(np.complex128), rcond=None)
+        coef = coef + delta.astype(np.clongdouble)
+    return coef, float(np.max(np.abs(v_ext - k_ext @ coef)))
+
+
 def _by_gram_schmidt(a):
     """The degree decision as ``minimal_polynomial`` made it before its QR:
     each power orthogonalized twice against the running span by modified
@@ -553,7 +574,7 @@ def _by_gram_schmidt(a):
             if rel <= numeric._RANK_TOL:
                 k = np.column_stack([m.reshape(-1) for m in powers[:q]])
                 coef, *_ = np.linalg.lstsq(k, v, rcond=None)
-                coef_ext, res = annihilator._refine_relation_coefficients(a, coef)
+                coef_ext, res = _refined_by_loop(a, coef)
                 return residuals, AnnihilatorPolynomial.from_work(
                     np.append(-coef_ext, 1), annihilator._relative_residual(res, a, q)
                 )

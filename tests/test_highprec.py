@@ -394,6 +394,48 @@ def test_simple_rows_agree_with_the_former_sylvester_loop(name, monkeypatch):
         assert not np.triu(vl, 1).any()
 
 
+def _refined_by_matrix_loop(k, v, c):
+    """The tier's refinement as ``_krylov_relation`` ran it before
+    ``annihilator._refined``: six rounds of an ``mp.matrix`` residual, rounded
+    to double, and a double least-squares correction; none once the residual
+    rounds to zero."""
+    k_dbl = np.array(k.tolist(), dtype=np.complex128)
+    for _ in range(6):
+        r_dbl = np.array((v - k * c).tolist(), dtype=np.complex128)[:, 0]
+        if np.max(np.abs(r_dbl)) == 0.0:
+            break
+        delta, *_ = np.linalg.lstsq(k_dbl, r_dbl, rcond=None)
+        c += mp.matrix(delta.tolist())
+    return c
+
+
+def test_tier_refinement_is_the_former_loop():
+    # the n = 12 defective matrix of bench/inputs.ladder_cases(0), its Krylov
+    # system as _krylov_relation forms it, refined from its relation's work:
+    # mpmath's matrix product rounds each entry once and the object arrays'
+    # each step, so the two differ at working precision only, and round alike
+    rng = np.random.default_rng(0)
+    distinct_case(rng, 12)
+    a = defective_case(rng, 12).matrix
+    rep = build_flow(a)
+    dps, p = rep.high_precision.dps, rep.relation.degree
+    start = AnnihilatorPolynomial.from_work(rep.relation.work)  # no residual: refined
+    with mp.workdps(dps):
+        r = np.random.default_rng(0)
+        v = mp.matrix((r.standard_normal(12) + 1j * r.standard_normal(12)).tolist())
+        am, krylov = mp.matrix(a.tolist()), [v]
+        for _ in range(p):
+            krylov.append(am * krylov[-1])
+        k = mp.matrix([[krylov[j][i] for j in range(p)] for i in range(12)])
+        c = mp.matrix([-highprec._mpc_from_extended(x) for x in start.work[:-1]])
+        former = [-x for x in _refined_by_matrix_loop(k, krylov[p], c)] + [mp.mpc(1)]
+        refined = highprec._krylov_relation(a, start)
+        spread = max(abs(x - y) / abs(y) for x, y in zip(refined, former))
+    assert spread <= 10.0 ** (5 - dps)
+    rounded = [highprec._extended_matrix(np.array(x, dtype=object)) for x in (refined, former)]
+    assert np.array_equal(*rounded)
+
+
 def _conjugated(blocks, seed):
     """``T J T^{-1}`` of diagonal Jordan data, with the random ``T``."""
     rng = np.random.default_rng(seed)
