@@ -55,7 +55,8 @@ def value(x) -> str:
     if isinstance(x, Spectrum):
         return value([(c.value, c.multiplicity, c.log) for c in x.clusters])
     if isinstance(x, np.ndarray):
-        return f"{x.shape}{x.dtype}" + value(x.ravel().tolist() if x.dtype != np.clongdouble else list(x.ravel()))
+        items = list(x.ravel()) if x.dtype == np.clongdouble else x.ravel().tolist()
+        return f"{x.shape}{x.dtype}" + value(items)
     if isinstance(x, (np.clongdouble, np.longdouble)):
         return f"{np.real(x)!r},{np.imag(x)!r}"
     if isinstance(x, (list, tuple)):
@@ -114,15 +115,8 @@ def library_records(a) -> dict:
     return records
 
 
-def ladder12() -> list:
-    """The n = 12 distinct and defective matrices of the benchmark's ladder at seed 0."""
-    rng = np.random.default_rng(0)
-    case = distinct_case(rng, 12)
-    t, lam = case.transform, np.diag([lam for lam, _ in case.blocks])
-    return [t @ lam @ np.linalg.inv(t), defective_case(rng, 12).matrix]
-
-
 def ladder16() -> list:
+    """The n = 12 and 16 distinct and defective matrices of the benchmark's ladder at seed 0."""
     rng = np.random.default_rng(0)
     out = []
     for n in (12, 16):
@@ -150,8 +144,8 @@ def cli_runs(folder: Path) -> dict:
         "jordan2": [[5.0, 1.0], [0.0, 5.0]],
         "singular": np.diag([1.0, 0.0]),
         "random4": rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
-        "ladder0-n12-distinct": ladder12()[0],
-        "ladder0-n12-defective": ladder12()[1],
+        "ladder0-n12-distinct": ladder16()[0],
+        "ladder0-n12-defective": ladder16()[1],
     }
     runs = {"formula-relation": ["formula", "--relation", "5,-6", "--at", "0.5"]}
     for name, a in matrices.items():
