@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -167,8 +168,9 @@ class Spectrum:
 
         ``offsets`` maps a cluster index (0-based, in this spectrum's order)
         to an integer winding number, or is a spectrum whose nearest cluster's
-        branch choice each cluster takes over (:meth:`winding_near`).  An
-        integer beyond double range raises :class:`NonFiniteEntry`.
+        branch choice each cluster takes over (:meth:`winding_near`).  A
+        winding number that is not an integer (:func:`operator.index`) raises
+        :class:`UnknownCluster`, and one beyond double range :class:`NonFiniteEntry`.
         """
         if isinstance(offsets, Spectrum):
             offsets = {i: offsets.winding_near(c.value) for i, c in enumerate(self.clusters)}
@@ -180,7 +182,9 @@ class Spectrum:
                 )
             c = new[idx]
             try:
-                new[idx] = replace(c, log=c.log + 2j * math.pi * int(k))
+                new[idx] = replace(c, log=c.log + 2j * math.pi * operator.index(k))
+            except TypeError as exc:
+                raise UnknownCluster(f"winding {k!r} of cluster {idx} is not an integer") from exc
             except OverflowError as exc:
                 raise NonFiniteEntry(f"the winding number of cluster {idx} overflows") from exc
         return Spectrum(tuple(new))
@@ -401,11 +405,9 @@ def _cluster_at_radius(roots: list, pairs: list, radius: float) -> list:
 
 def _rebuild_residual(poly: AnnihilatorPolynomial, clusters: list) -> float:
     """Coefficient mismatch between ``poly`` and the monic polynomial rebuilt
-    from a candidate ``(center, multiplicity)`` list."""
-    asc = np.array([1.0], dtype=np.complex128)
-    for center, m in clusters:
-        for _ in range(m):
-            asc = np.concatenate([[0.0], asc]) - center * np.concatenate([asc, [0.0]])
+    (:meth:`AnnihilatorPolynomial.from_roots`) from ``(center, multiplicity)`` pairs."""
+    roots = [center for center, m in clusters for _ in range(m)]
+    asc = AnnihilatorPolynomial.from_roots(roots).monic_coefficients()
     target = poly.monic_coefficients()
     return float(np.max(np.abs(asc - target))) / max(1.0, float(np.max(np.abs(target))))
 

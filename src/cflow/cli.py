@@ -11,7 +11,7 @@ exponents (outside the pass decision), evaluate the paper's sum
 (:meth:`cflow.flow.PaperForm.power`) instead of the Schur covariants.
 
 Exit codes: 0 ok, 1 verification failed, 2 parse or usage error (including a
-branch offset for a cluster that does not exist), 3 singular matrix or zero
+branch offset that names no branch), 3 singular matrix or zero
 eigenvalue, 4 root finding failed (the Schur form, or the paper's eigenvalue
 iteration on the companion matrix), 5 relation invalid, 6 result not finite
 (``A^z`` overflows at the requested exponent) or without a digit (a phase
@@ -44,10 +44,10 @@ from .errors import (
 from .flow import CompanionFlow, FlowRepresentation, build_flow, check_flow_axioms, evaluate_flow
 from .matfile import (
     format_complex,
-    matrix_document,
     parse_complex,
     parse_relation,
     read_matrix,
+    write_matrix,
 )
 from .numeric import _COND_WARN, max_norm, power_int
 
@@ -85,6 +85,8 @@ def _attach_dash_values(argv: list) -> list:
 
 
 def _add_common(sub):
+    """The options of every command: a given relation and branch offsets."""
+    sub.add_argument("--relation", default=None, help="coefficients c_{p-1},...,c_0")
     sub.add_argument(
         "--branch-offset",
         action="append",
@@ -92,7 +94,6 @@ def _add_common(sub):
         metavar="IDX:K",
         help="add 2*pi*i*K to the branch log of cluster IDX (repeatable)",
     )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _rule(rule: str, convert, accept):
@@ -215,8 +216,7 @@ def cmd_pow(args) -> int:
         cond = rep.evaluation_condition(z)
         if cond > _COND_WARN:
             print(f"warning: evaluation condition estimate {cond:.3e}", file=sys.stderr)
-    json.dump(matrix_document(result), sys.stdout)
-    sys.stdout.write("\n")
+    write_matrix(result, sys.stdout)
     return 0
 
 
@@ -296,20 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("pow", help="compute A^z and print it as a matrix document")
     sp.add_argument("matrix", help="matrix file (JSON document)")
     sp.add_argument("--z", required=True, help="exponent, a complex literal")
-    sp.add_argument("--relation", default=None, help="coefficients c_{p-1},...,c_0")
     sp.add_argument("--method", choices=["vandermonde", "companion"], default="vandermonde")
     _add_common(sp)
     sp.set_defaults(func=cmd_pow)
 
     sp = subs.add_parser("analyze", help="report the flow representation")
     sp.add_argument("matrix")
-    sp.add_argument("--relation", default=None)
     _add_common(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = subs.add_parser("verify", help="check the flow axioms and integer powers")
     sp.add_argument("matrix")
-    sp.add_argument("--relation", default=None)
     sp.add_argument("--method", choices=["vandermonde", "both"], default="both")
     sp.add_argument("--samples", type=_count, default=20)
     sp.add_argument("--seed", type=int, default=0)
@@ -319,12 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("formula", help="emit the coefficient functions mu_i(z)")
     sp.add_argument("matrix", nargs="?", default=None)
-    sp.add_argument("--relation", default=None)
     sp.add_argument("--at", default=None, help="also evaluate mu at this z")
     sp.add_argument("--skip-zero", action="store_true", help="elide zero coefficients")
     _add_common(sp)
     sp.set_defaults(func=cmd_formula)
 
+    for sp in map(subs.choices.get, ("analyze", "verify", "formula")):  # pow always prints JSON
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 

@@ -36,7 +36,7 @@ class AmbiguousRank(CFlowError):
 
 
 class UnknownCluster(CFlowError, IndexError):
-    """A branch offset names a cluster index the spectrum does not have."""
+    """A branch offset that names no branch: no such cluster, or a winding number not an integer."""
 
 
 class MatrixParseError(CFlowError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import importlib.util
+import itertools
 import math
 import sys
 import warnings
@@ -253,16 +254,10 @@ def _finite_radius(spectrum: Spectrum, top: float) -> float:
     return min(s - shift, sys.float_info.max)
 
 
-def _negative_powers_extended(a, p: int) -> list:
-    """``[A^{-1}, ..., A^{-p}]`` in extended precision: the chain's rounding
-    error is amplified by the cancellation in ``sum mu_i A^{-i}``."""
-    a = as_matrix(a)
-    if p < 1:
-        raise ValueError("need at least one negative power")
-    out = [extended_inverse(a)]
-    for _ in range(p - 1):
-        out.append(out[-1] @ out[0])
-    return out
+def _negative_powers_extended(a: np.ndarray, p: int) -> list:
+    """``[A^{-1}, ..., A^{-p}]`` of a checked matrix, ``p >= 1``, in extended precision:
+    the chain's rounding error is amplified by the cancellation in ``sum mu_i A^{-i}``."""
+    return list(itertools.accumulate([extended_inverse(a)] * p, np.matmul))
 
 
 def spectral_table(

@@ -17,12 +17,14 @@ random vector, in mpmath: solved for when it comes from
 (``annihilator._refined``) and the root polish (``annihilator._polish``) are
 the extended-precision form's, run at working precision; the logarithms and
 basis values are taken in mpmath too, and the table is inverted by mpmath's
-LU at the working precision.
+LU at the working precision; values cross precisions as high/low pairs of
+doubles (:func:`_split`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -44,19 +46,12 @@ from .basis import CoefficientTable, _singular_vandermonde, term_values
 __all__ = ["HighPrecisionFlow"]
 
 
-def _mpc_from_extended(x) -> mp.mpc:
-    """Convert a ``clongdouble`` scalar to ``mpc`` without dropping the bits
-    beyond double precision (high/low split)."""
-    hi = complex(np.complex128(x))
-    lo = complex(np.complex128(x - np.clongdouble(hi)))
-    return mp.mpc(hi) + mp.mpc(lo)
-
-
-def _extended_matrix(m: np.ndarray) -> np.ndarray:
-    """An array of mpmath numbers rounded to ``clongdouble`` (high/low split)."""
-    hi = m.astype(np.complex128)
-    lo = (m - hi).astype(np.complex128)
-    return hi.astype(np.clongdouble) + lo
+def _split(x: np.ndarray) -> tuple:
+    """``x`` (``clongdouble``, or ``mpc`` in an object array) as complex128
+    ``hi + lo``: its double rounding and that of the rest (Dekker's
+    double-length pair, *Numer. Math.* 18, 1971), which carries either to the other."""
+    hi = x.astype(np.complex128)
+    return hi, (x - hi).astype(np.complex128)
 
 
 def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
@@ -71,29 +66,27 @@ def _krylov_relation(a: np.ndarray, start: AnnihilatorPolynomial) -> list:
     the Krylov basis outgrows double precision (n = 20 to 24), and refining
     it does not converge.  Any other relation, or one whose system mpmath
     reports singular, may lie above the minimal degree, where the system has
-    many solutions; ``start.work`` is then refined on the same system, as
-    object arrays of ``mpc``, by 6 rounds of ``annihilator._refined``.  The
-    entries of ``a`` are taken as exact.
+    many solutions; ``start.work`` is then refined on the same system by 6
+    rounds of ``annihilator._refined``.  The system is one object array of
+    ``mpc``, which mpmath's solvers read as an ``mp.matrix``.  The entries of
+    ``a`` are taken as exact.
     """
     n, p = a.shape[0], start.degree
     rng = np.random.default_rng(0)
     v = mp.matrix((rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist())
     am = mp.matrix(a.tolist())
-    krylov = [v]
-    for _ in range(p):
-        krylov.append(am * krylov[-1])
-    k = mp.matrix(n, p)
-    for j in range(p):
-        for i in range(n):
-            k[i, j] = krylov[j][i]
+    krylov = list(itertools.accumulate([am] * p, lambda x, m: m * x, initial=v))
+    k = np.array([[krylov[j][i] for j in range(p)] for i in range(n)], dtype=object)
     if start.residual is not None:
         try:
-            c = mp.lu_solve(k, krylov[p]) if p == n else mp.qr_solve(k, krylov[p])[0]
+            km = mp.matrix(k.tolist())
+            c = mp.lu_solve(km, krylov[p]) if p == n else mp.qr_solve(km, krylov[p])[0]
             return [-c[i] for i in range(p)] + [mp.mpc(1)]
         except (ZeroDivisionError, ValueError):  # mpmath's reports of a singular system
             pass
-    c = np.array([-_mpc_from_extended(x) for x in start.work[:-1]], dtype=object)
-    c = _refined(np.array(k.tolist(), dtype=object), np.array(krylov[p], dtype=object), c, 6)
+    hi, lo = _split(start.work[:-1])
+    c = np.array([-(mp.mpc(h) + l) for h, l in zip(hi.tolist(), lo.tolist())], dtype=object)
+    c = _refined(k, np.array(krylov[p], dtype=object), c, 6)
     return [-x for x in c] + [mp.mpc(1)]
 
 
@@ -114,7 +107,7 @@ class HighPrecisionFlow:
     functions at working precision.
     """
 
-    def __init__(self, a: np.ndarray, relation, spectrum, dps: int = 50):
+    def __init__(self, a: np.ndarray, relation, spectrum, dps: int):
         self.dps = dps
         self._a = np.asarray(a, dtype=np.complex128)
         self._start = relation
@@ -127,7 +120,7 @@ class HighPrecisionFlow:
         with mp.workdps(self.dps):
             asc = np.array(_krylov_relation(self._a, self._start), dtype=object)
             # the spectrum of the relation at working precision, rounded
-            q = AnnihilatorPolynomial.from_work(_extended_matrix(asc))
+            q = AnnihilatorPolynomial.from_work(np.sum(_split(asc), axis=0, dtype=np.clongdouble))
             found = cluster_roots(find_roots(q), polynomial=q).clusters
             groups = [[c.value] * c.multiplicity for c in found]
             centres = _polish(asc, groups, math.inf, 10.0 ** (5 - self.dps))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -243,3 +244,12 @@ def rel_err_to_ref(x: np.ndarray, ref: np.ndarray) -> float:
     """Max-norm error relative to ``|ref|`` itself: unlike :func:`rel_err`, it
     reads relative error where ``|ref| << 1`` too."""
     return float(np.max(np.abs(x - ref))) / float(np.max(np.abs(ref)))
+
+
+def mpc_from_extended(x) -> mp.mpc:
+    """A ``clongdouble`` scalar as ``mpc`` at the current precision, its bits
+    beyond double precision kept: the sum of its double rounding and the
+    double rounding of the rest, converted one by one."""
+    hi = complex(np.complex128(x))
+    lo = complex(np.complex128(x - np.clongdouble(hi)))
+    return mp.mpc(hi) + mp.mpc(lo)

@@ -18,9 +18,9 @@ class NotJordanForm(ValueError):
 
 
 def negative_powers(a, p: int) -> list:
-    """``[A^{-1}, ..., A^{-p}]``: the paper's form's extended-precision chain,
-    rounded to double precision."""
-    return [m.astype(np.complex128) for m in _negative_powers_extended(a, p)]
+    """``[A^{-1}, ..., A^{-p}]``: the paper's form's extended-precision chain
+    of the checked matrix, rounded to double precision."""
+    return [m.astype(np.complex128) for m in _negative_powers_extended(as_matrix(a), p)]
 
 
 def times_linear(q: AnnihilatorPolynomial, root: complex) -> AnnihilatorPolynomial:

@@ -24,13 +24,13 @@ from cflow import (
     validate_relation,
 )
 from cflow import annihilator, highprec, numeric
-from cflow.highprec import _mpc_from_extended
 
 from conftest import (
     defective_case,
     distinct_case,
     first_suite8_case,
     grouped_spectrum,
+    mpc_from_extended,
     overflowing_builds,
     random_suite_case,
 )
@@ -312,7 +312,7 @@ def test_simple_roots_are_polished(suite):
         spectrum, _ = spectral_table(q)
         with mp.workdps(50):
             exact = mp.polyroots(
-                [_mpc_from_extended(c) for c in q.work[::-1]],
+                [mpc_from_extended(c) for c in q.work[::-1]],
                 maxsteps=200,
                 extraprec=200,
             )

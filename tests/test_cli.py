@@ -482,6 +482,14 @@ class TestInputChecks:
         assert captured.out == "" and "Traceback" not in captured.err and option in captured.err
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
+    def test_pow_has_no_json_option(self, fixtures, capsys):
+        # pow prints a matrix document either way: --json was accepted and
+        # changed nothing
+        assert main(["pow", fixtures["diag23"], "--z", "0.5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err and "--json" in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
     @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
     @pytest.mark.parametrize(
         "option, value", [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan")]

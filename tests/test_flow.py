@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from cflow import basis, flow
+from cflow.cli import main
+from cflow.matfile import write_matrix
 from cflow import (
     AmbiguousRank,
     AnnihilatorPolynomial,
@@ -20,6 +22,7 @@ from cflow import (
     NonConvergence,
     NonFiniteEntry,
     RelationInvalid,
+    UnknownCluster,
     ZeroEigenvalue,
     basis_values,
     build_flow,
@@ -191,6 +194,19 @@ class TestBuildFlow:
         shifted = evaluate_flow(build_flow(a, branch_offsets={0: 1}), 0.5)[0, 0]
         assert plain == pytest.approx(2.0)
         assert shifted == pytest.approx(-2.0)  # exp(i*pi) from the extra winding
+
+    @pytest.mark.parametrize(
+        "k", [0.5, "1", float("nan"), np.float64(1.0)], ids=["half", "text", "nan", "float64"]
+    )
+    def test_non_integer_winding_rejected(self, k):
+        # int(k) took 0.5 as 0, the principal branch, and "1" as 1; a NaN
+        # raised an untyped ValueError
+        with pytest.raises(UnknownCluster, match="winding .* of cluster 0 is not an integer"):
+            build_flow(np.diag([2.0, 3.0]), branch_offsets={0: k})
+
+    def test_numpy_integer_winding_accepted(self):
+        rep = build_flow(np.array([[4.0]]), branch_offsets={0: np.int64(1)})
+        assert evaluate_flow(rep, 0.5)[0, 0] == pytest.approx(-2.0)
 
     @pytest.mark.parametrize("z", [float("nan"), complex(0.5, float("inf")), 2000.0])
     def test_non_finite_exponent_or_result_raises(self, z):
@@ -966,6 +982,30 @@ def test_bad_input_raises_before_lapack(a, error, monkeypatch):
     for build in (build_flow, flow.schur_covariants):
         with pytest.raises(error):
             build(a)
+
+
+def test_schur_form_not_converging_raises(tmp_path, capsys, monkeypatch):
+    # LAPACK reports a Schur iteration that did not converge as zgees info > 0
+    lapack = flow._lapack()
+
+    class FailingSchur:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        def zgees(self, *args, **kwargs):
+            return (*lapack.zgees(*args, **kwargs)[:-1], 1)
+
+    monkeypatch.setattr(flow, "_lapack", FailingSchur)
+    with pytest.raises(NonConvergence, match="zgees info 1"):
+        build_flow(np.diag([2.0, 3.0]))
+    path = tmp_path / "diag23.json"
+    with open(path, "w") as fh:
+        write_matrix(np.diag([2.0, 3.0]), fh)
+    assert main(["pow", str(path), "--z", "0.5"]) == 4
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1 and "zgees" in errors[0]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

@@ -29,6 +29,7 @@ from conftest import (
     defective_case,
     distinct_case,
     jordan_block_case,
+    mpc_from_extended,
     random_suite_case,
     rel_err,
     several_multiple_case,
@@ -409,6 +410,25 @@ def _refined_by_matrix_loop(k, v, c):
     return c
 
 
+def test_split_carries_extended_values_both_ways():
+    # hi + lo holds every bit of a clongdouble: into mpc, as the former
+    # scalar converter did, and back to the same clongdouble
+    x = np.array([1, 2j, -3 + 1j], dtype=np.clongdouble) / 7
+    with mp.workdps(40):
+        hi, lo = highprec._split(x)
+        m = np.array([mp.mpc(h) + l for h, l in zip(hi.tolist(), lo.tolist())], dtype=object)
+        assert all(y == mpc_from_extended(v) for y, v in zip(m, x))
+        back = np.sum(highprec._split(m), axis=0, dtype=np.clongdouble)
+    assert np.array_equal(back, x)
+
+
+def _extended_from_mpc(m: np.ndarray) -> np.ndarray:
+    """An object array of ``mpc`` rounded to ``clongdouble``: the sum of its
+    double rounding and the double rounding of the rest."""
+    hi = m.astype(np.complex128)
+    return hi.astype(np.clongdouble) + (m - hi).astype(np.complex128)
+
+
 def test_tier_refinement_is_the_former_loop():
     # the n = 12 defective matrix of bench/inputs.ladder_cases(0), its Krylov
     # system as _krylov_relation forms it, refined from its relation's work:
@@ -427,12 +447,12 @@ def test_tier_refinement_is_the_former_loop():
         for _ in range(p):
             krylov.append(am * krylov[-1])
         k = mp.matrix([[krylov[j][i] for j in range(p)] for i in range(12)])
-        c = mp.matrix([-highprec._mpc_from_extended(x) for x in start.work[:-1]])
+        c = mp.matrix([-mpc_from_extended(x) for x in start.work[:-1]])
         former = [-x for x in _refined_by_matrix_loop(k, krylov[p], c)] + [mp.mpc(1)]
         refined = highprec._krylov_relation(a, start)
         spread = max(abs(x - y) / abs(y) for x, y in zip(refined, former))
     assert spread <= 10.0 ** (5 - dps)
-    rounded = [highprec._extended_matrix(np.array(x, dtype=object)) for x in (refined, former)]
+    rounded = [_extended_from_mpc(np.array(x, dtype=object)) for x in (refined, former)]
     assert np.array_equal(*rounded)
 
 
