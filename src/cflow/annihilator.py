@@ -145,8 +145,8 @@ class Cluster:
 class Spectrum:
     """Clustered roots of an annihilating polynomial, deterministically ordered
     (descending magnitude, ascending argument).  ``terms``, a ``(cluster index,
-    shift)`` per basis function ``g_shift(z) lambda^(z - shift)`` with shifts
-    ascending in each cluster, is the term order of the coefficient table."""
+    shift)`` per basis function with shifts ascending in each cluster, is the
+    term order of the covariants and of the coefficient table."""
 
     clusters: tuple
 
@@ -159,23 +159,33 @@ class Spectrum:
         return tuple((ci, j) for ci, c in enumerate(self.clusters) for j in range(c.multiplicity))
 
     @cached_property
-    def term_table(self) -> tuple:
-        """``(shift, branch log, shift!)`` of every term, in term order."""
-        return tuple((j, self.clusters[ci].log, math.factorial(j)) for ci, j in self.terms)
+    def logs(self) -> np.ndarray:
+        """Every term's branch log: complex128, or an object array of ``mpc``."""
+        return np.array([c.log for c in self.clusters for _ in range(c.multiplicity)])
+
+    @cached_property
+    def shifted(self) -> tuple:
+        """``(position, shift)`` of every term of positive shift, in term order."""
+        return tuple((k, j) for k, (_, j) in enumerate(self.terms) if j)
 
     def with_branch_offsets(self, offsets) -> "Spectrum":
         """Shift chosen branch logs by integer multiples of ``2 pi i``.
 
         ``offsets`` maps a cluster index (0-based, in this spectrum's order)
         to an integer winding number, or is a spectrum whose nearest cluster's
-        branch choice each cluster takes over (:meth:`winding_near`).  A
-        winding number that is not an integer (:func:`operator.index`) raises
-        :class:`UnknownCluster`, and one beyond double range :class:`NonFiniteEntry`.
+        branch choice each cluster takes over (:meth:`winding_near`).  An index
+        or a winding number that is not an integer (:func:`operator.index`) or
+        an index out of range raises :class:`UnknownCluster`, and a winding
+        number beyond double range :class:`NonFiniteEntry`.
         """
         if isinstance(offsets, Spectrum):
             offsets = {i: offsets.winding_near(c.value) for i, c in enumerate(self.clusters)}
         new = list(self.clusters)
-        for idx, k in offsets.items():
+        for key, k in offsets.items():
+            try:
+                idx = operator.index(key)
+            except TypeError as exc:
+                raise UnknownCluster(f"cluster index {key!r} is not an integer") from exc
             if not 0 <= idx < len(new):
                 raise UnknownCluster(
                     f"no cluster with index {idx}; the spectrum has {len(new)}"

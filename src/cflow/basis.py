@@ -1,14 +1,13 @@
 """Analytic ingredients of a flow: scalar powers, binomial polynomials,
 the values of the basis functions, and the generalized Vandermonde system.
 
-Each basis function has the shape ``g_j(z) * lambda^(z-j)`` for an eigenvalue
-``lambda`` of the relation and a shift ``j`` below its multiplicity, where
-``g_j`` is the polynomial continuation of the binomial coefficient; their
-order is the spectrum's (:attr:`cflow.annihilator.Spectrum.terms`).  The power
-is always computed as ``exp((z - j) * log(lambda))`` in a single step with the
-fixed branch log, so all shifts of one eigenvalue share a coherent branch.
-Outside the mpmath tier a phase ``Im((z - j) log)`` of ``2^45`` or more keeps
-no digit, and is refused (:func:`_checked_exponent`).
+A term of a spectrum (:attr:`cflow.annihilator.Spectrum.terms`), an eigenvalue
+``lambda`` and a shift ``j`` below its multiplicity, has the value ``ff_j(z)
+lambda^z`` (:func:`term_values`): ``ff_j`` is the falling factorial, and all
+shifts of one eigenvalue share ``exp(z log)`` on its fixed branch.  The paper's
+basis function ``g_j(z) lambda^(z - j)`` is that value times ``lambda^(-j) /
+j!`` (:func:`paper_values`).  Outside the mpmath tier a phase ``Im(z log)`` of
+``2^45`` or more keeps no digit, and is refused (:func:`_checked_exponent`).
 """
 
 from __future__ import annotations
@@ -100,67 +99,80 @@ class CoefficientTable:
             )
 
 
-# A phase Im((z - j) log) at or beyond this keeps no digit: its rounding
-# error, about eps |z log lambda|, reaches 2^45 eps (about 1e-2 rad).
+# A phase Im(z log) at or beyond this keeps no digit: its rounding error,
+# about eps |z log lambda|, reaches 2^45 eps (about 1e-2 rad).
 _PHASE_LIMIT = 2.0**45
 
 
 def _checked_exponent(spectrum: Spectrum, z) -> complex:
-    """``z`` as a Python complex once it is finite and every phase ``Im((z -
-    j) log)`` of the spectrum's terms lies below ``2^45`` in magnitude.
+    """``z`` as a Python complex once it is finite and every phase ``Im(z
+    log lambda)`` of the spectrum lies below ``2^45`` in magnitude.
 
     Raises :class:`NonFiniteEntry` otherwise, for an infinite phase too.
     """
     w = complex(z)
     if not cmath.isfinite(w):
         raise NonFiniteEntry(f"exponent {z} is not finite")
-    if not all(abs(((w - j) * log).imag) < _PHASE_LIMIT for j, log, _ in spectrum.term_table):
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN phase is refused
+        phases = np.abs((w * spectrum.logs).imag)
+    if not (phases < _PHASE_LIMIT).all():
         raise NonFiniteEntry(
             f"A^z keeps no digit: the phase of a basis value reaches 2^45 rad at z={z}"
         )
     return w
 
 
-def term_values(table, z, exp=cmath.exp) -> list:
-    """The basis values ``g_j(z) exp((z - j) log)`` of a term table
-    (:attr:`Spectrum.term_table`) at a finite ``z``, unchecked:
-    ``generalized_binomial(j, z)`` times the power, inlined in the same order
-    of operations.  ``z`` and ``exp`` choose one of three arithmetics: double
-    precision (Python complex, ``cmath.exp``), extended (``np.clongdouble``,
-    ``np.exp``) or working precision (``mpc``, ``mpmath.exp``, which
-    ``cmath.exp`` would round to double precision).
-
-    Under ``cmath.exp`` raises ``OverflowError`` when a power overflows, and
-    ``ValueError`` when its phase ``(z - j) log`` has an infinite imaginary
-    part, which :func:`_checked_exponent` rules out.
+def term_values(spectrum: Spectrum, z, exp=np.exp) -> np.ndarray:
+    """The values ``ff_j(z) lambda^z`` of a spectrum's terms at a finite
+    ``z``, unchecked: one vectorized ``exp(z * logs)``, and on the terms of
+    positive shift only, times the falling factorial ``ff_j(z) = ff_(j-1)(z)
+    (z - j + 1)``.  ``z`` and the logs choose the arithmetic: double precision
+    (Python complex), extended (``np.clongdouble``) or working precision
+    (``mpc`` over the mpmath tier's object array of logs, ``exp`` then an
+    elementwise ``mpmath.exp``).
     """
-    values = []
-    for j, log, factorial in table:
-        if j == 0:
-            values.append(exp(z * log))
-        else:
-            acc = 1.0 + 0.0j
-            for i in range(j):
-                acc *= z - i
-            values.append(acc / factorial * exp((z - j) * log))
+    values = exp(z * spectrum.logs)
+    for k, j in spectrum.shifted:  # shifts ascend within a cluster
+        ff = z if j == 1 else ff * (z - (j - 1))
+        values[k] *= ff
     return values
 
 
-def _extended_values(spectrum: Spectrum, z) -> list:
+def paper_values(spectrum: Spectrum, zs, exp=np.exp) -> np.ndarray:
+    """The paper's basis values ``g_j(z) lambda^(z - j)``, one row per ``z``
+    of ``zs``, in the arithmetic of :func:`term_values`: its values times the
+    per-term constants ``lambda^(-j) / j!``, taken in the same arithmetic."""
+    values = np.array([term_values(spectrum, z, exp) for z in zs])
+    shifts = [j for _, j in spectrum.terms]
+    inverse_powers = exp(np.multiply(shifts, -spectrum.logs, dtype=values.dtype))
+    return values * (inverse_powers / [float(math.factorial(j)) for j in shifts])
+
+
+def _extended_values(spectrum: Spectrum, z) -> np.ndarray:
     _checked_exponent(spectrum, z)
-    return term_values(spectrum.term_table, np.clongdouble(z), np.exp)
+    return paper_values(spectrum, [np.clongdouble(z)])[0]
 
 
-def basis_values(spectrum: Spectrum, z: complex) -> list:
-    """Values of every basis function at ``z``, as Python complex numbers.
+def _exp_or_raise(w: np.ndarray) -> np.ndarray:
+    with np.errstate(over="raise"):
+        return np.exp(w)
 
-    Raises :class:`NonFiniteEntry` when ``z`` is not finite, a value
-    overflows or its phase reaches ``2^45`` (:func:`_checked_exponent`).
+
+def basis_values(spectrum: Spectrum, z: complex) -> np.ndarray:
+    """The values ``ff_j(z) lambda^z`` of every term at ``z``
+    (:func:`term_values`) in double precision, which the scale-free covariants
+    of :func:`cflow.flow.schur_covariants` contract to ``A^z``.
+
+    Raises :class:`NonFiniteEntry` when ``z`` is not finite, a power
+    ``lambda^z`` overflows or its phase reaches ``2^45``
+    (:func:`_checked_exponent`).  A falling factorial that overflows leaves a
+    value that is not finite, which is returned.
     """
     z = _checked_exponent(spectrum, z)
     try:
-        return term_values(spectrum.term_table, z)
-    except OverflowError as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return term_values(spectrum, z, _exp_or_raise)
+    except FloatingPointError as exc:
         raise NonFiniteEntry(
             f"A^z overflows: a basis value exceeds double precision at z={z}"
         ) from exc
@@ -172,7 +184,9 @@ def vandermonde_matrix(spectrum: Spectrum) -> np.ndarray:
 
     Raises :class:`NonFiniteEntry` when an entry exceeds double precision.
     """
-    values = np.array([_extended_values(spectrum, -i) for i in range(1, spectrum.degree + 1)])
+    p = spectrum.degree
+    _checked_exponent(spectrum, -p)  # the largest phase of the table's
+    values = paper_values(spectrum, -np.arange(1, p + 1, dtype=np.clongdouble))
     with np.errstate(over="ignore"):
         b = values.astype(np.complex128)
     if not np.isfinite(b).all():

@@ -209,7 +209,9 @@ class FlowRepresentation:
 
     def evaluation_condition(self, z: complex) -> float:
         """Condition of the sum :func:`evaluate_flow` computes at ``z``:
-        ``sum_k |f_k(z)| |M_k| / |A^z|`` in the max norm.
+        ``sum_k |f_k(z)| |M_k| / |A^z|`` in the max norm, over the terms
+        ``f_k(z) = ff_j(z) lambda^z`` of :func:`basis_values` and the
+        scale-free covariants (:func:`schur_covariants`).
 
         At least 1 up to rounding, by the triangle inequality; the rounding
         errors of the double-precision sum are amplified by this ratio.  Raises
@@ -217,41 +219,44 @@ class FlowRepresentation:
         """
         flat, scales, *_ = self._contraction
         z = _checked_exponent(self.spectrum, z)
-        table = self.spectrum.term_table
         # Every power is divided by e^c, the largest modulus among them: the
         # ratio is unchanged, and no modulus overflows or all underflow.
-        c = max(((z - j) * log).real for j, log, _ in table)
-        f = np.array(term_values(table, z, lambda w: cmath.exp(w - c)), dtype=np.complex128)
-        return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = float(np.max((z * self.spectrum.logs).real))
+            f = term_values(self.spectrum, z, lambda w: np.exp(w - c))
+            return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
 
 
 def _finite_radius(spectrum: Spectrum, top: float) -> float:
     """A radius ``R`` such that every ``|z| <= R`` gives finite basis values
-    and ``sum_k |f_k(z)| max|M| <= 1e300``, which proves ``A^z`` finite with
+    and ``sum_k |f_k(z)| max|M| <= 1e300``, over the terms ``f_k(z) = ff_j(z)
+    lambda^z`` and the scale-free covariants, which proves ``A^z`` finite with
     room for rounding; -1 when a covariant is not finite.
 
-    A term of shift ``j`` is at most ``(|z| + j)^j e^((|z| + j) |log lam|) /
-    j!``.  With ``J`` the largest shift, ``L = max |log lam|`` and ``s = |z| +
-    J``, every term is at most ``s^J e^(sL)``, and the bound holds while ``J
-    log s + sL <= B = log(1e300 / (p max|M|))``.  ``s0 = B / L`` drops the
-    logarithm, so it is at least the largest such ``s``, and ``s1 = (B - J
-    log s0) / L`` satisfies the bound when ``s0 > 1``: a closed form, not an
-    iteration.  ``R = s1 - J`` is finite, so an infinite ``z`` lies outside.
-    Inside, every phase ``|(z - j) log lam| <= sL <= B < 691`` lies far below
-    the ``2^45`` that :func:`_checked_exponent` refuses.
+    A term of shift ``j`` is at most ``|ff_j(z)| e^(Re z log lam) max|M|``,
+    and ``|ff_j(z)| <= (|z| + J)^J`` once ``|z| + J >= 1``, with ``J`` the
+    largest shift.  With ``L = max |log lam|``, every term is at most ``(|z| +
+    J)^J e^(|z| L) max|M|``, and the bound holds while ``J log(|z| + J) + |z|
+    L <= B = log(1e300 / (p max|M|))``.  ``R0 = B / L`` drops the logarithm,
+    so it is at least the largest such ``|z|``, and ``R = (B - J log(R0 +
+    J)) / L`` satisfies the bound when ``R0 + J > 1``: a closed form, not an
+    iteration.  ``R`` is finite, so an infinite ``z`` lies outside.  Inside,
+    every falling factorial and every power is at most ``e^B <= 1e300``, and
+    every phase ``|z log lam| <= RL <= B < 691`` lies far below the ``2^45``
+    that :func:`_checked_exponent` refuses.
     """
     if not math.isfinite(top):
         return -1.0
-    shift = max(j for j, _, _ in spectrum.term_table)
-    spread = max(abs(log) for _, log, _ in spectrum.term_table)
+    shift = max(c.multiplicity for c in spectrum.clusters) - 1
+    spread = max(abs(c.log) for c in spectrum.clusters)
     budget = math.log(1e300 / max(spectrum.degree * top, 1.0))
     if spread == 0.0:  # every eigenvalue is 1 on the principal branch
-        s = math.exp(budget / shift) if shift else math.inf
+        r = math.exp(budget / shift) - shift if shift else math.inf
     else:
-        s = budget / spread
-        if shift and s > 1.0:
-            s = (budget - shift * math.log(s)) / spread
-    return min(s - shift, sys.float_info.max)
+        r = budget / spread
+        if shift and r + shift > 1.0:
+            r = (budget - shift * math.log(r + shift)) / spread
+    return min(r, sys.float_info.max)
 
 
 def _negative_powers_extended(a: np.ndarray, p: int) -> list:
@@ -278,14 +283,18 @@ def spectral_table(
 
 
 def schur_covariants(a) -> tuple[Spectrum, np.ndarray]:
-    """The spectrum of ``a`` and its covariants ``M_(lam, j) = P_lam (A - lam I)^j``
-    from one complex Schur form, with no relation and no negative powers.
+    """The spectrum of ``a`` and its scale-free covariants ``M_(lam, j) lam^(-j)
+    / j!``, ``M_(lam, j) = P_lam (A - lam I)^j``, from one complex Schur form,
+    with no relation and no negative powers.  With the values ``ff_j(z) lam^z``
+    of :func:`cflow.basis.basis_values` they sum to ``A^z``: ``binom(z, j)
+    lam^(z - j) M_j`` is the same term, and every factor of it stays within
+    ``A^z``'s own range, however large or small ``lam`` is.
 
     The form ``B = Q T Q*`` is that of ``B = D^{-1} A D / s``, ``D`` from
     LAPACK ``zgebal`` (scaling only; Parlett and Reinsch, *Numer. Math.* 13,
     1969) and ``s = 2^floor(log2 max|B|)``: powers of two, so every threshold
-    is relative to ``A``'s scale and the map back is exact, ``lam = s mu``
-    and ``M_j = s^j D N_j D^{-1}``.  :func:`group_roots` groups the diagonal
+    is relative to ``A``'s scale and the map back is exact, ``lam = s mu``.
+    :func:`group_roots` groups the diagonal
     of ``T`` by index; each multiple group is reordered to the top in turn
     (``ztrsen`` keeps the order of the rest), so each group is one block ``b
     = [lo, hi)``.  ``R`` is upper triangular with ``R T R^{-1}`` block
@@ -293,11 +302,13 @@ def schur_covariants(a) -> tuple[Spectrum, np.ndarray]:
     eigenvector of ``T``, all from one ``zgeev`` (``ztrevc3``), and a
     multiple block's rows are ``[0 I X]``, ``T_bb X - X T[hi:, hi:] =
     T[lo:hi, hi:]`` (``ztrsyl``, for multiple blocks only); ``L = R^{-1}``
-    (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, ``B``'s covariants
-    are ``N_j = (Q L)[:, b] (T_bb - mu I)^j (R Q*)[b, :]``, ``j < m`` (Higham,
-    *Functions of Matrices*, 2008, section 1.2): one batched outer product
-    for all simple eigenvalues, one product per multiple one.  Returns ``A``'s
-    spectrum (principal branch) and the ``(n, n, n)`` stack in its term order.
+    (``ztrtri``).  With ``mu`` the mean of ``diag(T_bb)``, the covariants
+    are ``D (Q L)[:, b] ((T_bb - mu I) / mu)^j (R Q*)[b, :] D^{-1} / j!``,
+    ``j < m`` (Higham, *Functions of Matrices*, 2008, section 1.2): one
+    batched outer product for all simple eigenvalues, one product per
+    multiple one, whose powers divide by ``j`` as they are formed.  Returns
+    ``A``'s spectrum (principal branch) and the ``(n, n, n)`` stack in its
+    term order.
 
     An eigenvalue of ``B`` at or below ``1e-10`` (``max|B|`` lies in
     ``[1, 2)``), or a group centred there, raises :class:`ZeroEigenvalue`;
@@ -357,9 +368,10 @@ def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray]:
         if m > 1:  # its m terms in one product over the stacked I, N, ..., N^(m-1)
             powers = np.empty((m, m, m), dtype=np.complex128)
             powers[0] = np.eye(m)
-            nil = (t[lo:hi, lo:hi] - mu * powers[0]) * s
+            nil = (t[lo:hi, lo:hi] - mu * powers[0]) / mu
             for k in range(1, m):
                 np.matmul(powers[k - 1], nil, out=powers[k])
+                powers[k] /= k
             j = order.index(lo)
             np.matmul(left[:, lo:hi] @ powers, right[lo:hi], out=out[j : j + m])
     return Spectrum(tuple(clusters)), out
@@ -413,12 +425,11 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     # nothing is checked; a NaN or infinite z fails the comparison.  (abs()
     # can raise OverflowError on a NaN, from a stale errno.)
     if math.hypot(z.real, z.imag) <= radius:
-        values = term_values(rep.spectrum.term_table, z)
-        return np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
+        return term_values(rep.spectrum, z).dot(flat).reshape(n, n)
     # Beyond it, the entries are checked.
     values = basis_values(rep.spectrum, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
+        out = values.dot(flat).reshape(n, n)
     return _finite(out, "A^z", z)
 
 

@@ -15,8 +15,9 @@ The relation comes from one Krylov sequence ``v, A v, ..., A^p v`` of a fixed
 random vector, in mpmath: solved for when it comes from
 ``minimal_polynomial``, and refined from its start otherwise.  The refinement
 (``annihilator._refined``) and the root polish (``annihilator._polish``) are
-the extended-precision form's, run at working precision; the logarithms and
-basis values are taken in mpmath too, and the table is inverted by mpmath's
+the extended-precision form's, run at working precision; the logarithms are
+taken in mpmath too, the basis values by ``basis.paper_values`` over object
+arrays of ``mpc``, and the table is inverted by mpmath's
 LU at the working precision; values cross precisions as high/low pairs of
 doubles (:func:`_split`).
 """
@@ -41,9 +42,11 @@ from .annihilator import (
     find_roots,
     validate_relation,
 )
-from .basis import CoefficientTable, _singular_vandermonde, term_values
+from .basis import CoefficientTable, _singular_vandermonde, paper_values
 
 __all__ = ["HighPrecisionFlow"]
+
+_exp = np.frompyfunc(mp.exp, 1, 1)  # elementwise, at the working precision of each call
 
 
 def _split(x: np.ndarray) -> tuple:
@@ -128,10 +131,7 @@ class HighPrecisionFlow:
             logs = [mp.log(x) + 2j * mp.pi * k for (x, _), k in zip(centres, winding)]
             clusters = [Cluster(complex(x), m, log) for (x, m), log in zip(centres, logs)]
             spectrum = Spectrum(tuple(clusters))
-            b = np.array(
-                [term_values(spectrum.term_table, mp.mpc(-(i + 1)), mp.exp) for i in range(p)],
-                dtype=object,
-            )
+            b = paper_values(spectrum, [mp.mpc(-(i + 1)) for i in range(p)], _exp)
             try:
                 inv = mp.matrix(b.T.tolist()) ** -1
             except ZeroDivisionError as exc:  # mpmath's report of a numerically singular matrix
@@ -152,8 +152,7 @@ class HighPrecisionFlow:
         """The coefficient vector as a list of ``mpc`` values."""
         form = self._form
         with mp.workdps(self.dps):
-            values = term_values(form.spectrum.term_table, mp.mpc(complex(z)), mp.exp)
-            return list(form.coeffs.work @ np.array(values, dtype=object))
+            return list(form.coeffs.work @ paper_values(form.spectrum, [mp.mpc(complex(z))], _exp)[0])
 
     def mu(self, z: complex) -> np.ndarray:
         return np.array([complex(v) for v in self.mu_mp(z)], dtype=np.complex128)

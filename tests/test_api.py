@@ -55,6 +55,8 @@ def test_removed_names_stay_removed():
     holders = (rep, rep.paper, highprec.HighPrecisionFlow)
     assert [obj for obj in holders if hasattr(obj, "basis")] == []
     assert not hasattr(rep.paper.coeffs, "e_extended")
+    # one basis kernel reads the spectrum's log array; the term table is gone
+    assert not hasattr(cflow.Spectrum, "term_table")
     # a relation keeps one coefficient array, work, with coeffs its rounding
     relation = (
         "coeffs_extended",

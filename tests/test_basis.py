@@ -23,7 +23,7 @@ from cflow import (
     scalar_flow,
     vandermonde_matrix,
 )
-from cflow.basis import term_values
+from cflow.basis import paper_values
 
 from conftest import grouped_spectrum
 
@@ -101,38 +101,43 @@ class TestBasisLayout:
 
 
 def _extended_values_by_loop(spectrum, z):
-    """Extended-precision basis values by a per-term loop."""
+    """The paper's basis values in extended precision by a per-term loop over
+    the formula of ``paper_values``: ``exp(z log)``, times ``ff_j(z)`` on the
+    terms of positive shift, times the constant ``exp(-j log) / j!``."""
     z = np.clongdouble(complex(z))
     out = np.empty(spectrum.degree, dtype=np.clongdouble)
     for k, (ci, j) in enumerate(spectrum.terms):
         log = np.clongdouble(spectrum.clusters[ci].log)
-        acc = np.clongdouble(1.0)
-        for i in range(j):
-            acc *= z - i
-        out[k] = acc / math.factorial(j) * np.exp((z - j) * log)
+        out[k] = np.exp(z * log)
+        if j:
+            ff = z if j == 1 else ff * (z - (j - 1))
+            out[k] *= ff
+        out[k] *= np.exp(np.clongdouble(j) * -log) / float(math.factorial(j))
     return out
 
 
 def _extended_values_by_array(spectrum, zs):
-    """Extended-precision basis values, one row per exponent, by the array
-    loop the paper's form used before it called ``term_values``."""
+    """The same values, one row per exponent, by array operations: the
+    falling factorials of all terms together, one factor per round."""
     zs = np.asarray(zs, dtype=np.complex128).astype(np.clongdouble)[..., None]
-    shifts, logs, factorials = (np.array(c) for c in zip(*spectrum.term_table))
-    values = np.exp((zs - shifts) * logs.astype(np.clongdouble))
-    binomial = np.ones_like(values)
-    for i in range(int(shifts.max())):
-        binomial *= np.where(i < shifts, zs - i, 1)
-    return values * (binomial / factorials.astype(np.clongdouble))
+    shifts = np.array([j for _, j in spectrum.terms])
+    logs = np.array([spectrum.clusters[ci].log for ci, _ in spectrum.terms]).astype(np.clongdouble)
+    ff = np.broadcast_to(zs, (len(zs), len(shifts))).copy()
+    for i in range(1, int(shifts.max())):
+        ff = np.where(i < shifts, ff * (zs - i), ff)
+    values = np.exp(zs * logs)
+    values[:, shifts > 0] *= ff[:, shifts > 0]
+    return values * (np.exp(shifts * -logs) / [float(math.factorial(j)) for j in shifts])
 
 
 def test_extended_values_over_an_array_of_z(suite_reps):
-    # term_values in clongdouble runs the same arithmetic per value as both
+    # paper_values in clongdouble runs the same arithmetic per value as both
     # loops, so it is equal to the bit
     zs = np.array([0.5 + 0.3j, -1.7, 2.0, -4.0, 3.1 - 2.2j])
     for rep in suite_reps:
         rows = _extended_values_by_array(rep.spectrum, zs)
         for z, row in zip(zs, rows):
-            values = np.array(term_values(rep.spectrum.term_table, np.clongdouble(z), np.exp))
+            values = paper_values(rep.spectrum, [np.clongdouble(z)])[0]
             assert values.dtype == np.clongdouble
             assert np.array_equal(values, _extended_values_by_loop(rep.spectrum, z))
             assert np.array_equal(values, row)

@@ -50,6 +50,7 @@ from conftest import (
     jordan_block_case,
     overflowing_builds,
     overflowing_oracle,
+    random_suite_case,
     rel_err,
     rel_err_to_ref,
     several_multiple_case,
@@ -196,13 +197,17 @@ class TestBuildFlow:
         assert shifted == pytest.approx(-2.0)  # exp(i*pi) from the extra winding
 
     @pytest.mark.parametrize(
-        "k", [0.5, "1", float("nan"), np.float64(1.0)], ids=["half", "text", "nan", "float64"]
+        "offsets",
+        [{0: 0.5}, {0: "1"}, {0: float("nan")}, {0: np.float64(1.0)}, {0.5: 1}, {"0": 1}],
+        ids=["half", "text", "nan", "float64", "half-index", "text-index"],
     )
-    def test_non_integer_winding_rejected(self, k):
-        # int(k) took 0.5 as 0, the principal branch, and "1" as 1; a NaN
-        # raised an untyped ValueError
-        with pytest.raises(UnknownCluster, match="winding .* of cluster 0 is not an integer"):
-            build_flow(np.diag([2.0, 3.0]), branch_offsets={0: k})
+    def test_non_integer_winding_rejected(self, offsets):
+        # int(k) took the winding 0.5 as 0, the principal branch, and "1" as
+        # 1; a NaN raised an untyped ValueError.  The index 0.5 raised an
+        # untyped TypeError from the list, "0" one from the comparison
+        match = "(winding .* of cluster 0|cluster index .*) is not an integer"
+        with pytest.raises(UnknownCluster, match=match):
+            build_flow(np.diag([2.0, 3.0]), branch_offsets=offsets)
 
     def test_numpy_integer_winding_accepted(self):
         rep = build_flow(np.array([[4.0]]), branch_offsets={0: np.int64(1)})
@@ -521,29 +526,42 @@ class TestCheckFlowAxioms:
 
 
 def _evaluated_by_loop(rep, z):
-    """``A^z``, the basis values and the evaluation condition by the per-term
-    loop, stacked contraction and ``isfinite`` pass that the cached
-    contraction replaced.  The condition divides every power by ``e^c``, the
-    largest modulus among them."""
+    """``A^z``, the basis values and the evaluation condition by a per-term
+    loop over the formula of ``basis.term_values``, ``ff_j(z) exp(z log)``,
+    a stacked contraction and an ``isfinite`` pass.  The condition divides
+    every power by ``e^c``, the largest modulus among them.  The exponents
+    are one array product: numpy's may round otherwise than Python's."""
     z = complex(z)
-    clusters = rep.spectrum.clusters
-    c = max(((z - j) * clusters[ci].log).real for ci, j in rep.spectrum.terms)
+    w = z * np.array([rep.spectrum.clusters[ci].log for ci, _ in rep.spectrum.terms])
+    c = float(np.max(w.real))
     f = np.empty(rep.spectrum.degree, dtype=np.complex128)
     g = np.empty(rep.spectrum.degree, dtype=np.complex128)
-    for k, (ci, j) in enumerate(rep.spectrum.terms):
-        power = cmath.exp((z - j) * clusters[ci].log)
-        scaled = cmath.exp((z - j) * clusters[ci].log - c)
-        acc = 1.0 + 0.0j
-        for i in range(j):
-            acc *= z - i
-        f[k] = power if j == 0 else acc / math.factorial(j) * power
-        g[k] = scaled if j == 0 else acc / math.factorial(j) * scaled
+    for k, (_, j) in enumerate(rep.spectrum.terms):
+        f[k], g[k] = np.exp(w[k]), np.exp(w[k] - c)
+        if j:
+            ff = z if j == 1 else ff * (z - (j - 1))
+            f[k] *= ff
+            g[k] *= ff
     p, n, _ = rep.covariants.shape
     out = (f @ rep.covariants.reshape(p, n * n)).reshape(n, n)
     assert np.isfinite(out).all()
     scales = np.max(np.abs(rep.covariants), axis=(1, 2))
     value = np.tensordot(g, rep.covariants, axes=1)
     return out, f, float(np.abs(g) @ scales) / max(max_norm(value), 1e-300)
+
+
+def _by_former_loop(rep, z):
+    """``A^z`` by the per-term loop that evaluated the flow before its terms
+    were scale-free: ``generalized_binomial(j, z) cmath.exp((z - j) log)``
+    over the covariants ``M_j = j! lambda^j M'_j`` of the stored ``M'_j``."""
+    z = complex(z)
+    clusters = rep.spectrum.clusters
+    out = np.zeros(rep.covariants.shape[1:], dtype=np.complex128)
+    for k, (ci, j) in enumerate(rep.spectrum.terms):
+        power = cmath.exp((z - j) * clusters[ci].log)
+        value = power if j == 0 else generalized_binomial(j, z) * power
+        out += value * (rep.covariants[k] * (math.factorial(j) * clusters[ci].value**j))
+    return out
 
 
 _GRID = [0.0, 1.0, -1.0, 0.5, 2.5, -1.7, 7.0, 0.5 + 0.3j, 3j, -2.0 - 1.5j, 1e-9, -0.0 - 0.0j] + [
@@ -574,6 +592,19 @@ class TestEvaluateFlow:
     @pytest.mark.parametrize("lam, size", [(2.0, 3), (0.8 + 0.6j, 4), (-1.5, 2), (1.0, 5)])
     def test_conjugated_jordan_blocks(self, lam, size):
         self._check(build_flow(jordan_block_case(np.random.default_rng(5), lam, size).matrix))
+
+    def test_within_rounding_of_the_former_loop(self, suite):
+        # the terms ff_j(z) lambda^z M'_j and binom(z, j) lambda^(z - j) M_j
+        # are equal; their rounding moves A^z by a few ulps of max|A^z|
+        rng = np.random.default_rng(1)
+        cases = [case.matrix for case in suite] + [random_suite_case(rng).matrix for _ in range(50)]
+        rng = np.random.default_rng(0)
+        for n in (12, 16, 20, 24):
+            cases += [distinct_case(rng, n).matrix, defective_case(rng, n).matrix]
+        for a in cases:
+            rep = build_flow(a)
+            for z in _GRID:
+                assert rel_err_to_ref(evaluate_flow(rep, z), _by_former_loop(rep, z)) <= 1e-14
 
     def test_bound_above_threshold_keeps_a_finite_result(self):
         # z = 620 lies outside the finiteness radius (about 611), so the
@@ -635,31 +666,33 @@ class TestEvaluateFlow:
 
 
 def _parent_outcome(rep, z):
-    """``evaluate_flow`` as it was before the finiteness radius: the basis
-    values with one ``generalized_binomial`` per shifted term, and the bound
-    ``sum_k |f_k| max|M| <= 1e300`` checked on every call.  Returns the
-    result's bytes, or the error's type and message."""
+    """``evaluate_flow`` without the finiteness radius: the values of
+    ``basis.term_values`` by a per-term loop, an overflowing power refused,
+    and the bound ``sum_k |f_k| max|M| <= 1e300`` checked on every call.
+    Returns the result's bytes, or the error's type and message."""
     try:
         z = complex(z)
         if not cmath.isfinite(z):
             raise NonFiniteEntry(f"exponent {z} is not finite")
-        clusters = rep.spectrum.clusters
-        try:
-            values = [
-                cmath.exp((z - j) * clusters[ci].log)
-                if j == 0
-                else generalized_binomial(j, z) * cmath.exp((z - j) * clusters[ci].log)
-                for ci, j in rep.spectrum.terms
-            ]
-        except OverflowError as exc:
-            raise NonFiniteEntry(
-                f"A^z overflows: a basis value exceeds double precision at z={z}"
-            ) from exc
-        p, n, _ = rep.covariants.shape
-        flat = np.ascontiguousarray(rep.covariants.reshape(p, n * n))
+        w = z * np.array([rep.spectrum.clusters[ci].log for ci, _ in rep.spectrum.terms])
+        values = np.empty(rep.spectrum.degree, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            out = np.array(values, dtype=np.complex128).dot(flat).reshape(n, n)
-        if not sum(map(abs, values)) * float(np.max(np.abs(flat))) <= 1e300:
+            for k, (_, j) in enumerate(rep.spectrum.terms):
+                try:
+                    with np.errstate(over="raise"):
+                        values[k] = np.exp(w[k])
+                except FloatingPointError as exc:
+                    raise NonFiniteEntry(
+                        f"A^z overflows: a basis value exceeds double precision at z={z}"
+                    ) from exc
+                if j:
+                    ff = z if j == 1 else ff * (z - (j - 1))
+                    values[k] *= ff
+            p, n, _ = rep.covariants.shape
+            flat = np.ascontiguousarray(rep.covariants.reshape(p, n * n))
+            out = values.dot(flat).reshape(n, n)
+            bound = np.abs(values).sum() * float(np.max(np.abs(flat)))
+        if not bound <= 1e300:
             if not np.isfinite(out).all():
                 raise NonFiniteEntry(f"A^z is not finite at z={z}")
         return out.tobytes()
@@ -682,7 +715,7 @@ def _radius(rep) -> float:
 def _steepest(rep) -> complex:
     """The unit direction in which the term with the largest ``|log lam|``
     grows fastest."""
-    log = max((log for _, log, _ in rep.spectrum.term_table), key=abs)
+    log = max(rep.spectrum.logs, key=abs)
     return log.conjugate() / abs(log)
 
 
@@ -720,9 +753,9 @@ class TestFiniteRadius:
     def test_short_path_is_taken_only_inside(self, suite_reps, tier_rep, monkeypatch):
         calls, term_values = [], flow.term_values
 
-        def spy(table, z):
+        def spy(spectrum, z):
             calls.append(z)
-            return term_values(table, z)
+            return term_values(spectrum, z)
 
         monkeypatch.setattr(flow, "term_values", spy)
         for rep in [*suite_reps, tier_rep]:
@@ -799,7 +832,7 @@ class TestFiniteRadius:
         # finite covariants near overflow: the sum overflows where the basis
         # values are still about 1e150, at about three times the radius
         huge = dataclasses.replace(rep, covariants=rep.covariants * 1e250)
-        log = max((log for _, log, _ in rep.spectrum.term_table), key=abs)
+        log = max(rep.spectrum.logs, key=abs)
         window = math.log(1e150) / abs(log) * _steepest(rep)
         assert 2.0 * _radius(huge) < abs(window)
         for z in [*self.ZS, *_radius_points(huge), window]:
@@ -882,29 +915,39 @@ class TestScaleInvariance:
                 truth = jordan_oracle(case.blocks, case.transform, z)
                 assert rel_err(evaluate_flow(rep, z), truth) < 1e-12
 
+    @pytest.mark.parametrize("k", [100, 330, 500, 660, -100, -330, -500, -660])
+    def test_powers_of_two_over_the_double_range(self, suite, suite_reps, k):
+        # pow(2^k A, z) = 2^(kz) pow(A, z) wherever max|A^z| is a normal
+        # double; beyond the largest double NonFiniteEntry, and below the
+        # smallest normal one a result that small.  At -1.7, 8 of the 50
+        # were wrong at 2^330, and 8 raised at 2^-330
+        for case, unscaled in zip(suite, suite_reps):
+            rep = build_flow(case.matrix * 2.0**k)
+            for z in _GATE_ZS:
+                base = evaluate_flow(unscaled, z)
+                with mp.workdps(30):
+                    factor = mp.power(2, k * mp.mpc(z))
+                    top = float(mp.log(abs(factor), 2)) + math.log2(np.max(np.abs(base)))
+                if top >= 1024.0:
+                    with pytest.raises(NonFiniteEntry):
+                        evaluate_flow(rep, z)
+                elif top < -1022.0:
+                    assert np.max(np.abs(evaluate_flow(rep, z))) < 2.0**-1000, (k, z)
+                else:
+                    expected = complex(factor) * base
+                    assert rel_err_to_ref(evaluate_flow(rep, z), expected) <= 1e-12, (k, z)
+
     @pytest.mark.parametrize(
         "s", [2.0**330, 2.0**-330, 1e100, 1e-100], ids=["2^330", "2^-330", "1e100", "1e-100"]
     )
     @pytest.mark.parametrize("name", ["J3", "suite-7"])
-    @pytest.mark.parametrize(
-        "z",
-        [
-            pytest.param(
-                -1.7,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="lambda^(z-j) under- or overflows at these scales although its "
-                    "product with the covariant lies in range (ROADMAP item 11)",
-                ),
-            ),
-            0.5 + 0.25j,
-        ],
-    )
+    @pytest.mark.parametrize("z", [-1.7, 0.5 + 0.25j])
     def test_jordan_terms_over_the_double_range(self, suite, name, s, z):
         # at -1.7, J3 times 2^330 was off by 1.0 and suite case 7 (n = 5, a
         # 3-block) by 0.21, with exit 0; times 2^-330 both raised
         # NonFiniteEntry, although |A^z| is about 1.7e169.  Times 1e100 and
-        # 1e-100 they fail the same way.
+        # 1e-100 they failed the same way: lambda^(z - j) under- or
+        # overflowed while its product with the covariant lay in range.
         a = {"J3": np.eye(3) + np.eye(3, k=1), "suite-7": suite[7].matrix}[name]
         expected = s**z * evaluate_flow(build_flow(a), z)
         error = np.max(np.abs(evaluate_flow(build_flow(a * s), z) - expected))
