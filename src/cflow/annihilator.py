@@ -439,9 +439,16 @@ def _ladder(roots, zero: float) -> tuple:
 
 
 def _pairs(values: list, limit: float) -> list:
-    """``(distance, i, j)`` of every pair ``i < j`` of ``values`` at most ``limit`` apart."""
-    pairs = itertools.combinations(range(len(values)), 2)
-    return [(r, i, j) for i, j in pairs if (r := abs(values[i] - values[j])) <= limit]
+    """``(distance, i, j)`` of every pair ``i < j`` of ``values`` at most ``limit`` apart:
+    a sweep by real part, which measures no pair whose real parts lie further apart."""
+    ordered, pairs = sorted((v.real, i, v) for i, v in enumerate(values)), []
+    for k, (x, i, u) in enumerate(ordered):
+        for y, j, w in ordered[k + 1 :]:
+            if y - x > limit:
+                break
+            if (r := abs(u - w)) <= limit:
+                pairs.append((r, i, j) if i < j else (r, j, i))
+    return pairs
 
 
 def _ordered(centred) -> list:
@@ -454,9 +461,9 @@ def _ordered(centred) -> list:
 def group_roots(roots) -> list:
     """The eigenvalues of a Schur diagonal ``roots`` as ``(centre, indices)``:
     each group's ascending indices into ``roots`` and their mean, in spectrum
-    order.  Single linkage on the ladder of radii of :func:`_ladder`, widening
-    while each group of ``m`` lies within ``(1e4 eps)^(1/m) scale`` of its
-    centroid, where its ``m`` Taylor terms truncate at about ``1e4 eps``.
+    order.  Single linkage over :func:`_pairs` on the radii of :func:`_ladder`,
+    widening while each group of ``m > 1`` lies within ``(1e4 eps)^(1/m) scale``
+    of its centroid, where its ``m`` Taylor terms truncate at about ``1e4 eps``.
     A value or a group mean (a nilpotent block's scatter) at or below
     ``1e-10`` in magnitude raises :class:`ZeroEigenvalue`."""
     values, scale, radii = _ladder(roots, _RANK_TOL)
@@ -472,9 +479,9 @@ def group_roots(roots) -> list:
         if max(joined) > reach:
             break  # a group joining that pair spreads beyond (1e4 eps)^(1/n) scale
         wider = _cluster_at_radius(values, pairs, radius)
-        centroids = [sum(values[i] for i in g) / len(g) for g in wider]
-        spreads = [(max(abs(values[i] - c) for i in g), len(g)) for c, g in zip(centroids, wider)]
-        if any(r > (1e4 * _EPS) ** (1 / m) * scale for r, m in spreads):
+        centred = [(sum(values[i] for i in g) / len(g), g) for g in wider if len(g) > 1]
+        if any(max(abs(values[i] - c) for i in g) > (1e4 * _EPS) ** (1 / len(g)) * scale
+               for c, g in centred):
             break
         groups = wider
     centres = [sum(values[i] for i in g) / len(g) for g in groups]

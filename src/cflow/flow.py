@@ -178,14 +178,15 @@ class PaperForm:
 @dataclass(frozen=True)
 class FlowRepresentation:
     """Everything needed to evaluate ``A^z = sum_k f_k(z) M_k`` at any ``z``:
-    ``spectrum`` and ``covariants`` are :func:`schur_covariants`.  ``relation``
-    is that of ``paper``, the matrix's :class:`PaperForm`, and raises its
-    errors; ``high_precision`` is None where that form fails as well as
-    outside the mpmath tier.
+    ``spectrum`` and ``covariants`` are :func:`schur_covariants`, ``scales``
+    their ``max|M_k|`` from the Schur factors, within a few ulps.  ``relation``
+    is that of ``paper``, the matrix's :class:`PaperForm`, and raises its errors;
+    ``high_precision`` is None where that form fails and outside the mpmath tier.
     """
 
     spectrum: Spectrum
     covariants: np.ndarray = field(compare=False, repr=False)
+    scales: np.ndarray = field(compare=False, repr=False)
     paper: PaperForm = field(compare=False, repr=False)
 
     relation = property(lambda self: self.paper.relation)
@@ -200,12 +201,10 @@ class FlowRepresentation:
     @cached_property
     def _contraction(self) -> tuple:
         """What every evaluation reads, built on first use: the covariants as
-        one contiguous ``(p, n*n)`` matrix, their scales ``max|M_k|``, ``n``,
-        and the radius of :func:`_finite_radius`."""
+        one ``(p, n*n)`` matrix (a view of the stack), ``n``, and the radius
+        of :func:`_finite_radius` over the largest of ``scales``."""
         p, n, _ = self.covariants.shape
-        flat = np.ascontiguousarray(self.covariants.reshape(p, n * n))
-        scales = np.max(np.abs(flat), axis=1)
-        return flat, scales, n, _finite_radius(self.spectrum, float(np.max(scales)))
+        return self.covariants.reshape(p, n * n), n, _finite_radius(self.spectrum, float(self.scales.max()))
 
     def evaluation_condition(self, z: complex) -> float:
         """Condition of the sum :func:`evaluate_flow` computes at ``z``:
@@ -215,23 +214,26 @@ class FlowRepresentation:
 
         At least 1 up to rounding, by the triangle inequality; the rounding
         errors of the double-precision sum are amplified by this ratio.  Raises
-        :class:`NonFiniteEntry` where :func:`basis_values` refuses ``z``.
+        :class:`NonFiniteEntry` where :func:`basis_values` refuses ``z``, and
+        where the ratio is not finite (a falling factorial that overflows).
         """
-        flat, scales, *_ = self._contraction
+        flat = self._contraction[0]
         z = _checked_exponent(self.spectrum, z)
         # Every power is divided by e^c, the largest modulus among them: the
         # ratio is unchanged, and no modulus overflows or all underflow.
         with np.errstate(over="ignore", invalid="ignore"):
             c = float(np.max((z * self.spectrum.logs).real))
             f = term_values(self.spectrum, z, lambda w: np.exp(w - c))
-            return float(np.abs(f) @ scales) / max(max_norm(f.dot(flat)), 1e-300)
+            cond = np.abs(f) @ self.scales / max(max_norm(f.dot(flat)), 1e-300)
+            return float(_finite(cond, "the evaluation condition", z))
 
 
 def _finite_radius(spectrum: Spectrum, top: float) -> float:
     """A radius ``R`` such that every ``|z| <= R`` gives finite basis values
     and ``sum_k |f_k(z)| max|M| <= 1e300``, over the terms ``f_k(z) = ff_j(z)
     lambda^z`` and the scale-free covariants, which proves ``A^z`` finite with
-    room for rounding; -1 when a covariant is not finite.
+    room for rounding; -1 when ``top``, the largest term scale (within a few
+    ulps of ``max|M|``, far inside that room), is not finite.
 
     A term of shift ``j`` is at most ``|ff_j(z)| e^(Re z log lam) max|M|``,
     and ``|ff_j(z)| <= (|z| + J)^J`` once ``|z| + J >= 1``, with ``J`` the
@@ -308,18 +310,20 @@ def schur_covariants(a) -> tuple[Spectrum, np.ndarray]:
     batched outer product for all simple eigenvalues, one product per
     multiple one, whose powers divide by ``j`` as they are formed.  Returns
     ``A``'s spectrum (principal branch) and the ``(n, n, n)`` stack in its
-    term order.
+    term order; :func:`build_flow` also keeps the factors' term scales.
 
     An eigenvalue of ``B`` at or below ``1e-10`` (``max|B|`` lies in
     ``[1, 2)``), or a group centred there, raises :class:`ZeroEigenvalue`;
     a failed Schur iteration, reordering, ``zgeev``, Sylvester solve or
     triangular inverse raises :class:`NonConvergence`.
     """
-    return _schur_covariants(as_matrix(a))
+    return _schur_covariants(as_matrix(a))[:2]
 
 
-def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray]:
-    """:func:`schur_covariants` of a matrix already checked by :func:`as_matrix`."""
+def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray, np.ndarray]:
+    """:func:`schur_covariants` of a matrix already checked by :func:`as_matrix`, and
+    the terms' scales (``FlowRepresentation.scales``): a rank-one term ``u v^T``'s
+    ``max|u| max|v|``, not finite where an entry is not, or a cluster term's ``max|M|``."""
     lapack, n = _lapack(), a.shape[0]
     b, _, _, d, _ = lapack.zgebal(a, scale=1)
     s = math.ldexp(1.0, math.frexp(max_norm(b))[1] - 1)
@@ -356,10 +360,13 @@ def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray]:
     if info != 0:
         raise NonConvergence(f"inverting the block diagonalization failed (ztrtri info {info})")
     left, right = (d[:, None] * q) @ l, (r @ q.conj().T) / d
-    # Every position's rank-one term, in term order (each simple eigenvalue's
-    # covariant); a multiple cluster's terms are then replaced.
+    # Every position's rank-one term u v^T and its scale, in term order (each
+    # simple eigenvalue's covariant); a multiple cluster's terms are then replaced.
     order = sorted(range(n), key=owner.__getitem__)
-    out = left.T[order, :, None] @ right[order, None, :]
+    idx = np.array(order)
+    lt, rt = left.T[idx], right[idx]
+    out = lt[:, :, None] @ rt[:, None, :]
+    scales = np.abs(lt).max(axis=1) * np.abs(rt).max(axis=1)
     clusters = [None] * len(groups)
     for lo, hi in blocks:
         ci, m = owner[lo], hi - lo
@@ -374,7 +381,8 @@ def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray]:
                 powers[k] /= k
             j = order.index(lo)
             np.matmul(left[:, lo:hi] @ powers, right[lo:hi], out=out[j : j + m])
-    return Spectrum(tuple(clusters)), out
+            scales[j : j + m] = np.abs(out[j : j + m]).max(axis=(1, 2))
+    return Spectrum(tuple(clusters)), out, scales
 
 
 def _accepted(residual: float, source: str = "") -> float:
@@ -401,10 +409,10 @@ def build_flow(
     form carries the choice over to its nearest clusters.
     """
     a = as_matrix(a)  # the one check; the paper's form reads a private copy
-    spectrum, covariants = _schur_covariants(a)
+    spectrum, covariants, scales = _schur_covariants(a)
     if branch_offsets:
         spectrum = spectrum.with_branch_offsets(branch_offsets)
-    return FlowRepresentation(spectrum, covariants, PaperForm(a.copy(), q, spectrum))
+    return FlowRepresentation(spectrum, covariants, scales, PaperForm(a.copy(), q, spectrum))
 
 
 def _finite(x: np.ndarray, what: str, z: complex) -> np.ndarray:
@@ -419,7 +427,7 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     Raises :class:`NonFiniteEntry` when ``z`` or the result is not finite, or
     a phase keeps no digit (:func:`basis_values`).
     """
-    flat, _, n, radius = rep._contraction
+    flat, n, radius = rep._contraction
     z = complex(z)
     # Inside the radius the basis values and the result are finite, so
     # nothing is checked; a NaN or infinite z fails the comparison.  (abs()

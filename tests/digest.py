@@ -4,10 +4,11 @@ this file sits in.
 Run ``python tests/digest.py [--verbose]`` in two trees and compare the three
 lines: equal digests mean the same outputs, value for value.  The library
 digest covers the builds of suite seeds 0-1 and ladder seed 0 at n <= 16:
-spectra, ``evaluate_flow``, the paper's form (relation, table, ``mu``, sum),
-``CompanionFlow``, and the mpmath tier's form for the discovered relation, for
-it supplied with and without its residual, and for the companion matrix with
-both; every error and warning.  The tier solves for a relation that carries
+spectra, ``evaluate_flow``, ``evaluation_condition`` (which reads the term
+scales), the paper's form (relation, table, ``mu``, sum), ``CompanionFlow``,
+and the mpmath tier's form for the discovered relation, for it supplied with
+and without its residual, and for the companion matrix with both; every
+error and warning.  The tier solves for a relation that carries
 its residual afresh, and refines one without it from its start; the
 working-precision values (``mpc`` logs and ``mu``) of the refined relations
 form the refined digest, as iterative refinement ends on residuals at the
@@ -103,6 +104,7 @@ def library_records(a) -> dict:
     records = {
         "spectrum": lambda: rep().spectrum,
         "evaluate": lambda: [evaluate_flow(rep(), z) for z in ZS],
+        "condition": lambda: [rep().evaluation_condition(z) for z in ZS],
         "relation": lambda: [paper().relation.coeffs, paper().relation.work, paper().relation_residual],
         "paper": lambda: [paper().coeffs.e, [paper().mu(z) for z in ZS], [paper().power(z) for z in ZS]],
         "companion-mu": lambda: [CompanionFlow(paper().relation).mu(z) for z in ZS],

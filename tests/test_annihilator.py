@@ -1,5 +1,6 @@
 """Unit tests for relations, root finding and clustering."""
 
+import itertools
 import math
 
 import mpmath as mp
@@ -23,7 +24,7 @@ from cflow import (
     spectral_table,
     validate_relation,
 )
-from cflow import annihilator, highprec, numeric
+from cflow import annihilator, flow, highprec, numeric
 
 from conftest import (
     defective_case,
@@ -512,6 +513,55 @@ def test_schur_covariants_group_like_the_former_loops(seed):
         assert [c.multiplicity for c in spectrum.clusters] == [m for _, m in former]
         for cluster, (centroid, _) in zip(spectrum.clusters, former):
             assert abs(cluster.value - centroid * s) <= 1e-15 * abs(centroid * s)
+
+
+def _former_pairs(values, limit):
+    """``annihilator._pairs`` before its sweep: every pair measured."""
+    pairs = itertools.combinations(range(len(values)), 2)
+    return [(r, i, j) for i, j in pairs if (r := abs(values[i] - values[j])) <= limit]
+
+
+def _schur_diagonals(monkeypatch) -> list:
+    """The Schur diagonals that ``group_roots`` sees on suite seeds 0-1 and the
+    n = 12-24 distinct and defective ladder at seed 0, as lists of complex."""
+    seen, group = [], flow.group_roots
+    monkeypatch.setattr(flow, "group_roots", lambda d: seen.append(d.tolist()) or group(d))
+    matrices = []
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        matrices += [random_suite_case(rng).matrix for _ in range(50)]
+    rng = np.random.default_rng(0)
+    for n in (12, 16, 20, 24):
+        matrices += [distinct_case(rng, n).matrix, defective_case(rng, n).matrix]
+    for a in matrices:
+        build_flow(a)
+    return seen
+
+
+def test_pairs_sweep_finds_every_near_pair(monkeypatch):
+    # the sweep by real part measures only pairs whose real parts lie within
+    # the limit: the same (distance, i, j) as the scan over all pairs
+    cases = []
+    for values in _schur_diagonals(monkeypatch):
+        _, scale, radii = annihilator._ladder(values, 0.0)
+        reach = 2.0 * (1e4 * annihilator._EPS) ** (1 / len(values)) * scale
+        limits = [min(radii[-1], max(radii[0], 4.0 * reach)), radii[-1], 0.5 * scale, 4.0 * scale]
+        distances = sorted(r for r, _, _ in _former_pairs(values, math.inf))
+        limits.append(distances[len(distances) // 2] if distances else 0.0)  # a limit on a distance
+        cases += [(values, limit) for limit in limits]
+    ties = [
+        ([2.0 + 0j] * 3, [0.0, 1e-3]),
+        ([1.0 + 1.0j, 1.0 - 1.0j], [2.0, 1.9]),  # a conjugate pair, 2 apart
+        ([0.25 + 0.0j, 0.0 + 0.0j, 0.25 + 1.0j], [0.25, 1.0]),  # real parts a limit apart
+        ([0.5 + 0.0j, 0.5 + 0.1j, 0.5 - 0.3j, 0.7 + 0.0j, 0.5 + 0.1j], [0.0, 0.1, 0.2, 0.4]),
+    ]
+    cases += [(values, limit) for values, limits in ties for limit in limits]
+    assert len(cases) > 500
+    for values, limit in cases:
+        pairs = annihilator._pairs(values, limit)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == set(_former_pairs(values, limit)), (values, limit)
+    assert annihilator._pairs([1.0 + 1.0j, 1.0 - 1.0j], 2.0) == [(2.0, 0, 1)]
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -529,7 +529,8 @@ def _evaluated_by_loop(rep, z):
     """``A^z``, the basis values and the evaluation condition by a per-term
     loop over the formula of ``basis.term_values``, ``ff_j(z) exp(z log)``,
     a stacked contraction and an ``isfinite`` pass.  The condition divides
-    every power by ``e^c``, the largest modulus among them.  The exponents
+    every power by ``e^c``, the largest modulus among them, and weighs the
+    terms by the scales the build took from the Schur factors.  The exponents
     are one array product: numpy's may round otherwise than Python's."""
     z = complex(z)
     w = z * np.array([rep.spectrum.clusters[ci].log for ci, _ in rep.spectrum.terms])
@@ -545,9 +546,8 @@ def _evaluated_by_loop(rep, z):
     p, n, _ = rep.covariants.shape
     out = (f @ rep.covariants.reshape(p, n * n)).reshape(n, n)
     assert np.isfinite(out).all()
-    scales = np.max(np.abs(rep.covariants), axis=(1, 2))
     value = np.tensordot(g, rep.covariants, axes=1)
-    return out, f, float(np.abs(g) @ scales) / max(max_norm(value), 1e-300)
+    return out, f, float(np.abs(g) @ rep.scales) / max(max_norm(value), 1e-300)
 
 
 def _by_former_loop(rep, z):
@@ -567,6 +567,19 @@ def _by_former_loop(rep, z):
 _GRID = [0.0, 1.0, -1.0, 0.5, 2.5, -1.7, 7.0, 0.5 + 0.3j, 3j, -2.0 - 1.5j, 1e-9, -0.0 - 0.0j] + [
     complex(*v) for v in np.random.default_rng(3).uniform(-3.0, 3.0, (12, 2))
 ]
+
+
+_JORDAN_BLOCKS = [(2.0, 3), (0.8 + 0.6j, 4), (-1.5, 2), (1.0, 5)]
+
+
+def _seeded_cases(suite) -> list:
+    """Suite seeds 0-1 and the n = 12-24 distinct and defective ladder at seed 0."""
+    rng = np.random.default_rng(1)
+    cases = [case.matrix for case in suite] + [random_suite_case(rng).matrix for _ in range(50)]
+    rng = np.random.default_rng(0)
+    for n in (12, 16, 20, 24):
+        cases += [distinct_case(rng, n).matrix, defective_case(rng, n).matrix]
+    return cases
 
 
 class TestEvaluateFlow:
@@ -589,19 +602,27 @@ class TestEvaluateFlow:
         assert rep.high_precision is not None
         self._check(rep)
 
-    @pytest.mark.parametrize("lam, size", [(2.0, 3), (0.8 + 0.6j, 4), (-1.5, 2), (1.0, 5)])
+    @pytest.mark.parametrize("lam, size", _JORDAN_BLOCKS)
     def test_conjugated_jordan_blocks(self, lam, size):
         self._check(build_flow(jordan_block_case(np.random.default_rng(5), lam, size).matrix))
+
+    def test_scales_are_those_of_the_stack(self, suite):
+        # a rank-one term's max|u| max|v| is its max|u_i v_j| before rounding,
+        # and a multiple cluster's terms are measured on the stack itself
+        cases = _seeded_cases(suite) + [
+            jordan_block_case(np.random.default_rng(5), lam, size).matrix for lam, size in _JORDAN_BLOCKS
+        ]
+        assert any(c.multiplicity > 1 for a in cases for c in build_flow(a).spectrum.clusters)
+        for a in cases:
+            rep = build_flow(a)
+            direct = np.abs(rep.covariants).max(axis=(1, 2))
+            assert rep.scales.shape == direct.shape
+            assert np.all(np.abs(rep.scales - direct) <= 1e-15 * direct)
 
     def test_within_rounding_of_the_former_loop(self, suite):
         # the terms ff_j(z) lambda^z M'_j and binom(z, j) lambda^(z - j) M_j
         # are equal; their rounding moves A^z by a few ulps of max|A^z|
-        rng = np.random.default_rng(1)
-        cases = [case.matrix for case in suite] + [random_suite_case(rng).matrix for _ in range(50)]
-        rng = np.random.default_rng(0)
-        for n in (12, 16, 20, 24):
-            cases += [distinct_case(rng, n).matrix, defective_case(rng, n).matrix]
-        for a in cases:
+        for a in _seeded_cases(suite):
             rep = build_flow(a)
             for z in _GRID:
                 assert rel_err_to_ref(evaluate_flow(rep, z), _by_former_loop(rep, z)) <= 1e-14
@@ -818,11 +839,21 @@ class TestFiniteRadius:
         rep = build_flow(np.diag([2.0, 3.0]))
         assert rep.evaluation_condition(646.2227 + 0.7149j) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("z", [1e160, -1e160, 1e200])
+    def test_condition_where_a_falling_factorial_overflows(self, z):
+        # ff_2(z) is infinite and every scaled power at most 1: the ratio was
+        # inf / inf, a NaN that pow's test against the warning threshold passed
+        rep = build_flow(np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]))
+        with pytest.raises(NonFiniteEntry):
+            evaluate_flow(rep, z)
+        with pytest.raises(NonFiniteEntry, match="condition is not finite"):
+            rep.evaluation_condition(z)
+
     def test_extreme_covariants_keep_their_checks(self, suite_reps, monkeypatch):
         rep = next(rep for rep in suite_reps if any(j for _, j in rep.spectrum.terms))
-        held = rep.covariants.copy()
-        held[0, 0, 0] = np.inf
-        held = dataclasses.replace(rep, covariants=held)
+        held, scales = rep.covariants.copy(), rep.scales.copy()
+        held[0, 0, 0] = scales[0] = np.inf
+        held = dataclasses.replace(rep, covariants=held, scales=scales)
         assert _radius(held) == -1.0
         monkeypatch.setattr(flow, "term_values", None)  # the short path would fail on None
         for z in (0.0, 1.0, 0.5 + 0.25j):
@@ -831,7 +862,7 @@ class TestFiniteRadius:
         monkeypatch.undo()
         # finite covariants near overflow: the sum overflows where the basis
         # values are still about 1e150, at about three times the radius
-        huge = dataclasses.replace(rep, covariants=rep.covariants * 1e250)
+        huge = dataclasses.replace(rep, covariants=rep.covariants * 1e250, scales=rep.scales * 1e250)
         log = max(rep.spectrum.logs, key=abs)
         window = math.log(1e150) / abs(log) * _steepest(rep)
         assert 2.0 * _radius(huge) < abs(window)
