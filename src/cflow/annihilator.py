@@ -45,8 +45,10 @@ _CLUSTER_FLOOR = (1e4 * _EPS) ** (1.0 / 3.0)
 # A relation root or polished centre at or below this magnitude is zero.
 _ZERO_ROOT = 1e-7
 
-# A centre within this of the real axis, relative to 1 + |centre|, is made real.
+# A centre within this of the real axis, relative to 1 + |centre|, is made real:
+# _SNAP if its real part is negative (its side of the cut), else only rounding.
 _SNAP = 1e-9
+_SNAP_ROUNDING = 64 * _EPS
 
 
 def _horner(asc, x):
@@ -221,9 +223,10 @@ def _refined(k: np.ndarray, v: np.ndarray, c: np.ndarray, rounds: int) -> np.nda
 
 
 def _dependence_residuals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Krylov matrix ``[vec(I), vec(A), ..., vec(A^n)]`` and, for each
-    column ``q``, its relative distance from the span of the columns before
-    it: ``|R[q, q]| / ||vec(A^q)||`` from one Householder QR.
+    """The Krylov matrix ``[vec(I), vec(A), ..., vec(A^n)]`` (the powers by
+    ``itertools.accumulate``, each the one before it times ``A``) and, for
+    each column ``q``, its relative distance from the span of the columns
+    before it: ``|R[q, q]| / ||vec(A^q)||`` from one Householder QR.
 
     From the first power whose norm is not finite on, the residual is NaN and
     those columns stay out of the factorization.  A column beyond the
@@ -232,11 +235,9 @@ def _dependence_residuals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     no dependence.
     """
     n = a.shape[0]
-    powers = [np.eye(n, dtype=np.complex128)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            powers.append(powers[-1] @ a)
-        krylov = np.stack(powers).reshape(n + 1, n * n).T
+        powers = itertools.accumulate([a] * n, np.matmul, initial=np.eye(n, dtype=np.complex128))
+        krylov = np.stack(list(powers)).reshape(n + 1, n * n).T
         norms = np.linalg.norm(krylov, axis=0)
         ok = np.isfinite(norms)
         m = n + 1 if ok.all() else int(np.argmin(ok))
@@ -452,9 +453,13 @@ def _pairs(values: list, limit: float) -> list:
 
 
 def _ordered(centred) -> list:
-    """``(centre, x)`` pairs by descending ``|centre|``, then phase, a centre
-    within ``_SNAP (1 + |centre|)`` of the real axis put on it (a deterministic branch)."""
-    out = [(complex(c.real) if abs(c.imag) <= _SNAP * (1.0 + abs(c)) else c, x) for c, x in centred]
+    """``(centre, x)`` pairs by descending ``|centre|``, then phase, a centre put
+    on the real axis within ``_SNAP (1 + |centre|)`` left of zero (a deterministic
+    branch), and elsewhere only within rounding, ``_SNAP_ROUNDING (1 + |centre|)``."""
+    out = [
+        (complex(c.real) if abs(c.imag) <= (_SNAP if c.real < 0 else _SNAP_ROUNDING) * (1 + abs(c)) else c, x)
+        for c, x in centred
+    ]
     return sorted(out, key=lambda cx: (-abs(cx[0]), cmath.phase(cx[0])))
 
 

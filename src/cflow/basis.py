@@ -39,19 +39,14 @@ __all__ = [
 def generalized_binomial(j: int, z: complex) -> complex:
     """Polynomial continuation of ``binomial(z, j)``.
 
-    Running product ``z (z-1) ... (z-j+1)`` divided by ``j!``; equals the
-    integer binomial coefficient whenever ``z`` is an integer, including the
-    vanishing cases ``0 <= z < j``.
+    The product ``z (z-1) ... (z-j+1)`` (``math.prod``, empty at ``j = 0``)
+    divided by ``j!``; equals the integer binomial coefficient whenever ``z``
+    is an integer, including the vanishing cases ``0 <= z < j``.
     """
     if j < 0:
         raise ValueError("shift must be nonnegative")
-    if j == 0:
-        return 1.0 + 0.0j
     z = complex(z)
-    acc = 1.0 + 0.0j
-    for i in range(j):
-        acc *= z - i
-    return acc / math.factorial(j)
+    return math.prod((z - i for i in range(j)), start=1.0 + 0.0j) / math.factorial(j)
 
 
 def branch_log(lam: complex) -> complex:

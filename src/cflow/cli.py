@@ -155,8 +155,7 @@ def _spectrum_rows(spectrum):
 
 def _print_report(report: dict, as_json: bool, out) -> None:
     if as_json:
-        json.dump(report, out)
-        out.write("\n")
+        print(json.dumps(report), file=out)
         return
     p = report["degree"]
     c_desc = report["relation"]
@@ -234,16 +233,15 @@ def cmd_formula(args) -> int:
         paper = _build(args, read_matrix(args.matrix)).paper
     elif args.relation is not None:
         q = parse_relation(args.relation)
-        paper = CompanionFlow(q, _branch_offsets(args)).representation
+        paper = CompanionFlow(q, _branch_offsets(args))
     else:
         raise MatrixParseError("formula needs --relation or a matrix file")
     form = paper.high_precision or paper
     report = _representation_report(form)
-    report["mu_terms"] = []
-    for row in np.asarray(form.coeffs.e):  # mu_i(z) = sum_j e_ij f_j(z)
-        terms = zip(row, report["basis"])
-        text = [f"({format_complex(e)})*{f}" for e, f in terms if e or not args.skip_zero]
-        report["mu_terms"].append(text or ["0"])
+    report["mu_terms"] = [  # mu_i(z) = sum_j e_ij f_j(z)
+        [f"({format_complex(e)})*{f}" for e, f in zip(row, report["basis"])]
+        for row in np.asarray(form.coeffs.e)
+    ]
     if args.at is not None:
         mu = paper.mu(parse_complex(args.at))
         report["mu_at"] = {"z": args.at, "values": [[v.real, v.imag] for v in mu]}
@@ -277,8 +275,7 @@ def cmd_verify(args) -> int:
         gaps = [max_norm(sums[z] - f) / max(1.0, max_norm(f)) for z, f in flows.items()]
         results["cross_agreement"] = max(gaps)
     if args.json:
-        json.dump({"residuals": results, "pass": ok}, sys.stdout)
-        sys.stdout.write("\n")
+        print(json.dumps({"residuals": results, "pass": ok}))
     else:
         for key, value in results.items():
             print(f"{key}: max residual {value:.3e}")
@@ -317,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("formula", help="emit the coefficient functions mu_i(z)")
     sp.add_argument("matrix", nargs="?", default=None)
     sp.add_argument("--at", default=None, help="also evaluate mu at this z")
-    sp.add_argument("--skip-zero", action="store_true", help="elide zero coefficients")
     _add_common(sp)
     sp.set_defaults(func=cmd_formula)
 

@@ -355,7 +355,7 @@ def _schur_covariants(a: np.ndarray) -> tuple[Spectrum, np.ndarray, np.ndarray]:
             x, scale, info = lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], t[lo:hi, hi:], isgn=-1)
             if info != 0:
                 raise NonConvergence(f"Sylvester solve failed (ztrsyl info {info})")
-            r[lo:hi, hi:] = x if scale == 1.0 else x / scale
+            r[lo:hi, hi:] = x / scale
     l, info = lapack.ztrtri(r)
     if info != 0:
         raise NonConvergence(f"inverting the block diagonalization failed (ztrtri info {info})")
@@ -441,16 +441,13 @@ def evaluate_flow(rep: FlowRepresentation, z: complex) -> np.ndarray:
     return _finite(out, "A^z", z)
 
 
-class CompanionFlow:
-    """The coefficient functions ``mu(z) = C^z c`` of a relation.
-
-    ``representation`` is the :class:`PaperForm` of the companion matrix
-    ``C`` with the relation ``q``: since ``C^z = sum_i nu_i(z) C^{-i}`` and
-    ``C^{-i} c = e_i``, its ``nu`` are ``C^z c`` itself.  ``C`` is balanced by
-    ``D^{-1} C D``, ``D`` powers of ``2^k`` with ``k`` the rounded ``log2`` of
-    the geometric-mean root magnitude, which keeps the precision probe of
-    high-degree relations meaningful.
-    """
+class CompanionFlow(PaperForm):
+    """The paper's form of the companion matrix ``C`` of a relation ``q``:
+    since ``C^z = sum_i nu_i(z) C^{-i}`` and ``C^{-i} c = e_i``, its ``mu``
+    are the relation's ``C^z c``.  ``C`` is balanced by ``D^{-1} C D``, ``D``
+    powers of ``2^k`` with ``k`` the rounded ``log2`` of the geometric-mean
+    root magnitude, which keeps the precision probe of high-degree relations
+    meaningful; its :meth:`power` is the flow of that balanced matrix."""
 
     def __init__(self, q: AnnihilatorPolynomial, branch_offsets: dict | None = None):
         if not np.isfinite(q.coeffs).all():
@@ -464,10 +461,7 @@ class CompanionFlow:
         # matrix's relation to the last bit.
         scale = np.ldexp(1.0, round(math.log2(abs(q.coeffs[0])) / p) * np.arange(p))
         balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
-        self.representation = PaperForm(as_matrix(balanced), q, branch_offsets)
-
-    def mu(self, z: complex) -> np.ndarray:
-        return self.representation.mu(z)
+        super().__init__(as_matrix(balanced), q, branch_offsets)
 
 
 def evaluate_companion_flow(

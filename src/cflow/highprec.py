@@ -112,7 +112,7 @@ class HighPrecisionFlow:
 
     def __init__(self, a: np.ndarray, relation, spectrum, dps: int):
         self.dps = dps
-        self._a = np.asarray(a, dtype=np.complex128)
+        self._a = a
         self._start = relation
         self._given = spectrum
 

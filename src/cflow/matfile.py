@@ -111,5 +111,4 @@ def matrix_document(a) -> dict:
 
 
 def write_matrix(a, fh) -> None:
-    json.dump(matrix_document(a), fh)
-    fh.write("\n")
+    print(json.dumps(matrix_document(a)), file=fh)

@@ -89,22 +89,10 @@ def extended_inverse(a, pivot_tol: float = _RANK_TOL) -> np.ndarray:
 
 
 def power_int(a, k: int) -> np.ndarray:
-    """Integer matrix power by square-and-multiply; ``k = 0`` gives the identity.
-
-    Negative ``k`` requires an invertible matrix and raises
-    :class:`SingularMatrix` otherwise.
-    """
-    a = as_matrix(a)
+    """``A^k`` as a new array by ``numpy.linalg.matrix_power``, ``k = 0`` the
+    identity; a negative ``k`` powers :func:`inverse`, which raises
+    :class:`SingularMatrix` for a singular matrix."""
     k = int(k)
-    if k < 0:
-        a = inverse(a)
-        k = -k
-    result = np.eye(a.shape[0], dtype=np.complex128)
-    base = a
-    while k > 0:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return result
+    if k == 1:  # matrix_power returns its argument itself
+        return as_matrix(a).copy()
+    return np.linalg.matrix_power(as_matrix(a) if k >= 0 else inverse(a), abs(k))

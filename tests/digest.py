@@ -1,7 +1,7 @@
-"""Print a library digest, a refined digest and a CLI digest of the cflow tree
-this file sits in.
+"""Print a library digest, a refined digest, a CLI digest and a near-axis
+digest of the cflow tree this file sits in.
 
-Run ``python tests/digest.py [--verbose]`` in two trees and compare the three
+Run ``python tests/digest.py [--verbose]`` in two trees and compare the four
 lines: equal digests mean the same outputs, value for value.  The library
 digest covers the builds of suite seeds 0-1 and ladder seed 0 at n <= 16:
 spectra, ``evaluate_flow``, ``evaluation_condition`` (which reads the term
@@ -14,7 +14,10 @@ working-precision values (``mpc`` logs and ``mu``) of the refined relations
 form the refined digest, as iterative refinement ends on residuals at the
 level of working-precision rounding.  The CLI digest covers the stdout,
 stderr and exit code of ``python -m cflow`` runs on the fixtures of
-``test_cli.py`` and the two n = 12 tier matrices of ladder seed 0.
+``test_cli.py`` and the two n = 12 tier matrices of ladder seed 0.  The
+near-axis digest covers eigenvalues within ``1e-9`` of the real axis, which
+the real-axis snap of ``annihilator._ordered`` decides: the library records
+of ``[[1+2e-9j]]``, ``[[-1+2e-9j]]`` and ``diag(2+1e-12j, 3)``.
 
 Values are hashed by value: ``repr`` of the real and imaginary parts of a
 double or ``clongdouble``, the exact mantissa and exponent of an ``mpc``.
@@ -98,8 +101,8 @@ def library_records(a) -> dict:
         "discovered": paper,
         "supplied": lambda: build_flow(a, paper().relation).paper,
         "bare": lambda: build_flow(a, bare()).paper,
-        "companion": lambda: CompanionFlow(paper().relation).representation,
-        "companion-bare": lambda: CompanionFlow(bare()).representation,
+        "companion": lambda: CompanionFlow(paper().relation),
+        "companion-bare": lambda: CompanionFlow(bare()),
     }
     records = {
         "spectrum": lambda: rep().spectrum,
@@ -208,6 +211,9 @@ def main() -> None:
         runs = cli_runs(Path(folder))
         text = ((k, cli_outcome(argv).replace(folder, "<dir>")) for k, argv in runs.items())
         print("cli", digest(text, verbose, "cli"))
+    near = {"plus": [[1 + 2e-9j]], "minus": [[-1 + 2e-9j]], "rounding": np.diag([2 + 1e-12j, 3])}
+    records = {f"{name}/{key}": f for name, a in near.items() for key, f in library_records(a).items()}
+    print("near-axis", digest(((k, outcome(f)) for k, f in records.items()), verbose, "near-axis"))
 
 
 if __name__ == "__main__":

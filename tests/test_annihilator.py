@@ -697,6 +697,18 @@ def test_overflowed_power_is_no_dependence():
         minimal_polynomial(a)
 
 
+def test_dependence_residuals_form_the_powers_like_the_former_loop(suite):
+    # itertools.accumulate multiplies I, A, A^2, ... in the former loop's order
+    for case in suite:
+        a = np.asarray(case.matrix, dtype=np.complex128)
+        n = len(a)
+        powers = [np.eye(n, dtype=np.complex128)]
+        for _ in range(n):
+            powers.append(powers[-1] @ a)
+        krylov, _ = annihilator._dependence_residuals(a)
+        assert krylov.tobytes() == np.stack(powers).reshape(n + 1, n * n).T.tobytes()
+
+
 def test_dependence_residuals_at_n1_and_for_a_zero_power():
     # a 1x1 matrix has one row, so its Krylov matrix has no R[1, 1]: a nonzero
     # A is a dependence, a zero one (0 / 0) is not

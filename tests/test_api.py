@@ -48,6 +48,8 @@ def test_removed_names_stay_removed():
     proxies = ("coeffs", "degree", "relation_residual")
     assert [name for name in proxies if hasattr(cflow.FlowRepresentation, name)] == []
     assert highprec.__all__ == ["HighPrecisionFlow"]
+    # CompanionFlow is the PaperForm of its balanced companion matrix
+    assert not hasattr(cflow.CompanionFlow(cflow.AnnihilatorPolynomial((-6, 5))), "representation")
     # the spectrum carries the ordered basis, and a table keeps one inverse
     assert [name for name in ("BasisDescriptor", "build_basis") if hasattr(cflow, name)] == []
     assert [name for name in ("BasisDescriptor", "build_basis") if hasattr(basis, name)] == []

@@ -46,6 +46,15 @@ class TestGeneralizedBinomial:
         with pytest.raises(ValueError):
             generalized_binomial(-1, 0)
 
+    def test_is_the_former_running_product(self):
+        # math.prod multiplies in the order of the former loop: the same bits
+        for z in (0.5, -1.7 + 0.3j, 3j, 1e10 - 2.5j, 7):
+            for j in range(12):
+                acc = 1.0 + 0.0j
+                for i in range(j):
+                    acc *= complex(z) - i
+                assert generalized_binomial(j, z) == acc / math.factorial(j)
+
 
 class TestBranchLog:
     def test_one(self):

@@ -490,6 +490,14 @@ class TestInputChecks:
         assert captured.out == "" and "Traceback" not in captured.err and "--json" in captured.err
         assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
+    def test_formula_has_no_skip_zero_option(self, capsys):
+        # formula prints every term of every mu_i: --skip-zero elided the zero
+        # ones, and no caller passed it
+        assert main(["formula", "--relation", "5,-6", "--skip-zero"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err and "--skip-zero" in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
     @pytest.mark.parametrize("command", ["pow", "analyze", "verify", "formula"])
     @pytest.mark.parametrize(
         "option, value", [("--tol-rank", "0"), ("--tol-rank", "nan"), ("--tol-cond-warn", "nan")]

@@ -393,6 +393,25 @@ class TestCompanionConstruction:
             assert np.allclose(np.linalg.matrix_power(inv, j) @ c, unit, atol=1e-12)
             assert np.allclose(CompanionFlow(q).mu(-j), unit, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            AnnihilatorPolynomial((2.0 - 1j, 0.5, -3.0 + 0.25j, 1.5)),
+            AnnihilatorPolynomial.from_roots([8.0, 8j, -8.0, 3.0]),  # balanced by 2^k, k = 0..3
+        ],
+        ids=["unbalanced", "balanced"],
+    )
+    def test_is_the_paper_form_of_the_balanced_companion_matrix(self, q):
+        # no second object delegates to a PaperForm: CompanionFlow is one
+        cf = CompanionFlow(q)
+        assert isinstance(cf, flow.PaperForm)
+        p = q.degree
+        scale = np.ldexp(1.0, round(math.log2(abs(q.coeffs[0])) / p) * np.arange(p))
+        balanced = companion_matrix(q) * np.outer(1.0 / scale, scale)
+        form = flow.PaperForm(balanced.astype(np.complex128), q)
+        for z in (0.5, -1.2 + 0.4j, 2.0):
+            assert np.array_equal(cf.mu(z), form.mu(z))
+
 
 class TestJordanOracle:
     def test_block_flow_integer(self):
@@ -1145,6 +1164,42 @@ def test_schur_grouping_gives_the_principal_power(a, z, expected):
     assert rel_err(out, expected) <= 1e-10
     if not np.iscomplexobj(expected):  # a real matrix's principal power is real
         assert np.max(np.abs(out.imag)) <= 1e-13 * np.max(np.abs(out))
+
+
+def _exact_power(lam: complex, z: float) -> complex:
+    """The principal ``lam^z`` of the double ``lam``, at 40 digits.  (Python's
+    ``complex(lam) ** z`` rounds ``|lam|`` first: at ``1 + 2e-9j`` it takes
+    ``|lam| = 1`` and is off by 2.0e-9 at ``z = 1e9``.)"""
+    with mp.workdps(40):
+        return complex(mp.mpc(lam) ** mp.mpf(z))
+
+
+@pytest.mark.parametrize("lam, z", [(1 + 2e-9j, 1e9), (1 + 5e-10j, 1e6)], ids=["2e-9", "5e-10"])
+def test_an_eigenvalue_near_the_positive_axis_keeps_its_imaginary_part(lam, z):
+    # the real-axis snap put every centre within 1e-9 (1 + |c|) of the axis
+    # on it, and both constructions used the snapped value: pow was off by
+    # 1.68 and 5.0e-4, with exit 0, where |z log lam| is about 2 and 5e-4
+    rep = build_flow([[lam]])
+    assert [c.value for c in rep.spectrum.clusters] == [lam]
+    assert [c.value for c in rep.paper.spectrum.clusters] == [lam]
+    truth = _exact_power(lam, z)
+    for out in (evaluate_flow(rep, z), rep.paper.power(z)):
+        assert abs(out[0, 0] - truth) <= 1e-12 * abs(truth)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the real-axis snap puts a centre within 1e-9 (1 + |c|) of the negative "
+    "real axis on it, which decides the side of the cut (ROADMAP item 1)",
+)
+def test_an_eigenvalue_near_the_negative_axis_keeps_its_imaginary_part():
+    # snapped to -1, the phase z arg(lambda) is off by 2 rad: an error of
+    # 1.68, exit 0.  Rounding lambda moves lambda^z by |z| eps = 1.1e-7
+    lam, z = -1 + 2e-9j, 1e9
+    rep = build_flow([[lam]])
+    truth = _exact_power(lam, z)
+    for out in (evaluate_flow(rep, z), rep.paper.power(z)):
+        assert abs(out[0, 0] - truth) <= 1e-6 * abs(truth)
 
 
 class TestLapackLoader:

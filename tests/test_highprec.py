@@ -98,7 +98,7 @@ def test_companion_build_keeps_the_relation(tier_case):
     # refined the relation against that rounded matrix: 8 of 12 differed
     _, rep = tier_case
     q = rep.relation
-    hp = CompanionFlow(q).representation.high_precision
+    hp = CompanionFlow(q).high_precision
     assert hp is not None
     assert hp.relation == q
 

@@ -19,6 +19,7 @@ from cflow import (
 )
 from cflow.basis import _VANDERMONDE_PIVOT
 from cflow.numeric import _RANK_TOL, _equilibrated
+from conftest import rel_err_to_ref
 
 
 class TestAsMatrix:
@@ -210,6 +211,38 @@ class TestPowerInt:
         for _ in range(5):
             expected = expected @ a
         assert np.allclose(power_int(a, 5), expected)
+
+    def test_returns_a_new_array(self):
+        # numpy's matrix_power returns its argument itself at k = 1
+        a = np.array([[2.0, 1.0], [0.0, 3.0]], dtype=np.complex128)
+        for k in range(-3, 6):
+            out = power_int(a, k)
+            out[0, 0] = 7.0
+            assert a[0, 0] == 2.0, k
+
+    def test_matches_the_former_square_and_multiply(self, suite):
+        # bit for bit except at |k| = 3, where matrix_power forms (A A) A and
+        # the former loop A (A A)
+        for case in suite:
+            for k in range(-3, 6):
+                got, former = power_int(case.matrix, k), _former_power_int(case.matrix, k)
+                assert rel_err_to_ref(got, former) <= 1e-15, k
+                assert abs(k) == 3 or np.array_equal(got, former), k
+
+
+def _former_power_int(a, k):
+    """``power_int`` as it was: square and multiply by hand from the identity."""
+    a = as_matrix(a)
+    if k < 0:
+        a, k = inverse(a), -k
+    result, base = np.eye(a.shape[0], dtype=np.complex128), a
+    while k > 0:
+        if k & 1:
+            result = result @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return result
 
 
 class TestMaxNorm:
